@@ -1,40 +1,28 @@
-//! Benchmarks the concurrent experiment scheduler against the sequential
-//! `BatchRunner` paths and writes `BENCH_sched.json` at the repository
-//! root (schema `blurnet-sched-bench/v1`).
+//! Benchmarks the experiment scheduler cold and warm and writes
+//! `BENCH_sched.json` at the repository root (schema
+//! `blurnet-sched-bench/v2`).
 //!
-//! Two sequential baselines are recorded, because the pre-scheduler repo
-//! had two sequential modes:
+//! * **Cold** — an empty run: every variant is trained and every shared
+//!   RP2 artifact generated inside the timed region.
+//! * **Warm** — the same run with `.cache_dir(dir)` over a cache filled
+//!   by one untimed cold run, the path `reproduce --cache-dir` takes on a
+//!   repeat run: train and artifact nodes become checksummed disk loads.
 //!
-//! * **Per-experiment (cold)** — the README's documented reproduction
-//!   path: one process per table/figure binary, each building its own
-//!   `ModelZoo` and regenerating shared prerequisites. This is the
-//!   headline `speedup_*_vs_sequential` comparison; the scheduler's DAG
-//!   deduplicates trained variants and RP2 artifacts across experiments,
-//!   so it wins even on the 1-core container, and cell-level overlap adds
-//!   on top on multi-core hosts (re-measure there; `host_cpus` is
-//!   recorded).
-//! * **Shared-zoo (warm)** — the `all_experiments` mode: one pre-trained
-//!   zoo, cells run back-to-back. Against this baseline a 1-core host
-//!   only gains artifact dedup (`speedup_*_vs_shared_zoo` is ~1× there by
-//!   construction); the cell-overlap win needs real cores.
-//!
-//! Before any timing, the run *asserts* that the scheduler's report is
-//! bit-identical to the sequential one at every measured worker count — a
-//! determinism regression fails the bench loudly.
+//! Before any timing, the run *asserts* that the report is byte-identical
+//! at every measured worker count, cold and warm — a determinism
+//! regression fails the bench loudly.
 
-use std::sync::Arc;
+use std::path::Path;
 use std::time::Instant;
 
 use blurnet::experiments::grid::{CellKind, CellSpec, ExperimentGrid};
 use blurnet::experiments::table1::Table1Victim;
-use blurnet::{ExperimentScheduler, ModelZoo, Scale};
-use blurnet_data::SignDataset;
-use blurnet_defenses::{train_defended_model, DefenseKind, VariantCache};
+use blurnet::{ExperimentScheduler, Scale, ScheduledRun};
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Value;
 
-/// Seed shared with the experiment binaries.
-const SEED: u64 = 7;
+/// Seed shared with `reproduce`.
+const SEED: u64 = blurnet_bench::EXPERIMENT_SEED;
 
 /// Timed repetitions per configuration (whole-grid runs are seconds-long;
 /// the median of three suppresses scheduling noise without hour-long
@@ -44,7 +32,7 @@ const RUNS: usize = 3;
 /// Scheduler worker counts measured.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// The warm benchmark grid: both sticker-artifact consumers, one Table I
+/// The benchmark grid: both sticker-artifact consumers, one Table I
 /// victim (transfer-set consumer), and the golden micro-grid's four
 /// attack cells.
 fn bench_grid() -> ExperimentGrid {
@@ -69,199 +57,76 @@ fn bench_grid() -> ExperimentGrid {
     ExperimentGrid::custom(cells)
 }
 
-/// The distinct variants the grid needs (trained once, outside timing).
-fn grid_defenses(scale: Scale) -> Vec<DefenseKind> {
-    let grid = bench_grid();
-    let mut out: Vec<DefenseKind> = Vec::new();
-    for spec in grid.cells() {
-        let defense = spec.required_defense(scale);
-        if !out.contains(&defense) {
-            out.push(defense);
-        }
+fn run(grid: &ExperimentGrid, workers: usize, cache: Option<&Path>) -> ScheduledRun {
+    let mut scheduler = ExperimentScheduler::new(Scale::Smoke, SEED).threads(workers);
+    if let Some(dir) = cache {
+        scheduler = scheduler.cache_dir(dir);
     }
-    out
+    let run = scheduler.run(grid).expect("scheduler run");
+    assert!(run.report.all_ok(), "cells failed at {workers} workers");
+    run
 }
 
-fn median(mut ns: Vec<f64>) -> f64 {
+/// Median wall time of [`RUNS`] runs, plus the last run's pool
+/// utilization.
+fn time_runs(grid: &ExperimentGrid, workers: usize, cache: Option<&Path>) -> (f64, f64) {
+    let mut utilization = 0.0;
+    let mut ns: Vec<f64> = (0..RUNS)
+        .map(|_| {
+            let t0 = Instant::now();
+            utilization = run(grid, workers, cache).profile.utilization();
+            t0.elapsed().as_nanos() as f64
+        })
+        .collect();
     ns.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    ns[ns.len() / 2]
+    (ns[ns.len() / 2], utilization)
 }
 
 fn write_sched_json() {
-    let scale = Scale::Smoke;
     let grid = bench_grid();
+    let cache = Path::new(env!("CARGO_TARGET_TMPDIR")).join("sched-bench-cache");
+    // A stale cache from an older build would make the "cold" fill warm.
+    let _ = std::fs::remove_dir_all(&cache);
 
-    // Warm model store shared by every scheduler run, outside timing.
-    let dataset = SignDataset::generate(&scale.dataset_config(), SEED).expect("dataset");
-    let warm = Arc::new(VariantCache::new());
-    for defense in grid_defenses(scale) {
-        warm.insert(
-            train_defended_model(&defense, &dataset, &scale.train_config()).expect("training"),
-        );
-    }
-
-    // Warm sequential zoo, seeded with the same trained variants.
-    let fresh_zoo = || {
-        let mut zoo = ModelZoo::new(scale, SEED).expect("zoo");
-        for label in warm.labels() {
-            zoo.insert((*warm.get(&label).expect("warm variant")).clone());
-        }
-        zoo
-    };
-
-    // Determinism gate: every worker count must reproduce the sequential
-    // report bit-for-bit before any number is worth recording.
-    let reference = grid
-        .run_sequential(&mut fresh_zoo())
-        .expect("sequential run");
+    // Determinism gate: the untimed cold run that fills the cache is the
+    // reference every worker count, cold and warm, must reproduce.
+    let reference = run(&grid, 1, Some(&cache)).report.to_json();
     for &workers in &WORKER_COUNTS {
-        let run = ExperimentScheduler::new(scale, SEED)
-            .threads(workers)
-            .with_variants(Arc::clone(&warm))
-            .run(&grid)
-            .expect("scheduler run");
-        assert!(
-            run.report.all_ok(),
-            "scheduler cells failed at {workers} workers"
-        );
-        assert_eq!(
-            run.report.to_json(),
-            reference.to_json(),
-            "scheduler diverged from the sequential path at {workers} workers"
-        );
+        for dir in [None, Some(cache.as_path())] {
+            assert_eq!(
+                run(&grid, workers, dir).report.to_json(),
+                reference,
+                "report diverged at {workers} workers (cache: {})",
+                dir.is_some()
+            );
+        }
     }
 
     let mut entries: Vec<(String, Value)> =
-        vec![("schema".into(), Value::Str("blurnet-sched-bench/v1".into()))];
+        vec![("schema".into(), Value::Str("blurnet-sched-bench/v2".into()))];
     entries.extend(blurnet_bench::host_entries("sched_throughput"));
     entries.push(("cells".into(), Value::Int(grid.len() as i64)));
-    entries.push(("bit_identical_to_sequential".into(), Value::Bool(true)));
-    let push_ns = |entries: &mut Vec<(String, Value)>, name: &str, ns: f64| {
-        println!("json-probe {name:<44} {:10.1} ms", ns / 1e6);
-        entries.push((name.to_string(), Value::Float(ns)));
-    };
-
-    // Headline baseline: the README's pre-scheduler reproduction path —
-    // one sequential process per experiment, each with its own cold zoo
-    // (own training, own artifact generation).
-    let mut experiments: Vec<&'static str> = Vec::new();
-    for spec in grid.cells() {
-        if !experiments.contains(&spec.experiment) {
-            experiments.push(spec.experiment);
-        }
-    }
-    let per_experiment_ns = median(
-        (0..RUNS)
-            .map(|_| {
-                let t0 = Instant::now();
-                for experiment in &experiments {
-                    let sub = ExperimentGrid::custom(
-                        grid.cells()
-                            .iter()
-                            .filter(|c| c.experiment == *experiment)
-                            .cloned()
-                            .collect(),
-                    );
-                    let mut zoo = ModelZoo::new(scale, SEED).expect("zoo");
-                    sub.run_sequential(&mut zoo).expect("sequential run");
-                }
-                t0.elapsed().as_nanos() as f64
-            })
-            .collect(),
-    );
-    push_ns(
-        &mut entries,
-        "sequential_per_experiment_ns",
-        per_experiment_ns,
-    );
-    entries.push((
-        "sequential_per_experiment_cells_per_sec".into(),
-        Value::Float(round2(grid.len() as f64 * 1e9 / per_experiment_ns)),
-    ));
-
-    // Secondary baseline: one shared warm zoo, cells back-to-back (the
-    // all_experiments mode, training excluded). Zoo construction (dataset
-    // generation) is timed because the scheduler's runs pay the same cost
-    // inside `run()`.
-    let shared_zoo_ns = median(
-        (0..RUNS)
-            .map(|_| {
-                let t0 = Instant::now();
-                let mut zoo = fresh_zoo();
-                grid.run_sequential(&mut zoo).expect("sequential run");
-                t0.elapsed().as_nanos() as f64
-            })
-            .collect(),
-    );
-    push_ns(&mut entries, "sequential_shared_zoo_ns", shared_zoo_ns);
-    entries.push((
-        "sequential_shared_zoo_cells_per_sec".into(),
-        Value::Float(round2(grid.len() as f64 * 1e9 / shared_zoo_ns)),
-    ));
-
-    for &workers in &WORKER_COUNTS {
-        // Cold scheduler runs (training + artifacts inside the timed
-        // region) — apples-to-apples with the per-experiment baseline.
-        let mut utilization = 0.0;
-        let cold_ns = median(
-            (0..RUNS)
-                .map(|_| {
-                    let t0 = Instant::now();
-                    let run = ExperimentScheduler::new(scale, SEED)
-                        .threads(workers)
-                        .run(&grid)
-                        .expect("scheduler run");
-                    assert!(run.report.all_ok());
-                    utilization = run.profile.utilization();
-                    t0.elapsed().as_nanos() as f64
-                })
-                .collect(),
-        );
-        push_ns(
-            &mut entries,
-            &format!("scheduler_cold_t{workers}_ns"),
-            cold_ns,
-        );
+    entries.push(("bit_identical_across_workers".into(), Value::Bool(true)));
+    let mut record = |mode: &str, workers: usize, ns: f64, utilization: f64| {
+        let key = format!("scheduler_{mode}_t{workers}");
+        println!("json-probe {key:<30} {:10.1} ms", ns / 1e6);
+        entries.push((format!("{key}_ns"), Value::Float(ns)));
         entries.push((
-            format!("scheduler_cold_t{workers}_cells_per_sec"),
-            Value::Float(round2(grid.len() as f64 * 1e9 / cold_ns)),
+            format!("{key}_cells_per_sec"),
+            Value::Float(round2(grid.len() as f64 * 1e9 / ns)),
         ));
         entries.push((
-            format!("scheduler_cold_t{workers}_pool_utilization"),
+            format!("{key}_pool_utilization"),
             Value::Float(round2(utilization)),
         ));
-        let speedup = round2(per_experiment_ns / cold_ns);
-        println!("json-ratio scheduler_cold_t{workers}_vs_sequential {speedup:>22.2}x");
-        entries.push((
-            format!("speedup_t{workers}_vs_sequential"),
-            Value::Float(speedup),
-        ));
-
-        // Warm scheduler runs — apples-to-apples with the shared-zoo
-        // baseline (cell work only).
-        let warm_ns = median(
-            (0..RUNS)
-                .map(|_| {
-                    let t0 = Instant::now();
-                    ExperimentScheduler::new(scale, SEED)
-                        .threads(workers)
-                        .with_variants(Arc::clone(&warm))
-                        .run(&grid)
-                        .expect("scheduler run");
-                    t0.elapsed().as_nanos() as f64
-                })
-                .collect(),
-        );
-        push_ns(
-            &mut entries,
-            &format!("scheduler_warm_t{workers}_ns"),
-            warm_ns,
-        );
-        entries.push((
-            format!("speedup_t{workers}_vs_shared_zoo"),
-            Value::Float(round2(shared_zoo_ns / warm_ns)),
-        ));
+    };
+    for &workers in &WORKER_COUNTS {
+        let (cold_ns, cold_util) = time_runs(&grid, workers, None);
+        record("cold", workers, cold_ns, cold_util);
+        let (warm_ns, warm_util) = time_runs(&grid, workers, Some(&cache));
+        record("warm", workers, warm_ns, warm_util);
     }
+    let _ = std::fs::remove_dir_all(&cache);
 
     let json = serde_json::to_string_pretty(&Value::Map(entries)).unwrap_or_else(|_| "{}".into());
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sched.json");

@@ -7,13 +7,17 @@
 //! # Four scheduler workers, tables only, custom output path:
 //! cargo run --release -p blurnet-bench --bin reproduce -- \
 //!     --threads 4 --grid tables --out results.json
+//! # Only Table III and Figure 3:
+//! cargo run --release -p blurnet-bench --bin reproduce -- --grid table3,figure3
 //! ```
 //!
-//! `BLURNET_SCALE` (smoke/quick/paper) selects the effort, exactly as for
-//! the per-table binaries. Pass `--json` to print the report JSON to
-//! stdout instead of rendered tables. The emitted `results.json` is
-//! bit-identical at every `--threads` value and to the sequential
-//! reference path (`--sequential`).
+//! `--grid` takes `full`, `tables`, `micro`, or a comma-separated list of
+//! experiment names (`table1` … `table5`, `figure1` … `figure6`); an
+//! unknown name exits with status 2. `BLURNET_SCALE` (smoke/quick/paper)
+//! selects the effort. The rendered output prints each table's paper
+//! values under the measured table; pass `--json` to print the report JSON
+//! to stdout instead. The emitted `results.json` is bit-identical at every
+//! `--threads` value.
 //!
 //! `--cache-dir DIR` persists trained variants and shared attack
 //! artifacts under `DIR` and reuses them on later runs. `--resume DIR`
@@ -30,17 +34,17 @@
 //! disables it.
 
 use blurnet::experiments::grid::ExperimentGrid;
+use blurnet::experiments::paper_reference;
 use blurnet::journal::JOURNAL_FILE;
 use blurnet::{
-    recover_prior, resume_run, resume_run_with_journal, ExperimentScheduler, ModelZoo, RunReport,
-    Scale,
+    recover_prior, resume_run, resume_run_with_journal, ExperimentScheduler, RunReport, Scale,
 };
 
 fn usage() -> ! {
     eprintln!(
-        "usage: reproduce [--threads N] [--grid full|tables|micro] [--out PATH] \
+        "usage: reproduce [--threads N] [--grid full|tables|micro|EXPERIMENT,...] [--out PATH] \
          [--retry-failed N] [--cache-dir DIR] [--resume DIR] [--journal PATH] \
-         [--no-journal] [--json] [--sequential] [--verbose]"
+         [--no-journal] [--json] [--verbose]"
     );
     std::process::exit(2)
 }
@@ -55,7 +59,6 @@ struct Args {
     journal: Option<std::path::PathBuf>,
     no_journal: bool,
     json: bool,
-    sequential: bool,
     verbose: bool,
 }
 
@@ -70,7 +73,6 @@ fn parse_args() -> Args {
         journal: None,
         no_journal: false,
         json: false,
-        sequential: false,
         verbose: false,
     };
     let mut iter = std::env::args().skip(1);
@@ -92,28 +94,18 @@ fn parse_args() -> Args {
             "--journal" => args.journal = Some(iter.next().unwrap_or_else(|| usage()).into()),
             "--no-journal" => args.no_journal = true,
             "--json" => args.json = true,
-            "--sequential" => args.sequential = true,
             "--verbose" => args.verbose = true,
             _ => usage(),
         }
-    }
-    if args.sequential
-        && (args.resume.is_some() || args.cache_dir.is_some() || args.journal.is_some())
-    {
-        eprintln!(
-            "error: --resume/--cache-dir/--journal require the scheduler path (drop --sequential)"
-        );
-        std::process::exit(2);
     }
     args
 }
 
 /// Where this run journals completed cells: an explicit `--journal PATH`
 /// wins, otherwise `run.journal` beside `--out`; `--no-journal` (or
-/// `--no-out` without an explicit journal path, or `--sequential`)
-/// disables journaling.
+/// `--no-out` without an explicit journal path) disables journaling.
 fn journal_path(args: &Args) -> Option<std::path::PathBuf> {
-    if args.sequential || args.no_journal {
+    if args.no_journal {
         return None;
     }
     if let Some(path) = &args.journal {
@@ -135,94 +127,67 @@ fn main() {
 
     let args = parse_args();
     let scale = Scale::from_env();
-    let grid = match args.grid.as_str() {
-        "full" => ExperimentGrid::full(scale),
-        "tables" => ExperimentGrid::tables(scale),
-        "micro" => ExperimentGrid::micro(),
-        _ => usage(),
-    };
+    let grid = ExperimentGrid::named(&args.grid, scale).unwrap_or_else(|e| {
+        eprintln!("reproduce: {e}");
+        std::process::exit(2);
+    });
+    let workers = args.threads.unwrap_or_else(rayon::current_num_threads);
     eprintln!(
-        "# BlurNet reproduction — scale: {scale}, grid: {} ({} cells), engine: {}",
+        "# BlurNet reproduction — scale: {scale}, grid: {} ({} cells), scheduler: {workers} workers",
         args.grid,
         grid.len(),
-        if args.sequential {
-            "sequential BatchRunner".to_string()
-        } else {
-            format!(
-                "scheduler ({} workers)",
-                args.threads.unwrap_or_else(rayon::current_num_threads)
-            )
-        }
     );
 
-    let report: RunReport = if args.sequential {
-        let mut zoo = ModelZoo::new(scale, blurnet_bench::EXPERIMENT_SEED)
-            .unwrap_or_else(|e| panic!("failed to build the model zoo: {e}"));
-        grid.run_sequential(&mut zoo)
-            .unwrap_or_else(|e| panic!("sequential run failed: {e}"))
+    let mut scheduler = ExperimentScheduler::new(scale, blurnet_bench::EXPERIMENT_SEED)
+        .threads(workers)
+        .verbose(args.verbose)
+        .retry_failed(args.retry_failed);
+    if let Some(dir) = &args.cache_dir {
+        scheduler = scheduler.cache_dir(dir.clone());
+    }
+    let report: RunReport = if let Some(resume_dir) = &args.resume {
+        let (prior, source) = recover_prior(resume_dir).unwrap_or_else(|e| {
+            eprintln!("reproduce: cannot recover the prior run: {e}");
+            std::process::exit(1);
+        });
+        eprintln!("# resume source: {source}");
+        let resumed = match journal_path(&args) {
+            Some(journal) => resume_run_with_journal(&scheduler, &grid, &prior, &journal),
+            None => resume_run(&scheduler, &grid, &prior),
+        }
+        .unwrap_or_else(|e| {
+            eprintln!("reproduce: resume failed: {e}");
+            std::process::exit(1);
+        });
+        eprintln!(
+            "# resume: replayed {} cells, scheduling {}",
+            resumed.replayed, resumed.executed
+        );
+        if let Some(profile) = &resumed.profile {
+            print_profile(profile);
+        }
+        resumed.report
     } else {
-        let mut scheduler = ExperimentScheduler::new(scale, blurnet_bench::EXPERIMENT_SEED)
-            .verbose(args.verbose)
-            .retry_failed(args.retry_failed);
-        if let Some(threads) = args.threads {
-            scheduler = scheduler.threads(threads);
+        if let Some(journal) = journal_path(&args) {
+            scheduler = scheduler.journal_path(journal);
         }
-        if let Some(dir) = &args.cache_dir {
-            scheduler = scheduler.cache_dir(dir.clone());
-        }
-        if let Some(resume_dir) = &args.resume {
-            let (prior, source) = recover_prior(resume_dir).unwrap_or_else(|e| {
-                eprintln!("reproduce: cannot recover the prior run: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("# resume source: {source}");
-            let resumed = match journal_path(&args) {
-                Some(journal) => resume_run_with_journal(&scheduler, &grid, &prior, &journal),
-                None => resume_run(&scheduler, &grid, &prior),
-            }
-            .unwrap_or_else(|e| {
-                eprintln!("reproduce: resume failed: {e}");
-                std::process::exit(1);
-            });
-            eprintln!(
-                "# resume: replayed {} cells, scheduling {}",
-                resumed.replayed, resumed.executed
-            );
-            if let Some(profile) = &resumed.profile {
-                eprintln!(
-                    "# {} cells in {:.1}s — {:.2} cells/s, pool utilization {:.0}% ({} workers)",
-                    profile.cell_count,
-                    profile.wall_ns as f64 / 1e9,
-                    profile.cells_per_sec(),
-                    profile.utilization() * 100.0,
-                    profile.workers
-                );
-            }
-            resumed.report
-        } else {
-            if let Some(journal) = journal_path(&args) {
-                scheduler = scheduler.journal_path(journal);
-            }
-            let run = scheduler
-                .run(&grid)
-                .unwrap_or_else(|e| panic!("scheduler run failed: {e}"));
-            eprintln!(
-                "# {} cells in {:.1}s — {:.2} cells/s, pool utilization {:.0}% ({} workers)",
-                run.profile.cell_count,
-                run.profile.wall_ns as f64 / 1e9,
-                run.profile.cells_per_sec(),
-                run.profile.utilization() * 100.0,
-                run.profile.workers
-            );
-            run.report
-        }
+        let run = scheduler
+            .run(&grid)
+            .unwrap_or_else(|e| panic!("scheduler run failed: {e}"));
+        print_profile(&run.profile);
+        run.report
     };
 
     if args.json {
         println!("{}", report.to_json());
     } else {
-        for table in report.tables() {
-            println!("{table}");
+        for experiment in report.experiments() {
+            for table in report.experiment_tables(experiment) {
+                println!("{table}");
+            }
+            if let Some(paper) = paper_reference(experiment) {
+                println!("{paper}");
+            }
         }
     }
     if let Some(path) = &args.out {
@@ -235,4 +200,15 @@ fn main() {
         eprintln!("# WARNING: some cells failed or were skipped (see the report)");
         std::process::exit(1);
     }
+}
+
+fn print_profile(profile: &blurnet::RunProfile) {
+    eprintln!(
+        "# {} cells in {:.1}s — {:.2} cells/s, pool utilization {:.0}% ({} workers)",
+        profile.cell_count,
+        profile.wall_ns as f64 / 1e9,
+        profile.cells_per_sec(),
+        profile.utilization() * 100.0,
+        profile.workers
+    );
 }

@@ -1,15 +1,11 @@
-//! Shared helpers for the table/figure reproduction binaries.
-//!
-//! Every binary follows the same shape: pick the [`Scale`] from
-//! `BLURNET_SCALE` (smoke/quick/paper), build a [`ModelZoo`], run one
-//! experiment, and print the measured table next to the paper's reference
-//! values. Pass `--json` to emit machine-readable output instead.
+//! Shared helpers for the `reproduce` binary and the trajectory benches:
+//! the experiment seed and the host/thread-count conventions every
+//! `BENCH_*.json` records.
 
-use blurnet::{ModelZoo, Scale, Table};
 use serde::Value;
 
-/// Seed shared by all experiment binaries so tables are mutually
-/// consistent within one run.
+/// Seed every reproduction and bench uses, so their tables are mutually
+/// consistent.
 pub const EXPERIMENT_SEED: u64 = 7;
 
 /// Thread counts every multi-core-aware `BENCH_*.json` records timings
@@ -61,37 +57,4 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
         .build()
         .expect("thread pool");
     pool.install(f)
-}
-
-/// Builds the model zoo for the scale selected via `BLURNET_SCALE`.
-///
-/// # Panics
-///
-/// Panics (with a readable message) if dataset generation fails — these
-/// binaries are leaf programs where unwinding to `main` is the only
-/// sensible handling.
-pub fn zoo_from_env() -> (Scale, ModelZoo) {
-    let scale = Scale::from_env();
-    eprintln!("# BlurNet reproduction — scale: {scale} (set BLURNET_SCALE=smoke|quick|paper)");
-    let zoo = ModelZoo::new(scale, EXPERIMENT_SEED)
-        .unwrap_or_else(|e| panic!("failed to build the model zoo: {e}"));
-    (scale, zoo)
-}
-
-/// Whether `--json` was passed on the command line.
-pub fn json_requested() -> bool {
-    std::env::args().any(|a| a == "--json")
-}
-
-/// Prints a measured table and, unless `--json` was requested, the paper's
-/// reference values beneath it.
-pub fn print_result(measured: &Table, paper: Option<&Table>) {
-    if json_requested() {
-        println!("{}", measured.to_json());
-        return;
-    }
-    println!("{measured}");
-    if let Some(paper) = paper {
-        println!("{paper}");
-    }
 }

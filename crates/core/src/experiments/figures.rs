@@ -10,10 +10,9 @@
 //! * **Figures 5–6** — per-target scatter of attack success rate vs L2
 //!   dissimilarity for the defended models.
 //!
-//! Rather than emitting bitmaps, each figure function returns the
+//! Rather than emitting bitmaps, each per-cell function returns the
 //! underlying numeric series (spectra, band-energy ratios, scatter
-//! points); the bench binaries print them and `EXPERIMENTS.md` records the
-//! qualitative comparison with the paper.
+//! points); `reproduce` prints them as tables.
 
 use blurnet_attacks::{AdaptiveObjective, Rp2Attack, Rp2Result};
 use blurnet_defenses::{DefendedModel, DefenseKind};
@@ -22,7 +21,7 @@ use blurnet_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 use crate::report::{num3, pct};
-use crate::{BlurNetError, ModelZoo, Result, Scale, Table};
+use crate::{BlurNetError, Result, Scale, Table};
 
 /// The DCT mask dimensions the Figure 3 sweep evaluates by default.
 pub const FIGURE3_DIMS: [usize; 4] = [4, 8, 16, 32];
@@ -33,9 +32,8 @@ pub const FIGURE2_CHANNELS: usize = 4;
 
 /// Generates the single-image RP2 sticker artifact shared by the Figure 1
 /// and Figure 2 analyses: the attack result for the first stop-sign
-/// evaluation image at the Table I transfer target. Generation is
-/// deterministic, so the two sequential figure runs (which each generate
-/// it) and the scheduler (which generates it once) see the same artifact.
+/// evaluation image at the Table I transfer target. The scheduler
+/// generates it once per run and hands it to both figure cells.
 ///
 /// # Errors
 ///
@@ -110,21 +108,7 @@ impl Figure1 {
     }
 }
 
-/// Runs the Figure 1 analysis.
-///
-/// # Errors
-///
-/// Propagates training, attack and FFT errors.
-pub fn figure1(zoo: &mut ModelZoo) -> Result<Figure1> {
-    let scale = zoo.scale();
-    let baseline = zoo.get_or_train(&DefenseKind::Baseline)?;
-    let images = super::attack_images(zoo);
-    let result = sticker_artifact(scale, &baseline, &images)?;
-    figure1_from_parts(&images[0], &result)
-}
-
-/// The pure per-cell analysis behind [`figure1`], over a pre-generated
-/// sticker artifact.
+/// The per-cell Figure 1 analysis, over a pre-generated sticker artifact.
 ///
 /// # Errors
 ///
@@ -219,21 +203,8 @@ fn mean(values: impl Iterator<Item = f32>) -> f32 {
     }
 }
 
-/// Runs the Figure 2 analysis over up to `max_channels` feature maps.
-///
-/// # Errors
-///
-/// Propagates training, attack and FFT errors.
-pub fn figure2(zoo: &mut ModelZoo, max_channels: usize) -> Result<Figure2> {
-    let scale = zoo.scale();
-    let mut baseline = zoo.get_or_train(&DefenseKind::Baseline)?;
-    let images = super::attack_images(zoo);
-    let result = sticker_artifact(scale, &baseline, &images)?;
-    figure2_from_parts(&mut baseline, &images[0], &result.adversarial, max_channels)
-}
-
-/// The pure per-cell analysis behind [`figure2`], over a pre-generated
-/// adversarial image.
+/// The per-cell Figure 2 analysis over up to `max_channels` feature maps,
+/// for a pre-generated adversarial image.
 ///
 /// # Errors
 ///
@@ -313,18 +284,6 @@ impl Figure3 {
     }
 }
 
-/// Runs the Figure 3 sweep over the given mask dimensions.
-///
-/// # Errors
-///
-/// Propagates training and attack errors.
-pub fn figure3(zoo: &mut ModelZoo, dims: &[usize]) -> Result<Figure3> {
-    let scale = zoo.scale();
-    let mut model = zoo.get_or_train(&figure3_defense())?;
-    let images = super::attack_images(zoo);
-    figure3_for_model(scale, &mut model, &images, dims)
-}
-
 /// The defense the Figure 3 sweep attacks (the 7×7 depthwise model).
 pub fn figure3_defense() -> DefenseKind {
     DefenseKind::DepthwiseLinf {
@@ -333,8 +292,8 @@ pub fn figure3_defense() -> DefenseKind {
     }
 }
 
-/// The pure per-cell sweep behind [`figure3`], against an already-trained
-/// 7×7 depthwise model.
+/// The per-cell Figure 3 sweep over the given mask dimensions, against an
+/// already-trained 7×7 depthwise model.
 ///
 /// # Errors
 ///
@@ -388,22 +347,7 @@ impl Figure4 {
     }
 }
 
-/// Runs the Figure 4 analysis.
-///
-/// # Errors
-///
-/// Propagates training and FFT errors.
-pub fn figure4(zoo: &mut ModelZoo) -> Result<Figure4> {
-    let mut baseline = zoo.get_or_train(&DefenseKind::Baseline)?;
-    let image = super::attack_images(zoo)
-        .into_iter()
-        .next()
-        .ok_or_else(|| BlurNetError::BadConfig("no stop-sign image available".into()))?;
-    figure4_for_model(&mut baseline, &image)
-}
-
-/// The pure per-cell analysis behind [`figure4`], against an
-/// already-trained baseline.
+/// The per-cell Figure 4 analysis, against an already-trained baseline.
 ///
 /// # Errors
 ///
@@ -468,18 +412,6 @@ impl Figure5And6 {
     }
 }
 
-/// Runs the Figures 5–6 sweeps.
-///
-/// # Errors
-///
-/// Propagates training and attack errors.
-pub fn figure5_and_6(zoo: &mut ModelZoo) -> Result<Figure5And6> {
-    Ok(Figure5And6 {
-        figure5: scatter_series(zoo, &figure5_defenses())?,
-        figure6: scatter_series(zoo, &figure6_defenses())?,
-    })
-}
-
 /// The defenses plotted by Figure 5 (depthwise and TV models), in order.
 pub fn figure5_defenses() -> Vec<DefenseKind> {
     vec![
@@ -515,18 +447,7 @@ pub fn figure6_defenses() -> Vec<DefenseKind> {
     ]
 }
 
-fn scatter_series(zoo: &mut ModelZoo, defenses: &[DefenseKind]) -> Result<Vec<ScatterSeries>> {
-    let scale = zoo.scale();
-    let images = super::attack_images(zoo);
-    let mut out = Vec::with_capacity(defenses.len());
-    for defense in defenses {
-        let mut model = zoo.get_or_train(defense)?;
-        out.push(scatter_series_for_model(scale, &mut model, &images)?);
-    }
-    Ok(out)
-}
-
-/// The pure per-cell sweep behind one scatter series of Figures 5–6:
+/// The per-cell sweep behind one scatter series of Figures 5–6:
 /// the standard white-box RP2 sweep with per-target points kept.
 ///
 /// # Errors
@@ -554,7 +475,9 @@ pub fn scatter_series_for_model(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Scale;
+    use crate::experiments::grid::CellKind;
+    use crate::experiments::{only_output, run_smoke_cells};
+    use crate::{CellOutput, CellStatus};
 
     #[test]
     fn grayscale_averages_channels() {
@@ -568,8 +491,10 @@ mod tests {
 
     #[test]
     fn figure1_reports_spike_in_high_frequency_energy() {
-        let mut zoo = ModelZoo::new(Scale::Smoke, 23).unwrap();
-        let fig = figure1(&mut zoo).unwrap();
+        let report = run_smoke_cells(23, vec![CellKind::Figure1]);
+        let CellOutput::Figure1(fig) = only_output(report) else {
+            panic!("not a Figure 1 output");
+        };
         assert!(fig.clean_high_fraction >= 0.0 && fig.clean_high_fraction <= 1.0);
         assert_eq!(fig.clean_spectrum.dims(), fig.adversarial_spectrum.dims());
         assert!(fig.table().to_string().contains("Perturbation only"));
@@ -577,8 +502,10 @@ mod tests {
 
     #[test]
     fn figure4_uses_both_layers() {
-        let mut zoo = ModelZoo::new(Scale::Smoke, 23).unwrap();
-        let fig = figure4(&mut zoo).unwrap();
+        let report = run_smoke_cells(23, vec![CellKind::Figure4]);
+        let CellOutput::Figure4(fig) = only_output(report) else {
+            panic!("not a Figure 4 output");
+        };
         assert!(!fig.second_layer_fractions.is_empty());
         assert!(fig.first_layer_mean_fraction >= 0.0);
         assert!(fig.second_layer_mean_fraction >= 0.0);
@@ -586,7 +513,11 @@ mod tests {
 
     #[test]
     fn figure3_rejects_empty_dims() {
-        let mut zoo = ModelZoo::new(Scale::Smoke, 23).unwrap();
-        assert!(figure3(&mut zoo, &[]).is_err());
+        let report = run_smoke_cells(23, vec![CellKind::Figure3 { dims: vec![] }]);
+        assert!(
+            matches!(&report.cells[0].status, CellStatus::Failed { error } if error.contains("no DCT dimensions")),
+            "{:?}",
+            report.cells[0].status
+        );
     }
 }

@@ -3,14 +3,14 @@
 //!
 //! A [`CellSpec`] names one unit of evaluation work — a (model variant ×
 //! attack × metric) cell of a paper table, or one figure analysis/series —
-//! without running anything. The specs are executed either sequentially
-//! ([`ExperimentGrid::run_sequential`], the reference path driving one
-//! [`crate::ModelZoo`] through the same `BatchRunner` calls the table
-//! modules always used) or concurrently by the
-//! [`crate::ExperimentScheduler`], which turns the same specs into a DAG
-//! over shared artifacts. Both paths execute a cell through the **same**
-//! per-cell function in the table/figure modules, which is what makes
-//! their [`RunReport`]s bit-identical.
+//! without running anything. The [`crate::ExperimentScheduler`] is the one
+//! executor: it turns the specs into a DAG over shared artifacts and runs
+//! every cell through `execute_cell`, which dispatches to the per-cell
+//! function of the table/figure module. A 1-worker run is the reference
+//! run; the report is byte-identical at every worker count.
+//!
+//! [`ExperimentGrid::named`] maps a `reproduce --grid` argument to a grid,
+//! so any subset of the paper's experiments runs through the same path.
 
 use blurnet_attacks::{Rp2Result, TransferSet};
 use blurnet_defenses::{DefendedModel, DefenseKind};
@@ -19,8 +19,8 @@ use blurnet_tensor::Tensor;
 use crate::experiments::table1::Table1Victim;
 use crate::experiments::table5::Table5Attack;
 use crate::experiments::{figures, table1, table2, table3, table4, table5};
-use crate::report::{CellOutput, CellReport, CellStatus, RunReport, RESULTS_SCHEMA};
-use crate::{BlurNetError, ModelZoo, Result, Scale};
+use crate::report::CellOutput;
+use crate::{BlurNetError, Result, Scale};
 
 /// One experiment cell, declaratively.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,9 +98,7 @@ impl CellSpec {
 }
 
 /// Executes one cell against an already-trained model clone and
-/// pre-generated artifacts. This is the **single** cell-execution path:
-/// both [`ExperimentGrid::run_sequential`] and the scheduler call it, so
-/// the two can never drift.
+/// pre-generated artifacts: the scheduler's one way to run a cell.
 ///
 /// # Errors
 ///
@@ -309,60 +307,56 @@ impl ExperimentGrid {
         ExperimentGrid { cells }
     }
 
-    /// Executes the grid sequentially — the reference path: one
-    /// [`ModelZoo`] trains variants on demand, cells run one after another
-    /// in grid order through the same per-cell functions the scheduler
-    /// uses, and the shared attack artifacts (the Table I transfer set,
-    /// the Figure 1/2 sticker) are each generated once per run, exactly
-    /// like the scheduler's artifact nodes.
+    /// The grid a `reproduce --grid` argument names: `full`, `tables`,
+    /// `micro`, or a comma-separated list of experiment names (`table1` …
+    /// `table5`, `figure1` … `figure6`) that filters [`ExperimentGrid::full`]
+    /// down to those experiments' cells, in full-grid order.
     ///
     /// # Errors
     ///
-    /// Unlike the scheduler (which isolates per-cell failures into the
-    /// report), the sequential path fails fast on the first error —
-    /// matching the old `table*::run` behavior.
-    pub fn run_sequential(&self, zoo: &mut ModelZoo) -> Result<RunReport> {
-        let scale = zoo.scale();
-        let images = super::attack_images(zoo);
-        let mut transfer: Option<TransferSet> = None;
-        let mut sticker: Option<Rp2Result> = None;
-        let mut cells = Vec::with_capacity(self.cells.len());
-        for spec in &self.cells {
-            let mut model = zoo.get_or_train(&spec.required_defense(scale))?;
-            if spec.needs_transfer_set() && transfer.is_none() {
-                let baseline = zoo.get_or_train(&DefenseKind::Baseline)?;
-                transfer = Some(table1::transfer_set(scale, &baseline, &images)?);
-            }
-            // Generated once per run, like the scheduler's artifact node
-            // (generation is deterministic, so sharing vs regenerating per
-            // consumer cannot change a single byte of the report).
-            if spec.needs_sticker_artifact() && sticker.is_none() {
-                let baseline = zoo.get_or_train(&DefenseKind::Baseline)?;
-                sticker = Some(figures::sticker_artifact(scale, &baseline, &images)?);
-            }
-            let output = execute_cell(
-                &spec.kind,
-                scale,
-                &images,
-                &mut model,
-                transfer.as_ref(),
-                sticker.as_ref(),
-            )?;
-            cells.push(CellReport {
-                experiment: spec.experiment.to_string(),
-                label: spec.label.clone(),
-                status: CellStatus::Ok,
-                output: Some(output),
-            });
+    /// Returns [`UnknownExperiment`] for a list entry that names no
+    /// experiment of the full grid (including an empty entry).
+    pub fn named(spec: &str, scale: Scale) -> std::result::Result<Self, UnknownExperiment> {
+        match spec {
+            "full" => return Ok(Self::full(scale)),
+            "tables" => return Ok(Self::tables(scale)),
+            "micro" => return Ok(Self::micro()),
+            _ => {}
         }
-        Ok(RunReport {
-            schema: RESULTS_SCHEMA.to_string(),
-            scale: scale.to_string(),
-            seed: zoo.seed(),
-            cells,
+        let full = Self::full(scale);
+        let wanted: Vec<&str> = spec.split(',').map(str::trim).collect();
+        if let Some(unknown) = wanted
+            .iter()
+            .find(|name| !full.cells.iter().any(|c| c.experiment == **name))
+        {
+            return Err(UnknownExperiment(unknown.to_string()));
+        }
+        Ok(ExperimentGrid {
+            cells: full
+                .cells
+                .into_iter()
+                .filter(|c| wanted.contains(&c.experiment))
+                .collect(),
         })
     }
 }
+
+/// A `--grid` list entry that names no experiment of the paper grid.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownExperiment(pub String);
+
+impl std::fmt::Display for UnknownExperiment {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "unknown experiment {:?} (expected full, tables, micro, or a comma-separated \
+             list of table1..table5 and figure1..figure6)",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for UnknownExperiment {}
 
 #[cfg(test)]
 mod tests {
@@ -389,6 +383,31 @@ mod tests {
             5
         );
         assert!(!grid.is_empty());
+    }
+
+    #[test]
+    fn named_grids_filter_the_full_grid_by_experiment() {
+        let scale = Scale::Smoke;
+        assert_eq!(
+            ExperimentGrid::named("full", scale),
+            Ok(ExperimentGrid::full(scale))
+        );
+        assert_eq!(
+            ExperimentGrid::named("micro", scale),
+            Ok(ExperimentGrid::micro())
+        );
+        let grid = ExperimentGrid::named("table3,figure3", scale).unwrap();
+        assert_eq!(grid.len(), 8);
+        assert!(grid.cells()[..7].iter().all(|c| c.experiment == "table3"));
+        assert_eq!(grid.cells()[7].experiment, "figure3");
+        // Full-grid order wins over list order.
+        assert_eq!(
+            ExperimentGrid::named("figure6,figure5", scale),
+            ExperimentGrid::named("figure5,figure6", scale)
+        );
+        for bad in ["nope", "table1,", "table6", ""] {
+            assert!(ExperimentGrid::named(bad, scale).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! Reproductions of every table and figure in the paper's evaluation.
 //!
-//! Each submodule exposes a `run(zoo)` function returning a typed result
-//! struct with a [`crate::Table`] rendering. The bench binaries in
-//! `blurnet-bench` print these tables; `EXPERIMENTS.md` records
-//! paper-vs-measured values.
+//! Each submodule exposes per-cell functions (`row_for_model`,
+//! `victim_row`, `*_from_parts`, `*_for_model`) that evaluate one table
+//! row or figure analysis against an already-trained model, plus the typed
+//! result structs a [`crate::RunReport`] collates and renders as
+//! [`crate::Table`]s. [`grid`] declares the cells; the
+//! [`crate::ExperimentScheduler`] runs them (`reproduce --grid` is its
+//! CLI) and `reproduce` prints [`paper_reference`] under each measured
+//! table.
 
 pub mod figures;
 pub mod grid;
@@ -19,11 +23,9 @@ use blurnet_defenses::{DefendedModel, DefenseKind};
 use blurnet_signal::OperatorPenalty;
 use blurnet_tensor::Tensor;
 
-use crate::{BatchRunner, ModelZoo, Result, Scale};
+use crate::{BatchRunner, Result, Scale, Table};
 
-/// The stop-sign images attacked by an experiment at the given scale —
-/// the one selection rule shared by the sequential path and the
-/// scheduler (their bit-identity depends on it).
+/// The stop-sign images every experiment attacks at the given scale.
 pub(crate) fn attack_images_for(dataset: &blurnet_data::SignDataset, scale: Scale) -> Vec<Tensor> {
     dataset
         .stop_eval_images()
@@ -33,9 +35,46 @@ pub(crate) fn attack_images_for(dataset: &blurnet_data::SignDataset, scale: Scal
         .collect()
 }
 
-/// [`attack_images_for`] over a zoo's dataset and scale.
-pub(crate) fn attack_images(zoo: &ModelZoo) -> Vec<Tensor> {
-    attack_images_for(zoo.dataset(), zoo.scale())
+/// Runs `kinds` as one grid through a 1-worker scheduler at smoke scale —
+/// the unit tests' way to execute cells.
+#[cfg(test)]
+pub(crate) fn run_smoke_cells(seed: u64, kinds: Vec<grid::CellKind>) -> crate::RunReport {
+    let cells = kinds
+        .into_iter()
+        .enumerate()
+        .map(|(i, kind)| grid::CellSpec {
+            experiment: "test",
+            label: i.to_string(),
+            kind,
+        })
+        .collect();
+    crate::ExperimentScheduler::new(Scale::Smoke, seed)
+        .threads(1)
+        .run(&grid::ExperimentGrid::custom(cells))
+        .expect("scheduler run")
+        .report
+}
+
+/// The output of a report's only cell, which must have completed.
+#[cfg(test)]
+pub(crate) fn only_output(report: crate::RunReport) -> crate::CellOutput {
+    let [cell] = <[crate::CellReport; 1]>::try_from(report.cells).expect("one cell");
+    assert_eq!(cell.status, crate::CellStatus::Ok);
+    cell.output.expect("an ok cell carries its output")
+}
+
+/// The paper's reported values for a table experiment (`"table1"` …
+/// `"table5"`); `None` for the figures, which the paper plots rather than
+/// tabulates.
+pub fn paper_reference(experiment: &str) -> Option<Table> {
+    match experiment {
+        "table1" => Some(table1::Table1::paper_reference()),
+        "table2" => Some(table2::Table2::paper_reference()),
+        "table3" => Some(table3::Table3::paper_reference()),
+        "table4" => Some(table4::Table4::paper_reference()),
+        "table5" => Some(table5::Table5::paper_reference()),
+        _ => None,
+    }
 }
 
 /// Runs a targeted RP2 sweep against a defended model, generating the

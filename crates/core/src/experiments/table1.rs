@@ -18,7 +18,7 @@ use blurnet_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 use crate::report::pct;
-use crate::{BatchRunner, ModelZoo, Result, Scale, Table};
+use crate::{BatchRunner, Result, Scale, Table};
 
 /// Target class used when generating the transferred examples
 /// (speedLimit25 — an arbitrary non-stop class, as in the RP2 setup).
@@ -207,31 +207,11 @@ pub fn input_filter_victim(baseline: &DefendedModel, kernel: usize) -> DefendedM
     )
 }
 
-/// Runs the Table I experiment.
-///
-/// # Errors
-///
-/// Propagates training, attack and evaluation errors.
-pub fn run(zoo: &mut ModelZoo) -> Result<Table1> {
-    let scale = zoo.scale();
-    let baseline = zoo.get_or_train(&DefenseKind::Baseline)?;
-    let images = super::attack_images(zoo);
-
-    // Surrogate generation on the undefended network — the shared artifact
-    // every victim row reuses.
-    let set = transfer_set(scale, &baseline, &images)?;
-
-    let mut rows = Vec::new();
-    for victim in Table1Victim::roster() {
-        rows.push(victim_row(&victim, &baseline, &set)?);
-    }
-    Ok(Table1 { rows })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Scale;
+    use crate::experiments::grid::ExperimentGrid;
+    use crate::{CellOutput, ExperimentScheduler, ModelZoo};
 
     #[test]
     fn paper_reference_has_five_rows() {
@@ -254,14 +234,22 @@ mod tests {
 
     #[test]
     fn smoke_run_produces_all_rows() {
-        let mut zoo = ModelZoo::new(Scale::Smoke, 9).unwrap();
-        let result = run(&mut zoo).unwrap();
-        assert_eq!(result.rows.len(), 5);
-        for row in &result.rows {
+        let grid = ExperimentGrid::named("table1", Scale::Smoke).unwrap();
+        let report = ExperimentScheduler::new(Scale::Smoke, 9)
+            .threads(1)
+            .run(&grid)
+            .unwrap()
+            .report;
+        assert!(report.all_ok());
+        assert_eq!(report.cells.len(), 5);
+        for cell in &report.cells {
+            let Some(CellOutput::Table1(row)) = &cell.output else {
+                panic!("{} is not a Table I row", cell.label);
+            };
             assert!((0.0..=1.0).contains(&row.accuracy));
             assert!((0.0..=1.0).contains(&row.attack_success_rate));
         }
-        let rendered = result.table().to_string();
+        let rendered = report.experiment_tables("table1")[0].to_string();
         assert!(rendered.contains("5x5 filter on L1 maps"));
     }
 }

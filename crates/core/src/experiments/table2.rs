@@ -6,12 +6,12 @@
 //! over targets, the worst-case target and the L2 dissimilarity.
 
 use blurnet_attacks::AdaptiveObjective;
-use blurnet_defenses::{DefendedModel, DefenseKind};
+use blurnet_defenses::DefendedModel;
 use blurnet_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 use crate::report::{num3, pct};
-use crate::{ModelZoo, Result, Scale, Table};
+use crate::{Result, Scale, Table};
 
 /// One row of Table II.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -101,22 +101,8 @@ impl Table2 {
     }
 }
 
-/// Runs the white-box evaluation for one defense and returns its row.
-///
-/// # Errors
-///
-/// Propagates training and attack errors.
-pub fn run_defense(zoo: &mut ModelZoo, defense: &DefenseKind) -> Result<Table2Row> {
-    let scale = zoo.scale();
-    let mut model = zoo.get_or_train(defense)?;
-    let images = super::attack_images(zoo);
-    row_for_model(scale, &mut model, &images)
-}
-
-/// The pure per-cell evaluation behind [`run_defense`]: a white-box RP2
-/// sweep against an already-trained model. Both the sequential path and
-/// the experiment scheduler execute a Table II cell through this exact
-/// function, which is what makes their reports bit-identical.
+/// The per-cell evaluation of a Table II row: a white-box RP2 sweep
+/// against an already-trained model.
 ///
 /// # Errors
 ///
@@ -138,23 +124,13 @@ pub fn row_for_model(
     })
 }
 
-/// Runs the full Table II experiment (all fifteen defended models).
-///
-/// # Errors
-///
-/// Propagates training and attack errors.
-pub fn run(zoo: &mut ModelZoo) -> Result<Table2> {
-    let mut rows = Vec::new();
-    for defense in super::table2_defenses(zoo.scale()) {
-        rows.push(run_defense(zoo, &defense)?);
-    }
-    Ok(Table2 { rows })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Scale;
+    use crate::experiments::grid::CellKind;
+    use crate::experiments::{only_output, run_smoke_cells};
+    use crate::CellOutput;
+    use blurnet_defenses::DefenseKind;
 
     #[test]
     fn paper_reference_contains_the_headline_rows() {
@@ -167,8 +143,10 @@ mod tests {
 
     #[test]
     fn single_defense_row_is_well_formed_at_smoke_scale() {
-        let mut zoo = ModelZoo::new(Scale::Smoke, 11).unwrap();
-        let row = run_defense(&mut zoo, &DefenseKind::Baseline).unwrap();
+        let report = run_smoke_cells(11, vec![CellKind::Table2(DefenseKind::Baseline)]);
+        let CellOutput::Table2(row) = only_output(report) else {
+            panic!("not a Table II row");
+        };
         assert_eq!(row.defense, "Baseline");
         assert!((0.0..=1.0).contains(&row.legitimate_accuracy));
         assert!((0.0..=1.0).contains(&row.average_success_rate));

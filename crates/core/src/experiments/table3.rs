@@ -7,12 +7,12 @@
 //! headline: `Tik_hf` loses ~30% of its apparent robustness while TV (1e-4)
 //! degrades by only 2.5%, making TV the truly robust defense.
 
-use blurnet_defenses::{DefendedModel, DefenseKind};
+use blurnet_defenses::DefendedModel;
 use blurnet_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 use crate::report::{num3, pct};
-use crate::{ModelZoo, Result, Scale, Table};
+use crate::{Result, Scale, Table};
 
 /// One row of Table III.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -83,22 +83,8 @@ impl Table3 {
     }
 }
 
-/// Runs the adaptive evaluation for one defense.
-///
-/// # Errors
-///
-/// Propagates training and attack errors.
-pub fn run_defense(zoo: &mut ModelZoo, defense: &DefenseKind) -> Result<Table3Row> {
-    let scale = zoo.scale();
-    let mut model = zoo.get_or_train(defense)?;
-    let images = super::attack_images(zoo);
-    row_for_model(scale, &mut model, &images)
-}
-
-/// The pure per-cell evaluation behind [`run_defense`]: the
-/// defense-matched adaptive attack against an already-trained model. Both
-/// the sequential path and the experiment scheduler execute a Table III
-/// cell through this exact function.
+/// The per-cell evaluation of a Table III row: the defense-matched
+/// adaptive attack against an already-trained model.
 ///
 /// # Errors
 ///
@@ -121,23 +107,13 @@ pub fn row_for_model(
     })
 }
 
-/// Runs the full Table III experiment (all seven BlurNet defenses).
-///
-/// # Errors
-///
-/// Propagates training and attack errors.
-pub fn run(zoo: &mut ModelZoo) -> Result<Table3> {
-    let mut rows = Vec::new();
-    for defense in super::blurnet_defenses(zoo.scale()) {
-        rows.push(run_defense(zoo, &defense)?);
-    }
-    Ok(Table3 { rows })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Scale;
+    use crate::experiments::grid::CellKind;
+    use crate::experiments::{only_output, run_smoke_cells};
+    use crate::CellOutput;
+    use blurnet_defenses::DefenseKind;
 
     #[test]
     fn paper_reference_has_seven_rows() {
@@ -146,8 +122,15 @@ mod tests {
 
     #[test]
     fn adaptive_row_for_tv_defense_runs_at_smoke_scale() {
-        let mut zoo = ModelZoo::new(Scale::Smoke, 13).unwrap();
-        let row = run_defense(&mut zoo, &DefenseKind::TotalVariation { alpha: 1e-4 }).unwrap();
+        let report = run_smoke_cells(
+            13,
+            vec![CellKind::Table3(DefenseKind::TotalVariation {
+                alpha: 1e-4,
+            })],
+        );
+        let CellOutput::Table3(row) = only_output(report) else {
+            panic!("not a Table III row");
+        };
         assert!(row.defense.starts_with("TV"));
         assert!((0.0..=1.0).contains(&row.average_success_rate));
         assert!(row.worst_success_rate >= row.average_success_rate);

@@ -8,12 +8,12 @@
 
 use blurnet_attacks::PgdAttack;
 use blurnet_data::STOP_CLASS_ID;
-use blurnet_defenses::{DefendedModel, DefenseKind};
+use blurnet_defenses::DefendedModel;
 use blurnet_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 use crate::report::{num3, pct};
-use crate::{BatchRunner, ModelZoo, Result, Scale, Table};
+use crate::{BatchRunner, Result, Scale, Table};
 
 /// One row of Table IV.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -69,22 +69,8 @@ impl Table4 {
     }
 }
 
-/// Runs the PGD evaluation for one defense.
-///
-/// # Errors
-///
-/// Propagates training and attack errors.
-pub fn run_defense(zoo: &mut ModelZoo, defense: &DefenseKind) -> Result<Table4Row> {
-    let scale = zoo.scale();
-    let mut model = zoo.get_or_train(defense)?;
-    let images = super::attack_images(zoo);
-    row_for_model(scale, &mut model, &images)
-}
-
-/// The pure per-cell evaluation behind [`run_defense`]: the ε-bounded PGD
-/// adversary against an already-trained model. Both the sequential path
-/// and the experiment scheduler execute a Table IV cell through this exact
-/// function.
+/// The per-cell evaluation of a Table IV row: the ε-bounded PGD adversary
+/// against an already-trained model.
 ///
 /// # Errors
 ///
@@ -105,23 +91,13 @@ pub fn row_for_model(
     })
 }
 
-/// Runs the full Table IV experiment (baseline plus the BlurNet defenses).
-///
-/// # Errors
-///
-/// Propagates training and attack errors.
-pub fn run(zoo: &mut ModelZoo) -> Result<Table4> {
-    let mut rows = vec![run_defense(zoo, &DefenseKind::Baseline)?];
-    for defense in super::blurnet_defenses(zoo.scale()) {
-        rows.push(run_defense(zoo, &defense)?);
-    }
-    Ok(Table4 { rows })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Scale;
+    use crate::experiments::grid::CellKind;
+    use crate::experiments::{only_output, run_smoke_cells};
+    use crate::CellOutput;
+    use blurnet_defenses::DefenseKind;
 
     #[test]
     fn paper_reference_reports_total_break() {
@@ -132,8 +108,10 @@ mod tests {
 
     #[test]
     fn pgd_row_runs_at_smoke_scale() {
-        let mut zoo = ModelZoo::new(Scale::Smoke, 17).unwrap();
-        let row = run_defense(&mut zoo, &DefenseKind::Baseline).unwrap();
+        let report = run_smoke_cells(17, vec![CellKind::Table4(DefenseKind::Baseline)]);
+        let CellOutput::Table4(row) = only_output(report) else {
+            panic!("not a Table IV row");
+        };
         assert!((0.0..=1.0).contains(&row.attack_success_rate));
         assert!(row.l2_dissimilarity >= 0.0);
     }

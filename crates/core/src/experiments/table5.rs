@@ -13,7 +13,7 @@ use blurnet_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 use crate::report::{num3, pct};
-use crate::{ModelZoo, Result, Scale, Table};
+use crate::{Result, Scale, Table};
 
 /// The three adaptive adversaries Table V turns against the
 /// adversarially-trained model, as declarative cell parameters.
@@ -85,10 +85,8 @@ pub fn defense_for(scale: Scale) -> DefenseKind {
     }
 }
 
-/// The pure per-cell evaluation: one adaptive adversary against the
-/// trained adversarial-training model. Both the sequential path and the
-/// experiment scheduler execute a Table V cell through this exact
-/// function.
+/// The per-cell evaluation of a Table V row: one adaptive adversary
+/// against the trained adversarial-training model.
 ///
 /// # Errors
 ///
@@ -171,22 +169,6 @@ impl Table5 {
         }
         table
     }
-}
-
-/// Runs the full Table V experiment.
-///
-/// # Errors
-///
-/// Propagates training and attack errors.
-pub fn run(zoo: &mut ModelZoo) -> Result<Table5> {
-    let scale = zoo.scale();
-    let mut model = zoo.get_or_train(&defense_for(scale))?;
-    let images = super::attack_images(zoo);
-    let mut rows = Vec::new();
-    for attack_kind in Table5Attack::roster() {
-        rows.push(row_for_model(scale, &mut model, &images, attack_kind)?);
-    }
-    Ok(Table5 { rows })
 }
 
 #[cfg(test)]

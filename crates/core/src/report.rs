@@ -6,9 +6,8 @@
 //! contains **only deterministic content** — cell identities, statuses and
 //! typed outputs, in grid order — never timings or thread counts, so the
 //! serialized report is bit-identical for the same grid/scale/seed at
-//! every thread count and on both the scheduler and sequential paths
-//! (pinned by `tests/golden_repro.rs`). Timing lives in the scheduler's
-//! separate `RunProfile`.
+//! every worker count (pinned by `tests/golden_repro.rs`). Timing lives in
+//! the scheduler's separate `RunProfile`.
 
 use serde::{Deserialize, Serialize};
 
@@ -22,8 +21,7 @@ use crate::experiments::table5::Table5Row;
 /// A rendered experiment table: a title, column headers and string rows.
 ///
 /// Experiment modules produce typed row structs; this is the common
-/// presentation form printed by the bench binaries and written into
-/// `EXPERIMENTS.md`.
+/// presentation form `reproduce` prints.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Table {
     /// Table caption (e.g. "Table II — white-box evaluation").
@@ -60,8 +58,7 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Serializes the table to JSON (used by the bench binaries' `--json`
-    /// flag).
+    /// Serializes the table to JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).unwrap_or_else(|_| "{}".to_string())
     }
@@ -149,7 +146,7 @@ pub enum CellOutput {
 /// One cell's entry in a [`RunReport`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellReport {
-    /// The experiment this cell belongs to (`"table1"` … `"figure5_6"`).
+    /// The experiment this cell belongs to (`"table1"` … `"figure6"`).
     pub experiment: String,
     /// The cell's row/series label within its experiment.
     pub label: String,
@@ -211,25 +208,21 @@ impl RunReport {
         self.cells.iter().all(|c| c.status == CellStatus::Ok)
     }
 
-    /// Renders every experiment present in the report as printable tables,
-    /// grouped in grid order.
-    pub fn tables(&self) -> Vec<Table> {
-        let mut out = Vec::new();
+    /// The experiments present in the report, each once, in grid order.
+    pub fn experiments(&self) -> Vec<&str> {
         let mut seen: Vec<&str> = Vec::new();
         for cell in &self.cells {
-            let experiment = cell.experiment.as_str();
-            if seen.contains(&experiment) {
-                continue;
+            if !seen.contains(&cell.experiment.as_str()) {
+                seen.push(&cell.experiment);
             }
-            seen.push(experiment);
-            out.extend(self.experiment_table(experiment));
         }
-        out
+        seen
     }
 
-    /// Renders one experiment's cells as a printable table (row-based
-    /// experiments collate rows; figure analyses render their own tables).
-    fn experiment_table(&self, experiment: &str) -> Vec<Table> {
+    /// Renders one experiment's cells as printable tables (row-based
+    /// experiments collate rows; figure analyses render their own tables;
+    /// cells that did not complete get a table of their own).
+    pub fn experiment_tables(&self, experiment: &str) -> Vec<Table> {
         let cells = self.experiment_cells(experiment);
         let mut failures = Vec::new();
         let mut tables = Vec::new();

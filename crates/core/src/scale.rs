@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 pub enum Scale {
     /// Seconds per experiment — used by tests and CI.
     Smoke,
-    /// Minutes per experiment — the default for the bench binaries.
+    /// Minutes per experiment.
     Quick,
     /// The closest practical approximation of the paper's effort.
     Paper,

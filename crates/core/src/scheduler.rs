@@ -1,14 +1,13 @@
 //! The concurrent experiment scheduler: every table/figure cell as a node
 //! in one dependency DAG, streamed through the shared engine substrate.
 //!
-//! # What it replaces
+//! # The one execution path
 //!
-//! Before this module, each paper table was a sequential loop: train a
-//! model, run its attack cells, move to the next row. The persistent rayon
-//! worker pool idled between cells, and independent cells (different
-//! defenses, different attacks) never overlapped. The
-//! [`ExperimentScheduler`] turns an [`ExperimentGrid`] — the declarative
-//! list of (model variant × attack × metric) cells — into a DAG:
+//! Every table and figure of the paper runs through this scheduler; a
+//! 1-worker run is the reference. The [`ExperimentScheduler`] turns an
+//! [`ExperimentGrid`] — the declarative list of (model variant × attack ×
+//! metric) cells — into a DAG, so independent cells (different defenses,
+//! different attacks) overlap and shared work runs once:
 //!
 //! * **Artifact nodes** produce shared prerequisites exactly once per run:
 //!   one training node per distinct model variant (stored in the shared
@@ -32,24 +31,23 @@
 //! handles shared read-only across workers. A cell that needs the `&mut`
 //! evaluation paths (white-box gradient access, smoothing RNG) deep-clones
 //! its variant, so per-cell mutable state (e.g. the smoothing RNG) starts
-//! from the exact state the sequential path's per-row clone would — one
-//! reason the two paths agree bitwise. The underlying
+//! from the trained snapshot whichever worker runs the cell and whatever
+//! ran before it. The underlying
 //! [`blurnet_nn::BatchEngine`] is `Send + Sync` (asserted at compile time
 //! in `blurnet_nn::engine`), so the engines cells build over those shared
 //! weights are safe to drive from any worker.
 //!
 //! # Determinism
 //!
-//! The report is **bit-identical at every thread count** and to the
-//! sequential reference path:
+//! The report is **bit-identical at every worker count**, so a 1-worker
+//! run is the reference every other run must match byte for byte:
 //!
 //! * cell decomposition and reduction order depend only on the grid, never
 //!   on completion order (results are written into per-cell slots indexed
 //!   by grid position);
-//! * every cell executes through the same per-cell function as
-//!   [`ExperimentGrid::run_sequential`], on a fresh clone of the same
-//!   trained variant, and every numeric kernel underneath is bit-identical
-//!   at every thread count (the PR 3/4 engine guarantees);
+//! * every cell executes through the grid's `execute_cell` on a fresh clone
+//!   of the same trained variant, and every numeric kernel underneath is
+//!   bit-identical at every thread count (the batch-engine guarantees);
 //! * artifact generation (training, RP2 sets) is seeded and deterministic,
 //!   so generating an artifact once and sharing it equals generating it at
 //!   each consumer.
@@ -188,7 +186,6 @@ pub struct ExperimentScheduler {
     threads: Option<usize>,
     verbose: bool,
     retry_failed: usize,
-    warm_variants: Option<Arc<VariantCache>>,
     cache_dir: Option<PathBuf>,
     journal: Option<PathBuf>,
 }
@@ -203,7 +200,6 @@ impl ExperimentScheduler {
             threads: None,
             verbose: false,
             retry_failed: 0,
-            warm_variants: None,
             cache_dir: None,
             journal: None,
         }
@@ -241,14 +237,6 @@ impl ExperimentScheduler {
     /// would, so the report stays bit-identical to an undisturbed run.
     pub fn retry_failed(mut self, n: usize) -> Self {
         self.retry_failed = n;
-        self
-    }
-
-    /// Seeds the run with already-trained variants: training nodes whose
-    /// label is present become cache hits. The cache is also where the
-    /// run's own trained variants land, so it can warm a later run.
-    pub fn with_variants(mut self, variants: Arc<VariantCache>) -> Self {
-        self.warm_variants = Some(variants);
         self
     }
 
@@ -372,9 +360,6 @@ impl ExperimentScheduler {
             self.scale,
             dataset,
             images,
-            self.warm_variants
-                .clone()
-                .unwrap_or_else(|| Arc::new(VariantCache::new())),
             disk,
             panic_cell,
             self.verbose,
@@ -514,7 +499,7 @@ struct Executor {
     scale: Scale,
     dataset: SignDataset,
     images: Vec<Tensor>,
-    variants: Arc<VariantCache>,
+    variants: VariantCache,
     disk: Option<DiskStore>,
     transfer: Mutex<Option<Arc<TransferSet>>>,
     sticker: Mutex<Option<Arc<Rp2Result>>>,
@@ -541,7 +526,6 @@ impl Executor {
         scale: Scale,
         dataset: SignDataset,
         images: Vec<Tensor>,
-        variants: Arc<VariantCache>,
         disk: Option<DiskStore>,
         panic_cell: Option<usize>,
         verbose: bool,
@@ -586,7 +570,7 @@ impl Executor {
             scale,
             dataset,
             images,
-            variants,
+            variants: VariantCache::new(),
             disk,
             transfer: Mutex::new(None),
             sticker: Mutex::new(None),
@@ -853,8 +837,7 @@ impl Executor {
                 let spec = &self.specs[*cell];
                 // Fresh deep clone per cell: mutable evaluation state
                 // (smoothing RNG, forward caches) starts from the trained
-                // snapshot, exactly like the sequential path's per-row
-                // clone.
+                // snapshot.
                 let mut model = (*self.variant(&spec.required_defense(self.scale))?).clone();
                 let transfer = self
                     .transfer
@@ -1139,20 +1122,15 @@ mod tests {
     }
 
     #[test]
-    fn micro_grid_runs_and_matches_the_sequential_path() {
-        let grid = ExperimentGrid::micro();
+    fn micro_grid_runs_and_profiles_every_cell() {
         let run = ExperimentScheduler::new(Scale::Smoke, 7)
             .threads(2)
-            .run(&grid)
+            .run(&ExperimentGrid::micro())
             .unwrap();
         assert!(run.report.all_ok());
         assert_eq!(run.report.cells.len(), 4);
         assert_eq!(run.profile.cell_count, 4);
         assert!(run.profile.cells_per_sec() > 0.0);
         assert!(run.profile.utilization() > 0.0 && run.profile.utilization() <= 1.0);
-
-        let mut zoo = crate::ModelZoo::new(Scale::Smoke, 7).unwrap();
-        let sequential = grid.run_sequential(&mut zoo).unwrap();
-        assert_eq!(run.report, sequential, "scheduler diverged from sequential");
     }
 }

@@ -1,8 +1,8 @@
 //! The model zoo: a dataset plus a cache of trained defended models.
 //!
-//! Table II alone requires fifteen trained variants, and the adaptive and
-//! PGD evaluations reuse most of them. The zoo trains each
-//! [`DefenseKind`] at most once per process and hands out clones.
+//! The zoo trains each [`DefenseKind`] at most once per process and hands
+//! out clones or shared handles. Grid runs do not use it: the experiment
+//! scheduler trains variants as DAG nodes into its own cache.
 
 use std::sync::Arc;
 
@@ -11,16 +11,12 @@ use blurnet_defenses::{train_defended_model, DefendedModel, DefenseKind, Variant
 
 use crate::{Result, Scale};
 
-/// Dataset plus trained-model cache shared by the experiment modules.
-///
-/// The cache is a [`VariantCache`] — the same store the experiment
-/// scheduler shares across concurrent evaluation cells — so a zoo can be
-/// pre-seeded from (or hand its variants to) a scheduler run without
-/// retraining.
+/// Dataset plus trained-model cache for code that needs trained models
+/// outside a grid run: the `serve` and `loadgen` binaries, the examples
+/// and the variant golden tests.
 #[derive(Debug)]
 pub struct ModelZoo {
     scale: Scale,
-    seed: u64,
     dataset: SignDataset,
     cache: VariantCache,
 }
@@ -35,30 +31,14 @@ impl ModelZoo {
         let dataset = SignDataset::generate(&scale.dataset_config(), seed)?;
         Ok(ModelZoo {
             scale,
-            seed,
             dataset,
             cache: VariantCache::new(),
         })
     }
 
-    /// The scale profile this zoo was built for.
-    pub fn scale(&self) -> Scale {
-        self.scale
-    }
-
-    /// The dataset seed this zoo was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The shared dataset.
     pub fn dataset(&self) -> &SignDataset {
         &self.dataset
-    }
-
-    /// Number of trained models currently cached.
-    pub fn cached_models(&self) -> usize {
-        self.cache.len()
     }
 
     /// Returns a trained model for the defense, training it on first use.
@@ -86,22 +66,6 @@ impl ModelZoo {
         let model = train_defended_model(defense, &self.dataset, &self.scale.train_config())?;
         Ok(self.cache.insert(model))
     }
-
-    /// Inserts an externally-built model (used by Table I, whose filtered
-    /// victims share the baseline's weights rather than being retrained).
-    ///
-    /// Like [`VariantCache::insert`], the **first** variant stored under a
-    /// defense label wins: inserting a model whose label is already cached
-    /// is a no-op, so a trained variant can never be silently swapped out
-    /// mid-run.
-    pub fn insert(&mut self, model: DefendedModel) {
-        self.cache.insert(model);
-    }
-
-    /// The underlying variant cache (shared with scheduler runs).
-    pub fn variants(&self) -> &VariantCache {
-        &self.cache
-    }
 }
 
 #[cfg(test)]
@@ -111,38 +75,16 @@ mod tests {
     #[test]
     fn training_is_cached_per_defense() {
         let mut zoo = ModelZoo::new(Scale::Smoke, 3).unwrap();
-        assert_eq!(zoo.cached_models(), 0);
-        let a = zoo.get_or_train(&DefenseKind::Baseline).unwrap();
-        assert_eq!(zoo.cached_models(), 1);
-        let b = zoo.get_or_train(&DefenseKind::Baseline).unwrap();
-        assert_eq!(zoo.cached_models(), 1);
-        // Cached copies share the same weights.
+        let a = zoo.get_or_train_shared(&DefenseKind::Baseline).unwrap();
+        let b = zoo.get_or_train_shared(&DefenseKind::Baseline).unwrap();
+        // The second request is a cache hit: the very same model.
+        assert!(Arc::ptr_eq(&a, &b));
+        // Clones carry the cached weights.
+        let c = zoo.get_or_train(&DefenseKind::Baseline).unwrap();
         assert_eq!(
             a.network().to_bytes().unwrap(),
-            b.network().to_bytes().unwrap()
+            c.network().to_bytes().unwrap()
         );
-        assert_eq!(zoo.scale(), Scale::Smoke);
         assert!(zoo.dataset().train_len() > 0);
-    }
-
-    #[test]
-    fn insert_registers_external_models() {
-        let mut zoo = ModelZoo::new(Scale::Smoke, 3).unwrap();
-        let baseline = zoo.get_or_train(&DefenseKind::Baseline).unwrap();
-        let reused = DefendedModel::new(
-            baseline.network().clone(),
-            DefenseKind::InputFilter { kernel: 3 },
-            baseline.arch().clone(),
-            baseline.training_report().clone(),
-        );
-        zoo.insert(reused);
-        assert_eq!(zoo.cached_models(), 2);
-        let fetched = zoo
-            .get_or_train(&DefenseKind::InputFilter { kernel: 3 })
-            .unwrap();
-        assert_eq!(
-            fetched.network().to_bytes().unwrap(),
-            baseline.network().to_bytes().unwrap()
-        );
     }
 }

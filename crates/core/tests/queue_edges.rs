@@ -132,11 +132,14 @@ fn seeded_multi_producer_stress_delivers_every_item_in_per_producer_order() {
     // 4 producers × 4 consumers through a deliberately tiny queue, so
     // both the not_full and not_empty waits are exercised constantly.
     // MPMC FIFO guarantees: nothing lost, nothing duplicated, and each
-    // producer's items are observed in their production order.
+    // consumer observes every producer's items in production order. (A
+    // single shared log could not check the order: two consumers may pop
+    // items i and i+1 and then record them in the opposite order.)
     const PRODUCERS: u64 = 4;
     const PER_PRODUCER: u64 = 500;
+    const CONSUMERS: usize = 4;
     let queue = Arc::new(BoundedQueue::new(3));
-    let received: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+    let received: Vec<Mutex<Vec<u64>>> = (0..CONSUMERS).map(|_| Mutex::new(Vec::new())).collect();
 
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..PRODUCERS)
@@ -159,9 +162,12 @@ fn seeded_multi_producer_stress_delivers_every_item_in_per_producer_order() {
             })
             .collect();
         scope.spawn(|| {
-            run_workers(4, |_worker| {
+            run_workers(CONSUMERS, |worker| {
+                // Only this worker touches its log, so the lock never
+                // contends and push order is pop order.
+                let mut log = received[worker].lock().expect("consumer log");
                 while let Some(v) = queue.pop() {
-                    received.lock().expect("result lock").push(v);
+                    log.push(v);
                 }
             });
         });
@@ -171,17 +177,26 @@ fn seeded_multi_producer_stress_delivers_every_item_in_per_producer_order() {
         queue.close();
     });
 
-    let received = received.into_inner().expect("result lock");
-    assert_eq!(received.len(), (PRODUCERS * PER_PRODUCER) as usize);
-    let mut last_seen = vec![None::<u64>; PRODUCERS as usize];
-    for v in &received {
-        let (p, i) = ((v >> 32) as usize, v & 0xffff_ffff);
-        if let Some(prev) = last_seen[p] {
-            assert!(i > prev, "producer {p} items observed out of order");
+    let mut all = Vec::new();
+    for (consumer, log) in received.into_iter().enumerate() {
+        let log = log.into_inner().expect("consumer log");
+        let mut last_seen = vec![None::<u64>; PRODUCERS as usize];
+        for v in &log {
+            let (p, i) = ((v >> 32) as usize, v & 0xffff_ffff);
+            if let Some(prev) = last_seen[p] {
+                assert!(
+                    i > prev,
+                    "consumer {consumer} observed producer {p} items out of order"
+                );
+            }
+            last_seen[p] = Some(i);
         }
-        last_seen[p] = Some(i);
+        all.extend(log);
     }
-    for (p, last) in last_seen.iter().enumerate() {
-        assert_eq!(*last, Some(PER_PRODUCER - 1), "producer {p} items missing");
-    }
+    // The union is complete and duplicate-free.
+    all.sort_unstable();
+    let expected: Vec<u64> = (0..PRODUCERS)
+        .flat_map(|p| (0..PER_PRODUCER).map(move |i| (p << 32) | i))
+        .collect();
+    assert_eq!(all, expected, "items lost or duplicated");
 }

@@ -8,14 +8,14 @@
 //! BLURNET_SCALE=quick cargo run --release --example defense_comparison
 //! ```
 
-use blurnet::experiments::table2;
-use blurnet::{ModelZoo, Scale, Table};
+use blurnet::experiments::grid::{CellKind, CellSpec, ExperimentGrid};
+use blurnet::experiments::paper_reference;
+use blurnet::{ExperimentScheduler, Scale};
 use blurnet_defenses::DefenseKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = Scale::from_env();
     println!("running at scale: {scale} (set BLURNET_SCALE=quick for a fuller run)");
-    let mut zoo = ModelZoo::new(scale, 7)?;
 
     let defenses = [
         DefenseKind::Baseline,
@@ -30,28 +30,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         DefenseKind::TikhonovPseudo { alpha: 1e-6 },
     ];
-
-    let mut table = Table::new(
-        "White-box RP2 against selected defenses",
-        &[
-            "Defense",
-            "Legit acc.",
-            "Avg success",
-            "Worst success",
-            "L2",
-        ],
+    // One Table II cell per defense; the scheduler trains the five
+    // variants and attacks them concurrently.
+    let grid = ExperimentGrid::custom(
+        defenses
+            .into_iter()
+            .map(|defense| CellSpec {
+                experiment: "table2",
+                label: defense.label(),
+                kind: CellKind::Table2(defense),
+            })
+            .collect(),
     );
-    for defense in &defenses {
-        let row = table2::run_defense(&mut zoo, defense)?;
-        table.push_row(vec![
-            row.defense,
-            format!("{:.1}%", row.legitimate_accuracy * 100.0),
-            format!("{:.1}%", row.average_success_rate * 100.0),
-            format!("{:.1}%", row.worst_success_rate * 100.0),
-            format!("{:.3}", row.l2_dissimilarity),
-        ]);
+    let report = ExperimentScheduler::new(scale, 7).run(&grid)?.report;
+
+    for table in report.experiment_tables("table2") {
+        println!("{table}");
     }
-    println!("{table}");
-    println!("Paper reference (Table II): baseline worst-case 90% vs TV 17.5% and Tik_hf 10%.");
+    if let Some(paper) = paper_reference("table2") {
+        println!("{paper}");
+    }
     Ok(())
 }

@@ -1,13 +1,25 @@
 //! Cross-crate integration tests: train → attack → defend → evaluate,
 //! exercising the same paths the paper's experiments use, at smoke scale.
 
-use blurnet::experiments::{table1, table2};
-use blurnet::{ModelZoo, Scale};
+use blurnet::experiments::grid::{CellKind, CellSpec, ExperimentGrid};
+use blurnet::{CellOutput, ExperimentScheduler, RunReport, Scale};
 use blurnet_attacks::{PgdAttack, PgdConfig, Rp2Attack, Rp2Config};
 use blurnet_data::{DatasetConfig, SignDataset, STOP_CLASS_ID};
 use blurnet_defenses::{train_defended_model, DefenseKind};
 use blurnet_tensor::Tensor;
 use blurnet_test_support::smoke_train_config;
+
+/// Runs `grid` through a 1-worker scheduler at smoke scale; every cell
+/// must complete.
+fn smoke_run(grid: &ExperimentGrid) -> RunReport {
+    let report = ExperimentScheduler::new(Scale::Smoke, 7)
+        .threads(1)
+        .run(grid)
+        .unwrap()
+        .report;
+    assert!(report.all_ok());
+    report
+}
 
 #[test]
 fn baseline_learns_above_chance_accuracy() {
@@ -66,15 +78,13 @@ fn feature_map_blur_reduces_transfer_attack_success() {
     // The core Table I claim at smoke scale: transferring baseline
     // adversarial examples to a 5x5 feature-map-filtered victim succeeds
     // no more often than against the baseline itself.
-    let mut zoo = ModelZoo::new(Scale::Smoke, 7).unwrap();
-    let result = table1::run(&mut zoo).unwrap();
-    let baseline_asr = result.rows[0].attack_success_rate;
-    let feature5_asr = result
-        .rows
-        .iter()
-        .find(|r| r.defense == "5x5 filter on L1 maps")
-        .unwrap()
-        .attack_success_rate;
+    let report = smoke_run(&ExperimentGrid::named("table1", Scale::Smoke).unwrap());
+    let asr = |label: &str| match &report.cell("table1", label).unwrap().output {
+        Some(CellOutput::Table1(row)) => row.attack_success_rate,
+        other => panic!("{label}: not a Table I row: {other:?}"),
+    };
+    let baseline_asr = asr("Baseline");
+    let feature5_asr = asr("5x5 filter on L1 maps");
     assert!(
         feature5_asr <= baseline_asr,
         "feature-map filtering should not increase transfer success \
@@ -84,8 +94,15 @@ fn feature_map_blur_reduces_transfer_attack_success() {
 
 #[test]
 fn white_box_row_has_consistent_statistics() {
-    let mut zoo = ModelZoo::new(Scale::Smoke, 7).unwrap();
-    let row = table2::run_defense(&mut zoo, &DefenseKind::TotalVariation { alpha: 1e-4 }).unwrap();
+    let defense = DefenseKind::TotalVariation { alpha: 1e-4 };
+    let report = smoke_run(&ExperimentGrid::custom(vec![CellSpec {
+        experiment: "table2",
+        label: defense.label(),
+        kind: CellKind::Table2(defense),
+    }]));
+    let Some(CellOutput::Table2(row)) = &report.cells[0].output else {
+        panic!("not a Table II row");
+    };
     assert!((0.0..=1.0).contains(&row.legitimate_accuracy));
     assert!((0.0..=1.0).contains(&row.average_success_rate));
     assert!(row.worst_success_rate >= row.average_success_rate - 1e-6);

@@ -1,8 +1,7 @@
 //! Golden paper-reproduction tests: the seeded micro-grid (2 defenses ×
 //! 2 attacks) must produce **bit-identical** `results.json` through the
-//! concurrent scheduler (at 1 and 4 workers) and the old sequential
-//! `BatchRunner` path, and its accuracy/attack-success numbers must match
-//! the checked-in golden values with exact `f32` comparison.
+//! scheduler at 1 and 4 workers, and its accuracy/attack-success numbers
+//! must match the checked-in golden values with exact `f32` comparison.
 //!
 //! Regenerate the golden file after an *intentional* numeric change with:
 //!
@@ -17,10 +16,9 @@
 use std::path::PathBuf;
 
 use blurnet::experiments::grid::ExperimentGrid;
-use blurnet::{CellOutput, CellStatus, ExperimentScheduler, ModelZoo, RunReport, Scale};
+use blurnet::{ExperimentScheduler, RunReport, Scale};
 
-/// The micro-grid's seed (the shared experiment seed of the bench
-/// binaries).
+/// The micro-grid's seed (the shared experiment seed of `reproduce`).
 const SEED: u64 = 7;
 
 fn golden_path() -> PathBuf {
@@ -38,39 +36,15 @@ fn scheduler_report(workers: usize) -> RunReport {
         .report
 }
 
-fn sequential_report() -> RunReport {
-    let mut zoo = ModelZoo::new(Scale::Smoke, SEED).expect("smoke zoo");
-    ExperimentGrid::micro()
-        .run_sequential(&mut zoo)
-        .expect("sequential micro grid")
-}
-
-/// Pulls `(accuracy-or-NaN, success rate, l2)` out of a cell for the
-/// spot-pinning assertions.
-fn cell_numbers(report: &RunReport, experiment: &str, label: &str) -> (f32, f32) {
-    let cell = report
-        .cell(experiment, label)
-        .unwrap_or_else(|| panic!("missing cell {experiment}/{label}"));
-    assert_eq!(cell.status, CellStatus::Ok, "{experiment}/{label}");
-    match cell.output.as_ref().expect("ok cell has output") {
-        CellOutput::Table2(row) => (row.average_success_rate, row.l2_dissimilarity),
-        CellOutput::Table4(row) => (row.attack_success_rate, row.l2_dissimilarity),
-        other => panic!("unexpected output for {experiment}/{label}: {other:?}"),
-    }
-}
-
 #[test]
-fn scheduler_and_sequential_micro_grids_are_bit_identical() {
-    let sequential = sequential_report();
+fn one_and_four_worker_micro_grids_are_bit_identical() {
     let one_worker = scheduler_report(1);
     let four_workers = scheduler_report(4);
 
     // Typed equality (exact f32 on every field) …
-    assert_eq!(one_worker, sequential, "1-worker scheduler vs sequential");
-    assert_eq!(four_workers, sequential, "4-worker scheduler vs sequential");
+    assert_eq!(four_workers, one_worker, "4-worker vs 1-worker scheduler");
     // … and byte equality of the serialized results.json.
-    assert_eq!(one_worker.to_json(), sequential.to_json());
-    assert_eq!(four_workers.to_json(), sequential.to_json());
+    assert_eq!(four_workers.to_json(), one_worker.to_json());
 }
 
 #[test]
@@ -104,32 +78,4 @@ fn micro_grid_matches_the_checked_in_golden_values() {
     // And the serialized bytes match, so the golden file IS the
     // results.json the run would emit.
     assert_eq!(report.to_json(), golden_json);
-}
-
-#[test]
-fn micro_grid_matches_the_old_per_table_entry_points() {
-    // Belt and braces: the grid cells must equal what the original
-    // table2::run_defense / table4::run_defense entry points produce for
-    // the same zoo — the literal pre-scheduler code path.
-    use blurnet::experiments::{table2, table4};
-    use blurnet_defenses::DefenseKind;
-
-    let report = scheduler_report(2);
-    let mut zoo = ModelZoo::new(Scale::Smoke, SEED).unwrap();
-    for defense in [
-        DefenseKind::DepthwiseLinf {
-            kernel: 5,
-            alpha: 0.1,
-        },
-        DefenseKind::TotalVariation { alpha: 1e-4 },
-    ] {
-        let t2 = table2::run_defense(&mut zoo, &defense).unwrap();
-        let t4 = table4::run_defense(&mut zoo, &defense).unwrap();
-        let (sr2, l2_2) = cell_numbers(&report, "table2", &defense.label());
-        let (sr4, l2_4) = cell_numbers(&report, "table4", &defense.label());
-        assert_eq!(sr2, t2.average_success_rate, "{}", defense.label());
-        assert_eq!(l2_2, t2.l2_dissimilarity, "{}", defense.label());
-        assert_eq!(sr4, t4.attack_success_rate, "{}", defense.label());
-        assert_eq!(l2_4, t4.l2_dissimilarity, "{}", defense.label());
-    }
 }
