@@ -26,7 +26,7 @@
 //! and results are bit-identical at every rayon thread count.
 
 use blurnet_data::{sample_transforms, StickerLayout, Transform};
-use blurnet_nn::{softmax_cross_entropy, Adam, NnError, Optimizer, Sequential, ShardGrad};
+use blurnet_nn::{softmax_cross_entropy, Adam, NnError, Sequential, ShardGrad};
 use blurnet_signal::low_frequency_project;
 use blurnet_tensor::Tensor;
 use rand::SeedableRng;

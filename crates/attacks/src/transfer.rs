@@ -17,8 +17,8 @@ use crate::{AttackError, Result};
 
 /// Anything that can classify a single `[C, H, W]` image.
 ///
-/// The mutable receiver allows implementations that run a network forward
-/// pass (which caches activations) or sample randomness.
+/// The mutable receiver allows implementations that sample randomness
+/// (randomized smoothing advances its RNG on every vote).
 pub trait Classifier {
     /// Predicts the class of one image.
     ///
@@ -46,7 +46,7 @@ pub trait Classifier {
 impl Classifier for Sequential {
     fn classify(&mut self, image: &Tensor) -> Result<usize> {
         let batch = Tensor::stack(std::slice::from_ref(image))?;
-        Ok(self.predict(&batch)?[0])
+        Ok(self.predict_batch(&batch)?[0])
     }
 
     /// One batch-parallel forward pass over the whole set.

@@ -6,7 +6,7 @@
 //!
 //! Besides the criterion output, the run writes `BENCH_attack.json` at the
 //! repository root (schema `blurnet-attack-bench/v1`): median ns/iter for
-//! the per-image mutable gradient loop and the batched engine at thread
+//! the per-image gradient loop and the batched engine at thread
 //! counts {1, 2, 4}, PGD steps/sec for both, the single-thread speedup
 //! ratio, the pool-vs-spawn dispatch timings, and the host's CPU budget.
 //! The run also *asserts* that batched generation is bit-identical across
@@ -45,16 +45,23 @@ fn with_threads<O>(threads: usize, mut f: impl FnMut() -> O) -> f64 {
     pool.install(|| median_ns(&mut f))
 }
 
-/// The historical per-image PGD gradient loop (pre-batched-engine): one
-/// stateful forward + full mutable backward per image per step. Kept here
-/// verbatim as the benchmark baseline.
+/// The per-image PGD gradient loop the batched engine replaced, kept as the
+/// benchmark baseline: one training-style step per image per step through
+/// the `Sequential::forward`/`backward` pair (an engine built for every
+/// recorded forward, and a backward that also computes every parameter
+/// gradient, which PGD discards).
 fn pgd_per_image(net: &mut Sequential, image: &Tensor, label: usize, config: &PgdConfig) -> Tensor {
     let mut x_adv = image.clone();
     for _ in 0..config.steps {
         let batch = Tensor::stack(std::slice::from_ref(&x_adv)).unwrap();
-        let logits = net.forward(&batch, false).unwrap();
+        let logits = net.forward(&batch, true).unwrap();
         let (_, d_logits) = softmax_cross_entropy(&logits, &[label]).unwrap();
-        let grad = net.backward(&d_logits).unwrap().batch_item(0).unwrap();
+        let grad = net
+            .backward(&d_logits)
+            .unwrap()
+            .input
+            .batch_item(0)
+            .unwrap();
         x_adv = x_adv
             .zip_map(&grad, |x, g| x + config.step_size * g.signum())
             .unwrap();
@@ -155,7 +162,7 @@ fn write_attack_json() {
 
     // Correctness gates before any timing: batched generation must be
     // bit-identical across thread counts and ≤ 1e-5 from the per-image
-    // mutable gradient loop.
+    // gradient loop.
     let reference = {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(1)
@@ -198,7 +205,7 @@ fn write_attack_json() {
         Value::Bool(true),
     ));
 
-    // Per-image mutable gradient loop (the pre-engine baseline),
+    // Per-image gradient loop (the pre-batching baseline),
     // single-thread.
     let per_image_ns = with_threads(1, || {
         for (i, &label) in labels.iter().enumerate() {

@@ -1,10 +1,10 @@
-//! Benchmarks for the batch-parallel inference engine
-//! ([`blurnet_nn::BatchEngine`]): thread-count scaling on the
-//! acceptance-criteria `[8, 16, 32, 32]` batch forward, the engine vs the
-//! per-sample forward loop, and a LisaCnn end-to-end probe.
+//! Benchmarks for the batch-parallel engine ([`blurnet_nn::BatchEngine`]):
+//! thread-count scaling on the acceptance-criteria `[8, 16, 32, 32]` batch
+//! forward, and LisaCnn probes of the inference forward (batch 8) and the
+//! training step (batch 32, the trainer's batch size).
 //!
 //! Besides the criterion output, the run writes `BENCH_batch.json` at the
-//! repository root (schema `blurnet-batch-bench/v1`): median ns/iter per
+//! repository root (schema `blurnet-batch-bench/v2`): median ns/iter per
 //! thread count, images/s throughput, the scaling ratios, and the host's
 //! CPU budget — scaling ratios are only meaningful when `host_cpus`
 //! provides real parallelism (CI containers pinned to one core report ~1×
@@ -14,9 +14,12 @@
 
 use std::time::Duration;
 
-use blurnet_nn::{Conv2d, Dense, DepthwiseConv2d, Flatten, LisaCnn, MaxPool2d, Relu, Sequential};
+use blurnet_nn::{
+    softmax_cross_entropy, BatchEngine, Conv2d, Dense, DepthwiseConv2d, Flatten, LisaCnn,
+    MaxPool2d, Relu, Sequential, ShardGrad,
+};
 use blurnet_signal::box_kernel;
-use blurnet_tensor::{ConvSpec, Tensor};
+use blurnet_tensor::{ConvSpec, Scratch, Tensor};
 use criterion::{criterion_group, criterion_main, measure_median_ns, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -60,6 +63,33 @@ fn feature_stage_net(rng: &mut ChaCha8Rng) -> Sequential {
     net
 }
 
+/// One cross-entropy training step (forward, loss, parameter gradients)
+/// through `engine`, drawing workspace from `scratch` like the trainer.
+fn train_step(
+    engine: &BatchEngine<'_>,
+    batch: &Tensor,
+    labels: &[usize],
+    scratch: &mut Scratch,
+) -> f32 {
+    let (loss, _) = engine
+        .train_step(batch, None, scratch, |logits, _| {
+            let (loss, d_logits) = softmax_cross_entropy(logits, labels)?;
+            Ok(ShardGrad {
+                d_logits,
+                injection: None,
+                loss,
+            })
+        })
+        .expect("train step");
+    loss
+}
+
+/// The LisaCnn training-step workload: batch 32 with cycling labels.
+fn lisa_train_batch(rng: &mut ChaCha8Rng) -> (Tensor, Vec<usize>) {
+    let batch = Tensor::rand_uniform(&[32, 3, 32, 32], 0.0, 1.0, rng);
+    (batch, (0..32).map(|i| i % 18).collect())
+}
+
 struct Record {
     entries: Vec<(String, Value)>,
 }
@@ -88,7 +118,7 @@ impl Record {
         let mut root = vec![
             (
                 "schema".to_string(),
-                Value::Str("blurnet-batch-bench/v1".to_string()),
+                Value::Str("blurnet-batch-bench/v2".to_string()),
             ),
             (
                 "rayon_threads".to_string(),
@@ -108,7 +138,7 @@ fn write_batch_json() {
     let mut record = Record::new();
 
     // The acceptance-criteria workload: [8, 16, 32, 32] batch forward.
-    let mut net = feature_stage_net(&mut rng);
+    let net = feature_stage_net(&mut rng);
     let batch = Tensor::rand_uniform(&[8, 16, 32, 32], 0.0, 1.0, &mut rng);
     let engine = net.batch_engine().expect("non-empty network");
 
@@ -153,27 +183,24 @@ fn write_batch_json() {
         record.push_ratio(&format!("scaling_{threads}t_vs_1t"), ns1 / ns);
     }
 
-    // Engine vs the per-sample stateful forward loop (both single-thread,
-    // so the ratio isolates packing reuse + cache-free inference).
-    let per_sample_ns = with_threads(1, || {
-        for i in 0..batch.dims()[0] {
-            let image = batch.batch_slice(i, 1).unwrap();
-            net.forward(&image, false).unwrap();
-        }
-    });
-    record.push_ns("per_sample_loop_8x16x32x32_st", per_sample_ns);
-    record.push_ratio("engine_vs_per_sample_st", per_sample_ns / ns1);
-
-    // LisaCnn end-to-end probes (batch 8), engine vs stateful batch forward.
-    let mut lisa = LisaCnn::new(18).build(&mut rng).expect("default LisaCnn");
+    // LisaCnn end-to-end probes: the batch-8 inference forward and the
+    // batch-32 training step (one whole-batch shard; threads only reach
+    // the kernels' intra-op parallelism).
+    let lisa = LisaCnn::new(18).build(&mut rng).expect("default LisaCnn");
     let lisa_batch = Tensor::rand_uniform(&[8, 3, 32, 32], 0.0, 1.0, &mut rng);
     let lisa_engine = lisa.batch_engine().expect("non-empty network");
     for &threads in &THREAD_COUNTS {
         let ns = with_threads(threads, || lisa_engine.forward(&lisa_batch).unwrap());
         record.push_ns(&format!("lisacnn_forward_batch8_engine_t{threads}"), ns);
     }
-    let stateful_ns = with_threads(1, || lisa.forward(&lisa_batch, false).unwrap());
-    record.push_ns("lisacnn_forward_batch8_stateful_st", stateful_ns);
+    let (train_batch, labels) = lisa_train_batch(&mut rng);
+    for &threads in &THREAD_COUNTS {
+        let mut scratch = Scratch::new();
+        let ns = with_threads(threads, || {
+            train_step(&lisa_engine, &train_batch, &labels, &mut scratch)
+        });
+        record.push_ns(&format!("lisacnn_train_step_batch32_t{threads}"), ns);
+    }
 
     // crates/bench/ -> workspace root.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_batch.json");
@@ -188,29 +215,23 @@ fn bench_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_engine");
     group.sample_size(20);
 
-    let mut net = feature_stage_net(&mut rng);
+    let net = feature_stage_net(&mut rng);
     let batch = Tensor::rand_uniform(&[8, 16, 32, 32], 0.0, 1.0, &mut rng);
     let engine = net.batch_engine().unwrap();
     group.bench_function("forward_batch_8x16x32x32", |bench| {
         bench.iter(|| engine.forward(&batch).unwrap());
     });
-    group.bench_function("per_sample_loop_8x16x32x32", |bench| {
-        bench.iter(|| {
-            for i in 0..batch.dims()[0] {
-                let image = batch.batch_slice(i, 1).unwrap();
-                net.forward(&image, false).unwrap();
-            }
-        });
-    });
 
-    let mut lisa = LisaCnn::new(18).build(&mut rng).unwrap();
+    let lisa = LisaCnn::new(18).build(&mut rng).unwrap();
     let lisa_batch = Tensor::rand_uniform(&[8, 3, 32, 32], 0.0, 1.0, &mut rng);
     let lisa_engine = lisa.batch_engine().unwrap();
     group.bench_function("lisacnn_forward_batch8_engine", |bench| {
         bench.iter(|| lisa_engine.forward(&lisa_batch).unwrap());
     });
-    group.bench_function("lisacnn_forward_batch8_stateful", |bench| {
-        bench.iter(|| lisa.forward(&lisa_batch, false).unwrap());
+    let (train_batch, labels) = lisa_train_batch(&mut rng);
+    group.bench_function("lisacnn_train_step_batch32", |bench| {
+        let mut scratch = Scratch::new();
+        bench.iter(|| train_step(&lisa_engine, &train_batch, &labels, &mut scratch));
     });
     group.finish();
 }

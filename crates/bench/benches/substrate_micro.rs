@@ -213,7 +213,6 @@ fn write_bench_json() {
         "lisacnn_forward_backward_batch4",
         median_ns(|| {
             let out = net.forward(&batch, true).unwrap();
-            net.zero_grads();
             net.backward(&Tensor::ones(out.dims())).unwrap();
         }),
     );
@@ -351,7 +350,6 @@ fn bench_substrates(c: &mut Criterion) {
     group.bench_function("lisacnn_forward_backward_batch4", |bench| {
         bench.iter(|| {
             let out = net.forward(&batch, true).unwrap();
-            net.zero_grads();
             net.backward(&Tensor::ones(out.dims())).unwrap();
         });
     });

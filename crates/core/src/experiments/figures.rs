@@ -249,16 +249,12 @@ fn safe_ratio(map: &Tensor) -> Result<f32> {
 }
 
 /// Extracts the `[C, H, W]` activation of one layer for one image.
-fn layer_activation(
-    model: &mut blurnet_defenses::DefendedModel,
-    image: &Tensor,
-    layer_index: usize,
-) -> Result<Tensor> {
+fn layer_activation(model: &DefendedModel, image: &Tensor, layer_index: usize) -> Result<Tensor> {
     let batch = Tensor::stack(std::slice::from_ref(image))?;
-    let (_, activations) = model.network_mut().forward_collect(&batch, false)?;
-    let activation = activations.get(layer_index).ok_or_else(|| {
-        BlurNetError::BadConfig(format!("layer index {layer_index} out of range"))
-    })?;
+    let activation = model
+        .network()
+        .batch_engine()?
+        .activation(&batch, layer_index)?;
     Ok(activation.batch_item(0)?)
 }
 

@@ -212,6 +212,7 @@ mod tests {
     use super::*;
     use crate::experiments::grid::ExperimentGrid;
     use crate::{CellOutput, ExperimentScheduler, ModelZoo};
+    use blurnet_nn::persist::sequential_to_bytes;
 
     #[test]
     fn paper_reference_has_five_rows() {
@@ -224,8 +225,8 @@ mod tests {
         let baseline = zoo.get_or_train(&DefenseKind::Baseline).unwrap();
         let input = input_filter_victim(&baseline, 3);
         assert_eq!(
-            input.network().to_bytes().unwrap(),
-            baseline.network().to_bytes().unwrap()
+            sequential_to_bytes(input.network()),
+            sequential_to_bytes(baseline.network())
         );
         let feature = feature_filter_victim(&baseline, 5).unwrap();
         assert_eq!(feature.network().len(), baseline.network().len() + 1);

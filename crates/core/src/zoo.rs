@@ -71,6 +71,7 @@ impl ModelZoo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blurnet_nn::persist::sequential_to_bytes;
 
     #[test]
     fn training_is_cached_per_defense() {
@@ -82,8 +83,8 @@ mod tests {
         // Clones carry the cached weights.
         let c = zoo.get_or_train(&DefenseKind::Baseline).unwrap();
         assert_eq!(
-            a.network().to_bytes().unwrap(),
-            c.network().to_bytes().unwrap()
+            sequential_to_bytes(a.network()),
+            sequential_to_bytes(c.network())
         );
         assert!(zoo.dataset().train_len() > 0);
     }

@@ -83,6 +83,7 @@ mod tests {
     use super::*;
     use crate::model::TrainingReport;
     use crate::DefenseKind;
+    use blurnet_nn::persist::sequential_to_bytes;
     use blurnet_nn::LisaCnn;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -113,8 +114,8 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &second));
         let fetched = cache.get("Baseline").unwrap();
         assert_eq!(
-            fetched.network().to_bytes().unwrap(),
-            first.network().to_bytes().unwrap()
+            sequential_to_bytes(fetched.network()),
+            sequential_to_bytes(first.network())
         );
     }
 
@@ -139,8 +140,8 @@ mod tests {
         let ca: DefendedModel = (*a).clone();
         let cb: DefendedModel = (*b).clone();
         assert_eq!(
-            ca.network().to_bytes().unwrap(),
-            cb.network().to_bytes().unwrap()
+            sequential_to_bytes(ca.network()),
+            sequential_to_bytes(cb.network())
         );
     }
 }

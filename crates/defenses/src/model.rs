@@ -99,12 +99,6 @@ impl DefendedModel {
         &self.net
     }
 
-    /// Mutable access to the underlying network (white-box attacks need
-    /// gradients through it).
-    pub fn network_mut(&mut self) -> &mut Sequential {
-        &mut self.net
-    }
-
     /// Index of the first-layer feature-map activation.
     pub fn feature_layer_index(&self) -> usize {
         self.arch.feature_layer_index()
@@ -170,16 +164,12 @@ impl DefendedModel {
     pub fn classify_one(&mut self, image: &Tensor) -> Result<usize> {
         let image = self.preprocess(image)?;
         match &self.defense {
-            DefenseKind::RandomizedSmoothing { sigma, samples } => smoothed_predict(
-                &mut self.net,
-                &image,
-                *sigma,
-                *samples,
-                &mut self.smoothing_rng,
-            ),
+            DefenseKind::RandomizedSmoothing { sigma, samples } => {
+                smoothed_predict(&self.net, &image, *sigma, *samples, &mut self.smoothing_rng)
+            }
             _ => {
                 let batch = Tensor::stack(&[image])?;
-                Ok(self.net.predict(&batch)?[0])
+                Ok(self.net.predict_batch(&batch)?[0])
             }
         }
     }

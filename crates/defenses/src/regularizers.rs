@@ -90,81 +90,70 @@ impl FeatureRegularizer {
         }
     }
 
-    /// Whether the training loop must collect intermediate activations for
-    /// this regularizer.
-    pub fn needs_activations(&self) -> bool {
-        matches!(
-            self,
-            FeatureRegularizer::TotalVariation { .. } | FeatureRegularizer::Operator { .. }
-        )
+    /// The layer whose output activation the training step must collect
+    /// for this regularizer (the TV and Tikhonov feature maps).
+    pub fn feature_layer(&self) -> Option<usize> {
+        match self {
+            FeatureRegularizer::TotalVariation { layer_index, .. }
+            | FeatureRegularizer::Operator { layer_index, .. } => Some(*layer_index),
+            _ => None,
+        }
     }
 
-    /// Evaluates the regularizer for the current step.
+    /// Evaluates the regularizer for the current training step, given the
+    /// activation at [`FeatureRegularizer::feature_layer`] when it has one.
     ///
-    /// Returns the penalty value (already scaled by α) and the list of
-    /// activation-gradient injections to pass to
-    /// [`Sequential::backward_with_injection`]. The L∞ variant instead
-    /// accumulates its sub-gradient directly into the depthwise layer's
-    /// weight gradients.
+    /// Returns the penalty value and its gradient, both already scaled by
+    /// α. The gradient is taken with respect to the penalized tensor: the
+    /// feature maps for TV and Tikhonov (the training step injects it at
+    /// the feature layer's output), the depthwise kernels for L∞ (the
+    /// trainer adds it to the kernel's gradient).
     ///
     /// # Errors
     ///
-    /// Returns an error if layer indices or activation shapes do not match
-    /// the network.
+    /// Returns an error if the layer index does not name a depthwise layer
+    /// (L∞), the feature activation is missing, or its shape does not fit
+    /// the penalty.
     pub fn apply(
         &self,
-        net: &mut Sequential,
-        activations: &[Tensor],
-    ) -> Result<(f32, Vec<(usize, Tensor)>)> {
+        net: &Sequential,
+        feature: Option<&Tensor>,
+    ) -> Result<(f32, Option<Tensor>)> {
         match self {
-            FeatureRegularizer::None => Ok((0.0, Vec::new())),
+            FeatureRegularizer::None => Ok((0.0, None)),
             FeatureRegularizer::LinfDepthwise { alpha, layer_index } => {
-                let layer = net.layer_mut(*layer_index).ok_or_else(|| {
-                    DefenseError::BadConfig(format!("no layer at index {layer_index}"))
-                })?;
-                let LayerKind::Depthwise(depthwise) = layer else {
+                let Some(LayerKind::Depthwise(depthwise)) = net.layer(*layer_index) else {
                     return Err(DefenseError::BadConfig(format!(
                         "layer {layer_index} is not a depthwise layer"
                     )));
                 };
-                let value = alpha * depthwise.linf_penalty();
-                let grad = depthwise.linf_penalty_grad();
-                depthwise.accumulate_weight_grad(&grad, *alpha)?;
-                Ok((value, Vec::new()))
+                let grad = depthwise.linf_penalty_grad().scale(*alpha);
+                Ok((alpha * depthwise.linf_penalty(), Some(grad)))
             }
-            FeatureRegularizer::TotalVariation { alpha, layer_index } => {
-                let feature = activation(activations, *layer_index)?;
-                let value = alpha * total_variation_batch(feature)?;
+            FeatureRegularizer::TotalVariation { alpha, .. } => {
+                let feature = require_feature(feature)?;
                 let grad = tv_gradient_batch(feature)?.scale(*alpha);
-                Ok((value, vec![(*layer_index, grad)]))
+                Ok((alpha * total_variation_batch(feature)?, Some(grad)))
             }
-            FeatureRegularizer::Operator {
-                alpha,
-                layer_index,
-                penalty,
-            } => {
-                let feature = activation(activations, *layer_index)?;
-                let value = alpha * penalty.value_batch(feature)?;
+            FeatureRegularizer::Operator { alpha, penalty, .. } => {
+                let feature = require_feature(feature)?;
                 let grad = penalty.grad_batch(feature)?.scale(*alpha);
-                Ok((value, vec![(*layer_index, grad)]))
+                Ok((alpha * penalty.value_batch(feature)?, Some(grad)))
             }
         }
     }
 }
 
-fn activation(activations: &[Tensor], index: usize) -> Result<&Tensor> {
-    activations.get(index).ok_or_else(|| {
-        DefenseError::BadConfig(format!(
-            "activation index {index} out of range ({} collected)",
-            activations.len()
-        ))
+fn require_feature(feature: Option<&Tensor>) -> Result<&Tensor> {
+    feature.ok_or_else(|| {
+        DefenseError::BadConfig("feature-map regularizer needs its feature activation".into())
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blurnet_nn::{Layer, LisaCnn};
+    use blurnet_nn::LisaCnn;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -226,19 +215,18 @@ mod tests {
     fn tv_regularizer_produces_injection_with_feature_shape() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let builder = tiny_builder(&DefenseKind::Baseline);
-        let mut net = builder.build(&mut rng).unwrap();
+        let net = builder.build(&mut rng).unwrap();
         let reg = FeatureRegularizer::from_defense(
             &DefenseKind::TotalVariation { alpha: 1e-2 },
             builder.config(),
         )
         .unwrap();
-        assert!(reg.needs_activations());
+        assert_eq!(reg.feature_layer(), Some(0));
         let x = Tensor::rand_uniform(&[2, 3, 16, 16], 0.0, 1.0, &mut rng);
-        let (_, acts) = net.forward_collect(&x, true).unwrap();
-        let (value, injections) = reg.apply(&mut net, &acts).unwrap();
+        let feature = net.batch_engine().unwrap().activation(&x, 0).unwrap();
+        let (value, grad) = reg.apply(&net, Some(&feature)).unwrap();
         assert!(value > 0.0);
-        assert_eq!(injections.len(), 1);
-        assert_eq!(injections[0].1.dims(), acts[0].dims());
+        assert_eq!(grad.unwrap().dims(), feature.dims());
     }
 
     #[test]
@@ -249,42 +237,42 @@ mod tests {
             alpha: 0.5,
         };
         let builder = tiny_builder(&defense);
-        let mut net = builder.build(&mut rng).unwrap();
+        let net = builder.build(&mut rng).unwrap();
         let reg = FeatureRegularizer::from_defense(&defense, builder.config()).unwrap();
-        assert!(!reg.needs_activations());
-        net.zero_grads();
-        let (value, injections) = reg.apply(&mut net, &[]).unwrap();
+        assert_eq!(reg.feature_layer(), None);
+        let (value, grad) = reg.apply(&net, None).unwrap();
         assert!(value > 0.0);
-        assert!(injections.is_empty());
-        // The depthwise layer (layer index 1) must now hold non-zero grads.
+        // The sub-gradient is the depthwise kernel's.
+        let grad = grad.expect("L∞ penalises the kernel");
         let layer_index = builder.config().filter_layer_index().unwrap();
-        let LayerKind::Depthwise(dw) = net.layer_mut(layer_index).unwrap() else {
+        let LayerKind::Depthwise(dw) = net.layer(layer_index).unwrap() else {
             panic!("expected depthwise layer");
         };
-        assert!(dw.param_grad_pairs()[0].1.l1_norm() > 0.0);
+        assert_eq!(grad.dims(), dw.weight().dims());
+        assert!(grad.l1_norm() > 0.0);
     }
 
     #[test]
     fn operator_regularizer_injection_matches_feature_extent() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let builder = tiny_builder(&DefenseKind::Baseline);
-        let mut net = builder.build(&mut rng).unwrap();
+        let net = builder.build(&mut rng).unwrap();
         let reg = FeatureRegularizer::from_defense(
             &DefenseKind::TikhonovPseudo { alpha: 1e-3 },
             builder.config(),
         )
         .unwrap();
         let x = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, &mut rng);
-        let (_, acts) = net.forward_collect(&x, true).unwrap();
-        let (value, injections) = reg.apply(&mut net, &acts).unwrap();
+        let feature = net.batch_engine().unwrap().activation(&x, 0).unwrap();
+        let (value, grad) = reg.apply(&net, Some(&feature)).unwrap();
         assert!(value >= 0.0);
-        assert_eq!(injections[0].1.dims(), &[1, 4, 8, 8]);
+        assert_eq!(grad.unwrap().dims(), &[1, 4, 8, 8]);
     }
 
     #[test]
     fn bad_indices_are_reported() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut net = LisaCnn::new(4)
+        let net = LisaCnn::new(4)
             .input_size(16)
             .conv1_filters(4)
             .build(&mut rng)
@@ -293,12 +281,19 @@ mod tests {
             alpha: 1.0,
             layer_index: 42,
         };
-        assert!(reg.apply(&mut net, &[]).is_err());
+        // The engine rejects the index; without an activation the
+        // regularizer refuses to run.
+        assert!(net
+            .batch_engine()
+            .unwrap()
+            .activation(&Tensor::zeros(&[1, 3, 16, 16]), 42)
+            .is_err());
+        assert!(reg.apply(&net, None).is_err());
         let reg = FeatureRegularizer::LinfDepthwise {
             alpha: 1.0,
             layer_index: 0,
         };
         // Layer 0 is a Conv2d, not a depthwise layer.
-        assert!(reg.apply(&mut net, &[]).is_err());
+        assert!(reg.apply(&net, None).is_err());
     }
 }

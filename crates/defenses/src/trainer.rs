@@ -10,9 +10,11 @@
 
 use blurnet_attacks::{PgdAttack, PgdConfig};
 use blurnet_data::SignDataset;
-use blurnet_nn::{softmax_cross_entropy, Adam, LisaCnn, LisaCnnConfig, Optimizer, Sequential};
+use blurnet_nn::{
+    softmax_cross_entropy, Adam, Layer, LisaCnn, LisaCnnConfig, NnError, Sequential, ShardGrad,
+};
 use blurnet_signal::box_kernel;
-use blurnet_tensor::Tensor;
+use blurnet_tensor::{Scratch, Tensor};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -123,6 +125,8 @@ pub fn train_defended_model(
     let regularizer = FeatureRegularizer::from_defense(defense, &arch)?;
     let mut optimizer = Adam::new(config.learning_rate)?;
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(1));
+    // One workspace pool for every step's kernels.
+    let mut scratch = Scratch::new();
 
     // Adversarial training generates PGD examples on the fly.
     let pgd = match defense {
@@ -153,21 +157,47 @@ pub fn train_defended_model(
                 &mut rng,
             )?;
 
-            net.zero_grads();
-            let (loss_value, d_logits, injections) = if regularizer.needs_activations() {
-                let (logits, activations) = net.forward_collect(&images, true)?;
-                let (ce, d_logits) = softmax_cross_entropy(&logits, &batch.labels)?;
-                let (reg_value, injections) = regularizer.apply(&mut net, &activations)?;
-                (ce + reg_value, d_logits, injections)
-            } else {
-                let logits = net.forward(&images, true)?;
-                let (ce, d_logits) = softmax_cross_entropy(&logits, &batch.labels)?;
-                // The L∞ regularizer works on weights, not activations.
-                let (reg_value, injections) = regularizer.apply(&mut net, &[])?;
-                (ce + reg_value, d_logits, injections)
-            };
-            net.backward_with_injection(&d_logits, &injections)?;
-            let mut pairs = net.param_grad_pairs();
+            // One engine step: recorded forward, cross-entropy plus the
+            // feature-map penalty (injected at its layer), parameter
+            // gradients. The L∞ penalty's kernel gradient comes back from
+            // the closure instead, and the backward term is added to it.
+            let feature_layer = regularizer.feature_layer();
+            let mut kernel_grad = None;
+            let (loss_value, mut grads) = net.batch_engine()?.train_step(
+                &images,
+                feature_layer,
+                &mut scratch,
+                |logits, feature| {
+                    let (ce, d_logits) = softmax_cross_entropy(logits, &batch.labels)?;
+                    let (penalty, grad) = regularizer
+                        .apply(&net, feature)
+                        .map_err(|e| NnError::BadConfig(e.to_string()))?;
+                    let injection = if feature_layer.is_some() {
+                        grad
+                    } else {
+                        kernel_grad = grad;
+                        None
+                    };
+                    Ok(ShardGrad {
+                        d_logits,
+                        injection,
+                        loss: ce + penalty,
+                    })
+                },
+            )?;
+            if let (Some(mut total), FeatureRegularizer::LinfDepthwise { layer_index, .. }) =
+                (kernel_grad, &regularizer)
+            {
+                // The kernel is its layer's first parameter.
+                let index: usize = net
+                    .iter()
+                    .take(*layer_index)
+                    .map(|l| l.params().len())
+                    .sum();
+                total.add_scaled(&grads.params[index], 1.0)?;
+                grads.params[index] = total;
+            }
+            let mut pairs: Vec<_> = net.params_mut().into_iter().zip(&grads.params).collect();
             optimizer.step(&mut pairs)?;
 
             epoch_loss += loss_value;
@@ -344,6 +374,41 @@ mod tests {
         };
         let model = train_defended_model(&defense, &ds, &cfg).unwrap();
         assert!(model.training_report().epoch_losses[0].is_finite());
+    }
+
+    #[test]
+    fn trained_weights_are_bit_identical_across_thread_counts() {
+        use blurnet_nn::persist::sequential_to_bytes;
+        let ds = tiny_dataset();
+        let cfg = TrainConfig {
+            epochs: 1,
+            ..TrainConfig::tiny()
+        };
+        // The L∞ weight penalty and the TV feature-map injection cover both
+        // regularizer paths of the training step.
+        for defense in [
+            DefenseKind::DepthwiseLinf {
+                kernel: 3,
+                alpha: 1e-3,
+            },
+            DefenseKind::TotalVariation { alpha: 1e-4 },
+        ] {
+            let trained: Vec<Vec<u8>> = [1usize, 4]
+                .iter()
+                .map(|&threads| {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .unwrap();
+                    let model = pool.install(|| train_defended_model(&defense, &ds, &cfg).unwrap());
+                    sequential_to_bytes(model.network())
+                })
+                .collect();
+            assert_eq!(
+                trained[0], trained[1],
+                "{defense:?} diverged across threads"
+            );
+        }
     }
 
     #[test]

@@ -1,32 +1,23 @@
 //! Rectified linear activation.
 
 use blurnet_tensor::{Scratch, Tensor};
-use serde::{Deserialize, Serialize};
 
-use crate::{Layer, NnError, Result, TapeSlot};
+use crate::{Layer, Result, TapeSlot};
 
 /// Elementwise `max(0, x)` activation.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Relu {
-    #[serde(skip)]
-    cached_input: Option<Tensor>,
-}
+#[derive(Debug, Clone, Default)]
+pub struct Relu;
 
 impl Relu {
     /// Creates a ReLU layer.
     pub fn new() -> Self {
-        Relu { cached_input: None }
+        Relu
     }
 }
 
 impl Layer for Relu {
     fn name(&self) -> &'static str {
         "relu"
-    }
-
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        self.cached_input = Some(input.clone());
-        Ok(input.map(|v| v.max(0.0)))
     }
 
     fn infer(&self, input: &Tensor, _scratch: &mut Scratch) -> Result<Tensor> {
@@ -63,27 +54,9 @@ impl Layer for Relu {
         let TapeSlot::ReluMask(mask) = tape else {
             return Err(TapeSlot::mismatch(self.name()));
         };
-        // `m > 0.0` reproduces the stateful `x > 0.0` gate bit for bit.
+        // `m > 0.0` is exactly the forward's `x > 0.0` gate.
         Ok(mask.zip_map(grad_output, |m, g| if m > 0.0 { g } else { 0.0 })?)
     }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or_else(|| NnError::MissingForwardCache(self.name().to_string()))?;
-        Ok(input.zip_map(grad_output, |x, g| if x > 0.0 { g } else { 0.0 })?)
-    }
-
-    fn param_grad_pairs(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
-        Vec::new()
-    }
-
-    fn params(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-
-    fn zero_grads(&mut self) {}
 }
 
 #[cfg(test)]
@@ -92,25 +65,32 @@ mod tests {
 
     #[test]
     fn forward_clamps_negatives() {
-        let mut relu = Relu::new();
         let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0, -0.5], &[4]).unwrap();
-        let y = relu.forward(&x, false).unwrap();
+        let y = Relu::new().infer(&x, &mut Scratch::new()).unwrap();
         assert_eq!(y.data(), &[0.0, 0.0, 2.0, 0.0]);
     }
 
     #[test]
     fn backward_masks_gradient() {
-        let mut relu = Relu::new();
+        let relu = Relu::new();
+        let mut scratch = Scratch::new();
         let x = Tensor::from_vec(vec![-1.0, 0.5, 2.0, -0.5], &[4]).unwrap();
-        relu.forward(&x, true).unwrap();
+        let mut tape = TapeSlot::default();
+        let y = relu.infer_recording(&x, &mut tape, &mut scratch).unwrap();
+        assert_eq!(y, relu.infer(&x, &mut scratch).unwrap());
         let g = Tensor::from_vec(vec![1.0, 1.0, 1.0, 1.0], &[4]).unwrap();
-        let dx = relu.backward(&g).unwrap();
+        let dx = relu.input_grad(&tape, &g, &mut scratch).unwrap();
         assert_eq!(dx.data(), &[0.0, 1.0, 1.0, 0.0]);
+        // The default training step is the input gradient with no params.
+        let (d_input, params) = relu.param_grad(&x, &tape, &g, &mut scratch).unwrap();
+        assert_eq!(d_input, dx);
+        assert!(params.is_empty());
     }
 
     #[test]
     fn backward_requires_forward() {
-        let mut relu = Relu::new();
-        assert!(relu.backward(&Tensor::zeros(&[2])).is_err());
+        let relu = Relu::new();
+        let err = relu.input_grad(&TapeSlot::Empty, &Tensor::zeros(&[2]), &mut Scratch::new());
+        assert!(matches!(err, Err(crate::NnError::MissingForwardCache(_))));
     }
 }

@@ -2,24 +2,15 @@
 
 use blurnet_tensor::{ConvSpec, Initializer, PackedConvWeights, Scratch, Tensor};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{Layer, NnError, Result, TapeSlot};
 
 /// A trainable 2-D convolution layer with bias.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: Tensor,
     bias: Tensor,
-    d_weight: Tensor,
-    d_bias: Tensor,
     spec: ConvSpec,
-    #[serde(skip)]
-    cached_input: Option<Tensor>,
-    /// Per-layer workspace pool: im2col/GEMM buffers are reused across
-    /// forward/backward calls instead of being reallocated.
-    #[serde(skip)]
-    scratch: Scratch,
 }
 
 impl Conv2d {
@@ -51,21 +42,15 @@ impl Conv2d {
             rng,
         );
         Ok(Conv2d {
-            d_weight: Tensor::zeros(weight.dims()),
-            d_bias: Tensor::zeros(&[out_channels]),
             bias: Tensor::zeros(&[out_channels]),
             weight,
             spec,
-            cached_input: None,
-            scratch: Scratch::new(),
         })
     }
 
     /// Reassembles a layer from persisted parameters: `weight` must be
-    /// `[F, C, KH, KW]` and `bias` `[F]`. Gradient accumulators start at
-    /// zero and caches empty — exactly the state of a freshly trained
-    /// layer whose gradients were zeroed, so save→load→infer is
-    /// bit-identical.
+    /// `[F, C, KH, KW]` and `bias` `[F]`. The parameters are the layer's
+    /// whole state, so save→load→infer is bit-identical.
     ///
     /// # Errors
     ///
@@ -84,15 +69,7 @@ impl Conv2d {
                 bias.shape()
             )));
         }
-        Ok(Conv2d {
-            d_weight: Tensor::zeros(weight.dims()),
-            d_bias: Tensor::zeros(bias.dims()),
-            weight,
-            bias,
-            spec,
-            cached_input: None,
-            scratch: Scratch::new(),
-        })
+        Ok(Conv2d { weight, bias, spec })
     }
 
     /// The convolution stride/padding spec.
@@ -103,12 +80,6 @@ impl Conv2d {
     /// The filter weights `[F, C, KH, KW]`.
     pub fn weight(&self) -> &Tensor {
         &self.weight
-    }
-
-    /// Mutable access to the filter weights (used by tests and by defenses
-    /// that overwrite filters with fixed kernels).
-    pub fn weight_mut(&mut self) -> &mut Tensor {
-        &mut self.weight
     }
 
     /// The bias vector `[F]`.
@@ -131,19 +102,6 @@ impl Conv2d {
 impl Layer for Conv2d {
     fn name(&self) -> &'static str {
         "conv2d"
-    }
-
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        let backend = self.scratch.backend();
-        let out = backend.conv2d(
-            input,
-            &self.weight,
-            Some(&self.bias),
-            self.spec,
-            &mut self.scratch,
-        )?;
-        self.cached_input = Some(input.clone());
-        Ok(out)
     }
 
     fn infer(&self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor> {
@@ -183,38 +141,29 @@ impl Layer for Conv2d {
         )?)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or_else(|| NnError::MissingForwardCache(self.name().to_string()))?;
-        let backend = self.scratch.backend();
-        let grads = backend.conv2d_backward(
+    fn param_grad(
+        &self,
+        input: &Tensor,
+        _tape: &TapeSlot,
+        grad_output: &Tensor,
+        scratch: &mut Scratch,
+    ) -> Result<(Tensor, Vec<Tensor>)> {
+        let grads = scratch.backend().conv2d_backward(
             input,
             &self.weight,
             grad_output,
             self.spec,
-            &mut self.scratch,
+            scratch,
         )?;
-        self.d_weight.add_scaled(&grads.d_weight, 1.0)?;
-        self.d_bias.add_scaled(&grads.d_bias, 1.0)?;
-        Ok(grads.d_input)
-    }
-
-    fn param_grad_pairs(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
-        vec![
-            (&mut self.weight, &self.d_weight),
-            (&mut self.bias, &self.d_bias),
-        ]
+        Ok((grads.d_input, vec![grads.d_weight, grads.d_bias]))
     }
 
     fn params(&self) -> Vec<&Tensor> {
         vec![&self.weight, &self.bias]
     }
 
-    fn zero_grads(&mut self) {
-        self.d_weight.map_inplace(|_| 0.0);
-        self.d_bias.map_inplace(|_| 0.0);
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        vec![&mut self.weight, &mut self.bias]
     }
 }
 
@@ -227,39 +176,57 @@ mod tests {
     #[test]
     fn forward_shape_and_backward_cache() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut conv = Conv2d::new(3, 8, 5, ConvSpec::new(2, 2).unwrap(), &mut rng).unwrap();
+        let conv = Conv2d::new(3, 8, 5, ConvSpec::new(2, 2).unwrap(), &mut rng).unwrap();
         let input = Tensor::zeros(&[2, 3, 32, 32]);
-        let out = conv.forward(&input, true).unwrap();
+        let mut scratch = Scratch::new();
+        let mut tape = TapeSlot::default();
+        let out = conv
+            .infer_recording(&input, &mut tape, &mut scratch)
+            .unwrap();
         assert_eq!(out.dims(), &[2, 8, 16, 16]);
-        let d_input = conv.backward(&Tensor::ones(out.dims())).unwrap();
+        let grad = Tensor::ones(out.dims());
+        let (d_input, params) = conv.param_grad(&input, &tape, &grad, &mut scratch).unwrap();
         assert_eq!(d_input.dims(), input.dims());
+        assert_eq!(params.len(), 2);
+        assert_eq!(params[0].dims(), conv.weight().dims());
+        assert_eq!(params[1].dims(), conv.bias().dims());
+        // The training step's input gradient is the attack path's.
+        let via_tape = conv.input_grad(&tape, &grad, &mut scratch).unwrap();
+        assert_eq!(d_input, via_tape);
     }
 
     #[test]
     fn backward_without_forward_errors() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut conv = Conv2d::new(1, 1, 3, ConvSpec::same(3).unwrap(), &mut rng).unwrap();
+        let conv = Conv2d::new(1, 1, 3, ConvSpec::same(3).unwrap(), &mut rng).unwrap();
         assert!(matches!(
-            conv.backward(&Tensor::zeros(&[1, 1, 4, 4])),
+            conv.input_grad(
+                &TapeSlot::Empty,
+                &Tensor::zeros(&[1, 1, 4, 4]),
+                &mut Scratch::new()
+            ),
             Err(NnError::MissingForwardCache(_))
         ));
     }
 
     #[test]
-    fn gradients_accumulate_and_reset() {
+    fn param_grads_are_stateless() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut conv = Conv2d::new(1, 2, 3, ConvSpec::same(3).unwrap(), &mut rng).unwrap();
+        let conv = Conv2d::new(1, 2, 3, ConvSpec::same(3).unwrap(), &mut rng).unwrap();
         let input = Tensor::ones(&[1, 1, 4, 4]);
-        let out = conv.forward(&input, true).unwrap();
-        conv.backward(&Tensor::ones(out.dims())).unwrap();
-        let first: f32 = conv.param_grad_pairs()[0].1.l1_norm();
-        assert!(first > 0.0);
-        conv.forward(&input, true).unwrap();
-        conv.backward(&Tensor::ones(out.dims())).unwrap();
-        let doubled: f32 = conv.param_grad_pairs()[0].1.l1_norm();
-        assert!((doubled - 2.0 * first).abs() < 1e-3);
-        conv.zero_grads();
-        assert_eq!(conv.param_grad_pairs()[0].1.l1_norm(), 0.0);
+        let mut scratch = Scratch::new();
+        let tape = TapeSlot::InputDims(input.dims().to_vec());
+        let grad = Tensor::ones(&[1, 2, 4, 4]);
+        let (_, first) = conv.param_grad(&input, &tape, &grad, &mut scratch).unwrap();
+        assert!(first[0].l1_norm() > 0.0);
+        // Nothing accumulates between steps: a repeat is bit-identical.
+        let (_, again) = conv.param_grad(&input, &tape, &grad, &mut scratch).unwrap();
+        assert_eq!(first, again);
+        // Parameter gradients are linear in the output gradient.
+        let (_, doubled) = conv
+            .param_grad(&input, &tape, &grad.scale(2.0), &mut scratch)
+            .unwrap();
+        assert!((doubled[0].l1_norm() - 2.0 * first[0].l1_norm()).abs() < 1e-3);
     }
 
     #[test]

@@ -2,19 +2,14 @@
 
 use blurnet_tensor::{Initializer, Scratch, Tensor};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{Layer, NnError, Result, TapeSlot};
 
 /// A fully-connected layer computing `x · Wᵀ + b` for `x: [N, in]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dense {
     weight: Tensor,
     bias: Tensor,
-    d_weight: Tensor,
-    d_bias: Tensor,
-    #[serde(skip)]
-    cached_input: Option<Tensor>,
 }
 
 impl Dense {
@@ -38,17 +33,13 @@ impl Dense {
             rng,
         );
         Ok(Dense {
-            d_weight: Tensor::zeros(weight.dims()),
-            d_bias: Tensor::zeros(&[out_features]),
             bias: Tensor::zeros(&[out_features]),
             weight,
-            cached_input: None,
         })
     }
 
     /// Reassembles a layer from persisted parameters: `weight` must be
-    /// `[out, in]` and `bias` `[out]`. Gradient accumulators start at zero
-    /// and the forward cache empty.
+    /// `[out, in]` and `bias` `[out]`.
     ///
     /// # Errors
     ///
@@ -67,13 +58,7 @@ impl Dense {
                 bias.shape()
             )));
         }
-        Ok(Dense {
-            d_weight: Tensor::zeros(weight.dims()),
-            d_bias: Tensor::zeros(bias.dims()),
-            weight,
-            bias,
-            cached_input: None,
-        })
+        Ok(Dense { weight, bias })
     }
 
     /// The weight matrix `[out, in]`.
@@ -129,17 +114,6 @@ impl Layer for Dense {
         "dense"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        self.check_input(input)?;
-        // [N, in] · [out, in]ᵀ = [N, out], through this thread's shared
-        // scratch (and therefore the process-wide default backend).
-        let mut out =
-            Scratch::with_thread_local(|s| s.backend().matmul_transpose_b(input, &self.weight, s))?;
-        self.add_bias(&mut out);
-        self.cached_input = Some(input.clone());
-        Ok(out)
-    }
-
     fn infer(&self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor> {
         self.check_input(input)?;
         let mut out = scratch
@@ -170,42 +144,39 @@ impl Layer for Dense {
         Ok(scratch.backend().matmul(grad_output, &self.weight)?)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or_else(|| NnError::MissingForwardCache(self.name().to_string()))?;
-        let backend = blurnet_tensor::default_backend();
+    fn param_grad(
+        &self,
+        input: &Tensor,
+        _tape: &TapeSlot,
+        grad_output: &Tensor,
+        scratch: &mut Scratch,
+    ) -> Result<(Tensor, Vec<Tensor>)> {
+        let backend = scratch.backend();
         // dW = gᵀ · x : [out, in]
-        let d_w = backend.matmul_transpose_a(grad_output, input)?;
-        self.d_weight.add_scaled(&d_w, 1.0)?;
+        let weight_grad = backend.matmul_transpose_a(grad_output, input)?;
         // db = column sums of g.
         let (n, o) = (grad_output.dims()[0], grad_output.dims()[1]);
         let g = grad_output.data();
-        let db = self.d_bias.data_mut();
+        let mut bias_grad = vec![0.0f32; o];
         for i in 0..n {
             for j in 0..o {
-                db[j] += g[i * o + j];
+                bias_grad[j] += g[i * o + j];
             }
         }
         // dx = g · W : [N, in]
-        Ok(backend.matmul(grad_output, &self.weight)?)
-    }
-
-    fn param_grad_pairs(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
-        vec![
-            (&mut self.weight, &self.d_weight),
-            (&mut self.bias, &self.d_bias),
-        ]
+        let d_input = backend.matmul(grad_output, &self.weight)?;
+        Ok((
+            d_input,
+            vec![weight_grad, Tensor::from_vec(bias_grad, &[o])?],
+        ))
     }
 
     fn params(&self) -> Vec<&Tensor> {
         vec![&self.weight, &self.bias]
     }
 
-    fn zero_grads(&mut self) {
-        self.d_weight.map_inplace(|_| 0.0);
-        self.d_bias.map_inplace(|_| 0.0);
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        vec![&mut self.weight, &mut self.bias]
     }
 }
 
@@ -218,21 +189,23 @@ mod tests {
     #[test]
     fn forward_shape() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut dense = Dense::new(8, 4, &mut rng).unwrap();
-        let x = Tensor::ones(&[3, 8]);
-        let y = dense.forward(&x, false).unwrap();
+        let dense = Dense::new(8, 4, &mut rng).unwrap();
+        let mut scratch = Scratch::new();
+        let y = dense.infer(&Tensor::ones(&[3, 8]), &mut scratch).unwrap();
         assert_eq!(y.dims(), &[3, 4]);
-        assert!(dense.forward(&Tensor::ones(&[3, 5]), false).is_err());
+        assert!(dense.infer(&Tensor::ones(&[3, 5]), &mut scratch).is_err());
     }
 
     #[test]
     fn backward_matches_numerical_gradient() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut dense = Dense::new(5, 3, &mut rng).unwrap();
+        let dense = Dense::new(5, 3, &mut rng).unwrap();
+        let mut scratch = Scratch::new();
         let x = Tensor::rand_uniform(&[2, 5], -1.0, 1.0, &mut rng);
-        let y = dense.forward(&x, true).unwrap();
+        let mut tape = TapeSlot::default();
+        let y = dense.infer_recording(&x, &mut tape, &mut scratch).unwrap();
         let grad = Tensor::ones(y.dims());
-        let dx = dense.backward(&grad).unwrap();
+        let (dx, params) = dense.param_grad(&x, &tape, &grad, &mut scratch).unwrap();
         let eps = 1e-2f32;
         // Input gradient check.
         for &idx in &[0usize, 4, 9] {
@@ -240,15 +213,13 @@ mod tests {
             plus.data_mut()[idx] += eps;
             let mut minus = x.clone();
             minus.data_mut()[idx] -= eps;
-            let mut d2 = dense.clone();
-            let f_plus = d2.forward(&plus, true).unwrap().sum();
-            let f_minus = d2.forward(&minus, true).unwrap().sum();
+            let f_plus = dense.infer(&plus, &mut scratch).unwrap().sum();
+            let f_minus = dense.infer(&minus, &mut scratch).unwrap().sum();
             let numeric = (f_plus - f_minus) / (2.0 * eps);
             assert!((numeric - dx.data()[idx]).abs() < 1e-2);
         }
         // Bias gradient of a sum loss is the batch size.
-        let pairs = dense.param_grad_pairs();
-        for &b in pairs[1].1.data() {
+        for &b in params[1].data() {
             assert!((b - 2.0).abs() < 1e-5);
         }
     }

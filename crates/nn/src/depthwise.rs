@@ -4,22 +4,17 @@
 //! channel. It can be *fixed* (a standard blur kernel, Section III of the
 //! paper) or *trainable* (learned under an L∞ penalty, Eq. 2).
 
-use blurnet_tensor::{default_backend, ConvSpec, Scratch, Tensor};
-use serde::{Deserialize, Serialize};
+use blurnet_tensor::{ConvSpec, Scratch, Tensor};
 
 use crate::{Layer, NnError, Result, TapeSlot};
 
 /// A depthwise convolution layer with per-channel `[C, K, K]` kernels.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DepthwiseConv2d {
     weight: Tensor,
     bias: Tensor,
-    d_weight: Tensor,
-    d_bias: Tensor,
     spec: ConvSpec,
     trainable: bool,
-    #[serde(skip)]
-    cached_input: Option<Tensor>,
 }
 
 impl DepthwiseConv2d {
@@ -44,13 +39,10 @@ impl DepthwiseConv2d {
             weight.set(&[ch, c, c], 1.0)?;
         }
         Ok(DepthwiseConv2d {
-            d_weight: Tensor::zeros(weight.dims()),
-            d_bias: Tensor::zeros(&[channels]),
             bias: Tensor::zeros(&[channels]),
             weight,
             spec: ConvSpec::same(kernel).map_err(|e| NnError::BadConfig(e.to_string()))?,
             trainable: true,
-            cached_input: None,
         })
     }
 
@@ -75,19 +67,15 @@ impl DepthwiseConv2d {
         }
         let weight = Tensor::from_vec(data, &[channels, k, k])?;
         Ok(DepthwiseConv2d {
-            d_weight: Tensor::zeros(weight.dims()),
-            d_bias: Tensor::zeros(&[channels]),
             bias: Tensor::zeros(&[channels]),
             weight,
             spec: ConvSpec::same(k).map_err(|e| NnError::BadConfig(e.to_string()))?,
             trainable: false,
-            cached_input: None,
         })
     }
 
     /// Reassembles a layer from persisted parameters: `weight` must be
-    /// `[C, K, K]` with square kernels and `bias` `[C]`. Gradient
-    /// accumulators start at zero and the forward cache empty.
+    /// `[C, K, K]` with square kernels and `bias` `[C]`.
     ///
     /// # Errors
     ///
@@ -112,13 +100,10 @@ impl DepthwiseConv2d {
             )));
         }
         Ok(DepthwiseConv2d {
-            d_weight: Tensor::zeros(weight.dims()),
-            d_bias: Tensor::zeros(bias.dims()),
             weight,
             bias,
             spec,
             trainable,
-            cached_input: None,
         })
     }
 
@@ -188,29 +173,11 @@ impl DepthwiseConv2d {
         }
         Tensor::from_vec(grad, self.weight.dims()).expect("same shape as weights")
     }
-
-    /// Adds an external gradient contribution to the kernel gradient (used
-    /// by the L∞ regularizer during training).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `grad` does not match the kernel shape.
-    pub fn accumulate_weight_grad(&mut self, grad: &Tensor, scale: f32) -> Result<()> {
-        self.d_weight.add_scaled(grad, scale)?;
-        Ok(())
-    }
 }
 
 impl Layer for DepthwiseConv2d {
     fn name(&self) -> &'static str {
         "depthwise_conv2d"
-    }
-
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        let out =
-            default_backend().depthwise_conv2d(input, &self.weight, Some(&self.bias), self.spec)?;
-        self.cached_input = Some(input.clone());
-        Ok(out)
     }
 
     fn infer(&self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor> {
@@ -244,33 +211,24 @@ impl Layer for DepthwiseConv2d {
             .depthwise_input_grad(&self.weight, grad_output, dims, self.spec)?)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or_else(|| NnError::MissingForwardCache(self.name().to_string()))?;
-        let grads = default_backend().depthwise_conv2d_backward(
+    fn param_grad(
+        &self,
+        input: &Tensor,
+        tape: &TapeSlot,
+        grad_output: &Tensor,
+        scratch: &mut Scratch,
+    ) -> Result<(Tensor, Vec<Tensor>)> {
+        // A fixed blur layer has no parameters: only its input gradient.
+        if !self.trainable {
+            return Ok((self.input_grad(tape, grad_output, scratch)?, Vec::new()));
+        }
+        let grads = scratch.backend().depthwise_conv2d_backward(
             input,
             &self.weight,
             grad_output,
             self.spec,
         )?;
-        if self.trainable {
-            self.d_weight.add_scaled(&grads.d_weight, 1.0)?;
-            self.d_bias.add_scaled(&grads.d_bias, 1.0)?;
-        }
-        Ok(grads.d_input)
-    }
-
-    fn param_grad_pairs(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
-        if self.trainable {
-            vec![
-                (&mut self.weight, &self.d_weight),
-                (&mut self.bias, &self.d_bias),
-            ]
-        } else {
-            Vec::new()
-        }
+        Ok((grads.d_input, vec![grads.d_weight, grads.d_bias]))
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -281,9 +239,12 @@ impl Layer for DepthwiseConv2d {
         }
     }
 
-    fn zero_grads(&mut self) {
-        self.d_weight.map_inplace(|_| 0.0);
-        self.d_bias.map_inplace(|_| 0.0);
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        if self.trainable {
+            vec![&mut self.weight, &mut self.bias]
+        } else {
+            Vec::new()
+        }
     }
 }
 
@@ -293,9 +254,9 @@ mod tests {
 
     #[test]
     fn identity_layer_is_a_no_op() {
-        let mut layer = DepthwiseConv2d::identity(3, 3).unwrap();
+        let layer = DepthwiseConv2d::identity(3, 3).unwrap();
         let input = Tensor::from_vec((0..48).map(|v| v as f32).collect(), &[1, 3, 4, 4]).unwrap();
-        let out = layer.forward(&input, false).unwrap();
+        let out = layer.infer(&input, &mut Scratch::new()).unwrap();
         for (a, b) in out.data().iter().zip(input.data().iter()) {
             assert!((a - b).abs() < 1e-6);
         }
@@ -304,30 +265,35 @@ mod tests {
     #[test]
     fn fixed_blur_layer_is_not_trainable() {
         let kernel = Tensor::full(&[5, 5], 1.0 / 25.0);
-        let mut layer = DepthwiseConv2d::fixed_kernel(4, &kernel).unwrap();
+        let layer = DepthwiseConv2d::fixed_kernel(4, &kernel).unwrap();
         assert!(!layer.is_trainable());
         assert_eq!(layer.kernel_size(), 5);
-        assert!(layer.param_grad_pairs().is_empty());
         assert_eq!(layer.parameter_count(), 0);
-        // Backward still propagates input gradients.
+        // The training step still propagates input gradients, and only those.
         let input = Tensor::ones(&[1, 4, 8, 8]);
-        let out = layer.forward(&input, true).unwrap();
-        let d_input = layer.backward(&Tensor::ones(out.dims())).unwrap();
+        let mut scratch = Scratch::new();
+        let mut tape = TapeSlot::default();
+        let out = layer
+            .infer_recording(&input, &mut tape, &mut scratch)
+            .unwrap();
+        let (d_input, params) = layer
+            .param_grad(&input, &tape, &Tensor::ones(out.dims()), &mut scratch)
+            .unwrap();
+        assert!(params.is_empty());
         assert_eq!(d_input.dims(), input.dims());
         assert!(d_input.l1_norm() > 0.0);
     }
 
     #[test]
     fn linf_penalty_and_subgradient() {
-        let mut layer = DepthwiseConv2d::identity(2, 3).unwrap();
+        let layer = DepthwiseConv2d::identity(2, 3).unwrap();
         // Identity kernels: each channel max |w| is 1 -> penalty = 2.
         assert!((layer.linf_penalty() - 2.0).abs() < 1e-6);
         let g = layer.linf_penalty_grad();
         // Exactly one non-zero entry per channel, equal to sign of the max tap.
         assert_eq!(g.data().iter().filter(|v| **v != 0.0).count(), 2);
         assert_eq!(g.l1_norm(), 2.0);
-        layer.accumulate_weight_grad(&g, 0.5).unwrap();
-        assert!(layer.param_grad_pairs()[0].1.l1_norm() > 0.0);
+        assert_eq!(g.dims(), layer.weight().dims());
     }
 
     #[test]

@@ -1,35 +1,39 @@
-//! The batch-parallel inference **and gradient** engine behind
-//! [`Sequential::forward_batch`] and [`Sequential::input_grad_batch`].
+//! The batch-parallel inference **and gradient** engine: the one forward
+//! and the one backward every caller runs through — inference, attack
+//! generation and training alike.
 //!
-//! Training needs the stateful [`crate::Layer::forward`] path (every layer
-//! caches intermediates for backward), which serializes a network behind
-//! `&mut self`. Inference does not: a [`BatchEngine`] takes an immutable
-//! borrow of a [`Sequential`], pre-packs each convolution's weights into the
-//! GEMM-ready transposed layout (and each dense layer's weights into
-//! `[in, out]`) exactly once, and then evaluates **batch shards in
-//! parallel** — the batch dimension is split into fixed-size shards that
-//! rayon workers process independently, each worker owning a private
-//! [`Scratch`] pool that is reused across every layer of every shard it
-//! processes.
+//! A [`BatchEngine`] takes an immutable borrow of a [`Sequential`],
+//! pre-packs each convolution's weights into the GEMM-ready transposed
+//! layout (and each dense layer's weights into `[in, out]`) exactly once,
+//! and then evaluates **batch shards in parallel** — the batch dimension is
+//! split into fixed-size shards that rayon workers process independently,
+//! each worker owning a private [`Scratch`] pool that is reused across
+//! every layer of every shard it processes.
 //!
 //! The gradient path works the same way: a recorded forward pass writes
 //! what backward needs into a caller-owned tape (one [`TapeSlot`] per
-//! layer, owned by the worker, never by the network), then
-//! [`BatchEngine::forward_backward_batch`] / [`BatchEngine::input_grad`]
-//! walk the tape backwards through each layer's immutable
-//! [`crate::Layer::input_grad`]. Only **input** gradients are produced —
-//! exactly what PGD/RP2/adaptive attack generation needs — so the
-//! weight-gradient GEMMs of the training backward are skipped entirely,
-//! and all `steps × images` gradient iterations of an attack run as
-//! `steps` batched passes.
+//! layer, owned by the worker, never by the network), then the backward
+//! walks the tape in reverse. It has two steps per layer:
+//!
+//! * **input gradient** ([`crate::Layer::input_grad`]) — what PGD/RP2/
+//!   adaptive attack generation needs through
+//!   [`BatchEngine::forward_backward_batch`] / [`BatchEngine::input_grad`].
+//!   The weight-gradient GEMMs are skipped and no layer input is kept, and
+//!   all `steps × images` gradient iterations of an attack run as `steps`
+//!   batched passes;
+//! * **parameter gradient** ([`crate::Layer::param_grad`]) — training,
+//!   through [`BatchEngine::train_step`]. The recorded pass additionally
+//!   keeps every layer's (owned) output, which is the next layer's forward
+//!   input, and the step returns every trainable parameter's gradient for
+//!   [`crate::Adam`]. This backward reads the network's own weights, not
+//!   the packs.
 //!
 //! # Determinism
 //!
-//! Forward outputs are **bit-identical** to running
-//! [`crate::Layer::forward`] with `train = false` over the same input, and
-//! input gradients are bit-identical to the per-image stateful
-//! [`Sequential::backward`] loop, for every batch size, shard size and
-//! thread count:
+//! Forward outputs are **bit-identical** to folding [`crate::Layer::infer`]
+//! over the layers, and input gradients to folding
+//! [`crate::Layer::infer_recording`] / [`crate::Layer::input_grad`], for
+//! every batch size, shard size and thread count:
 //!
 //! * shard boundaries depend only on the batch size, never on the thread
 //!   count;
@@ -39,6 +43,8 @@
 //! * workers write disjoint output ranges, so there are no accumulation
 //!   races.
 //!
+//! A training step runs **one shard holding the whole batch**, so its
+//! batch reductions (weight and bias gradients) keep one fixed order too.
 //! `RAYON_NUM_THREADS=1` (or a 1-thread `rayon` pool) therefore reproduces
 //! the parallel results exactly; the property tests in
 //! `tests/forward_batch.rs` and `tests/input_grad_batch.rs` pin this.
@@ -53,7 +59,7 @@
 //! (e.g. behind an `Arc`) across concurrently executing evaluation cells,
 //! and each cell freely constructs or reuses engines over those weights
 //! from whatever worker it lands on. Anything mutable (smoothing RNGs,
-//! training caches) lives outside the engine in per-cell clones.
+//! optimizer moments) lives outside the engine in per-cell state.
 
 use std::sync::Arc;
 
@@ -99,6 +105,71 @@ pub struct ShardGrad {
     pub loss: f32,
 }
 
+/// Gradients of one training backward pass.
+#[derive(Debug, Clone)]
+pub struct Gradients {
+    /// Gradient with respect to the network input, same shape as the input.
+    pub input: Tensor,
+    /// One gradient per trainable parameter, in [`Sequential::params_mut`]
+    /// order (layer by layer, each layer's [`Layer::params`] order).
+    pub params: Vec<Tensor>,
+}
+
+/// A recorded forward pass over one whole-batch shard: every layer's tape
+/// slot and owned output. The outputs double as the parameter-gradient
+/// step's forward inputs (layer `i` reads `outputs[i - 1]`).
+#[derive(Debug, Clone)]
+pub(crate) struct Recording {
+    tapes: Vec<TapeSlot>,
+    outputs: Vec<Tensor>,
+}
+
+impl Recording {
+    /// The recorded pass's logits (the last layer's output).
+    pub(crate) fn logits(&self) -> &Tensor {
+        self.outputs
+            .last()
+            .expect("non-empty network produced an output")
+    }
+
+    /// The training backward over this pass, recorded from `input`
+    /// through `net`: every layer's [`Layer::param_grad`] in reverse,
+    /// adding `injection` at its layer's output on the way. It reads the
+    /// network's own weights, so it needs no engine. Parameter gradients
+    /// come back in [`Sequential::params_mut`] order.
+    pub(crate) fn backward(
+        &self,
+        net: &Sequential,
+        input: &Tensor,
+        d_logits: Tensor,
+        injection: Option<(usize, &Tensor)>,
+        scratch: &mut Scratch,
+    ) -> Result<Gradients> {
+        if self.tapes.len() != net.len() {
+            return Err(NnError::MissingForwardCache("sequential".to_string()));
+        }
+        check_logit_grad(&d_logits, self.logits())?;
+        let mut grad = d_logits;
+        let mut params = vec![Vec::new(); net.len()];
+        for (i, layer) in net.iter().enumerate().rev() {
+            if let Some((idx, extra)) = injection {
+                if idx == i {
+                    grad.add_scaled(extra, 1.0)?;
+                }
+            }
+            let layer_input = if i == 0 { input } else { &self.outputs[i - 1] };
+            let (d_input, layer_params) =
+                layer.param_grad(layer_input, &self.tapes[i], &grad, scratch)?;
+            params[i] = layer_params;
+            grad = d_input;
+        }
+        Ok(Gradients {
+            input: grad,
+            params: params.into_iter().flatten().collect(),
+        })
+    }
+}
+
 /// Result of a batched forward + backward pass through a [`BatchEngine`].
 #[derive(Debug)]
 pub struct GradBatch {
@@ -134,6 +205,9 @@ pub struct GradBatch {
 /// # Ok::<(), blurnet_nn::NnError>(())
 /// ```
 pub struct BatchEngine<'n> {
+    /// The network the plan was built from; the training backward walks
+    /// its layers directly.
+    net: &'n Sequential,
     layers: Vec<EngineLayer<'n>>,
     shard_size: usize,
     /// Compute backend every kernel call routes through; per-worker
@@ -183,6 +257,7 @@ impl<'n> BatchEngine<'n> {
             });
         }
         Ok(BatchEngine {
+            net,
             layers,
             shard_size: DEFAULT_SHARD_IMAGES,
             backend: default_backend(),
@@ -222,30 +297,63 @@ impl<'n> BatchEngine<'n> {
         self.shard_size
     }
 
-    /// Runs every layer over one shard, drawing workspace from `scratch`.
-    fn infer_shard(&self, shard: &Tensor, scratch: &mut Scratch) -> Result<Tensor> {
+    /// Runs the first `depth` layers over one shard, drawing workspace from
+    /// `scratch`.
+    fn infer_shard(&self, shard: &Tensor, depth: usize, scratch: &mut Scratch) -> Result<Tensor> {
         let mut x: Option<Tensor> = None;
-        for engine_layer in &self.layers {
+        for engine_layer in &self.layers[..depth] {
             let input = x.as_ref().unwrap_or(shard);
-            let out = match engine_layer {
-                EngineLayer::Conv { layer, packed } => self.backend.conv2d_prepacked(
-                    input,
-                    packed,
-                    Some(layer.bias()),
-                    layer.spec(),
-                    scratch,
-                )?,
-                EngineLayer::Dense { layer, weight_t } => {
-                    layer.check_input(input)?;
-                    let mut out = self.backend.matmul(input, weight_t)?;
-                    layer.add_bias(&mut out);
-                    out
-                }
-                EngineLayer::Plain(kind) => kind.infer(input, scratch)?,
-            };
-            x = Some(out);
+            x = Some(self.infer_layer(engine_layer, input, scratch)?);
         }
         Ok(x.expect("non-empty network produced an output"))
+    }
+
+    /// One layer's forward: packed weights for convolutions and dense
+    /// layers, [`Layer::infer`] for everything else.
+    fn infer_layer(
+        &self,
+        engine_layer: &EngineLayer<'_>,
+        input: &Tensor,
+        scratch: &mut Scratch,
+    ) -> Result<Tensor> {
+        Ok(match engine_layer {
+            EngineLayer::Conv { layer, packed } => self.backend.conv2d_prepacked(
+                input,
+                packed,
+                Some(layer.bias()),
+                layer.spec(),
+                scratch,
+            )?,
+            EngineLayer::Dense { layer, weight_t } => {
+                layer.check_input(input)?;
+                let mut out = self.backend.matmul(input, weight_t)?;
+                layer.add_bias(&mut out);
+                out
+            }
+            EngineLayer::Plain(kind) => kind.infer(input, scratch)?,
+        })
+    }
+
+    /// One layer's recorded forward: `infer_layer` plus the layer's
+    /// backward record in `tape`.
+    fn record_layer(
+        &self,
+        engine_layer: &EngineLayer<'_>,
+        input: &Tensor,
+        tape: &mut TapeSlot,
+        scratch: &mut Scratch,
+    ) -> Result<Tensor> {
+        match engine_layer {
+            EngineLayer::Plain(kind) => kind.infer_recording(input, tape, scratch),
+            other => {
+                // Conv input gradients only need the recorded shape;
+                // dense ones need nothing.
+                if let EngineLayer::Conv { .. } = other {
+                    *tape = TapeSlot::InputDims(input.dims().to_vec());
+                }
+                self.infer_layer(other, input, scratch)
+            }
+        }
     }
 
     /// Runs every layer over one shard while recording each layer's
@@ -264,27 +372,7 @@ impl<'n> BatchEngine<'n> {
         let mut x: Option<Tensor> = None;
         for (i, engine_layer) in self.layers.iter().enumerate() {
             let input = x.as_ref().unwrap_or(shard);
-            let out = match engine_layer {
-                EngineLayer::Conv { layer, packed } => {
-                    let out = self.backend.conv2d_prepacked(
-                        input,
-                        packed,
-                        Some(layer.bias()),
-                        layer.spec(),
-                        scratch,
-                    )?;
-                    // Conv input gradients only need the recorded shape.
-                    tapes[i] = TapeSlot::InputDims(input.dims().to_vec());
-                    out
-                }
-                EngineLayer::Dense { layer, weight_t } => {
-                    layer.check_input(input)?;
-                    let mut out = self.backend.matmul(input, weight_t)?;
-                    layer.add_bias(&mut out);
-                    out
-                }
-                EngineLayer::Plain(kind) => kind.infer_recording(input, &mut tapes[i], scratch)?,
-            };
+            let out = self.record_layer(engine_layer, input, &mut tapes[i], scratch)?;
             if feature_layer == Some(i) {
                 feature = Some(out.clone());
             }
@@ -296,7 +384,7 @@ impl<'n> BatchEngine<'n> {
 
     /// Walks one shard's tape backwards through every layer's immutable
     /// input-gradient path, adding `injection` at `feature_layer`'s output
-    /// on the way (mirroring [`Sequential::backward_with_injection`]).
+    /// on the way.
     fn input_grad_shard(
         &self,
         tapes: &[TapeSlot],
@@ -351,17 +439,8 @@ impl<'n> BatchEngine<'n> {
     {
         let (logits, feature) = self.infer_shard_recorded(shard, feature_layer, tapes, scratch)?;
         let shard_grad = grad_fn(start, &logits, feature.as_ref())?;
-        if shard_grad.d_logits.dims() != logits.dims() {
-            return Err(NnError::BadConfig(format!(
-                "shard gradient shape {:?} does not match logits {:?}",
-                shard_grad.d_logits.dims(),
-                logits.dims()
-            )));
-        }
-        let injection = match (feature_layer, shard_grad.injection.as_ref()) {
-            (Some(idx), Some(extra)) => Some((idx, extra)),
-            _ => None,
-        };
+        check_logit_grad(&shard_grad.d_logits, &logits)?;
+        let injection = feature_layer.zip(shard_grad.injection.as_ref());
         let d_input = self.input_grad_shard(tapes, shard_grad.d_logits, injection, scratch)?;
         Ok((logits, d_input, shard_grad.loss))
     }
@@ -394,20 +473,7 @@ impl<'n> BatchEngine<'n> {
     where
         F: Fn(usize, &Tensor, Option<&Tensor>) -> Result<ShardGrad> + Sync,
     {
-        if input.shape().rank() < 2 || input.dims()[0] == 0 {
-            return Err(NnError::BadConfig(format!(
-                "forward_backward expects a non-empty [N, ...] batch, got {}",
-                input.shape()
-            )));
-        }
-        if let Some(idx) = feature_layer {
-            if idx >= self.layers.len() {
-                return Err(NnError::BadConfig(format!(
-                    "feature layer index {idx} out of range for {} layers",
-                    self.layers.len()
-                )));
-            }
-        }
+        self.check_gradient_call(input, feature_layer)?;
         let results = self.run_sharded(
             input,
             || (Scratch::with_backend(self.backend()), Vec::new()),
@@ -429,6 +495,88 @@ impl<'n> BatchEngine<'n> {
             input_grad: Tensor::concat_batch(&grads)?,
             shard_losses: losses,
         })
+    }
+
+    /// One training step's gradients: a recorded forward pass over **one
+    /// shard holding the whole batch**, the caller's loss closure, and a
+    /// backward pass that runs every layer's [`Layer::param_grad`] step.
+    ///
+    /// `grad_fn(logits, feature)` receives the batch logits and (when
+    /// `feature_layer` is `Some(i)`) the activation after layer `i`, and
+    /// returns the loss gradient, an optional gradient to inject at that
+    /// activation (the Eq. 4, 6–7 feature-map penalties) and the loss
+    /// value, which is returned alongside the gradients.
+    ///
+    /// One shard keeps every batch reduction in one fixed order, so the
+    /// gradients are bit-identical at every thread count. They come back
+    /// in [`Sequential::params_mut`] order, ready for [`crate::Adam::step`].
+    ///
+    /// Every workspace buffer comes from `scratch`, which should be bound
+    /// to this engine's backend ([`BatchEngine::backend`]). A training loop
+    /// keeps one pool across steps: the convolution workspaces are then
+    /// reused instead of being freshly allocated and page-faulted in every
+    /// step.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for an empty batch, an out-of-range
+    /// `feature_layer`, a shape the first layer rejects, a wrong-shaped
+    /// loss gradient, or any `grad_fn` failure.
+    pub fn train_step<F>(
+        &self,
+        input: &Tensor,
+        feature_layer: Option<usize>,
+        scratch: &mut Scratch,
+        grad_fn: F,
+    ) -> Result<(f32, Gradients)>
+    where
+        F: FnOnce(&Tensor, Option<&Tensor>) -> Result<ShardGrad>,
+    {
+        self.check_gradient_call(input, feature_layer)?;
+        let recording = self.record(input, scratch)?;
+        let feature = feature_layer.map(|idx| &recording.outputs[idx]);
+        let ShardGrad {
+            d_logits,
+            injection,
+            loss,
+        } = grad_fn(recording.logits(), feature)?;
+        let injection = feature_layer.zip(injection.as_ref());
+        let grads = recording.backward(self.net, input, d_logits, injection, scratch)?;
+        Ok((loss, grads))
+    }
+
+    /// The recorded forward of [`BatchEngine::train_step`]: one
+    /// whole-batch shard, every layer output kept.
+    pub(crate) fn record(&self, input: &Tensor, scratch: &mut Scratch) -> Result<Recording> {
+        self.check_gradient_call(input, None)?;
+        let mut tapes = vec![TapeSlot::default(); self.layers.len()];
+        let mut outputs: Vec<Tensor> = Vec::with_capacity(self.layers.len());
+        for (engine_layer, tape) in self.layers.iter().zip(tapes.iter_mut()) {
+            let layer_input = outputs.last().unwrap_or(input);
+            let out = self.record_layer(engine_layer, layer_input, tape, scratch)?;
+            outputs.push(out);
+        }
+        Ok(Recording { tapes, outputs })
+    }
+
+    /// Shared argument checks of the gradient entry points: a non-empty
+    /// `[N, ...]` batch and an in-range feature layer.
+    fn check_gradient_call(&self, input: &Tensor, feature_layer: Option<usize>) -> Result<()> {
+        if input.shape().rank() < 2 || input.dims()[0] == 0 {
+            return Err(NnError::BadConfig(format!(
+                "forward_backward expects a non-empty [N, ...] batch, got {}",
+                input.shape()
+            )));
+        }
+        if let Some(idx) = feature_layer {
+            if idx >= self.layers.len() {
+                return Err(NnError::BadConfig(format!(
+                    "feature layer index {idx} out of range for {} layers",
+                    self.layers.len()
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// The one shard scheduler behind [`BatchEngine::forward`] and
@@ -502,8 +650,8 @@ impl<'n> BatchEngine<'n> {
     /// sharded like [`BatchEngine::forward`].
     ///
     /// `grad_output` must be `[N, classes]` aligned with `input`'s batch
-    /// dimension. Bit-identical at every thread count, and identical to a
-    /// per-image stateful `forward`/`backward` loop over the same rows.
+    /// dimension. Bit-identical at every thread count, and identical to
+    /// folding each layer's `input_grad` over the same rows.
     ///
     /// # Errors
     ///
@@ -560,8 +708,8 @@ impl<'n> BatchEngine<'n> {
     /// Runs the network over an `[N, ...]` batch, sharding the batch
     /// dimension across rayon workers.
     ///
-    /// Bit-identical to a per-sample [`Sequential::forward`] loop with
-    /// `train = false`, at every thread count (see the module docs).
+    /// Bit-identical to folding [`Layer::infer`] over the layers, per
+    /// sample or per batch, at every thread count (see the module docs).
     ///
     /// # Errors
     ///
@@ -574,14 +722,15 @@ impl<'n> BatchEngine<'n> {
                 input.shape()
             )));
         }
+        let depth = self.layers.len();
         // Single-shard fast path: no slicing or concatenation to pay.
         if input.dims()[0].div_ceil(self.shard_size) == 1 {
-            return self.infer_shard(input, &mut Scratch::with_backend(self.backend()));
+            return self.infer_shard(input, depth, &mut Scratch::with_backend(self.backend()));
         }
         let parts = self.run_sharded(
             input,
             || Scratch::with_backend(self.backend()),
-            |scratch, _start, shard| self.infer_shard(shard, scratch),
+            |scratch, _start, shard| self.infer_shard(shard, depth, scratch),
         )?;
         Ok(Tensor::concat_batch(&parts)?)
     }
@@ -594,6 +743,19 @@ impl<'n> BatchEngine<'n> {
     /// Propagates [`BatchEngine::forward`] errors.
     pub fn predict(&self, input: &Tensor) -> Result<Vec<usize>> {
         loss::predictions(&self.forward(input)?)
+    }
+
+    /// The activation after layer `layer` (its output) for an `[N, ...]`
+    /// batch, e.g. the first-layer feature maps the spectrum figures
+    /// analyse. Runs layers `0..=layer` as one shard.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for an empty batch, an out-of-range `layer`, or a
+    /// shape the first layer rejects.
+    pub fn activation(&self, input: &Tensor, layer: usize) -> Result<Tensor> {
+        self.check_gradient_call(input, Some(layer))?;
+        self.infer_shard(input, layer + 1, &mut Scratch::with_backend(self.backend()))
     }
 
     /// Class prediction plus its softmax probability for every image of a
@@ -611,6 +773,19 @@ impl<'n> BatchEngine<'n> {
     pub fn classify_with_confidence(&self, input: &Tensor) -> Result<Vec<(usize, f32)>> {
         loss::confidences(&self.forward(input)?)
     }
+}
+
+/// Rejects a loss closure's gradient that does not match the logits it
+/// was handed.
+fn check_logit_grad(d_logits: &Tensor, logits: &Tensor) -> Result<()> {
+    if d_logits.dims() != logits.dims() {
+        return Err(NnError::BadConfig(format!(
+            "shard gradient shape {:?} does not match logits {:?}",
+            d_logits.dims(),
+            logits.dims()
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -634,7 +809,15 @@ mod tests {
         let mut net = lisa_net(1);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let batch = Tensor::rand_uniform(&[5, 3, 16, 16], 0.0, 1.0, &mut rng);
-        let reference = net.forward(&batch, false).unwrap();
+        // Independent reference: each layer's own `infer` (unpacked
+        // kernels) folded over the network.
+        let mut scratch = Scratch::new();
+        let reference = net
+            .iter()
+            .try_fold(batch.clone(), |x, layer| layer.infer(&x, &mut scratch))
+            .unwrap();
+        // The recorded (training) forward of the `&mut` wrapper agrees.
+        assert_eq!(net.forward(&batch, true).unwrap(), reference);
         let engine = BatchEngine::new(&net).unwrap();
         assert_eq!(engine.forward(&batch).unwrap(), reference);
         // A second call through the same engine (reused packs) agrees too.
@@ -677,9 +860,9 @@ mod tests {
         let mut net = lisa_net(7);
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let batch = Tensor::rand_uniform(&[4, 3, 16, 16], 0.0, 1.0, &mut rng);
-        let expected = net.predict(&batch).unwrap();
+        let stateful = loss::predictions(&net.forward(&batch, true).unwrap()).unwrap();
         let engine = BatchEngine::new(&net).unwrap();
-        assert_eq!(engine.predict(&batch).unwrap(), expected);
+        assert_eq!(engine.predict(&batch).unwrap(), stateful);
     }
 
     #[test]
@@ -718,6 +901,21 @@ mod tests {
         let engine = BatchEngine::new(&net).unwrap();
         assert!(engine.forward(&Tensor::zeros(&[0, 3, 16, 16])).is_err());
         assert!(engine.forward(&Tensor::zeros(&[4])).is_err());
+        let no_loss = |l: &Tensor, _: Option<&Tensor>| {
+            Ok(ShardGrad {
+                d_logits: Tensor::zeros(l.dims()),
+                injection: None,
+                loss: 0.0,
+            })
+        };
+        assert!(engine
+            .train_step(
+                &Tensor::zeros(&[0, 3, 16, 16]),
+                None,
+                &mut Scratch::new(),
+                no_loss
+            )
+            .is_err());
     }
 
     #[test]
@@ -725,19 +923,21 @@ mod tests {
         let mut net = lisa_net(11);
         let mut rng = ChaCha8Rng::seed_from_u64(12);
         let batch = Tensor::rand_uniform(&[5, 3, 16, 16], 0.0, 1.0, &mut rng);
-        let logits = net.forward(&batch, false).unwrap();
-        let grad_out = Tensor::rand_uniform(logits.dims(), -1.0, 1.0, &mut rng);
-        // Per-image mutable reference.
+        let grad_out = Tensor::rand_uniform(&[5, 18], -1.0, 1.0, &mut rng);
+        // Per-image reference through the `&mut` wrapper: the training
+        // backward's parameter-gradient steps (`conv2d_backward` on the
+        // unpacked weights, not the engine's pre-flipped direct kernel).
         let mut parts = Vec::new();
         for i in 0..5 {
-            let image = batch.batch_slice(i, 1).unwrap();
-            net.forward(&image, true).unwrap();
-            parts.push(net.backward(&grad_out.batch_slice(i, 1).unwrap()).unwrap());
+            net.forward(&batch.batch_slice(i, 1).unwrap(), true)
+                .unwrap();
+            let row = grad_out.batch_slice(i, 1).unwrap();
+            parts.push(net.backward(&row).unwrap().input);
         }
         let reference = Tensor::concat_batch(&parts).unwrap();
         let engine = BatchEngine::new(&net).unwrap();
         let got = engine.input_grad(&batch, &grad_out).unwrap();
-        assert_eq!(got, reference, "tape backward diverged from stateful");
+        assert_eq!(got, reference, "tape backward diverged from the wrapper");
         // Misaligned grad_output is rejected.
         assert!(engine.input_grad(&batch, &Tensor::zeros(&[4, 18])).is_err());
     }
@@ -771,26 +971,45 @@ mod tests {
     }
 
     #[test]
-    fn feature_collection_and_injection_match_stateful_path() {
-        let mut net = lisa_net(15);
+    fn feature_collection_and_injection_match_layer_fold() {
+        let net = lisa_net(15);
         let mut rng = ChaCha8Rng::seed_from_u64(16);
         let image = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, &mut rng);
         let feature_layer = 0usize;
-
-        // Stateful reference: collect activations, inject ones at conv1's
-        // output with a zero loss gradient.
-        let (logits, activations) = net.forward_collect(&image, true).unwrap();
-        let injection = Tensor::ones(activations[feature_layer].dims());
-        let reference = net
-            .backward_with_injection(&Tensor::zeros(logits.dims()), &[(0, injection.clone())])
-            .unwrap();
-
         let engine = BatchEngine::new(&net).unwrap();
+        let expected_feature = engine.activation(&image, feature_layer).unwrap();
+        let injection = Tensor::ones(expected_feature.dims());
+
+        // Reference: the training step's backward, a fold of every layer's
+        // parameter-gradient step, with the same injection.
+        let (loss, reference) = engine
+            .train_step(
+                &image,
+                Some(feature_layer),
+                &mut Scratch::new(),
+                |logits, feature| {
+                    assert_eq!(feature.expect("feature collected"), &expected_feature);
+                    Ok(ShardGrad {
+                        d_logits: Tensor::zeros(logits.dims()),
+                        injection: Some(injection.clone()),
+                        loss: 0.25,
+                    })
+                },
+            )
+            .unwrap();
+        assert_eq!(loss, 0.25);
+        let shapes: Vec<_> = net
+            .iter()
+            .flat_map(|l| l.params())
+            .map(|p| p.dims().to_vec())
+            .collect();
+        let got: Vec<_> = reference.params.iter().map(|g| g.dims().to_vec()).collect();
+        assert_eq!(got, shapes, "one gradient per parameter, in order");
+
         let out = engine
             .forward_backward_with(&image, Some(feature_layer), |_, shard_logits, feature| {
                 let feature = feature.expect("feature activation collected");
-                assert_eq!(feature.dims(), activations[feature_layer].dims());
-                assert_eq!(feature, &activations[feature_layer]);
+                assert_eq!(feature, &expected_feature);
                 Ok(ShardGrad {
                     d_logits: Tensor::zeros(shard_logits.dims()),
                     injection: Some(Tensor::ones(feature.dims())),
@@ -798,7 +1017,7 @@ mod tests {
                 })
             })
             .unwrap();
-        assert_eq!(out.input_grad, reference);
+        assert_eq!(out.input_grad, reference.input);
         assert_eq!(out.shard_losses, vec![0.5]);
 
         // Out-of-range feature layer is rejected up front.

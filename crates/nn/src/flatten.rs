@@ -1,40 +1,23 @@
 //! Flattening layer between convolutional and dense parts of the network.
 
 use blurnet_tensor::{Scratch, Tensor};
-use serde::{Deserialize, Serialize};
 
 use crate::{Layer, NnError, Result, TapeSlot};
 
 /// Flattens an `[N, ...]` tensor to `[N, features]`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Flatten {
-    #[serde(skip)]
-    cached_dims: Option<Vec<usize>>,
-}
+#[derive(Debug, Clone, Default)]
+pub struct Flatten;
 
 impl Flatten {
     /// Creates a flatten layer.
     pub fn new() -> Self {
-        Flatten { cached_dims: None }
+        Flatten
     }
 }
 
 impl Layer for Flatten {
     fn name(&self) -> &'static str {
         "flatten"
-    }
-
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        if input.shape().rank() < 2 {
-            return Err(NnError::BadConfig(format!(
-                "flatten expects at least rank 2, got {}",
-                input.shape()
-            )));
-        }
-        let n = input.dims()[0];
-        let features = input.len() / n;
-        self.cached_dims = Some(input.dims().to_vec());
-        Ok(input.reshape(&[n, features])?)
     }
 
     fn infer(&self, input: &Tensor, _scratch: &mut Scratch) -> Result<Tensor> {
@@ -70,24 +53,6 @@ impl Layer for Flatten {
         };
         Ok(grad_output.reshape(dims)?)
     }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let dims = self
-            .cached_dims
-            .as_ref()
-            .ok_or_else(|| NnError::MissingForwardCache(self.name().to_string()))?;
-        Ok(grad_output.reshape(dims)?)
-    }
-
-    fn param_grad_pairs(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
-        Vec::new()
-    }
-
-    fn params(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-
-    fn zero_grads(&mut self) {}
 }
 
 #[cfg(test)]
@@ -96,18 +61,25 @@ mod tests {
 
     #[test]
     fn flatten_and_unflatten() {
-        let mut flat = Flatten::new();
+        let flat = Flatten::new();
+        let mut scratch = Scratch::new();
         let input = Tensor::zeros(&[2, 3, 4, 4]);
-        let out = flat.forward(&input, false).unwrap();
+        let mut tape = TapeSlot::default();
+        let out = flat
+            .infer_recording(&input, &mut tape, &mut scratch)
+            .unwrap();
         assert_eq!(out.dims(), &[2, 48]);
-        let back = flat.backward(&out).unwrap();
+        let back = flat.input_grad(&tape, &out, &mut scratch).unwrap();
         assert_eq!(back.dims(), &[2, 3, 4, 4]);
     }
 
     #[test]
     fn rejects_rank1_input() {
-        let mut flat = Flatten::new();
-        assert!(flat.forward(&Tensor::zeros(&[4]), false).is_err());
-        assert!(flat.backward(&Tensor::zeros(&[2, 2])).is_err());
+        let flat = Flatten::new();
+        let mut scratch = Scratch::new();
+        assert!(flat.infer(&Tensor::zeros(&[4]), &mut scratch).is_err());
+        assert!(flat
+            .input_grad(&TapeSlot::Empty, &Tensor::zeros(&[2, 2]), &mut scratch)
+            .is_err());
     }
 }

@@ -1,22 +1,21 @@
-//! The [`Layer`] abstraction and the serializable [`LayerKind`] enum used by
+//! The [`Layer`] abstraction and the [`LayerKind`] enum used by
 //! [`crate::Sequential`].
 
 use blurnet_tensor::{Scratch, Tensor};
-use serde::{Deserialize, Serialize};
 
 use crate::{Conv2d, Dense, DepthwiseConv2d, Flatten, MaxPool2d, NnError, Relu, Result};
 
 /// A caller-owned backward record for one layer, written by
-/// [`Layer::infer_recording`] and consumed by [`Layer::input_grad`].
+/// [`Layer::infer_recording`] and consumed by [`Layer::input_grad`] and
+/// [`Layer::param_grad`].
 ///
-/// The mutable [`Layer::forward`]/[`Layer::backward`] path stores its cache
-/// *inside* the layer, which serializes a network behind `&mut self`. The
-/// tape moves that cache out to the caller: the layer stays immutable, so
+/// Layers hold no forward caches: the record lives with the caller, so
 /// one frozen network can run many recorded forward/backward passes
 /// concurrently (one tape vector per batch shard). Slots are deliberately
 /// minimal — the input-gradient backward never needs the forward input
 /// itself, only the ReLU sign mask, the max-pool argmax table and input
-/// shapes.
+/// shapes. The parameter-gradient step reads the forward input from the
+/// recorded pass's owned layer outputs instead.
 #[derive(Debug, Default, Clone)]
 pub enum TapeSlot {
     /// Nothing recorded (layers whose input gradient needs no forward
@@ -38,8 +37,8 @@ pub enum TapeSlot {
 }
 
 impl TapeSlot {
-    /// The error raised when a slot does not hold `layer`'s record — the
-    /// immutable analogue of calling `backward` before `forward`.
+    /// The error raised when a slot does not hold `layer`'s record — a
+    /// backward step without its recorded forward.
     pub(crate) fn mismatch(layer: &'static str) -> NnError {
         NnError::MissingForwardCache(layer.to_string())
     }
@@ -47,46 +46,27 @@ impl TapeSlot {
 
 /// A single differentiable network layer.
 ///
-/// `forward` caches whatever it needs so that a subsequent `backward` call
-/// can compute the gradient with respect to the layer input and accumulate
-/// parameter gradients internally. The [`Layer::infer_recording`] /
-/// [`Layer::input_grad`] pair is the immutable counterpart used by the
-/// batched gradient engine: the backward record lives in a caller-owned
-/// [`TapeSlot`] instead of the layer.
+/// Every method takes `&self`: a layer is its parameters and nothing
+/// else. The forward record a backward step needs lives in a
+/// caller-owned [`TapeSlot`] (written by [`Layer::infer_recording`]), and
+/// gradients are returned, never accumulated inside the layer. The batch
+/// engine drives both backward steps: [`Layer::input_grad`] for attack
+/// generation and [`Layer::param_grad`] for training.
 pub trait Layer: std::fmt::Debug {
     /// Human-readable layer name used in error messages and summaries.
     fn name(&self) -> &'static str;
 
-    /// Runs the layer on `input`, caching intermediates for `backward`.
-    ///
-    /// `train` distinguishes training from inference for layers that behave
-    /// differently (none of the current layers do, but defenses wrap this).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input shape is incompatible with the layer.
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor>;
-
-    /// Runs the layer in pure inference mode: no backward cache is written,
-    /// so the receiver stays immutable and the same layer can serve many
-    /// batch shards concurrently. Workspace buffers are drawn from the
-    /// caller's `scratch` pool.
-    ///
-    /// Produces bit-identical outputs to [`Layer::forward`] with
-    /// `train = false` on the same input.
+    /// Runs the layer in pure inference mode, drawing workspace buffers
+    /// from the caller's `scratch` pool.
     ///
     /// # Errors
     ///
     /// Returns an error if the input shape is incompatible with the layer.
     fn infer(&self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor>;
 
-    /// Runs the layer immutably like [`Layer::infer`], additionally
-    /// recording into the caller-owned `tape` exactly what a subsequent
-    /// [`Layer::input_grad`] call needs. Workspace buffers come from the
-    /// caller's `scratch` pool.
-    ///
-    /// Produces bit-identical outputs to [`Layer::forward`] with
-    /// `train = false` on the same input.
+    /// Runs the layer like [`Layer::infer`], additionally recording into
+    /// the caller-owned `tape` exactly what a subsequent backward step
+    /// needs. Produces bit-identical outputs to [`Layer::infer`].
     ///
     /// # Errors
     ///
@@ -98,14 +78,11 @@ pub trait Layer: std::fmt::Debug {
         scratch: &mut Scratch,
     ) -> Result<Tensor>;
 
-    /// Propagates `grad_output` back through the layer **immutably**,
-    /// consuming the record a prior [`Layer::infer_recording`] call wrote
-    /// into `tape` and returning the gradient with respect to the layer
-    /// input. No parameter gradients are accumulated — this is the
-    /// attack-generation backward, where only the input gradient matters.
-    ///
-    /// Produces the same input gradient as the stateful
-    /// [`Layer::backward`] on the same operands.
+    /// Propagates `grad_output` back through the layer, consuming the
+    /// record a prior [`Layer::infer_recording`] call wrote into `tape`
+    /// and returning the gradient with respect to the layer input. No
+    /// parameter gradients are computed — this is the attack-generation
+    /// backward, where only the input gradient matters.
     ///
     /// # Errors
     ///
@@ -119,28 +96,39 @@ pub trait Layer: std::fmt::Debug {
         scratch: &mut Scratch,
     ) -> Result<Tensor>;
 
-    /// Propagates `grad_output` back through the layer, accumulating
-    /// parameter gradients and returning the gradient with respect to the
-    /// layer input.
+    /// The training backward step: the gradient with respect to the layer
+    /// input plus one gradient per trainable parameter, in
+    /// [`Layer::params`] order. `input` is the forward input the recorded
+    /// pass kept for this layer.
+    ///
+    /// The default serves parameter-free layers: the input gradient of
+    /// [`Layer::input_grad`] and no parameter gradients.
     ///
     /// # Errors
     ///
-    /// Returns [`crate::NnError::MissingForwardCache`] if `forward` has not
-    /// been called, or a shape error if `grad_output` does not match the
-    /// cached forward output.
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor>;
+    /// As [`Layer::input_grad`], plus a shape error if `input` does not
+    /// match the recorded forward input.
+    fn param_grad(
+        &self,
+        _input: &Tensor,
+        tape: &TapeSlot,
+        grad_output: &Tensor,
+        scratch: &mut Scratch,
+    ) -> Result<(Tensor, Vec<Tensor>)> {
+        Ok((self.input_grad(tape, grad_output, scratch)?, Vec::new()))
+    }
 
-    /// Mutable (parameter, accumulated gradient) pairs, in a stable order.
-    ///
-    /// Non-trainable layers return an empty vector.
-    fn param_grad_pairs(&mut self) -> Vec<(&mut Tensor, &Tensor)>;
+    /// The trainable parameters, in a stable order. Parameter-free layers
+    /// keep the empty default.
+    fn params(&self) -> Vec<&Tensor> {
+        Vec::new()
+    }
 
-    /// Immutable access to the trainable parameters, in the same order as
-    /// [`Layer::param_grad_pairs`].
-    fn params(&self) -> Vec<&Tensor>;
-
-    /// Clears the accumulated parameter gradients.
-    fn zero_grads(&mut self);
+    /// Mutable access to the trainable parameters for the optimizer, in
+    /// the same order as [`Layer::params`].
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        Vec::new()
+    }
 
     /// Number of trainable scalar parameters.
     fn parameter_count(&self) -> usize {
@@ -148,9 +136,9 @@ pub trait Layer: std::fmt::Debug {
     }
 }
 
-/// A concrete, serializable layer. [`crate::Sequential`] stores this enum so
-/// whole networks can be cloned and serialized without trait objects.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A concrete layer. [`crate::Sequential`] stores this enum so whole
+/// networks can be cloned and persisted without trait objects.
+#[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)]
 pub enum LayerKind {
     /// Standard 2-D convolution.
@@ -185,10 +173,6 @@ impl Layer for LayerKind {
         dispatch!(self, l => l.name())
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        dispatch!(self, l => l.forward(input, train))
-    }
-
     fn infer(&self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor> {
         dispatch!(self, l => l.infer(input, scratch))
     }
@@ -211,20 +195,22 @@ impl Layer for LayerKind {
         dispatch!(self, l => l.input_grad(tape, grad_output, scratch))
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        dispatch!(self, l => l.backward(grad_output))
-    }
-
-    fn param_grad_pairs(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
-        dispatch!(self, l => l.param_grad_pairs())
+    fn param_grad(
+        &self,
+        input: &Tensor,
+        tape: &TapeSlot,
+        grad_output: &Tensor,
+        scratch: &mut Scratch,
+    ) -> Result<(Tensor, Vec<Tensor>)> {
+        dispatch!(self, l => l.param_grad(input, tape, grad_output, scratch))
     }
 
     fn params(&self) -> Vec<&Tensor> {
         dispatch!(self, l => l.params())
     }
 
-    fn zero_grads(&mut self) {
-        dispatch!(self, l => l.zero_grads())
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        dispatch!(self, l => l.params_mut())
     }
 }
 
@@ -281,11 +267,11 @@ mod tests {
             &mut rng,
         )
         .unwrap();
-        let mut kind: LayerKind = conv.clone().into();
+        let kind: LayerKind = conv.clone().into();
         assert_eq!(kind.name(), "conv2d");
         assert_eq!(kind.parameter_count(), conv.parameter_count());
         let input = Tensor::zeros(&[1, 3, 8, 8]);
-        let out = kind.forward(&input, false).unwrap();
+        let out = kind.infer(&input, &mut Scratch::new()).unwrap();
         assert_eq!(out.dims(), &[1, 4, 8, 8]);
     }
 

@@ -2,17 +2,19 @@
 //! passes, built for the BlurNet reproduction.
 //!
 //! The framework deliberately avoids a general autodiff tape: every layer
-//! implements its own forward and backward pass over
+//! implements its own immutable forward and backward steps over
 //! [`blurnet_tensor::Tensor`] values, which keeps the computation easy to
-//! audit and gives the two things the paper's experiments need beyond plain
-//! training:
+//! audit. One engine, [`BatchEngine`], drives them for every job, and gives
+//! the two things the paper's experiments need beyond plain training:
 //!
 //! * gradients **with respect to the input image** (for the RP2, PGD and
-//!   adaptive attacks), via [`Sequential::backward`] returning the input
-//!   gradient, and
+//!   adaptive attacks), via [`BatchEngine::input_grad`] /
+//!   [`BatchEngine::forward_backward_with`], and
 //! * gradient **injection at intermediate activations** (for the
 //!   total-variation and Tikhonov feature-map regularizers of Eq. 4, 6 and
-//!   7), via [`Sequential::backward_with_injection`].
+//!   7 in training, and their adaptive-attack counterparts of Eq. 9–11),
+//!   via the [`ShardGrad`] closure of [`BatchEngine::train_step`] and
+//!   [`BatchEngine::forward_backward_with`].
 //!
 //! The [`model::LisaCnn`] builder replicates the paper's road-sign
 //! classifier topology (three convolution layers plus a fully-connected
@@ -20,11 +22,10 @@
 //! the first convolution.
 //!
 //! Inference-heavy workloads (the attack×defense evaluation grids behind
-//! every table of the paper) go through the **batch-parallel engine**:
-//! [`Sequential::forward_batch`] / [`BatchEngine`] shard the batch
-//! dimension across rayon workers with per-worker scratch pools and
-//! once-per-pass weight packing, producing outputs bit-identical to the
-//! per-sample path at every thread count.
+//! every table of the paper) shard the batch dimension across rayon
+//! workers ([`Sequential::forward_batch`] / [`BatchEngine::forward`]) with
+//! per-worker scratch pools and once-per-pass weight packing, producing
+//! outputs bit-identical to the per-sample path at every thread count.
 //!
 //! # Example
 //!
@@ -35,9 +36,9 @@
 //! use rand_chacha::ChaCha8Rng;
 //!
 //! let mut rng = ChaCha8Rng::seed_from_u64(0);
-//! let mut net = LisaCnn::new(18).build(&mut rng)?;
+//! let net = LisaCnn::new(18).build(&mut rng)?;
 //! let batch = Tensor::zeros(&[2, 3, 32, 32]);
-//! let logits = net.forward(&batch, false)?;
+//! let logits = net.forward_batch(&batch)?;
 //! assert_eq!(logits.dims(), &[2, 18]);
 //! let (loss, _grad) = softmax_cross_entropy(&logits, &[0, 1])?;
 //! assert!(loss > 0.0);
@@ -64,14 +65,14 @@ pub mod pool;
 pub use conv::Conv2d;
 pub use dense::Dense;
 pub use depthwise::DepthwiseConv2d;
-pub use engine::{BatchEngine, GradBatch, ShardGrad};
+pub use engine::{BatchEngine, GradBatch, Gradients, ShardGrad};
 pub use error::NnError;
 pub use flatten::Flatten;
 pub use layer::{Layer, LayerKind, TapeSlot};
 pub use loss::{accuracy, softmax, softmax_cross_entropy};
 pub use model::{LisaCnn, LisaCnnConfig};
 pub use network::Sequential;
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use pool::MaxPool2d;
 
 pub use activation::Relu;

@@ -1,32 +1,42 @@
 //! The [`Sequential`] network container.
 
-use blurnet_tensor::Tensor;
-use serde::{Deserialize, Serialize};
+use blurnet_tensor::{Scratch, Tensor};
 
-use crate::{loss, BatchEngine, Layer, LayerKind, NnError, Result};
+use crate::engine::Recording;
+use crate::{loss, BatchEngine, Gradients, Layer, LayerKind, NnError, Result};
 
 /// A feed-forward stack of layers.
 ///
-/// Beyond the usual forward/backward API the container supports the two
-/// operations the BlurNet experiments need:
-///
-/// * [`Sequential::forward_collect`] returns every intermediate activation,
-///   so feature-map regularizers and the spectrum analyses of Figures 2 and
-///   4 can inspect specific layers;
-/// * [`Sequential::backward_with_injection`] adds extra gradient at chosen
-///   layer outputs while back-propagating, which is how the TV and Tikhonov
-///   penalties on first-layer feature maps reach the first convolution's
-///   weights (Eq. 4, 6, 7) — and how adaptive attacks reach the input
-///   (Eq. 9–11).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// A network is its layers' parameters. Every forward and backward pass
+/// runs through the [`BatchEngine`] built over an immutable borrow
+/// ([`Sequential::batch_engine`]): inference and attack-generation
+/// gradients ([`BatchEngine::forward`], [`BatchEngine::input_grad`],
+/// [`BatchEngine::forward_backward_with`] with a feature-map gradient
+/// injection for the Eq. 9–11 adaptive attacks) and training
+/// ([`BatchEngine::train_step`], whose injection carries the Eq. 4, 6–7
+/// feature-map penalties to the first convolution's weights).
+/// [`Sequential::params_mut`] hands the parameters to [`crate::Adam`].
+#[derive(Debug, Clone, Default)]
 pub struct Sequential {
     layers: Vec<LayerKind>,
+    /// The last [`Sequential::forward`] pass recorded with `train`,
+    /// consumed by [`Sequential::backward`].
+    recorded: Option<RecordedPass>,
+}
+
+/// A training-mode forward pass: its input, the engine recording, and the
+/// workspace pool both halves draw from (kept across passes).
+#[derive(Debug, Clone)]
+struct RecordedPass {
+    input: Tensor,
+    recording: Recording,
+    scratch: Scratch,
 }
 
 impl Sequential {
     /// Creates an empty network.
     pub fn new() -> Self {
-        Sequential { layers: Vec::new() }
+        Sequential::default()
     }
 
     /// Appends a layer and returns `self` for chaining.
@@ -59,64 +69,104 @@ impl Sequential {
         self.layers.get(index)
     }
 
-    /// Mutable access to layer `index`.
-    pub fn layer_mut(&mut self, index: usize) -> Option<&mut LayerKind> {
-        self.layers.get_mut(index)
-    }
-
     /// Iterates over the layers.
     pub fn iter(&self) -> std::slice::Iter<'_, LayerKind> {
         self.layers.iter()
     }
 
-    /// Runs the network on a batch, caching intermediates for `backward`.
+    /// Mutable access to every trainable parameter for the optimizer, in
+    /// the order [`BatchEngine::train_step`] returns their gradients.
+    pub fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        self.layers
+            .iter_mut()
+            .flat_map(|l| l.params_mut())
+            .collect()
+    }
+
+    /// Runs the network on a batch through the engine. With `train` the
+    /// pass is recorded (input plus engine recording) for a following
+    /// [`Sequential::backward`]; without it any earlier recording is
+    /// dropped.
+    ///
+    /// This pair exists for the `blurbench` `nn.param_grad_ms` probe, which
+    /// times a training forward/backward through this `&mut` interface;
+    /// everything else calls [`BatchEngine::train_step`] directly.
     ///
     /// # Errors
     ///
     /// Propagates the first layer error (shape mismatch, empty network, …).
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        if self.layers.is_empty() {
-            return Err(NnError::BadConfig("network has no layers".into()));
+        let previous = self.recorded.take();
+        if !train {
+            return self.forward_batch(input);
         }
-        // Feed each layer the previous layer's owned output — no per-layer
-        // activation clones on the batched forward path.
-        let mut x: Option<Tensor> = None;
-        for layer in &mut self.layers {
-            let out = match &x {
-                None => layer.forward(input, train)?,
-                Some(prev) => layer.forward(prev, train)?,
-            };
-            x = Some(out);
-        }
-        Ok(x.expect("non-empty network produced an output"))
+        let engine = BatchEngine::new(self)?;
+        let mut scratch =
+            previous.map_or_else(|| Scratch::with_backend(engine.backend()), |p| p.scratch);
+        let recording = engine.record(input, &mut scratch)?;
+        let logits = recording.logits().clone();
+        self.recorded = Some(RecordedPass {
+            input: input.clone(),
+            recording,
+            scratch,
+        });
+        Ok(logits)
+    }
+
+    /// Back-propagates `grad_output` through the pass the last
+    /// `forward(_, true)` recorded, with the training backward of
+    /// [`BatchEngine::train_step`]: each layer's parameter-gradient step on
+    /// this network's weights, with no engine built. Returns the input
+    /// gradient and every parameter gradient; nothing is accumulated in
+    /// the network. See [`Sequential::forward`] for why this pair exists.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::MissingForwardCache`] without a recorded pass,
+    /// or a shape error if `grad_output` does not match its logits.
+    pub fn backward(&mut self, grad_output: &Tensor) -> Result<Gradients> {
+        let mut pass = self
+            .recorded
+            .take()
+            .ok_or_else(|| NnError::MissingForwardCache("sequential".to_string()))?;
+        let grads = pass.recording.backward(
+            self,
+            &pass.input,
+            grad_output.clone(),
+            None,
+            &mut pass.scratch,
+        );
+        self.recorded = Some(pass);
+        grads
     }
 
     /// Runs the network over an `[N, ...]` batch in pure inference mode,
     /// sharding the batch dimension across rayon workers (see
-    /// [`BatchEngine`]).
-    ///
-    /// Unlike [`Sequential::forward`], the receiver stays immutable: no
-    /// backward caches are written, so one network can serve concurrent
-    /// callers. The output is **bit-identical** to a per-sample `forward`
-    /// loop with `train = false`, at every `RAYON_NUM_THREADS` setting.
+    /// [`BatchEngine`]). The output is **bit-identical** at every
+    /// `RAYON_NUM_THREADS` setting.
     ///
     /// This builds a fresh [`BatchEngine`] per call (packing each layer's
     /// weights once); loops that evaluate many batches against a frozen
     /// network should hold a [`Sequential::batch_engine`] instead.
     ///
     /// ```
-    /// use blurnet_nn::LisaCnn;
-    /// use blurnet_tensor::Tensor;
+    /// use blurnet_nn::{Layer, LisaCnn};
+    /// use blurnet_tensor::{Scratch, Tensor};
     /// use rand::SeedableRng;
     /// use rand_chacha::ChaCha8Rng;
     ///
     /// let mut rng = ChaCha8Rng::seed_from_u64(0);
-    /// let mut net = LisaCnn::new(18).build(&mut rng)?;
+    /// let net = LisaCnn::new(18).build(&mut rng)?;
     /// let batch = Tensor::zeros(&[4, 3, 32, 32]);
     /// let logits = net.forward_batch(&batch)?;
     /// assert_eq!(logits.dims(), &[4, 18]);
-    /// // Identical to the stateful forward pass, bit for bit.
-    /// assert_eq!(logits, net.forward(&batch, false)?);
+    /// // Identical to folding each layer's own inference, bit for bit.
+    /// let mut scratch = Scratch::new();
+    /// let mut folded = batch.clone();
+    /// for layer in net.iter() {
+    ///     folded = layer.infer(&folded, &mut scratch)?;
+    /// }
+    /// assert_eq!(logits, folded);
     /// # Ok::<(), blurnet_nn::NnError>(())
     /// ```
     ///
@@ -144,11 +194,9 @@ impl Sequential {
     /// the workers, not the network) followed by a tape-driven backward,
     /// sharded across rayon workers like [`Sequential::forward_batch`].
     ///
-    /// No layer caches are written and no parameter gradients are
-    /// accumulated — this is the attack-generation backward. The result is
-    /// bit-identical at every `RAYON_NUM_THREADS` setting and matches a
-    /// per-image [`Sequential::forward`] + [`Sequential::backward`] loop
-    /// over the same rows (pinned by `tests/input_grad_batch.rs`).
+    /// No parameter gradients are computed — this is the attack-generation
+    /// backward. The result is bit-identical at every `RAYON_NUM_THREADS`
+    /// setting (pinned by `tests/input_grad_batch.rs`).
     ///
     /// This builds a fresh [`BatchEngine`] per call; gradient loops (PGD
     /// steps, RP2 iterations) should hold a [`Sequential::batch_engine`]
@@ -175,142 +223,17 @@ impl Sequential {
         BatchEngine::new(self)
     }
 
-    /// Runs the network and returns the final output together with the
-    /// activation after every layer (`activations[i]` is layer `i`'s
-    /// output).
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer errors.
-    pub fn forward_collect(
-        &mut self,
-        input: &Tensor,
-        train: bool,
-    ) -> Result<(Tensor, Vec<Tensor>)> {
-        if self.layers.is_empty() {
-            return Err(NnError::BadConfig("network has no layers".into()));
-        }
-        let mut activations: Vec<Tensor> = Vec::with_capacity(self.layers.len());
-        for layer in &mut self.layers {
-            let out = match activations.last() {
-                None => layer.forward(input, train)?,
-                Some(prev) => layer.forward(prev, train)?,
-            };
-            activations.push(out);
-        }
-        let output = activations
-            .last()
-            .expect("non-empty network produced an output")
-            .clone();
-        Ok((output, activations))
-    }
-
-    /// Back-propagates `grad_output` through the whole network, accumulating
-    /// parameter gradients and returning the gradient with respect to the
-    /// network input.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `forward` has not been called or shapes mismatch.
-    pub fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        self.backward_with_injection(grad_output, &[])
-    }
-
-    /// Like [`Sequential::backward`], but adds `injection` gradients at the
-    /// *output* of the named layers while the gradient flows backwards.
-    ///
-    /// `injections` maps a layer index `i` to an extra gradient with the
-    /// same shape as layer `i`'s output. This realizes loss terms of the
-    /// form `R(F_i)` where `F_i` is an intermediate activation: pass
-    /// `dR/dF_i` here and the chain rule does the rest.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for out-of-range indices, shape mismatches, or a
-    /// missing forward pass.
-    pub fn backward_with_injection(
-        &mut self,
-        grad_output: &Tensor,
-        injections: &[(usize, Tensor)],
-    ) -> Result<Tensor> {
-        if self.layers.is_empty() {
-            return Err(NnError::BadConfig("network has no layers".into()));
-        }
-        for (idx, _) in injections {
-            if *idx >= self.layers.len() {
-                return Err(NnError::BadConfig(format!(
-                    "injection index {idx} out of range for {} layers",
-                    self.layers.len()
-                )));
-            }
-        }
-        let mut grad = grad_output.clone();
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            // Extra gradient arriving directly at this layer's output.
-            for (idx, extra) in injections {
-                if *idx == i {
-                    grad.add_scaled(extra, 1.0)?;
-                }
-            }
-            grad = layer.backward(&grad)?;
-        }
-        Ok(grad)
-    }
-
-    /// Flattened `(parameter, gradient)` pairs across every layer, in a
-    /// stable order suitable for [`crate::Optimizer::step`].
-    pub fn param_grad_pairs(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.param_grad_pairs())
-            .collect()
-    }
-
-    /// Clears the accumulated gradients of every layer.
-    pub fn zero_grads(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grads();
-        }
-    }
-
     /// Total number of trainable scalar parameters.
     pub fn parameter_count(&self) -> usize {
         self.layers.iter().map(|l| l.parameter_count()).sum()
-    }
-
-    /// Class predictions (argmax of the logits) for a batch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates forward-pass errors.
-    pub fn predict(&mut self, input: &Tensor) -> Result<Vec<usize>> {
-        let logits = self.forward(input, false)?;
-        loss::predictions(&logits)
-    }
-
-    /// Serializes the network (architecture and weights) to JSON bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Serialization`] if encoding fails.
-    pub fn to_bytes(&self) -> Result<Vec<u8>> {
-        serde_json::to_vec(self).map_err(|e| NnError::Serialization(e.to_string()))
-    }
-
-    /// Restores a network serialized with [`Sequential::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Serialization`] if decoding fails.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        serde_json::from_slice(bytes).map_err(|e| NnError::Serialization(e.to_string()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Conv2d, Dense, Flatten, MaxPool2d, Relu};
+    use crate::persist::{sequential_from_bytes, sequential_to_bytes};
+    use crate::{softmax_cross_entropy, Adam, Conv2d, Dense, Flatten, MaxPool2d, Relu, ShardGrad};
     use blurnet_tensor::ConvSpec;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -325,6 +248,26 @@ mod tests {
         net
     }
 
+    /// A training step with a zero loss term: just `d_logits` and the
+    /// optional injection.
+    fn grads_of(
+        net: &Sequential,
+        x: &Tensor,
+        d_logits: Tensor,
+        injection: Option<(usize, Tensor)>,
+    ) -> Result<Gradients> {
+        let engine = net.batch_engine()?;
+        let feature_layer = injection.as_ref().map(|(i, _)| *i);
+        let (_, grads) = engine.train_step(x, feature_layer, &mut Scratch::new(), |_, _| {
+            Ok(ShardGrad {
+                d_logits,
+                injection: injection.map(|(_, g)| g),
+                loss: 0.0,
+            })
+        })?;
+        Ok(grads)
+    }
+
     #[test]
     fn forward_and_predict_shapes() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
@@ -332,19 +275,20 @@ mod tests {
         let x = Tensor::zeros(&[4, 1, 8, 8]);
         let y = net.forward(&x, false).unwrap();
         assert_eq!(y.dims(), &[4, 3]);
-        assert_eq!(net.predict(&x).unwrap().len(), 4);
+        assert_eq!(net.predict_batch(&x).unwrap().len(), 4);
         assert!(net.parameter_count() > 0);
     }
 
     #[test]
-    fn forward_collect_returns_every_activation() {
+    fn activation_returns_every_layer_output() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut net = tiny_net(&mut rng);
+        let net = tiny_net(&mut rng);
         let x = Tensor::zeros(&[1, 1, 8, 8]);
-        let (out, acts) = net.forward_collect(&x, false).unwrap();
-        assert_eq!(acts.len(), net.len());
-        assert_eq!(acts[0].dims(), &[1, 2, 8, 8]);
-        assert_eq!(acts.last().unwrap().dims(), out.dims());
+        let engine = net.batch_engine().unwrap();
+        assert_eq!(engine.activation(&x, 0).unwrap().dims(), &[1, 2, 8, 8]);
+        let last = engine.activation(&x, net.len() - 1).unwrap();
+        assert_eq!(last, engine.forward(&x).unwrap());
+        assert!(engine.activation(&x, net.len()).is_err());
     }
 
     #[test]
@@ -353,9 +297,16 @@ mod tests {
         let mut net = tiny_net(&mut rng);
         let x = Tensor::rand_uniform(&[2, 1, 8, 8], -1.0, 1.0, &mut rng);
         let y = net.forward(&x, true).unwrap();
-        let d_input = net.backward(&Tensor::ones(y.dims())).unwrap();
-        assert_eq!(d_input.dims(), x.dims());
-        assert!(d_input.l1_norm() > 0.0);
+        let grads = net.backward(&Tensor::ones(y.dims())).unwrap();
+        assert_eq!(grads.input.dims(), x.dims());
+        assert!(grads.input.l1_norm() > 0.0);
+        // The probe wrapper is the engine's training step, bit for bit.
+        let direct = grads_of(&net, &x, Tensor::ones(y.dims()), None).unwrap();
+        assert_eq!(grads.input, direct.input);
+        assert_eq!(grads.params, direct.params);
+        // An inference forward drops the recording.
+        net.forward(&x, false).unwrap();
+        assert!(net.backward(&Tensor::ones(y.dims())).is_err());
     }
 
     #[test]
@@ -364,7 +315,7 @@ mod tests {
         let mut net = tiny_net(&mut rng);
         let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, &mut rng);
         let y = net.forward(&x, true).unwrap();
-        let d_input = net.backward(&Tensor::ones(y.dims())).unwrap();
+        let d_input = net.backward(&Tensor::ones(y.dims())).unwrap().input;
         // eps must stay small: at 1e-2 the central difference for this seed
         // steps across a max-pool argmax flip at index 0 and reads exactly
         // twice the true slope (at 1e-3 it matches the analytic gradient to
@@ -390,63 +341,60 @@ mod tests {
     #[test]
     fn injection_changes_first_layer_gradients() {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let mut net = tiny_net(&mut rng);
+        let net = tiny_net(&mut rng);
         let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, &mut rng);
+        let zeros = Tensor::zeros(&[1, 3]);
 
-        let y = net.forward(&x, true).unwrap();
-        net.zero_grads();
-        net.backward(&Tensor::zeros(y.dims())).unwrap();
-        let baseline: f32 = net.param_grad_pairs()[0].1.l1_norm();
-        assert_eq!(baseline, 0.0);
+        let baseline = grads_of(&net, &x, zeros.clone(), None).unwrap();
+        assert_eq!(baseline.params[0].l1_norm(), 0.0);
 
         // Injecting gradient at the conv output (layer 0) with a zero loss
         // gradient must still produce conv weight gradients.
-        net.forward(&x, true).unwrap();
-        net.zero_grads();
         let injection = Tensor::ones(&[1, 2, 8, 8]);
-        net.backward_with_injection(&Tensor::zeros(y.dims()), &[(0, injection)])
-            .unwrap();
-        let with_injection: f32 = net.param_grad_pairs()[0].1.l1_norm();
-        assert!(with_injection > 0.0);
+        let injected = grads_of(&net, &x, zeros, Some((0, injection))).unwrap();
+        assert!(injected.params[0].l1_norm() > 0.0);
     }
 
     #[test]
     fn injection_index_validation() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let mut net = tiny_net(&mut rng);
+        let net = tiny_net(&mut rng);
         let x = Tensor::zeros(&[1, 1, 8, 8]);
-        let y = net.forward(&x, true).unwrap();
-        let err =
-            net.backward_with_injection(&Tensor::zeros(y.dims()), &[(99, Tensor::zeros(&[1]))]);
+        let err = grads_of(
+            &net,
+            &x,
+            Tensor::zeros(&[1, 3]),
+            Some((99, Tensor::zeros(&[1]))),
+        );
         assert!(err.is_err());
+        // A loss gradient that does not match the logits is rejected too.
+        assert!(grads_of(&net, &x, Tensor::zeros(&[1, 4]), None).is_err());
     }
 
     #[test]
     fn serialization_roundtrip_preserves_outputs() {
         let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let mut net = tiny_net(&mut rng);
+        let net = tiny_net(&mut rng);
         let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, &mut rng);
-        let y1 = net.forward(&x, false).unwrap();
-        let bytes = net.to_bytes().unwrap();
-        let mut restored = Sequential::from_bytes(&bytes).unwrap();
-        let y2 = restored.forward(&x, false).unwrap();
-        for (a, b) in y1.data().iter().zip(y2.data().iter()) {
-            assert!((a - b).abs() < 1e-6);
-        }
-        assert!(Sequential::from_bytes(b"not json").is_err());
+        let restored = sequential_from_bytes(&sequential_to_bytes(&net)).unwrap();
+        assert_eq!(
+            net.forward_batch(&x).unwrap(),
+            restored.forward_batch(&x).unwrap()
+        );
+        assert!(sequential_from_bytes(b"not a network").is_err());
     }
 
     #[test]
     fn empty_network_is_an_error() {
         let mut net = Sequential::new();
         assert!(net.forward(&Tensor::zeros(&[1, 1, 4, 4]), false).is_err());
+        assert!(net.forward(&Tensor::zeros(&[1, 1, 4, 4]), true).is_err());
         assert!(net.backward(&Tensor::zeros(&[1, 3])).is_err());
         assert!(net.is_empty());
     }
 
     #[test]
     fn training_reduces_loss_on_a_toy_problem() {
-        use crate::{softmax_cross_entropy, Adam, Optimizer};
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let mut net = tiny_net(&mut rng);
         // Two distinguishable patterns.
@@ -457,22 +405,28 @@ mod tests {
         }
         let labels = [0usize, 1usize];
         let mut adam = Adam::new(0.01).unwrap();
+        let mut scratch = Scratch::new();
         let mut first_loss = None;
         let mut last_loss = 0.0;
         for _ in 0..60 {
-            let logits = net.forward(&x, true).unwrap();
-            let (loss, grad) = softmax_cross_entropy(&logits, &labels).unwrap();
-            net.zero_grads();
-            net.backward(&grad).unwrap();
-            let mut pairs = net.param_grad_pairs();
+            let (loss, grads) = net
+                .batch_engine()
+                .unwrap()
+                .train_step(&x, None, &mut scratch, |logits, _| {
+                    let (loss, d_logits) = softmax_cross_entropy(logits, &labels)?;
+                    Ok(ShardGrad {
+                        d_logits,
+                        injection: None,
+                        loss,
+                    })
+                })
+                .unwrap();
+            let mut pairs: Vec<_> = net.params_mut().into_iter().zip(&grads.params).collect();
             adam.step(&mut pairs).unwrap();
-            if first_loss.is_none() {
-                first_loss = Some(loss);
-            }
+            first_loss.get_or_insert(loss);
             last_loss = loss;
         }
         assert!(last_loss < 0.5 * first_loss.unwrap());
-        let logits = net.forward(&x, false).unwrap();
-        assert_eq!(crate::loss::predictions(&logits).unwrap(), vec![0, 1]);
+        assert_eq!(net.predict_batch(&x).unwrap(), vec![0, 1]);
     }
 }

@@ -1,92 +1,16 @@
-//! Gradient-descent optimizers.
-//!
-//! The paper trains every classifier with Adam (β₁ = 0.9, β₂ = 0.999,
-//! ε = 1e-8); SGD is provided for tests and ablations.
+//! The optimizer: the paper trains every classifier with Adam
+//! (β₁ = 0.9, β₂ = 0.999, ε = 1e-8).
 
 use blurnet_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 use crate::{NnError, Result};
 
-/// An optimizer that updates parameters from accumulated gradients.
-///
-/// The `pairs` passed to [`Optimizer::step`] must come from the same network
-/// in the same order on every call; stateful optimizers key their moment
-/// estimates by position.
-pub trait Optimizer {
-    /// Applies one update step to every `(parameter, gradient)` pair.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the parameter set changes shape between calls.
-    fn step(&mut self, pairs: &mut [(&mut Tensor, &Tensor)]) -> Result<()>;
-
-    /// The current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (for simple schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BadConfig`] for a non-positive learning rate or a
-    /// momentum outside `[0, 1)`.
-    pub fn new(lr: f32, momentum: f32) -> Result<Self> {
-        if lr <= 0.0 || !(0.0..1.0).contains(&momentum) {
-            return Err(NnError::BadConfig(format!(
-                "invalid SGD hyper-parameters lr={lr}, momentum={momentum}"
-            )));
-        }
-        Ok(Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        })
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, pairs: &mut [(&mut Tensor, &Tensor)]) -> Result<()> {
-        if self.velocity.is_empty() {
-            self.velocity = pairs.iter().map(|(p, _)| Tensor::zeros(p.dims())).collect();
-        }
-        if self.velocity.len() != pairs.len() {
-            return Err(NnError::BadConfig(
-                "parameter count changed between optimizer steps".into(),
-            ));
-        }
-        for (i, (param, grad)) in pairs.iter_mut().enumerate() {
-            let v = &mut self.velocity[i];
-            v.map_inplace(|x| x * self.momentum);
-            v.add_scaled(grad, 1.0)?;
-            param.add_scaled(v, -self.lr)?;
-        }
-        Ok(())
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
 /// The Adam optimizer (Kingma & Ba) with the paper's default moments.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Moment estimates are keyed by position: the `pairs` passed to
+/// [`Adam::step`] must come from the same parameters in the same order on
+/// every call.
+#[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
     beta1: f32,
@@ -130,10 +54,13 @@ impl Adam {
             v: Vec::new(),
         })
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, pairs: &mut [(&mut Tensor, &Tensor)]) -> Result<()> {
+    /// Applies one update step to every `(parameter, gradient)` pair.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the parameter set changes between calls.
+    pub fn step(&mut self, pairs: &mut [(&mut Tensor, &Tensor)]) -> Result<()> {
         if self.m.is_empty() {
             self.m = pairs.iter().map(|(p, _)| Tensor::zeros(p.dims())).collect();
             self.v = pairs.iter().map(|(p, _)| Tensor::zeros(p.dims())).collect();
@@ -169,23 +96,15 @@ impl Optimizer for Adam {
         }
         Ok(())
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Minimizes f(x) = ||x - target||² with the given optimizer and returns
-    /// the final distance to the target.
-    fn optimize<O: Optimizer>(opt: &mut O, steps: usize) -> f32 {
+    /// Minimizes f(x) = ||x - target||² with Adam and returns the final
+    /// distance to the target.
+    fn optimize(opt: &mut Adam, steps: usize) -> f32 {
         let target = Tensor::from_vec(vec![1.0, -2.0, 3.0], &[3]).unwrap();
         let mut x = Tensor::zeros(&[3]);
         for _ in 0..steps {
@@ -194,18 +113,6 @@ mod tests {
             opt.step(&mut pairs_holder).unwrap();
         }
         x.sub(&target).unwrap().l2_norm()
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut sgd = Sgd::new(0.1, 0.0).unwrap();
-        assert!(optimize(&mut sgd, 200) < 1e-3);
-    }
-
-    #[test]
-    fn sgd_with_momentum_converges() {
-        let mut sgd = Sgd::new(0.05, 0.9).unwrap();
-        assert!(optimize(&mut sgd, 300) < 1e-2);
     }
 
     #[test]
@@ -229,14 +136,6 @@ mod tests {
     fn hyper_parameter_validation() {
         assert!(Adam::new(0.0).is_err());
         assert!(Adam::with_betas(0.1, 1.0, 0.999, 1e-8).is_err());
-        assert!(Sgd::new(-0.1, 0.0).is_err());
-        assert!(Sgd::new(0.1, 1.0).is_err());
-    }
-
-    #[test]
-    fn learning_rate_override() {
-        let mut adam = Adam::new(0.1).unwrap();
-        adam.set_learning_rate(0.5);
-        assert_eq!(adam.learning_rate(), 0.5);
+        assert!(Adam::with_betas(0.1, 0.9, 0.999, 0.0).is_err());
     }
 }

@@ -21,11 +21,10 @@
 //! | 5 | [`Flatten`] | — |
 //! | 6 | [`Dense`] | weight, bias |
 //!
-//! Only trained state is persisted: gradient accumulators and forward
-//! caches are rebuilt as zeros/empty on load (the `from_parts`
-//! constructors), which is exactly the state a freshly trained network is
-//! in after `zero_grads` — so save→load→infer is **bit-identical** to
-//! inferring with the original network.
+//! A layer's parameters are its whole state (layers hold no caches or
+//! gradient accumulators), so the `from_parts` constructors rebuild the
+//! exact network and save→load→infer is **bit-identical** to inferring
+//! with the original.
 
 use blurnet_tensor::persist::{put_u64, read_tensor, write_tensor, ByteReader};
 use blurnet_tensor::{ConvSpec, TensorError};

@@ -1,15 +1,16 @@
-//! Property tests pinning the batch-parallel inference engine to the
-//! per-sample forward path.
+//! Property tests pinning the batch-parallel inference engine to an
+//! independent per-sample reference.
 //!
 //! The contract under test (see `engine.rs`): `forward_batch` is
-//! **bit-identical** — not merely close — to stacking the results of
-//! per-sample `forward` calls, across batch sizes {1, 3, 8} and rayon
-//! thread counts {1, 4}. Equality is checked with `==` on the raw `f32`
-//! buffers; any reordering of a floating-point accumulation would fail.
+//! **bit-identical** — not merely close — to stacking per-sample folds of
+//! each layer's own `infer` (unpacked kernels, no engine code), across
+//! batch sizes {1, 3, 8} and rayon thread counts {1, 4}. Equality is
+//! checked with `==` on the raw `f32` buffers; any reordering of a
+//! floating-point accumulation would fail.
 
-use blurnet_nn::Sequential;
+use blurnet_nn::{loss, Sequential};
 use blurnet_tensor::Tensor;
-use blurnet_test_support::{tiny_lisa_net, uniform_batch};
+use blurnet_test_support::{reference_forward, tiny_lisa_net, uniform_batch};
 use proptest::prelude::*;
 
 /// Batch sizes the acceptance criteria name explicitly.
@@ -17,13 +18,13 @@ const BATCH_SIZES: [usize; 3] = [1, 3, 8];
 /// Thread counts the acceptance criteria name explicitly.
 const THREAD_COUNTS: [usize; 2] = [1, 4];
 
-/// Per-sample reference: forward each image alone and stack the logits.
-fn per_sample_forward(net: &mut Sequential, batch: &Tensor) -> Tensor {
+/// Per-sample reference: fold each image alone and stack the logits.
+fn per_sample_forward(net: &Sequential, batch: &Tensor) -> Tensor {
     let n = batch.dims()[0];
     let mut parts = Vec::with_capacity(n);
     for i in 0..n {
         let image = batch.batch_slice(i, 1).expect("index in range");
-        parts.push(net.forward(&image, false).expect("forward succeeds"));
+        parts.push(reference_forward(net, &image));
     }
     Tensor::concat_batch(&parts).expect("uniform logit shapes")
 }
@@ -31,14 +32,14 @@ fn per_sample_forward(net: &mut Sequential, batch: &Tensor) -> Tensor {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// forward_batch == per-sample forward loop, bitwise, for every batch
+    /// forward_batch == per-sample reference loop, bitwise, for every batch
     /// size and thread count combination.
     #[test]
     fn forward_batch_is_bit_identical_to_per_sample_loops(
         net_seed in 0u64..1000,
         data_seed in 0u64..1000,
     ) {
-        let mut net = tiny_lisa_net(net_seed);
+        let net = tiny_lisa_net(net_seed);
         for (offset, &batch_size) in BATCH_SIZES.iter().enumerate() {
             let batch = uniform_batch(
                 &[batch_size, 3, 16, 16],
@@ -46,7 +47,7 @@ proptest! {
                 1.0,
                 data_seed ^ (offset as u64) << 32,
             );
-            let reference = per_sample_forward(&mut net, &batch);
+            let reference = per_sample_forward(&net, &batch);
             for &threads in &THREAD_COUNTS {
                 let pool = rayon::ThreadPoolBuilder::new()
                     .num_threads(threads)
@@ -66,13 +67,16 @@ proptest! {
         }
     }
 
-    /// predict_batch agrees with the stateful predict path under both
-    /// thread counts (argmax on bit-identical logits can never diverge).
+    /// predict_batch agrees with the stateful `forward(_, true)` wrapper and
+    /// with the whole-batch reference fold under both thread counts (argmax
+    /// on bit-identical logits can never diverge).
     #[test]
     fn predict_batch_matches_stateful_predict(seed in 0u64..1000) {
         let mut net = tiny_lisa_net(seed);
         let batch = uniform_batch(&[8, 3, 16, 16], 0.0, 1.0, seed ^ 0xBADC0DE);
-        let expected = net.predict(&batch).expect("predict succeeds");
+        let expected = loss::predictions(&reference_forward(&net, &batch)).expect("argmax");
+        let stateful = net.forward(&batch, true).expect("stateful forward");
+        prop_assert_eq!(&loss::predictions(&stateful).expect("argmax"), &expected);
         for &threads in &THREAD_COUNTS {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)

@@ -3,8 +3,9 @@
 //! The hot paths (im2col, conv forward/backward, matmul transposes) need
 //! large intermediate `Vec<f32>` buffers. Allocating them fresh on every
 //! call dominates small-batch workloads, so a [`Scratch`] keeps returned
-//! buffers alive for the next call. Layers in `blurnet-nn` own a `Scratch`
-//! per layer; free functions fall back to a thread-local pool via
+//! buffers alive for the next call. The `blurnet-nn` batch engine hands one
+//! to each worker (and a training loop keeps one across steps); free
+//! functions fall back to a thread-local pool via
 //! [`Scratch::with_thread_local`].
 
 use std::cell::RefCell;
@@ -168,8 +169,8 @@ impl Default for Scratch {
 }
 
 impl Clone for Scratch {
-    /// Cloning a layer must not duplicate cached workspace memory; clones
-    /// keep the backend binding but start with an empty pool.
+    /// Cloning must not duplicate cached workspace memory; clones keep the
+    /// backend binding but start with an empty pool.
     fn clone(&self) -> Self {
         Scratch::with_backend(Arc::clone(&self.backend))
     }

@@ -15,8 +15,8 @@
 use blurnet_data::{sticker_mask, StickerLayout};
 use blurnet_defenses::model::TrainingReport;
 use blurnet_defenses::{DefendedModel, DefenseKind, TrainConfig};
-use blurnet_nn::{LisaCnn, Sequential};
-use blurnet_tensor::Tensor;
+use blurnet_nn::{Layer, LisaCnn, Sequential, TapeSlot};
+use blurnet_tensor::{Scratch, Tensor};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -55,6 +55,45 @@ pub fn tiny_lisa_builder() -> LisaCnn {
     LisaCnn::new(NUM_CLASSES)
         .input_size(TINY_IMAGE_SIZE)
         .conv1_filters(4)
+}
+
+/// Independent forward reference for engine tests: each layer's own
+/// [`Layer::infer`] (unpacked kernels, weights packed per call) folded
+/// over the network. It shares no code with `BatchEngine`.
+///
+/// # Panics
+///
+/// Panics if a layer rejects the input shape.
+pub fn reference_forward(net: &Sequential, input: &Tensor) -> Tensor {
+    let mut scratch = Scratch::new();
+    net.iter()
+        .try_fold(input.clone(), |x, layer| layer.infer(&x, &mut scratch))
+        .expect("reference forward")
+}
+
+/// Independent input-gradient reference: [`Layer::infer_recording`]
+/// folded forward over the network, then [`Layer::input_grad`] folded
+/// backward from `grad_output`. It shares no code with `BatchEngine`.
+///
+/// # Panics
+///
+/// Panics if a layer rejects the input or gradient shape.
+pub fn reference_input_grad(net: &Sequential, input: &Tensor, grad_output: &Tensor) -> Tensor {
+    let mut scratch = Scratch::new();
+    let mut tapes = vec![TapeSlot::default(); net.len()];
+    let mut x = input.clone();
+    for (layer, tape) in net.iter().zip(tapes.iter_mut()) {
+        x = layer
+            .infer_recording(&x, tape, &mut scratch)
+            .expect("reference forward");
+    }
+    net.iter()
+        .zip(&tapes)
+        .rev()
+        .try_fold(grad_output.clone(), |g, (layer, tape)| {
+            layer.input_grad(tape, &g, &mut scratch)
+        })
+        .expect("reference backward")
 }
 
 /// An untrained [`DefendedModel`] around [`tiny_lisa_net`] — the fixture
@@ -120,14 +159,15 @@ pub fn smoke_train_config(epochs: usize) -> TrainConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blurnet_nn::persist::sequential_to_bytes;
 
     #[test]
     fn fixtures_are_deterministic_per_seed() {
         let a = tiny_lisa_net(3);
         let b = tiny_lisa_net(3);
-        assert_eq!(a.to_bytes().unwrap(), b.to_bytes().unwrap());
+        assert_eq!(sequential_to_bytes(&a), sequential_to_bytes(&b));
         let c = tiny_lisa_net(4);
-        assert_ne!(a.to_bytes().unwrap(), c.to_bytes().unwrap());
+        assert_ne!(sequential_to_bytes(&a), sequential_to_bytes(&c));
 
         assert_eq!(
             uniform_batch(&[2, 3, 4, 4], 0.0, 1.0, 9),

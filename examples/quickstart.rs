@@ -22,8 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 1. Train the undefended baseline and the TV-regularized defense.
-    let mut baseline = zoo.get_or_train(&DefenseKind::Baseline)?;
-    let mut defended = zoo.get_or_train(&DefenseKind::TotalVariation { alpha: 1e-4 })?;
+    let baseline = zoo.get_or_train(&DefenseKind::Baseline)?;
+    let defended = zoo.get_or_train(&DefenseKind::TotalVariation { alpha: 1e-4 })?;
     println!(
         "clean test accuracy — baseline: {:.1}%, TV-regularized: {:.1}%",
         baseline.training_report().test_accuracy * 100.0,
@@ -37,8 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     })?;
     let stop_signs: Vec<Tensor> = zoo.dataset().stop_eval_images().to_vec();
     let target = 12; // speedLimit25
-    let baseline_eval = attack.evaluate(baseline.network_mut(), &stop_signs, target)?;
-    let defended_eval = attack.evaluate(defended.network_mut(), &stop_signs, target)?;
+    let baseline_eval = attack.evaluate(baseline.network(), &stop_signs, target)?;
+    let defended_eval = attack.evaluate(defended.network(), &stop_signs, target)?;
 
     println!(
         "RP2 targeted success rate — baseline: {:.1}%, TV-regularized: {:.1}%",

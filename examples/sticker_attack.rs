@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..Rp2Config::default()
     })?;
     let target = 17; // yield
-    let result = attack.generate(baseline.network_mut(), &stop_sign, target)?;
+    let result = attack.generate(baseline.network(), &stop_sign, target)?;
 
     let clean_pred = baseline.classify_one(&stop_sign)?;
     let adv_pred = baseline.classify_one(&result.adversarial)?;

@@ -89,7 +89,7 @@ proptest! {
         let label = [3usize];
         let logits = net.forward(&image, true).unwrap();
         let (_, d_logits) = softmax_cross_entropy(&logits, &label).unwrap();
-        let grad = net.backward(&d_logits).unwrap();
+        let grad = net.backward(&d_logits).unwrap().input;
 
         let eps = 1e-2f32;
         let mut plus = image.clone();

@@ -6,6 +6,7 @@ use blurnet::{CellOutput, ExperimentScheduler, RunReport, Scale};
 use blurnet_attacks::{PgdAttack, PgdConfig, Rp2Attack, Rp2Config};
 use blurnet_data::{DatasetConfig, SignDataset, STOP_CLASS_ID};
 use blurnet_defenses::{train_defended_model, DefenseKind};
+use blurnet_nn::persist::{sequential_from_bytes, sequential_to_bytes};
 use blurnet_tensor::Tensor;
 use blurnet_test_support::smoke_train_config;
 
@@ -47,7 +48,7 @@ fn rp2_succeeds_against_the_baseline_and_stays_on_the_sticker() {
     .unwrap();
     let image = dataset.stop_eval_images()[0].clone();
     let clean_pred = model.classify_one(&image).unwrap();
-    let result = attack.generate(model.network_mut(), &image, 12).unwrap();
+    let result = attack.generate(model.network(), &image, 12).unwrap();
     // The perturbation must be confined to the sticker mask and valid range.
     assert!(result.adversarial.min().unwrap() >= 0.0);
     assert!(result.adversarial.max().unwrap() <= 1.0);
@@ -114,7 +115,7 @@ fn pgd_is_stronger_than_rp2_under_its_own_threat_model() {
     // Table IV's point: the unconstrained pixel adversary succeeds at least
     // as often as the sticker-constrained one against the same model.
     let dataset = SignDataset::generate(&DatasetConfig::smoke(), 9).unwrap();
-    let mut model =
+    let model =
         train_defended_model(&DefenseKind::Baseline, &dataset, &smoke_train_config(4)).unwrap();
     let images: Vec<Tensor> = dataset.stop_eval_images()[..3].to_vec();
     let labels = vec![STOP_CLASS_ID; images.len()];
@@ -126,14 +127,14 @@ fn pgd_is_stronger_than_rp2_under_its_own_threat_model() {
         random_start: false,
     })
     .unwrap();
-    let pgd_eval = pgd.evaluate(model.network_mut(), &images, &labels).unwrap();
+    let pgd_eval = pgd.evaluate(model.network(), &images, &labels).unwrap();
 
     let rp2 = Rp2Attack::new(Rp2Config {
         iterations: 20,
         ..Rp2Config::default()
     })
     .unwrap();
-    let rp2_eval = rp2.evaluate(model.network_mut(), &images, 12).unwrap();
+    let rp2_eval = rp2.evaluate(model.network(), &images, 12).unwrap();
     assert!(
         pgd_eval.success_rate + 1e-6 >= rp2_eval.success_rate,
         "PGD ({}) should be at least as successful as RP2 ({}) on the undefended model",
@@ -149,8 +150,10 @@ fn trained_models_serialize_and_keep_their_predictions() {
         train_defended_model(&DefenseKind::Baseline, &dataset, &smoke_train_config(1)).unwrap();
     let image = dataset.stop_eval_images()[0].clone();
     let before = model.classify_one(&image).unwrap();
-    let bytes = model.network().to_bytes().unwrap();
-    let mut restored = blurnet_nn::Sequential::from_bytes(&bytes).unwrap();
-    let after = restored.predict(&Tensor::stack(&[image]).unwrap()).unwrap()[0];
+    let bytes = sequential_to_bytes(model.network());
+    let restored = sequential_from_bytes(&bytes).unwrap();
+    let after = restored
+        .predict_batch(&Tensor::stack(&[image]).unwrap())
+        .unwrap()[0];
     assert_eq!(before, after);
 }
