@@ -21,10 +21,7 @@ use std::time::Duration;
 
 use blurnet_bench::{host_entries, BENCH_THREAD_COUNTS};
 use blurnet_nn::LisaCnn;
-use blurnet_signal::{
-    blur_batch, blur_batch_2d, box_kernel, dct2d, depthwise_weights, fft2d_magnitude,
-    total_variation_batch, OperatorPenalty,
-};
+use blurnet_signal::{box_kernel, dct2d, fft2d_magnitude, total_variation_batch, OperatorPenalty};
 use blurnet_tensor::{default_backend, reference, ConvSpec, Scratch, SimdTier, Tensor};
 use criterion::{criterion_group, criterion_main, measure_median_ns, Criterion};
 use rand::SeedableRng;
@@ -168,20 +165,25 @@ fn write_bench_json() {
     }
 
     // Blur on the acceptance-criteria batch shape ([8, 16, 32, 32]):
-    // separable two-pass vs (a) the current generic 2-D path and (b) the
-    // true seed path — depthwise gather-loop convolution with per-channel
-    // copies of the kernel, exactly what `blur_batch` compiled to before
-    // this optimisation pass.
+    // separable two-pass vs (a) the generic 2-D path — the backend's
+    // depthwise convolution with per-channel copies of the kernel — and
+    // (b) the true seed path, the same weights through the depthwise
+    // gather loop, exactly what the blur compiled to before this
+    // optimisation pass.
     for &k in &[3usize, 5] {
         let kernel = box_kernel(k);
-        let dw = depthwise_weights(&kernel, feature_maps.dims()[1]).expect("square kernel");
+        let dw = Tensor::stack(&vec![kernel.clone(); feature_maps.dims()[1]]).expect("one kernel");
         let spec = ConvSpec::same(k).expect("odd kernel");
         let seed_ns = single_thread_ns(|| {
             reference::depthwise_conv2d_naive(&feature_maps, &dw, None, spec).unwrap()
         });
-        let two_d_ns = single_thread_ns(|| blur_batch_2d(&feature_maps, &kernel).unwrap());
-        let fast_st = single_thread_ns(|| blur_batch(&feature_maps, &kernel).unwrap());
-        let fast_mt = median_ns(|| blur_batch(&feature_maps, &kernel).unwrap());
+        let two_d_ns = single_thread_ns(|| {
+            backend
+                .depthwise_conv2d(&feature_maps, &dw, None, spec)
+                .unwrap()
+        });
+        let fast_st = single_thread_ns(|| backend.blur_batch(&feature_maps, &kernel).unwrap());
+        let fast_mt = median_ns(|| backend.blur_batch(&feature_maps, &kernel).unwrap());
         record.push(&format!("blur{k}x{k}_8x16x32x32_seed"), seed_ns);
         record.push(&format!("blur{k}x{k}_8x16x32x32_2d_fast"), two_d_ns);
         record.push(&format!("blur{k}x{k}_8x16x32x32_separable_st"), fast_st);
@@ -234,7 +236,7 @@ fn write_bench_json() {
             "blur3x3_8x16x32x32_separable",
             threads,
             blurnet_bench::with_threads(threads, || {
-                median_ns(|| blur_batch(&feature_maps, &blur_kernel).unwrap())
+                median_ns(|| backend.blur_batch(&feature_maps, &blur_kernel).unwrap())
             }),
         );
         record.push_threads(
@@ -322,11 +324,16 @@ fn bench_substrates(c: &mut Criterion) {
     });
 
     let kernel = box_kernel(5);
+    let blur_weights = Tensor::stack(&vec![kernel.clone(); 16]).unwrap();
     group.bench_function("blur5x5_batch_8x16x32x32_separable", |bench| {
-        bench.iter(|| blur_batch(&feature_maps_big, &kernel).unwrap());
+        bench.iter(|| backend.blur_batch(&feature_maps_big, &kernel).unwrap());
     });
     group.bench_function("blur5x5_batch_8x16x32x32_2d", |bench| {
-        bench.iter(|| blur_batch_2d(&feature_maps_big, &kernel).unwrap());
+        bench.iter(|| {
+            backend
+                .depthwise_conv2d(&feature_maps_big, &blur_weights, None, dw_spec)
+                .unwrap()
+        });
     });
 
     let mut net = LisaCnn::new(18).build(&mut rng).unwrap();

@@ -88,8 +88,9 @@ impl Conv2d {
     }
 
     /// Packs the filter weights into the GEMM-ready transposed layout used
-    /// by [`blurnet_tensor::conv2d_prepacked`]. The batch engine calls this
-    /// once per forward pass and shares the pack across batch shards.
+    /// by [`Backend::conv2d_prepacked`](blurnet_tensor::Backend::conv2d_prepacked).
+    /// The batch engine calls this once per forward pass and shares the
+    /// pack across batch shards.
     ///
     /// # Errors
     ///

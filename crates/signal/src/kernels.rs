@@ -1,25 +1,18 @@
-//! Standard low-pass blur kernels and helpers to apply them to images and
-//! activation batches.
+//! Standard low-pass blur kernels.
 //!
 //! These are the fixed filters of Section III of the paper: a depthwise
 //! convolution of each feature map (or input channel) with a normalized blur
 //! kernel.
 //!
-//! # Fast path
-//!
-//! The blur itself lives in `blurnet-tensor` behind the
-//! [`Backend`](blurnet_tensor::Backend) trait: box and Gaussian kernels are
-//! rank-1 (`K = u·vᵀ`), so the backend factors the kernel once and applies
-//! two 1-D passes — `O(k)` work per pixel instead of `O(k²)`. This crate
-//! keeps its kernel constructors and re-exports thin wrappers
-//! ([`blur_image`], [`blur_batch`]) that route through the process-wide
-//! [`default_backend`], plus
-//! [`blur_batch_2d`] as the local equivalence reference for tests and
-//! benchmarks.
+//! Applying them is a compute kernel, so it runs through the
+//! [`Backend`](blurnet_tensor::Backend) trait:
+//! [`Backend::blur_batch`](blurnet_tensor::Backend::blur_batch) and
+//! [`Backend::blur_image`](blurnet_tensor::Backend::blur_image). Box and
+//! Gaussian kernels are rank-1 (`K = u·vᵀ`), so the backend factors them
+//! once and applies two 1-D passes — `O(k)` work per pixel instead of
+//! `O(k²)`.
 
-use blurnet_tensor::{default_backend, depthwise_conv2d, ConvSpec, Tensor};
-
-use crate::{Result, SignalError};
+use blurnet_tensor::Tensor;
 
 /// A normalized `k × k` box (mean) blur kernel.
 ///
@@ -54,99 +47,21 @@ pub fn gaussian_kernel(k: usize, sigma: f32) -> Tensor {
     kernel.scale(1.0 / sum)
 }
 
-/// Expands a single `[K, K]` kernel into per-channel depthwise weights
-/// `[C, K, K]` so every channel is filtered identically.
-///
-/// # Errors
-///
-/// Returns [`SignalError::BadShape`] if the kernel is not rank 2 and square.
-pub fn depthwise_weights(kernel: &Tensor, channels: usize) -> Result<Tensor> {
-    if kernel.shape().rank() != 2 || kernel.dims()[0] != kernel.dims()[1] {
-        return Err(SignalError::BadShape(format!(
-            "kernel must be a square rank-2 tensor, got {}",
-            kernel.shape()
-        )));
-    }
-    let k = kernel.dims()[0];
-    let mut data = Vec::with_capacity(channels * k * k);
-    for _ in 0..channels {
-        data.extend_from_slice(kernel.data());
-    }
-    Ok(Tensor::from_vec(data, &[channels, k, k])?)
-}
-
-/// Attempts a rank-1 factorisation `K = u · vᵀ` of a square kernel.
-///
-/// Re-exported from `blurnet-tensor`, where the factorisation lives next to
-/// the backend blur it gates. Returns `(u, v)` with `u` the column
-/// (vertical) factor and `v` the row (horizontal) factor.
-pub fn separable_factors(kernel: &Tensor) -> Option<(Vec<f32>, Vec<f32>)> {
-    blurnet_tensor::separable_factors(kernel)
-}
-
-/// Applies a blur kernel to every channel of a `[C, H, W]` image using
-/// "same" padding, through the process-wide compute backend.
-///
-/// # Errors
-///
-/// Returns an error if the image is not rank 3 or the kernel is invalid
-/// (non-square, or of even extent — "same" padding needs a centre tap).
-pub fn blur_image(image: &Tensor, kernel: &Tensor) -> Result<Tensor> {
-    if image.shape().rank() != 3 {
-        return Err(SignalError::BadShape(format!(
-            "expected a [C, H, W] image, got {}",
-            image.shape()
-        )));
-    }
-    Ok(default_backend().blur_image(image, kernel)?)
-}
-
-/// Applies a blur kernel to every channel of an `[N, C, H, W]` batch using
-/// "same" padding, through the process-wide compute backend. Separable
-/// (rank-1) kernels — box and Gaussian included — take the backend's
-/// two-pass `O(k)`-per-pixel fast path; anything else falls back to the
-/// generic depthwise 2-D path.
-///
-/// # Errors
-///
-/// Returns an error if the batch is not rank 4 or the kernel is invalid
-/// (non-square, or of even extent — "same" padding needs a centre tap).
-pub fn blur_batch(batch: &Tensor, kernel: &Tensor) -> Result<Tensor> {
-    if batch.shape().rank() != 4 {
-        return Err(SignalError::BadShape(format!(
-            "expected an [N, C, H, W] batch, got {}",
-            batch.shape()
-        )));
-    }
-    Ok(default_backend().blur_batch(batch, kernel)?)
-}
-
-/// Generic 2-D blur path: depthwise convolution with the full `k × k`
-/// kernel. Used directly for non-separable kernels and kept public as the
-/// equivalence reference for the separable fast path.
-///
-/// # Errors
-///
-/// Returns an error if the batch is not rank 4 or the kernel is invalid.
-pub fn blur_batch_2d(batch: &Tensor, kernel: &Tensor) -> Result<Tensor> {
-    if batch.shape().rank() != 4 {
-        return Err(SignalError::BadShape(format!(
-            "expected an [N, C, H, W] batch, got {}",
-            batch.shape()
-        )));
-    }
-    let channels = batch.dims()[1];
-    let weights = depthwise_weights(kernel, channels)?;
-    let k = kernel.dims()[0];
-    let spec = ConvSpec::same(k).map_err(|e| SignalError::BadShape(e.to_string()))?;
-    Ok(depthwise_conv2d(batch, &weights, None, spec)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blurnet_tensor::{default_backend, separable_factors};
+    use blurnet_test_support::blur_2d;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    fn blur_image(image: &Tensor, kernel: &Tensor) -> blurnet_tensor::Result<Tensor> {
+        default_backend().blur_image(image, kernel)
+    }
+
+    fn blur_batch(batch: &Tensor, kernel: &Tensor) -> blurnet_tensor::Result<Tensor> {
+        default_backend().blur_batch(batch, kernel)
+    }
 
     #[test]
     fn box_kernel_is_normalized() {
@@ -200,7 +115,7 @@ mod tests {
         let batch = Tensor::rand_uniform(&[2, 3, 13, 9], -1.0, 1.0, &mut rng);
         for kernel in [box_kernel(3), box_kernel(5), gaussian_kernel(7, 1.5)] {
             let fast = blur_batch(&batch, &kernel).unwrap();
-            let slow = blur_batch_2d(&batch, &kernel).unwrap();
+            let slow = blur_2d(&batch, &kernel);
             assert_eq!(fast.dims(), slow.dims());
             for (a, b) in fast.data().iter().zip(slow.data().iter()) {
                 assert!((a - b).abs() < 1e-5, "{a} vs {b}");
@@ -217,8 +132,7 @@ mod tests {
         kernel.set(&[0, 0], 0.2).unwrap();
         kernel.set(&[2, 2], 0.2).unwrap();
         let via_blur = blur_batch(&batch, &kernel).unwrap();
-        let via_2d = blur_batch_2d(&batch, &kernel).unwrap();
-        assert_eq!(via_blur, via_2d);
+        assert_eq!(via_blur, blur_2d(&batch, &kernel));
     }
 
     #[test]
@@ -258,12 +172,16 @@ mod tests {
     }
 
     #[test]
-    fn depthwise_weights_repeat_kernel_per_channel() {
-        let k = box_kernel(3);
-        let w = depthwise_weights(&k, 4).unwrap();
-        assert_eq!(w.dims(), &[4, 3, 3]);
-        for c in 0..4 {
-            assert!((w.channel(c).unwrap().sum() - 1.0).abs() < 1e-5);
+    fn blur_filters_every_channel_identically() {
+        // One [K, K] kernel filters all channels: identical input planes
+        // come out identical.
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let plane = Tensor::rand_uniform(&[7, 7], 0.0, 1.0, &mut rng);
+        let image = Tensor::stack(&vec![plane; 4]).unwrap();
+        let blurred = blur_image(&image, &box_kernel(3)).unwrap();
+        let first = blurred.channel(0).unwrap();
+        for c in 1..4 {
+            assert_eq!(blurred.channel(c).unwrap(), first, "channel {c}");
         }
     }
 
@@ -272,8 +190,9 @@ mod tests {
         let k = box_kernel(3);
         assert!(blur_image(&Tensor::zeros(&[4, 4]), &k).is_err());
         assert!(blur_batch(&Tensor::zeros(&[3, 4, 4]), &k).is_err());
-        assert!(depthwise_weights(&Tensor::zeros(&[3]), 2).is_err());
         // Even kernels have no symmetric "same" padding and are rejected.
         assert!(blur_batch(&Tensor::zeros(&[1, 1, 4, 4]), &Tensor::full(&[2, 2], 0.25)).is_err());
+        // Non-square kernels are rejected by the 2-D fallback.
+        assert!(blur_batch(&Tensor::zeros(&[1, 1, 4, 4]), &Tensor::zeros(&[3, 4])).is_err());
     }
 }

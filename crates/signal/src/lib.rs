@@ -42,10 +42,7 @@ pub use complex::Complex32;
 pub use dct::{dct2d, idct2d, low_frequency_mask, low_frequency_project};
 pub use error::SignalError;
 pub use fft::{fft2d, fft2d_magnitude, fftshift2d, ifft2d, log_magnitude_spectrum};
-pub use kernels::{
-    blur_batch, blur_batch_2d, blur_image, box_kernel, depthwise_weights, gaussian_kernel,
-    separable_factors,
-};
+pub use kernels::{box_kernel, gaussian_kernel};
 pub use spectrum::{band_energy, high_frequency_ratio, BandEnergy};
 pub use tikhonov::{
     difference_matrix, high_frequency_operator, moving_average_matrix, ridge_pseudoinverse,

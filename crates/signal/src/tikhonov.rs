@@ -16,7 +16,7 @@
 //! pseudoinverse. This preserves the operator's low-pass character, which
 //! is the property the defense and the adaptive attack both rely on.
 
-use blurnet_tensor::{matmul, matmul_transpose_a, Tensor};
+use blurnet_tensor::{default_backend, Tensor};
 use serde::{Deserialize, Serialize};
 
 use crate::{Result, SignalError};
@@ -163,7 +163,7 @@ pub fn ridge_pseudoinverse(matrix: &Tensor, eps: f32) -> Result<Tensor> {
         )));
     }
     let n = matrix.dims()[0];
-    let mut normal = matmul_transpose_a(matrix, matrix)?;
+    let mut normal = default_backend().matmul_transpose_a(matrix, matrix)?;
     for i in 0..n {
         let v = normal.get(&[i, i])?;
         normal.set(&[i, i], v + eps)?;
@@ -176,7 +176,7 @@ pub fn ridge_pseudoinverse(matrix: &Tensor, eps: f32) -> Result<Tensor> {
             at.set(&[j, i], matrix.get(&[i, j])?)?;
         }
     }
-    Ok(matmul(&inv, &at)?)
+    Ok(default_backend().matmul(&inv, &at)?)
 }
 
 /// A quadratic feature-map penalty `‖L · F‖²_F` with its gradient
@@ -202,7 +202,7 @@ impl OperatorPenalty {
                 operator.shape()
             )));
         }
-        let gram = matmul_transpose_a(&operator, &operator)?;
+        let gram = default_backend().matmul_transpose_a(&operator, &operator)?;
         Ok(OperatorPenalty { operator, gram })
     }
 
@@ -252,7 +252,7 @@ impl OperatorPenalty {
     /// Returns [`SignalError::BadShape`] if the map height does not match.
     pub fn grad(&self, map: &Tensor) -> Result<Tensor> {
         self.check(map)?;
-        Ok(matmul(&self.gram, map)?.scale(2.0))
+        Ok(default_backend().matmul(&self.gram, map)?.scale(2.0))
     }
 
     /// Applies the operator: `L · F`.
@@ -262,7 +262,7 @@ impl OperatorPenalty {
     /// Returns [`SignalError::BadShape`] if the map height does not match.
     pub fn apply(&self, map: &Tensor) -> Result<Tensor> {
         self.check(map)?;
-        Ok(matmul(&self.operator, map)?)
+        Ok(default_backend().matmul(&self.operator, map)?)
     }
 
     fn check(&self, map: &Tensor) -> Result<()> {
@@ -348,7 +348,7 @@ mod tests {
     fn hf_operator_annihilates_constants() {
         let lhf = high_frequency_operator(8, 3).unwrap();
         let constant = Tensor::full(&[8, 1], 5.0);
-        let out = matmul(&lhf, &constant).unwrap();
+        let out = default_backend().matmul(&lhf, &constant).unwrap();
         assert!(out.linf_norm() < 1e-5);
     }
 
@@ -362,7 +362,7 @@ mod tests {
             &[8, 1],
         )
         .unwrap();
-        let out = matmul(&lhf, &alternating).unwrap();
+        let out = default_backend().matmul(&lhf, &alternating).unwrap();
         // High-frequency content passes through mostly unattenuated.
         assert!(out.l2_norm() > 0.8 * alternating.l2_norm());
     }
@@ -371,7 +371,7 @@ mod tests {
     fn invert_recovers_identity() {
         let m = Tensor::from_vec(vec![4.0, 7.0, 2.0, 6.0], &[2, 2]).unwrap();
         let inv = invert(&m).unwrap();
-        let prod = matmul(&m, &inv).unwrap();
+        let prod = default_backend().matmul(&m, &inv).unwrap();
         for i in 0..2 {
             for j in 0..2 {
                 let expected = if i == j { 1.0 } else { 0.0 };
@@ -388,7 +388,10 @@ mod tests {
         let l = difference_matrix(n).unwrap();
         let pinv = ridge_pseudoinverse(&l, 1e-4).unwrap();
         // L · L⁺ · L ≈ L (Moore-Penrose property, up to ridge damping).
-        let lpl = matmul(&matmul(&l, &pinv).unwrap(), &l).unwrap();
+        let backend = default_backend();
+        let lpl = backend
+            .matmul(&backend.matmul(&l, &pinv).unwrap(), &l)
+            .unwrap();
         let diff = lpl.sub(&l).unwrap();
         assert!(diff.linf_norm() < 5e-2, "residual {}", diff.linf_norm());
     }
@@ -406,11 +409,12 @@ mod tests {
             &[n, 1],
         )
         .unwrap();
-        let hi = matmul(&pinv, &alternating).unwrap().l2_norm();
+        let backend = default_backend();
+        let hi = backend.matmul(&pinv, &alternating).unwrap().l2_norm();
         let ramp =
             Tensor::from_vec((0..n).map(|i| i as f32 / n as f32).collect(), &[n, 1]).unwrap();
         let ramp = ramp.scale(alternating.l2_norm() / ramp.l2_norm());
-        let lo = matmul(&pinv, &ramp).unwrap().l2_norm();
+        let lo = backend.matmul(&pinv, &ramp).unwrap().l2_norm();
         assert!(lo > 2.0 * hi, "low-frequency response {lo} vs high {hi}");
     }
 

@@ -1,16 +1,21 @@
-//! Equivalence tests pinning the separable two-pass blur to the generic 2-D
-//! depthwise path on ChaCha8-seeded random batches — the numeric guarantee
-//! behind the `substrate_micro` speedup claims.
+//! Equivalence tests pinning the backend's separable two-pass blur to the
+//! generic 2-D depthwise path on ChaCha8-seeded random batches — the
+//! numeric guarantee behind the `substrate_micro` speedup claims.
 
-use blurnet_signal::{blur_batch, blur_batch_2d, box_kernel, gaussian_kernel, separable_factors};
-use blurnet_tensor::Tensor;
-use blurnet_test_support::uniform_batch;
+use blurnet_signal::{box_kernel, gaussian_kernel};
+use blurnet_tensor::{default_backend, separable_factors, Tensor};
+use blurnet_test_support::{blur_2d, uniform_batch};
 
 fn assert_close(fast: &Tensor, slow: &Tensor, context: &str) {
     assert_eq!(fast.dims(), slow.dims(), "{context}");
     for (a, b) in fast.data().iter().zip(slow.data().iter()) {
         assert!((a - b).abs() < 1e-5, "{context}: {a} vs {b}");
     }
+}
+
+fn assert_blur_matches_2d(batch: &Tensor, kernel: &Tensor, context: &str) {
+    let fast = default_backend().blur_batch(batch, kernel).unwrap();
+    assert_close(&fast, &blur_2d(batch, kernel), context);
 }
 
 #[test]
@@ -30,21 +35,14 @@ fn separable_blur_matches_2d_on_random_batches() {
                 if k > h + 2 * (k / 2) || k > w + 2 * (k / 2) {
                     continue;
                 }
-                let kernel = box_kernel(k);
-                assert_close(
-                    &blur_batch(&batch, &kernel).unwrap(),
-                    &blur_batch_2d(&batch, &kernel).unwrap(),
-                    &format!("box k={k} seed={seed} dims=({n},{c},{h},{w})"),
-                );
+                let context = format!("box k={k} seed={seed} dims=({n},{c},{h},{w})");
+                assert_blur_matches_2d(&batch, &box_kernel(k), &context);
             }
             for &sigma in &[0.4f32, 1.0, 2.5] {
                 let kernel = gaussian_kernel(5, sigma);
                 assert!(separable_factors(&kernel).is_some(), "gaussian must factor");
-                assert_close(
-                    &blur_batch(&batch, &kernel).unwrap(),
-                    &blur_batch_2d(&batch, &kernel).unwrap(),
-                    &format!("gaussian sigma={sigma} seed={seed}"),
-                );
+                let context = format!("gaussian sigma={sigma} seed={seed}");
+                assert_blur_matches_2d(&batch, &kernel, &context);
             }
         }
     }
@@ -54,10 +52,5 @@ fn separable_blur_matches_2d_on_random_batches() {
 fn blur_batch_of_paper_shape_matches_2d() {
     // The acceptance-criteria shape: a 5×5 blur of an [8, 16, 32, 32] batch.
     let batch = uniform_batch(&[8, 16, 32, 32], 0.0, 1.0, 42);
-    let kernel = box_kernel(5);
-    assert_close(
-        &blur_batch(&batch, &kernel).unwrap(),
-        &blur_batch_2d(&batch, &kernel).unwrap(),
-        "paper-shape 5x5 blur",
-    );
+    assert_blur_matches_2d(&batch, &box_kernel(5), "paper-shape 5x5 blur");
 }

@@ -6,11 +6,11 @@
 //! and the row-pass intermediate drawn from the shared [`Scratch`] pool.
 //! Non-separable kernels fall back to the generic depthwise 2-D path.
 //!
-//! This machinery lives in the tensor crate (behind
-//! [`Backend::blur_batch`](super::Backend::blur_batch)) so the defenses
-//! call it through the backend trait; `blurnet-signal` re-exports thin
-//! wrappers for its public API. The blur is tier-independent — no kernel
-//! here carries SIMD dispatch — so it is byte-identical on every
+//! It is reachable only through
+//! [`Backend::blur_batch`](super::Backend::blur_batch) and
+//! [`Backend::blur_image`](super::Backend::blur_image); `blurnet-signal`
+//! supplies the kernel constructors. The blur is tier-independent — no
+//! kernel here carries SIMD dispatch — so it is byte-identical on every
 //! [`SimdTier`](super::SimdTier).
 
 use rayon::prelude::*;

@@ -62,15 +62,15 @@ impl Backend for CpuBackend {
     }
 
     fn matmul(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        crate::matmul::matmul_t(self.tier, a, b)
+        crate::matmul::matmul(self.tier, a, b)
     }
 
     fn matmul_transpose_a(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        crate::matmul::matmul_transpose_a_t(self.tier, a, b)
+        crate::matmul::matmul_transpose_a(self.tier, a, b)
     }
 
     fn matmul_transpose_b(&self, a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor> {
-        crate::matmul::matmul_transpose_b_with_scratch_t(self.tier, a, b, scratch)
+        crate::matmul::matmul_transpose_b(self.tier, a, b, scratch)
     }
 
     fn conv2d(
@@ -81,7 +81,8 @@ impl Backend for CpuBackend {
         spec: ConvSpec,
         scratch: &mut Scratch,
     ) -> Result<Tensor> {
-        crate::conv::conv2d_with_scratch_t(self.tier, input, weight, bias, spec, scratch)
+        let packed = PackedConvWeights::pack(weight)?;
+        crate::conv::conv2d_prepacked(self.tier, input, &packed, bias, spec, scratch)
     }
 
     fn conv2d_prepacked(
@@ -92,7 +93,7 @@ impl Backend for CpuBackend {
         spec: ConvSpec,
         scratch: &mut Scratch,
     ) -> Result<Tensor> {
-        crate::conv::conv2d_prepacked_t(self.tier, input, weights, bias, spec, scratch)
+        crate::conv::conv2d_prepacked(self.tier, input, weights, bias, spec, scratch)
     }
 
     fn conv2d_backward(
@@ -103,14 +104,7 @@ impl Backend for CpuBackend {
         spec: ConvSpec,
         scratch: &mut Scratch,
     ) -> Result<Conv2dGrads> {
-        crate::conv::conv2d_backward_with_scratch_t(
-            self.tier,
-            input,
-            weight,
-            grad_output,
-            spec,
-            scratch,
-        )
+        crate::conv::conv2d_backward(self.tier, input, weight, grad_output, spec, scratch)
     }
 
     fn conv2d_input_grad(
@@ -121,9 +115,10 @@ impl Backend for CpuBackend {
         spec: ConvSpec,
         scratch: &mut Scratch,
     ) -> Result<Tensor> {
-        crate::conv::conv2d_input_grad_with_scratch_t(
+        let packed = PackedConvWeights::pack(weight)?;
+        crate::conv::conv2d_input_grad_prepacked(
             self.tier,
-            weight,
+            &packed,
             grad_output,
             input_dims,
             spec,
@@ -139,7 +134,7 @@ impl Backend for CpuBackend {
         spec: ConvSpec,
         scratch: &mut Scratch,
     ) -> Result<Tensor> {
-        crate::conv::conv2d_input_grad_prepacked_t(
+        crate::conv::conv2d_input_grad_prepacked(
             self.tier,
             weights,
             grad_output,
@@ -194,7 +189,7 @@ impl Backend for CpuBackend {
     }
 
     fn blur_batch(&self, batch: &Tensor, kernel: &Tensor) -> Result<Tensor> {
-        super::blur_batch(batch, kernel)
+        super::blur::blur_batch(batch, kernel)
     }
 }
 

@@ -1,14 +1,15 @@
 //! Pluggable compute backends for the tensor core.
 //!
 //! Every hot kernel the workspace runs — GEMM, conv forward/backward,
-//! depthwise, separable blur, pooling — is reachable through the
+//! depthwise, separable blur, pooling — is reachable only through the
 //! [`Backend`] trait, with the reference CPU implementation in
-//! [`CpuBackend`]. Consumers (`blurnet-nn` layers, the batch engine, the
-//! defenses and the figure generators) hold an `Arc<dyn Backend>` — either
-//! the process-wide [`default_backend`] or one threaded through a
-//! [`Scratch`] — so an accelerator backend (e.g. a future `CudaBackend`)
-//! slots in by implementing this trait and swapping the handle, without
-//! touching any call site.
+//! [`CpuBackend`]; each kernel exists once, as a crate-private function
+//! the backend calls with its tier. Consumers (`blurnet-nn` layers, the
+//! batch engine, the defenses and the figure generators) hold an
+//! `Arc<dyn Backend>` — either the process-wide [`default_backend`] or one
+//! threaded through a [`Scratch`] — so an accelerator backend (e.g. a
+//! future `CudaBackend`) slots in by implementing this trait and swapping
+//! the handle, without touching any call site.
 //!
 //! # Dispatch
 //!
@@ -263,12 +264,9 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
 /// The process-wide default backend: a [`CpuBackend`] at the tier
 /// [`SimdTier::detect`] picked, constructed once on first use.
 ///
-/// Free-function entry points and freshly created [`Scratch`] pools all
-/// route through this handle; tests that need a specific tier build their
-/// own [`CpuBackend::with_tier`] instead.
+/// Freshly created [`Scratch`] pools bind this handle; tests that need a
+/// specific tier build their own [`CpuBackend::with_tier`] instead.
 pub fn default_backend() -> Arc<dyn Backend> {
     static BACKEND: OnceLock<Arc<dyn Backend>> = OnceLock::new();
     Arc::clone(BACKEND.get_or_init(|| Arc::new(CpuBackend::new())))
 }
-
-pub(crate) use blur::blur_batch;

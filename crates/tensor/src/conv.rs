@@ -243,8 +243,8 @@ fn im2col_into(
 /// The fused-im2col `A` operand for the convolution GEMM: patch rows are
 /// generated on demand, straight into the GEMM's L1-resident pack buffers,
 /// so the `[N·OH·OW, C·KH·KW]` patch matrix is never written to (or read
-/// back from) memory. Row values are exactly those [`im2col`] would have
-/// materialized, so the GEMM result is bit-identical.
+/// back from) memory. Row values are exactly those [`im2col_into`] would
+/// have materialized, so the GEMM result is bit-identical.
 struct Im2colRows<'a> {
     data: &'a [f32],
     c: usize,
@@ -317,32 +317,17 @@ impl ARows for Im2colRows<'_> {
     }
 }
 
-/// Unfolds an `[N, C, H, W]` input into an `[N*OH*OW, C*KH*KW]` patch matrix.
-///
-/// Out-of-bounds (padding) locations contribute zeros.
-///
-/// # Errors
-///
-/// Returns an error if the input is not rank 4 or the kernel does not fit.
-pub fn im2col(input: &Tensor, kh: usize, kw: usize, spec: ConvSpec) -> Result<Tensor> {
-    let (n, c, h, w) = dims4(input)?;
-    let oh = spec.output_extent(h, kh)?;
-    let ow = spec.output_extent(w, kw)?;
-    let mut cols = vec![0.0f32; n * oh * ow * c * kh * kw];
-    im2col_into(input, kh, kw, spec, oh, ow, &mut cols);
-    Tensor::from_vec(cols, &[n * oh * ow, c * kh * kw])
-}
-
 /// Folds an `[N*OH*OW, C*KH*KW]` patch matrix back into an `[N, C, H, W]`
-/// tensor by scatter-adding overlapping patches (the adjoint of [`im2col`]).
-/// Parallel over output planes — each `(image, channel)` plane gathers only
-/// its own column entries, so there are no write conflicts.
+/// tensor by scatter-adding overlapping patches (the adjoint of
+/// [`im2col_into`]). Parallel over output planes — each `(image, channel)`
+/// plane gathers only its own column entries, so there are no write
+/// conflicts.
 ///
 /// # Errors
 ///
 /// Returns an error if the column matrix shape is inconsistent with the
 /// target dimensions and spec.
-pub fn col2im(
+pub(crate) fn col2im(
     cols: &Tensor,
     input_dims: &[usize],
     kh: usize,
@@ -440,7 +425,7 @@ pub fn col2im(
     Tensor::from_vec(out, input_dims)
 }
 
-/// Gradients produced by [`conv2d_backward`].
+/// Gradients produced by [`Backend::conv2d_backward`](crate::Backend::conv2d_backward).
 #[derive(Debug, Clone)]
 pub struct Conv2dGrads {
     /// Gradient with respect to the convolution input.
@@ -451,36 +436,15 @@ pub struct Conv2dGrads {
     pub d_bias: Tensor,
 }
 
-/// Standard 2-D convolution.
-///
-/// * `input`:  `[N, C, H, W]`
-/// * `weight`: `[F, C, KH, KW]`
-/// * `bias`:   optional `[F]`
-///
-/// Returns `[N, F, OH, OW]`. Uses this thread's shared [`Scratch`] pool;
-/// call [`conv2d_with_scratch`] to control workspace reuse explicitly.
-///
-/// # Errors
-///
-/// Returns an error on rank/shape mismatches or if the kernel does not fit
-/// the padded input.
-pub fn conv2d(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    spec: ConvSpec,
-) -> Result<Tensor> {
-    Scratch::with_thread_local(|scratch| conv2d_with_scratch(input, weight, bias, spec, scratch))
-}
-
 /// Convolution filter weights pre-transposed into the layout the GEMM core
 /// consumes: `[C·KH·KW, F]`, i.e. `Wᵀ` of the `[F, C·KH·KW]` filter matrix.
 ///
-/// [`conv2d_with_scratch`] re-derives this layout on every call; packing it
-/// once with [`PackedConvWeights::pack`] and running
-/// [`conv2d_prepacked`] amortises the transpose across every forward pass
-/// that shares the weights — the batch-inference engine packs each layer
-/// once and shares the pack read-only across batch shards and calls.
+/// Every convolution kernel runs against a pack. The unpacked
+/// [`Backend::conv2d`](crate::Backend::conv2d) and
+/// [`Backend::conv2d_input_grad`](crate::Backend::conv2d_input_grad) pack
+/// per call; the batch-inference engine packs each layer once and shares
+/// the pack read-only across batch shards and calls through the
+/// `*_prepacked` methods, amortising the transpose and tap flip.
 #[derive(Debug, Clone)]
 pub struct PackedConvWeights {
     wt: Tensor,
@@ -731,28 +695,37 @@ fn conv2d_direct_s1(
     scratch.put(padded);
 }
 
-/// Shared core of [`conv2d_with_scratch`] / [`conv2d_prepacked`].
+/// Standard 2-D convolution of an `[N, C, H, W]` input against packed
+/// `[F, C, KH, KW]` filters, with optional `[F]` bias; returns
+/// `[N, F, OH, OW]`.
 ///
 /// Narrow stride-1 convolutions take the register-blocked direct kernel
 /// ([`conv2d_direct_s1`]); everything else runs fused-im2col GEMM against
-/// the pre-transposed weights (`wt`, `[C·KH·KW, F]`, transposed here from
-/// `w_orig` when no pack is supplied) followed by the
-/// `[N·OH·OW, F]` → `[N, F, OH, OW]` reorder with bias. Both entry points
-/// dispatch identically, so prepacked and plain calls stay bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn conv2d_core(
+/// the pack's pre-transposed `[C·KH·KW, F]` weights followed by the
+/// `[N·OH·OW, F]` → `[N, F, OH, OW]` reorder with bias. Every workspace
+/// buffer comes from `scratch`.
+pub(crate) fn conv2d_prepacked(
     tier: SimdTier,
     input: &Tensor,
-    w_orig: &[f32],
-    wt: Option<&[f32]>,
-    f: usize,
-    kh: usize,
-    kw: usize,
+    weights: &PackedConvWeights,
     bias: Option<&Tensor>,
     spec: ConvSpec,
     scratch: &mut Scratch,
 ) -> Result<Tensor> {
     let (n, c, h, w) = dims4(input)?;
+    if c != weights.c {
+        return Err(TensorError::ShapeMismatch {
+            left: input.dims().to_vec(),
+            right: vec![0, weights.c, 0, 0],
+        });
+    }
+    let (f, kh, kw) = (weights.f, weights.kh, weights.kw);
+    if let Some(b) = bias.filter(|b| b.dims() != [f]) {
+        return Err(TensorError::ShapeMismatch {
+            left: b.dims().to_vec(),
+            right: vec![f],
+        });
+    }
     let oh = spec.output_extent(h, kh)?;
     let ow = spec.output_extent(w, kw)?;
     let rows = n * oh * ow;
@@ -764,7 +737,7 @@ fn conv2d_core(
             tier,
             &mut out,
             input.data(),
-            w_orig,
+            weights.w.data(),
             bias.map(|b| b.data()),
             n,
             c,
@@ -794,17 +767,7 @@ fn conv2d_core(
         spec,
     };
     let mut prod = scratch.take_dirty(rows * f);
-    match wt {
-        Some(wt) => gemm_into_src(tier, &mut prod, &patches, wt, rows, kdim, f),
-        None => {
-            // Pack Wᵀ once per call: [F, C·KH·KW] -> [C·KH·KW, F] so the
-            // GEMM streams both operands stride-1.
-            let mut wt = scratch.take_dirty(kdim * f);
-            transpose_into(&mut wt, w_orig, f, kdim);
-            gemm_into_src(tier, &mut prod, &patches, &wt, rows, kdim, f);
-            scratch.put(wt);
-        }
-    }
+    gemm_into_src(tier, &mut prod, &patches, weights.wt.data(), rows, kdim, f);
 
     // [N·OH·OW, F] -> [N, F, OH, OW] as one blocked transpose per image
     // (far kinder to the cache than a stride-F gather), then a streaming
@@ -834,155 +797,10 @@ fn conv2d_core(
     Tensor::from_vec(out, &[n, f, oh, ow])
 }
 
-fn check_conv_bias(bias: Option<&Tensor>, f: usize) -> Result<()> {
-    if let Some(b) = bias {
-        if b.dims() != [f] {
-            return Err(TensorError::ShapeMismatch {
-                left: b.dims().to_vec(),
-                right: vec![f],
-            });
-        }
-    }
-    Ok(())
-}
-
-/// [`conv2d`] with an explicit workspace pool: the im2col patch matrix, the
-/// packed (transposed) weight matrix and the GEMM product are all drawn from
-/// `scratch`, so repeated forward passes allocate nothing.
-///
-/// # Errors
-///
-/// Returns an error on rank/shape mismatches or if the kernel does not fit
-/// the padded input.
-pub fn conv2d_with_scratch(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    spec: ConvSpec,
-    scratch: &mut Scratch,
-) -> Result<Tensor> {
-    conv2d_with_scratch_t(scratch.tier(), input, weight, bias, spec, scratch)
-}
-
-/// [`conv2d_with_scratch`] dispatched through an explicit kernel tier
-/// (backend entry) — the scratch supplies buffers only.
-pub(crate) fn conv2d_with_scratch_t(
-    tier: SimdTier,
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    spec: ConvSpec,
-    scratch: &mut Scratch,
-) -> Result<Tensor> {
-    let (_, c, _, _) = dims4(input)?;
-    let (f, wc, kh, kw) = dims4(weight)?;
-    if wc != c {
-        return Err(TensorError::ShapeMismatch {
-            left: vec![f, wc, kh, kw],
-            right: vec![f, c, kh, kw],
-        });
-    }
-    check_conv_bias(bias, f)?;
-    conv2d_core(
-        tier,
-        input,
-        weight.data(),
-        None,
-        f,
-        kh,
-        kw,
-        bias,
-        spec,
-        scratch,
-    )
-}
-
-/// [`conv2d`] against weights packed once with [`PackedConvWeights::pack`],
-/// skipping the per-call weight transpose. Produces bit-identical results
-/// to [`conv2d`] / [`conv2d_with_scratch`] on the same operands.
-///
-/// # Errors
-///
-/// Returns an error on rank/shape mismatches or if the kernel does not fit
-/// the padded input.
-pub fn conv2d_prepacked(
-    input: &Tensor,
-    weights: &PackedConvWeights,
-    bias: Option<&Tensor>,
-    spec: ConvSpec,
-    scratch: &mut Scratch,
-) -> Result<Tensor> {
-    conv2d_prepacked_t(scratch.tier(), input, weights, bias, spec, scratch)
-}
-
-/// [`conv2d_prepacked`] dispatched through an explicit kernel tier
-/// (backend entry) — the scratch supplies buffers only.
-pub(crate) fn conv2d_prepacked_t(
-    tier: SimdTier,
-    input: &Tensor,
-    weights: &PackedConvWeights,
-    bias: Option<&Tensor>,
-    spec: ConvSpec,
-    scratch: &mut Scratch,
-) -> Result<Tensor> {
-    let (_, c, _, _) = dims4(input)?;
-    if c != weights.c {
-        return Err(TensorError::ShapeMismatch {
-            left: input.dims().to_vec(),
-            right: vec![0, weights.c, 0, 0],
-        });
-    }
-    check_conv_bias(bias, weights.f)?;
-    conv2d_core(
-        tier,
-        input,
-        weights.w.data(),
-        Some(weights.wt.data()),
-        weights.f,
-        weights.kh,
-        weights.kw,
-        bias,
-        spec,
-        scratch,
-    )
-}
-
-/// Backward pass of [`conv2d`] using this thread's shared [`Scratch`] pool.
-///
-/// `grad_output` must be `[N, F, OH, OW]` matching the forward output.
-///
-/// # Errors
-///
-/// Returns an error on rank/shape mismatches.
-pub fn conv2d_backward(
-    input: &Tensor,
-    weight: &Tensor,
-    grad_output: &Tensor,
-    spec: ConvSpec,
-) -> Result<Conv2dGrads> {
-    Scratch::with_thread_local(|scratch| {
-        conv2d_backward_with_scratch(input, weight, grad_output, spec, scratch)
-    })
-}
-
-/// [`conv2d_backward`] with an explicit workspace pool.
-///
-/// # Errors
-///
-/// Returns an error on rank/shape mismatches.
-pub fn conv2d_backward_with_scratch(
-    input: &Tensor,
-    weight: &Tensor,
-    grad_output: &Tensor,
-    spec: ConvSpec,
-    scratch: &mut Scratch,
-) -> Result<Conv2dGrads> {
-    conv2d_backward_with_scratch_t(scratch.tier(), input, weight, grad_output, spec, scratch)
-}
-
-/// [`conv2d_backward_with_scratch`] dispatched through an explicit kernel
-/// tier (backend entry) — the scratch supplies buffers only.
-pub(crate) fn conv2d_backward_with_scratch_t(
+/// Full backward pass of [`conv2d_prepacked`]: input, weight and bias
+/// gradients. `grad_output` must be `[N, F, OH, OW]` matching the forward
+/// output.
+pub(crate) fn conv2d_backward(
     tier: SimdTier,
     input: &Tensor,
     weight: &Tensor,
@@ -1036,11 +854,12 @@ pub(crate) fn conv2d_backward_with_scratch_t(
     scratch.put(gt);
     scratch.put(cols);
 
-    // d_input through the shared input-gradient entry point — the same
-    // dispatch (direct transposed kernel or GEMM + col2im) the batched
-    // gradient engine uses, so the two backwards stay bit-identical.
+    // d_input through the packed input-gradient kernel — the same dispatch
+    // (direct transposed kernel or GEMM + col2im) the batched gradient
+    // engine uses, so the two backwards stay bit-identical.
+    let packed = PackedConvWeights::pack(weight)?;
     let d_input =
-        conv2d_input_grad_with_scratch_t(tier, weight, grad_output, &[n, c, h, w], spec, scratch)?;
+        conv2d_input_grad_prepacked(tier, &packed, grad_output, input.dims(), spec, scratch)?;
 
     Ok(Conv2dGrads {
         d_input,
@@ -1062,131 +881,22 @@ fn grad_to_gmat(gmat: &mut [f32], g: &[f32], n: usize, f: usize, hw: usize) {
     }
 }
 
-/// Input gradient of [`conv2d`] **only** — the backward path attack
-/// generation needs: adversarial optimizers differentiate the loss with
-/// respect to the *image*, never the weights, so the `dW` GEMM, its
+/// Input gradient of [`conv2d_prepacked`] **only** — the backward path
+/// attack generation needs: adversarial optimizers differentiate the loss
+/// with respect to the *image*, never the weights, so the `dW` GEMM, its
 /// `im2col` of the forward input and the bias reduction of
-/// [`conv2d_backward_with_scratch`] are pure overhead there. This computes
-/// `d_input = col2im(g · W)` alone — a blocked per-image transpose of the
-/// gradients, one GEMM, and the stripe-structured [`col2im`] fold — drawing
-/// every workspace buffer from `scratch`, with the receiver-side layer
-/// staying immutable (the caller supplies the recorded `input_dims`).
+/// [`conv2d_backward`] are pure overhead there. The caller supplies the
+/// recorded `input_dims`, so a frozen layer can serve many batch shards.
 ///
-/// Produces exactly the `d_input` that [`conv2d_backward_with_scratch`]
-/// returns on the same operands (same GEMM and fold, same accumulation
-/// order).
-///
-/// # Errors
-///
-/// Returns an error on rank/shape mismatches between `weight`,
-/// `grad_output` and `input_dims`.
-pub fn conv2d_input_grad_with_scratch(
-    weight: &Tensor,
-    grad_output: &Tensor,
-    input_dims: &[usize],
-    spec: ConvSpec,
-    scratch: &mut Scratch,
-) -> Result<Tensor> {
-    conv2d_input_grad_with_scratch_t(
-        scratch.tier(),
-        weight,
-        grad_output,
-        input_dims,
-        spec,
-        scratch,
-    )
-}
-
-/// [`conv2d_input_grad_with_scratch`] dispatched through an explicit kernel
-/// tier (backend entry) — the scratch supplies buffers only.
-pub(crate) fn conv2d_input_grad_with_scratch_t(
-    tier: SimdTier,
-    weight: &Tensor,
-    grad_output: &Tensor,
-    input_dims: &[usize],
-    spec: ConvSpec,
-    scratch: &mut Scratch,
-) -> Result<Tensor> {
-    if input_dims.len() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: input_dims.len(),
-        });
-    }
-    let (n, c, h, w) = (input_dims[0], input_dims[1], input_dims[2], input_dims[3]);
-    let (f, wc, kh, kw) = dims4(weight)?;
-    let (gn, gf, oh, ow) = dims4(grad_output)?;
-    let exp_oh = spec.output_extent(h, kh)?;
-    let exp_ow = spec.output_extent(w, kw)?;
-    if gn != n || gf != f || wc != c || oh != exp_oh || ow != exp_ow {
-        return Err(TensorError::ShapeMismatch {
-            left: grad_output.dims().to_vec(),
-            right: vec![n, f, exp_oh, exp_ow],
-        });
-    }
-    // Stride-1 convolutions run the backward as a *direct transposed
-    // convolution*: flipping the kernel taps and swapping the channel axes
-    // turns `d_input = col2im(g · W)` into a plain stride-1 convolution of
-    // `grad_output` with padding `K−1−P`, which the register-blocked direct
-    // kernel executes without materializing anything.
-    if direct_s1_applies(spec, kh, kw, w) {
-        let flipped = flip_weights(weight.data(), f, c, kh, kw);
-        return input_grad_direct(
-            tier,
-            &flipped,
-            grad_output,
-            input_dims,
-            f,
-            c,
-            kh,
-            spec,
-            scratch,
-        );
-    }
-    input_grad_gemm(
-        tier,
-        weight.data(),
-        grad_output,
-        input_dims,
-        f,
-        kh,
-        kw,
-        spec,
-        scratch,
-    )
-}
-
-/// [`conv2d_input_grad_with_scratch`] against weights packed once with
-/// [`PackedConvWeights::pack`]: the direct transposed kernel consumes the
-/// pack's pre-flipped taps, so gradient loops (PGD steps, RP2 iterations)
-/// pay the flip exactly once per pass instead of once per batch shard.
-/// Bit-identical to [`conv2d_input_grad_with_scratch`] on the same
-/// operands.
-///
-/// # Errors
-///
-/// Returns an error on rank/shape mismatches between the pack,
-/// `grad_output` and `input_dims`.
-pub fn conv2d_input_grad_prepacked(
-    weights: &PackedConvWeights,
-    grad_output: &Tensor,
-    input_dims: &[usize],
-    spec: ConvSpec,
-    scratch: &mut Scratch,
-) -> Result<Tensor> {
-    conv2d_input_grad_prepacked_t(
-        scratch.tier(),
-        weights,
-        grad_output,
-        input_dims,
-        spec,
-        scratch,
-    )
-}
-
-/// [`conv2d_input_grad_prepacked`] dispatched through an explicit kernel
-/// tier (backend entry) — the scratch supplies buffers only.
-pub(crate) fn conv2d_input_grad_prepacked_t(
+/// Stride-1 square kernels run as a *direct transposed convolution*:
+/// flipping the kernel taps and swapping the channel axes turns
+/// `d_input = col2im(g · W)` into a plain stride-1 convolution of
+/// `grad_output` with padding `K−1−P`, which the register-blocked direct
+/// kernel executes against the pack's pre-flipped taps without
+/// materializing anything. Everything else runs one GEMM and the
+/// stripe-structured [`col2im`] fold, drawing every workspace buffer from
+/// `scratch`.
+pub(crate) fn conv2d_input_grad_prepacked(
     tier: SimdTier,
     weights: &PackedConvWeights,
     grad_output: &Tensor,
@@ -1309,7 +1019,8 @@ fn input_grad_gemm(
     Ok(d_input)
 }
 
-/// Gradients produced by [`depthwise_conv2d_backward`].
+/// Gradients produced by
+/// [`Backend::depthwise_conv2d_backward`](crate::Backend::depthwise_conv2d_backward).
 #[derive(Debug, Clone)]
 pub struct DepthwiseGrads {
     /// Gradient with respect to the input.
@@ -1406,6 +1117,18 @@ fn depthwise_plane_general(
     }
 }
 
+/// Validates a `[C, KH, KW]` depthwise weight against `c` input channels
+/// and returns its kernel extents.
+fn depthwise_kernel(weight: &Tensor, c: usize) -> Result<(usize, usize)> {
+    match *weight.dims() {
+        [wc, kh, kw] if wc == c => Ok((kh, kw)),
+        _ => Err(TensorError::ShapeMismatch {
+            left: weight.dims().to_vec(),
+            right: vec![c, 0, 0],
+        }),
+    }
+}
+
 /// Depthwise 2-D convolution: each channel is convolved with its own kernel.
 ///
 /// * `input`:  `[N, C, H, W]`
@@ -1420,20 +1143,14 @@ fn depthwise_plane_general(
 /// # Errors
 ///
 /// Returns an error on rank/shape mismatches or if the kernel does not fit.
-pub fn depthwise_conv2d(
+pub(crate) fn depthwise_conv2d(
     input: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,
     spec: ConvSpec,
 ) -> Result<Tensor> {
     let (n, c, h, w) = dims4(input)?;
-    if weight.shape().rank() != 3 || weight.dims()[0] != c {
-        return Err(TensorError::ShapeMismatch {
-            left: weight.dims().to_vec(),
-            right: vec![c, 0, 0],
-        });
-    }
-    let (kh, kw) = (weight.dims()[1], weight.dims()[2]);
+    let (kh, kw) = depthwise_kernel(weight, c)?;
     if let Some(b) = bias {
         if b.dims() != [c] {
             return Err(TensorError::ShapeMismatch {
@@ -1486,7 +1203,7 @@ pub fn depthwise_conv2d(
 ///
 /// Returns an error on rank/shape mismatches between `weight`,
 /// `grad_output` and `input_dims`.
-pub fn depthwise_input_grad(
+pub(crate) fn depthwise_input_grad(
     weight: &Tensor,
     grad_output: &Tensor,
     input_dims: &[usize],
@@ -1499,13 +1216,7 @@ pub fn depthwise_input_grad(
         });
     }
     let (n, c, h, w) = (input_dims[0], input_dims[1], input_dims[2], input_dims[3]);
-    if weight.shape().rank() != 3 || weight.dims()[0] != c {
-        return Err(TensorError::ShapeMismatch {
-            left: weight.dims().to_vec(),
-            right: vec![c, 0, 0],
-        });
-    }
-    let (kh, kw) = (weight.dims()[1], weight.dims()[2]);
+    let (kh, kw) = depthwise_kernel(weight, c)?;
     let oh = spec.output_extent(h, kh)?;
     let ow = spec.output_extent(w, kw)?;
     if grad_output.dims() != [n, c, oh, ow] {
@@ -1575,29 +1286,22 @@ pub fn depthwise_input_grad(
 /// # Errors
 ///
 /// Returns an error on rank/shape mismatches.
-pub fn depthwise_conv2d_backward(
+pub(crate) fn depthwise_conv2d_backward(
     input: &Tensor,
     weight: &Tensor,
     grad_output: &Tensor,
     spec: ConvSpec,
 ) -> Result<DepthwiseGrads> {
     let (n, c, h, w) = dims4(input)?;
+    // Pass 1 — d_input, shared with the input-only backward, which also
+    // validates `weight` and `grad_output` against the input.
+    let d_input = depthwise_input_grad(weight, grad_output, input.dims(), spec)?;
     let (kh, kw) = (weight.dims()[1], weight.dims()[2]);
-    let oh = spec.output_extent(h, kh)?;
-    let ow = spec.output_extent(w, kw)?;
-    if grad_output.dims() != [n, c, oh, ow] {
-        return Err(TensorError::ShapeMismatch {
-            left: grad_output.dims().to_vec(),
-            right: vec![n, c, oh, ow],
-        });
-    }
+    let (oh, ow) = (grad_output.dims()[2], grad_output.dims()[3]);
     let x = input.data();
     let g = grad_output.data();
     let pad = spec.padding as isize;
     let parallel = n * c * oh * ow * kh * kw >= PAR_WORK && rayon::current_num_threads() > 1;
-
-    // Pass 1 — d_input, shared with the input-only backward.
-    let d_input = depthwise_input_grad(weight, grad_output, input.dims(), spec)?;
 
     // Pass 2 — d_weight/d_bias: each channel accumulates over the batch,
     // with exclusive ownership of its kernel and bias slots.
@@ -1661,15 +1365,15 @@ pub fn depthwise_conv2d_backward(
 /// Seed (pre-optimisation) implementations for equivalence tests and
 /// benchmark baselines; see [`crate::reference`].
 pub mod reference {
-    use super::{dims4, ConvSpec};
-    use crate::{Result, Tensor, TensorError};
+    use super::{depthwise_kernel, dims4, ConvSpec};
+    use crate::{Result, Tensor};
 
     /// The seed `depthwise_conv2d`: per-pixel gather loop with bounds checks
     /// in the innermost loops.
     ///
     /// # Errors
     ///
-    /// Same contract as [`super::depthwise_conv2d`].
+    /// Same contract as [`Backend::depthwise_conv2d`](crate::Backend::depthwise_conv2d).
     pub fn depthwise_conv2d_naive(
         input: &Tensor,
         weight: &Tensor,
@@ -1677,13 +1381,7 @@ pub mod reference {
         spec: ConvSpec,
     ) -> Result<Tensor> {
         let (n, c, h, w) = dims4(input)?;
-        if weight.shape().rank() != 3 || weight.dims()[0] != c {
-            return Err(TensorError::ShapeMismatch {
-                left: weight.dims().to_vec(),
-                right: vec![c, 0, 0],
-            });
-        }
-        let (kh, kw) = (weight.dims()[1], weight.dims()[2]);
+        let (kh, kw) = depthwise_kernel(weight, c)?;
         let oh = spec.output_extent(h, kh)?;
         let ow = spec.output_extent(w, kw)?;
         let mut out = vec![0.0f32; n * c * oh * ow];
@@ -1727,6 +1425,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::default_backend;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -1781,6 +1480,42 @@ mod tests {
         out
     }
 
+    /// [`Backend::conv2d`] through the default backend and a fresh pool.
+    fn conv2d(
+        input: &Tensor,
+        weight: &Tensor,
+        bias: Option<&Tensor>,
+        spec: ConvSpec,
+    ) -> Result<Tensor> {
+        default_backend().conv2d(input, weight, bias, spec, &mut Scratch::new())
+    }
+
+    fn depthwise_conv2d(
+        input: &Tensor,
+        weight: &Tensor,
+        bias: Option<&Tensor>,
+        spec: ConvSpec,
+    ) -> Result<Tensor> {
+        default_backend().depthwise_conv2d(input, weight, bias, spec)
+    }
+
+    /// Materializes the `[N·OH·OW, C·KH·KW]` patch matrix.
+    fn im2col(input: &Tensor, kh: usize, kw: usize, spec: ConvSpec) -> Tensor {
+        let (n, c, h, w) = dims4(input).unwrap();
+        let oh = spec.output_extent(h, kh).unwrap();
+        let ow = spec.output_extent(w, kw).unwrap();
+        let mut cols = vec![0.0f32; n * oh * ow * c * kh * kw];
+        im2col_into(input, kh, kw, spec, oh, ow, &mut cols);
+        Tensor::from_vec(cols, &[n * oh * ow, c * kh * kw]).unwrap()
+    }
+
+    fn assert_close(got: &Tensor, want: &Tensor, tol: f32, what: &str) {
+        assert_eq!(got.dims(), want.dims(), "{what}");
+        for (a, b) in got.data().iter().zip(want.data().iter()) {
+            assert!((a - b).abs() < tol * (1.0 + b.abs()), "{what}: {a} vs {b}");
+        }
+    }
+
     #[test]
     fn output_extent_math() {
         let s = ConvSpec::new(2, 1).unwrap();
@@ -1811,17 +1546,56 @@ mod tests {
     #[test]
     fn conv2d_matches_naive() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        for &(stride, padding) in &[(1usize, 0usize), (1, 2), (2, 1)] {
-            let spec = ConvSpec { stride, padding };
-            let input = Tensor::rand_uniform(&[2, 3, 9, 8], -1.0, 1.0, &mut rng);
-            let weight = Tensor::rand_uniform(&[4, 3, 3, 3], -1.0, 1.0, &mut rng);
-            let bias = Tensor::rand_uniform(&[4], -0.5, 0.5, &mut rng);
+        let same3 = ConvSpec::same(3).unwrap();
+        // (input dims, filters, spec): GEMM-path shapes (output widths 6,
+        // 10 and 4), then LisaCnn's conv2 and conv3 — 3×3 "same" at
+        // OW = 16 and 8, the two direct stride-1 kernel widths.
+        for &(dims, f, spec) in &[
+            ([2usize, 3, 9, 8], 4usize, ConvSpec::valid()),
+            ([2, 3, 9, 8], 4, ConvSpec::new(1, 2).unwrap()),
+            ([2, 3, 9, 8], 4, ConvSpec::new(2, 1).unwrap()),
+            ([2, 8, 16, 16], 16, same3),
+            ([2, 16, 8, 8], 32, same3),
+        ] {
+            let input = Tensor::rand_uniform(&dims, -1.0, 1.0, &mut rng);
+            let weight = Tensor::rand_uniform(&[f, dims[1], 3, 3], -1.0, 1.0, &mut rng);
+            let bias = Tensor::rand_uniform(&[f], -0.5, 0.5, &mut rng);
             let fast = conv2d(&input, &weight, Some(&bias), spec).unwrap();
             let slow = naive_conv2d(&input, &weight, Some(&bias), spec);
-            assert_eq!(fast.dims(), slow.dims());
-            for (a, b) in fast.data().iter().zip(slow.data().iter()) {
-                assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-            }
+            assert_close(&fast, &slow, 1e-4, &format!("{dims:?} f {f} {spec:?}"));
+        }
+    }
+
+    #[test]
+    fn direct_input_grad_matches_gemm() {
+        // The direct transposed kernel against the GEMM + col2im fold at
+        // LisaCnn's conv2 and conv3 shapes (input widths 16 and 8).
+        let mut rng = ChaCha8Rng::seed_from_u64(71);
+        let tier = default_backend().simd_tier();
+        let spec = ConvSpec::same(3).unwrap();
+        for &(c, f, hw) in &[(8usize, 16usize, 16usize), (16, 32, 8)] {
+            assert!(direct_s1_applies(spec, 3, 3, hw));
+            let dims = [2, c, hw, hw];
+            let weight = Tensor::rand_uniform(&[f, c, 3, 3], -1.0, 1.0, &mut rng);
+            let grad = Tensor::rand_uniform(&[2, f, hw, hw], -1.0, 1.0, &mut rng);
+            let packed = PackedConvWeights::pack(&weight).unwrap();
+            let mut scratch = Scratch::new();
+            let direct =
+                conv2d_input_grad_prepacked(tier, &packed, &grad, &dims, spec, &mut scratch)
+                    .unwrap();
+            let gemm = input_grad_gemm(
+                tier,
+                weight.data(),
+                &grad,
+                &dims,
+                f,
+                3,
+                3,
+                spec,
+                &mut scratch,
+            )
+            .unwrap();
+            assert_close(&direct, &gemm, 1e-5, &format!("c {c} f {f} hw {hw}"));
         }
     }
 
@@ -1842,14 +1616,21 @@ mod tests {
         let input = Tensor::rand_uniform(&[2, 3, 12, 12], -1.0, 1.0, &mut rng);
         let weight = Tensor::rand_uniform(&[5, 3, 3, 3], -1.0, 1.0, &mut rng);
         let spec = ConvSpec::same(3).unwrap();
+        let backend = default_backend();
         let mut scratch = Scratch::new();
-        let first = conv2d_with_scratch(&input, &weight, None, spec, &mut scratch).unwrap();
+        let first = backend
+            .conv2d(&input, &weight, None, spec, &mut scratch)
+            .unwrap();
         assert!(scratch.pooled() > 0);
-        let second = conv2d_with_scratch(&input, &weight, None, spec, &mut scratch).unwrap();
+        let second = backend
+            .conv2d(&input, &weight, None, spec, &mut scratch)
+            .unwrap();
         assert_eq!(first, second);
         // And a *different* problem through the same pool stays correct.
         let small = Tensor::rand_uniform(&[1, 3, 5, 5], -1.0, 1.0, &mut rng);
-        let got = conv2d_with_scratch(&small, &weight, None, spec, &mut scratch).unwrap();
+        let got = backend
+            .conv2d(&small, &weight, None, spec, &mut scratch)
+            .unwrap();
         let expected = naive_conv2d(&small, &weight, None, spec);
         for (a, b) in got.data().iter().zip(expected.data().iter()) {
             assert!((a - b).abs() < 1e-4);
@@ -1859,6 +1640,7 @@ mod tests {
     #[test]
     fn conv2d_prepacked_is_bit_identical_to_conv2d() {
         let mut rng = ChaCha8Rng::seed_from_u64(53);
+        let backend = default_backend();
         for &(stride, padding) in &[(1usize, 1usize), (2, 2), (1, 0)] {
             let spec = ConvSpec { stride, padding };
             let input = Tensor::rand_uniform(&[3, 4, 10, 9], -1.0, 1.0, &mut rng);
@@ -1870,7 +1652,9 @@ mod tests {
             assert_eq!(packed.kernel(), (3, 3));
             let mut scratch = Scratch::new();
             let plain = conv2d(&input, &weight, Some(&bias), spec).unwrap();
-            let fast = conv2d_prepacked(&input, &packed, Some(&bias), spec, &mut scratch).unwrap();
+            let fast = backend
+                .conv2d_prepacked(&input, &packed, Some(&bias), spec, &mut scratch)
+                .unwrap();
             // Same accumulation order everywhere: bit identity, not tolerance.
             assert_eq!(plain, fast, "stride {stride} pad {padding}");
         }
@@ -1878,19 +1662,20 @@ mod tests {
         let packed = PackedConvWeights::pack(&Tensor::zeros(&[2, 3, 3, 3])).unwrap();
         let mut scratch = Scratch::new();
         let wrong_c = Tensor::zeros(&[1, 4, 8, 8]);
-        assert!(
-            conv2d_prepacked(&wrong_c, &packed, None, ConvSpec::valid(), &mut scratch).is_err()
-        );
+        assert!(backend
+            .conv2d_prepacked(&wrong_c, &packed, None, ConvSpec::valid(), &mut scratch)
+            .is_err());
         let input = Tensor::zeros(&[1, 3, 8, 8]);
         let bad_bias = Tensor::zeros(&[3]);
-        assert!(conv2d_prepacked(
-            &input,
-            &packed,
-            Some(&bad_bias),
-            ConvSpec::valid(),
-            &mut scratch
-        )
-        .is_err());
+        assert!(backend
+            .conv2d_prepacked(
+                &input,
+                &packed,
+                Some(&bad_bias),
+                ConvSpec::valid(),
+                &mut scratch
+            )
+            .is_err());
         assert!(PackedConvWeights::pack(&Tensor::zeros(&[2, 3, 3])).is_err());
     }
 
@@ -1907,7 +1692,9 @@ mod tests {
         // Loss = sum of outputs, so grad_output is all ones.
         let out = conv2d(&input, &weight, Some(&bias), spec).unwrap();
         let grad_out = Tensor::ones(out.dims());
-        let grads = conv2d_backward(&input, &weight, &grad_out, spec).unwrap();
+        let grads = default_backend()
+            .conv2d_backward(&input, &weight, &grad_out, spec, &mut Scratch::new())
+            .unwrap();
 
         let eps = 1e-2f32;
         // Check a handful of input coordinates.
@@ -2038,7 +1825,9 @@ mod tests {
         let weight = Tensor::rand_uniform(&[2, 3, 3], -1.0, 1.0, &mut rng);
         let out = depthwise_conv2d(&input, &weight, None, spec).unwrap();
         let grad_out = Tensor::ones(out.dims());
-        let grads = depthwise_conv2d_backward(&input, &weight, &grad_out, spec).unwrap();
+        let grads = default_backend()
+            .depthwise_conv2d_backward(&input, &weight, &grad_out, spec)
+            .unwrap();
         let eps = 1e-2f32;
         for &flat in &[0usize, 3, 10, 17] {
             let mut plus = weight.clone();
@@ -2067,111 +1856,86 @@ mod tests {
     #[test]
     fn conv2d_input_grad_matches_full_backward_bitwise() {
         let mut rng = ChaCha8Rng::seed_from_u64(61);
+        let backend = default_backend();
         for &(stride, padding) in &[(1usize, 1usize), (2, 2), (1, 0), (3, 2)] {
             let spec = ConvSpec { stride, padding };
             let input = Tensor::rand_uniform(&[2, 3, 9, 8], -1.0, 1.0, &mut rng);
             let weight = Tensor::rand_uniform(&[4, 3, 3, 3], -1.0, 1.0, &mut rng);
             let out = conv2d(&input, &weight, None, spec).unwrap();
             let grad_out = Tensor::rand_uniform(out.dims(), -1.0, 1.0, &mut rng);
-            let full = conv2d_backward(&input, &weight, &grad_out, spec).unwrap();
             let mut scratch = Scratch::new();
-            let lean = conv2d_input_grad_with_scratch(
-                &weight,
-                &grad_out,
-                input.dims(),
-                spec,
-                &mut scratch,
-            )
-            .unwrap();
+            let full = backend
+                .conv2d_backward(&input, &weight, &grad_out, spec, &mut scratch)
+                .unwrap();
+            let lean = backend
+                .conv2d_input_grad(&weight, &grad_out, input.dims(), spec, &mut scratch)
+                .unwrap();
             // Same GEMM + fold in the same order: bit identity, not tolerance.
             assert_eq!(lean, full.d_input, "stride {stride} pad {padding}");
             // Scratch reuse across calls must not change the result.
-            let again = conv2d_input_grad_with_scratch(
-                &weight,
-                &grad_out,
-                input.dims(),
-                spec,
-                &mut scratch,
-            )
-            .unwrap();
+            let again = backend
+                .conv2d_input_grad(&weight, &grad_out, input.dims(), spec, &mut scratch)
+                .unwrap();
             assert_eq!(again, full.d_input);
         }
         // Shape validation.
         let weight = Tensor::zeros(&[2, 3, 3, 3]);
         let grad = Tensor::zeros(&[1, 2, 8, 8]);
         let mut scratch = Scratch::new();
-        assert!(conv2d_input_grad_with_scratch(
-            &weight,
-            &grad,
-            &[1, 3, 8, 8],
-            ConvSpec::valid(),
-            &mut scratch
-        )
-        .is_err());
-        assert!(conv2d_input_grad_with_scratch(
-            &weight,
-            &grad,
-            &[1, 3, 8],
-            ConvSpec::same(3).unwrap(),
-            &mut scratch
-        )
-        .is_err());
-        assert!(conv2d_input_grad_with_scratch(
-            &weight,
-            &Tensor::zeros(&[1, 4, 8, 8]),
-            &[1, 3, 8, 8],
-            ConvSpec::same(3).unwrap(),
-            &mut scratch
-        )
-        .is_err());
+        let mut input_grad = |grad: &Tensor, dims: &[usize], spec: ConvSpec| {
+            backend.conv2d_input_grad(&weight, grad, dims, spec, &mut scratch)
+        };
+        assert!(input_grad(&grad, &[1, 3, 8, 8], ConvSpec::valid()).is_err());
+        assert!(input_grad(&grad, &[1, 3, 8], ConvSpec::same(3).unwrap()).is_err());
+        let wrong_f = Tensor::zeros(&[1, 4, 8, 8]);
+        assert!(input_grad(&wrong_f, &[1, 3, 8, 8], ConvSpec::same(3).unwrap()).is_err());
     }
 
     #[test]
     fn depthwise_input_grad_matches_full_backward_bitwise() {
         let mut rng = ChaCha8Rng::seed_from_u64(67);
+        let backend = default_backend();
         for &(stride, padding, k) in &[(1usize, 1usize, 3usize), (1, 2, 5), (2, 1, 3)] {
             let spec = ConvSpec { stride, padding };
             let input = Tensor::rand_uniform(&[2, 3, 11, 9], -1.0, 1.0, &mut rng);
             let weight = Tensor::rand_uniform(&[3, k, k], -1.0, 1.0, &mut rng);
             let out = depthwise_conv2d(&input, &weight, None, spec).unwrap();
             let grad_out = Tensor::rand_uniform(out.dims(), -1.0, 1.0, &mut rng);
-            let full = depthwise_conv2d_backward(&input, &weight, &grad_out, spec).unwrap();
-            let lean = depthwise_input_grad(&weight, &grad_out, input.dims(), spec).unwrap();
+            let full = backend
+                .depthwise_conv2d_backward(&input, &weight, &grad_out, spec)
+                .unwrap();
+            let lean = backend
+                .depthwise_input_grad(&weight, &grad_out, input.dims(), spec)
+                .unwrap();
             assert_eq!(lean, full.d_input, "stride {stride} pad {padding} k {k}");
         }
         // Shape validation.
         let weight = Tensor::zeros(&[3, 3, 3]);
-        assert!(depthwise_input_grad(
-            &weight,
-            &Tensor::zeros(&[1, 3, 8, 8]),
-            &[1, 2, 8, 8],
-            ConvSpec::same(3).unwrap()
-        )
-        .is_err());
-        assert!(depthwise_input_grad(
-            &weight,
-            &Tensor::zeros(&[1, 3, 7, 7]),
-            &[1, 3, 8, 8],
-            ConvSpec::same(3).unwrap()
-        )
-        .is_err());
+        let same3 = ConvSpec::same(3).unwrap();
+        let grad = Tensor::zeros(&[1, 3, 8, 8]);
+        assert!(backend
+            .depthwise_input_grad(&weight, &grad, &[1, 2, 8, 8], same3)
+            .is_err());
+        let grad = Tensor::zeros(&[1, 3, 7, 7]);
+        assert!(backend
+            .depthwise_input_grad(&weight, &grad, &[1, 3, 8, 8], same3)
+            .is_err());
     }
 
     #[test]
     fn im2col_col2im_are_adjoint() {
         // <im2col(x), y> == <x, col2im(y)> for random x, y.
         let mut rng = ChaCha8Rng::seed_from_u64(77);
-        let spec = ConvSpec {
-            stride: 2,
-            padding: 1,
-        };
-        let x = Tensor::rand_uniform(&[1, 2, 6, 6], -1.0, 1.0, &mut rng);
-        let cols = im2col(&x, 3, 3, spec).unwrap();
-        let y = Tensor::rand_uniform(cols.dims(), -1.0, 1.0, &mut rng);
-        let lhs = cols.dot(&y).unwrap();
-        let back = col2im(&y, &[1, 2, 6, 6], 3, 3, spec).unwrap();
-        let rhs = x.dot(&back).unwrap();
-        assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
+        for &(stride, padding) in &[(1usize, 0usize), (1, 1), (2, 0), (2, 1)] {
+            let spec = ConvSpec { stride, padding };
+            let x = Tensor::rand_uniform(&[1, 2, 6, 6], -1.0, 1.0, &mut rng);
+            let cols = im2col(&x, 3, 3, spec);
+            let y = Tensor::rand_uniform(cols.dims(), -1.0, 1.0, &mut rng);
+            let lhs = cols.dot(&y).unwrap();
+            let back = col2im(&y, &[1, 2, 6, 6], 3, 3, spec).unwrap();
+            let rhs = x.dot(&back).unwrap();
+            assert!((lhs - rhs).abs() < 1e-3, "{spec:?}: {lhs} vs {rhs}");
+        }
     }
 
     #[test]
@@ -2182,7 +1946,17 @@ mod tests {
         let bad_bias = Tensor::zeros(&[3]);
         let weight = Tensor::zeros(&[2, 3, 3, 3]);
         assert!(conv2d(&input, &weight, Some(&bad_bias), ConvSpec::valid()).is_err());
+        let same3 = ConvSpec::same(3).unwrap();
         let dw_bad = Tensor::zeros(&[2, 3, 3]);
-        assert!(depthwise_conv2d(&input, &dw_bad, None, ConvSpec::same(3).unwrap()).is_err());
+        assert!(depthwise_conv2d(&input, &dw_bad, None, same3).is_err());
+        // Regression: a rank-1 or rank-2 depthwise weight used to panic in
+        // the backward instead of returning a typed error.
+        let grad = Tensor::zeros(&[1, 3, 8, 8]);
+        for bad in [Tensor::zeros(&[3]), Tensor::zeros(&[3, 3])] {
+            assert!(matches!(
+                default_backend().depthwise_conv2d_backward(&input, &bad, &grad, same3),
+                Err(TensorError::ShapeMismatch { .. })
+            ));
+        }
     }
 }

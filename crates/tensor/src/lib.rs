@@ -4,8 +4,8 @@
 //! workspace needs: a dense row-major [`Tensor`], blocked matrix
 //! multiplication, im2col-based 2-D convolution (regular and depthwise)
 //! with full gradients, max-pooling, separable blur, and seeded weight
-//! initializers — all reachable through the [`Backend`] trait, whose
-//! [`CpuBackend`] implementation fixes its SIMD dispatch tier once at
+//! initializers. The [`Backend`] trait is the only way to run a kernel;
+//! its [`CpuBackend`] implementation fixes its SIMD dispatch tier once at
 //! construction (see [`SimdTier`]).
 //!
 //! # Example
@@ -34,15 +34,9 @@ mod shape;
 mod tensor;
 
 pub use backend::{default_backend, separable_factors, Backend, CpuBackend, SimdTier};
-pub use conv::{
-    col2im, conv2d, conv2d_backward, conv2d_backward_with_scratch, conv2d_input_grad_prepacked,
-    conv2d_input_grad_with_scratch, conv2d_prepacked, conv2d_with_scratch, depthwise_conv2d,
-    depthwise_conv2d_backward, depthwise_input_grad, im2col, Conv2dGrads, ConvSpec, DepthwiseGrads,
-    PackedConvWeights,
-};
+pub use conv::{Conv2dGrads, ConvSpec, DepthwiseGrads, PackedConvWeights};
 pub use error::TensorError;
 pub use init::{kaiming_uniform, xavier_uniform, Initializer};
-pub use matmul::{matmul, matmul_transpose_a, matmul_transpose_b, matmul_transpose_b_with_scratch};
 
 /// Seed (pre-optimisation) implementations, kept verbatim so equivalence
 /// tests and `substrate_micro` can pin the fast paths against them. Never
@@ -51,7 +45,7 @@ pub mod reference {
     pub use crate::conv::reference::depthwise_conv2d_naive;
     pub use crate::matmul::reference::matmul_naive;
 }
-pub use pool::{max_pool2d, max_pool2d_backward, MaxPoolOutput, PoolSpec};
+pub use pool::{MaxPoolOutput, PoolSpec};
 pub use scratch::Scratch;
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -1,7 +1,9 @@
 //! Cache-blocked, register-tiled, rayon-parallel matrix multiplication.
 //!
-//! All three public entry points ([`matmul`], [`matmul_transpose_a`],
-//! [`matmul_transpose_b`]) funnel into one GEMM core:
+//! All three GEMM kernels behind [`Backend`](crate::Backend) ([`matmul`],
+//! [`matmul_transpose_a`], [`matmul_transpose_b`]) — and the convolution
+//! kernels — funnel into one GEMM core, dispatched through the backend's
+//! pre-resolved [`SimdTier`]:
 //!
 //! * the k dimension is processed in panels of [`KC`] so the active slice of
 //!   `b` stays cache-resident;
@@ -388,19 +390,9 @@ pub(crate) fn transpose_into(dst: &mut [f32], src: &[f32], rows: usize, cols: us
 
 /// Dense matrix product `a (m×k) · b (k×n) → (m×n)`.
 ///
-/// This is the hot path for every convolution (via im2col) and dense layer
-/// in the workspace; see the module docs for the blocking scheme.
-///
-/// # Errors
-///
-/// Returns an error if either argument is not rank 2 or the inner
-/// dimensions disagree.
-pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    matmul_t(SimdTier::detect(), a, b)
-}
-
-/// [`matmul`] dispatched through an explicit kernel tier (backend entry).
-pub(crate) fn matmul_t(tier: SimdTier, a: &Tensor, b: &Tensor) -> Result<Tensor> {
+/// This is the hot path for every dense layer in the workspace; see the
+/// module docs for the blocking scheme.
+pub(crate) fn matmul(tier: SimdTier, a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, k) = dims2(a)?;
     let (k2, n) = dims2(b)?;
     if k != k2 {
@@ -414,23 +406,10 @@ pub(crate) fn matmul_t(tier: SimdTier, a: &Tensor, b: &Tensor) -> Result<Tensor>
     Tensor::from_vec(out, &[m, n])
 }
 
-/// Computes `aᵀ (k×m) · b (k×n) → (m×n)` without materialising the transpose
-/// in the caller — internally `aᵀ` is packed once into a scratch buffer so
-/// the GEMM core runs at full stride-1 speed.
-///
-/// # Errors
-///
-/// Returns an error if either argument is not rank 2 or the shared leading
-/// dimension disagrees.
-pub fn matmul_transpose_a(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    matmul_transpose_a_t(SimdTier::detect(), a, b)
-}
-
-/// [`matmul_transpose_a`] dispatched through an explicit kernel tier
-/// (backend entry). The transpose workspace comes from the thread-local
-/// scratch pool; only buffer memory is drawn from it — dispatch follows
-/// `tier`.
-pub(crate) fn matmul_transpose_a_t(tier: SimdTier, a: &Tensor, b: &Tensor) -> Result<Tensor> {
+/// Computes `aᵀ (k×m) · b (k×n) → (m×n)`; `aᵀ` is packed once into a
+/// buffer from the thread-local scratch pool so the GEMM core runs at full
+/// stride-1 speed.
+pub(crate) fn matmul_transpose_a(tier: SimdTier, a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (k, m) = dims2(a)?;
     let (k2, n) = dims2(b)?;
     if k != k2 {
@@ -449,36 +428,9 @@ pub(crate) fn matmul_transpose_a_t(tier: SimdTier, a: &Tensor, b: &Tensor) -> Re
     Tensor::from_vec(out, &[m, n])
 }
 
-/// Computes `a (m×k) · bᵀ (n×k) → (m×n)`; `bᵀ` is packed once into a scratch
-/// buffer so the GEMM core runs at full stride-1 speed.
-///
-/// # Errors
-///
-/// Returns an error if either argument is not rank 2 or the shared trailing
-/// dimension disagrees.
-pub fn matmul_transpose_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    Scratch::with_thread_local(|scratch| matmul_transpose_b_with_scratch(a, b, scratch))
-}
-
-/// [`matmul_transpose_b`] with an explicit workspace pool for the packed
-/// `bᵀ`, for callers that already hold a [`Scratch`] (layer inference paths
-/// must not re-enter the shared thread-local pool).
-///
-/// # Errors
-///
-/// Returns an error if either argument is not rank 2 or the shared trailing
-/// dimension disagrees.
-pub fn matmul_transpose_b_with_scratch(
-    a: &Tensor,
-    b: &Tensor,
-    scratch: &mut Scratch,
-) -> Result<Tensor> {
-    matmul_transpose_b_with_scratch_t(scratch.tier(), a, b, scratch)
-}
-
-/// [`matmul_transpose_b_with_scratch`] dispatched through an explicit
-/// kernel tier (backend entry) — the scratch supplies buffers only.
-pub(crate) fn matmul_transpose_b_with_scratch_t(
+/// Computes `a (m×k) · bᵀ (n×k) → (m×n)`; `bᵀ` is packed once into a
+/// `scratch` buffer so the GEMM core runs at full stride-1 speed.
+pub(crate) fn matmul_transpose_b(
     tier: SimdTier,
     a: &Tensor,
     b: &Tensor,
@@ -511,7 +463,7 @@ pub mod reference {
     ///
     /// # Errors
     ///
-    /// Same contract as [`super::matmul`].
+    /// Same contract as [`Backend::matmul`](crate::Backend::matmul).
     pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         let (m, k) = dims2(a)?;
         let (k2, n) = dims2(b)?;
@@ -544,8 +496,21 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::default_backend;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
+        default_backend().matmul(a, b)
+    }
+
+    fn matmul_transpose_a(a: &Tensor, b: &Tensor) -> Result<Tensor> {
+        default_backend().matmul_transpose_a(a, b)
+    }
+
+    fn matmul_transpose_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
+        default_backend().matmul_transpose_b(a, b, &mut Scratch::new())
+    }
 
     fn naive(a: &Tensor, b: &Tensor) -> Tensor {
         let (m, k) = (a.dims()[0], a.dims()[1]);

@@ -46,7 +46,8 @@ impl PoolSpec {
     }
 }
 
-/// Output of [`max_pool2d`]: pooled values and argmax indices for backward.
+/// Output of [`Backend::max_pool2d`](crate::Backend::max_pool2d): pooled
+/// values and argmax indices for backward.
 #[derive(Debug, Clone)]
 pub struct MaxPoolOutput {
     /// Pooled activations `[N, C, OH, OW]`.
@@ -60,7 +61,7 @@ pub struct MaxPoolOutput {
 /// # Errors
 ///
 /// Returns an error if the input is not rank 4 or the window does not fit.
-pub fn max_pool2d(input: &Tensor, spec: PoolSpec) -> Result<MaxPoolOutput> {
+pub(crate) fn max_pool2d(input: &Tensor, spec: PoolSpec) -> Result<MaxPoolOutput> {
     if input.shape().rank() != 4 {
         return Err(TensorError::RankMismatch {
             expected: 4,
@@ -128,7 +129,7 @@ pub fn max_pool2d(input: &Tensor, spec: PoolSpec) -> Result<MaxPoolOutput> {
 /// output shape, or [`TensorError::IndexOutOfBounds`] if a recorded argmax
 /// index falls outside `input_dims` (a stale or corrupted argmax recording
 /// — e.g. one captured against different input dimensions).
-pub fn max_pool2d_backward(
+pub(crate) fn max_pool2d_backward(
     grad_output: &Tensor,
     argmax: &[usize],
     input_dims: &[usize],

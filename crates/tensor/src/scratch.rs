@@ -3,15 +3,16 @@
 //! The hot paths (im2col, conv forward/backward, matmul transposes) need
 //! large intermediate `Vec<f32>` buffers. Allocating them fresh on every
 //! call dominates small-batch workloads, so a [`Scratch`] keeps returned
-//! buffers alive for the next call. The `blurnet-nn` batch engine hands one
-//! to each worker (and a training loop keeps one across steps); free
-//! functions fall back to a thread-local pool via
-//! [`Scratch::with_thread_local`].
+//! buffers alive for the next call. Every [`Backend`] method that needs a
+//! workspace takes one: the `blurnet-nn` batch engine hands one to each
+//! worker, and a training loop keeps one across steps. The few kernels
+//! whose trait method takes no scratch (`matmul_transpose_a`, the
+//! separable blur) draw from a thread-local pool instead.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use crate::backend::{default_backend, Backend, SimdTier};
+use crate::backend::{default_backend, Backend};
 
 /// A pool of reusable `f32` buffers, bound to a compute [`Backend`].
 ///
@@ -20,8 +21,8 @@ use crate::backend::{default_backend, Backend, SimdTier};
 /// `Vec<f32>`, so leaking one (forgetting `put`) is safe — it just allocates
 /// again next time.
 ///
-/// The backend handle is how layers and free functions discover which
-/// kernels to dispatch to: [`Scratch::new`] binds the process-wide
+/// The backend handle is how layers discover which kernels to dispatch
+/// to: [`Scratch::new`] binds the process-wide
 /// [`default_backend`], [`Scratch::with_backend`] binds an explicit one
 /// (e.g. a forced-scalar [`crate::CpuBackend`] in cross-dispatch tests).
 #[derive(Debug)]
@@ -54,12 +55,6 @@ impl Scratch {
     /// `Arc` keeps the pool borrowable mutably while kernels run).
     pub fn backend(&self) -> Arc<dyn Backend> {
         Arc::clone(&self.backend)
-    }
-
-    /// The bound backend's dispatch tier — the tier free-function entry
-    /// points use when handed this scratch.
-    pub(crate) fn tier(&self) -> SimdTier {
-        self.backend.simd_tier()
     }
 
     /// Pops the pooled allocation with the smallest sufficient capacity for
@@ -151,10 +146,10 @@ impl Scratch {
         self.pool.len()
     }
 
-    /// Runs `f` with this thread's shared scratch pool — the default pool
-    /// used by the free-function entry points (`matmul`, `conv2d`, …) so
-    /// repeated calls reuse buffers without any caller-side plumbing.
-    pub fn with_thread_local<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    /// Runs `f` with this thread's shared scratch pool, for kernels whose
+    /// backend method takes no scratch, so repeated calls reuse buffers
+    /// without any caller-side plumbing.
+    pub(crate) fn with_thread_local<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
         thread_local! {
             static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
         }

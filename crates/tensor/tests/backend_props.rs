@@ -99,7 +99,9 @@ proptest! {
         k in 1usize..4,
         stride in 1usize..3,
         pad in 0usize..2,
-        hw in 4usize..9,
+        // Up to 17 so the direct stride-1 kernels' OW = 16 instantiation
+        // is reached alongside OW = 8.
+        hw in 4usize..18,
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let (scalar, simd) = tiers();
@@ -259,6 +261,32 @@ proptest! {
             &simd.blur_image(&image, &boxk).unwrap(),
             "blur_image",
         )?;
+    }
+}
+
+/// The direct stride-1 kernels at both instantiated widths — LisaCnn's
+/// conv2 and conv3, 3×3 "same" at OW = 16 and 8 — are bit-identical across
+/// tiers, forward and input-gradient.
+#[test]
+fn direct_conv_widths_cross_dispatch() {
+    let (scalar, simd) = tiers();
+    let spec = ConvSpec::same(3).unwrap();
+    let mut rng = ChaCha8Rng::seed_from_u64(16);
+    for &(c, f, hw) in &[(8usize, 16usize, 16usize), (16, 32, 8)] {
+        let input = rand_tensor(&mut rng, &[2, c, hw, hw]);
+        let weight = rand_tensor(&mut rng, &[f, c, 3, 3]);
+        let grad = rand_tensor(&mut rng, &[2, f, hw, hw]);
+        let fwd = |b: &CpuBackend| {
+            b.conv2d(&input, &weight, None, spec, &mut Scratch::new())
+                .unwrap()
+        };
+        assert_bits_equal(&fwd(&scalar), &fwd(&simd), "conv2d").unwrap();
+        let dims = input.dims();
+        let back = |b: &CpuBackend| {
+            b.conv2d_input_grad(&weight, &grad, dims, spec, &mut Scratch::new())
+                .unwrap()
+        };
+        assert_bits_equal(&back(&scalar), &back(&simd), "conv2d_input_grad").unwrap();
     }
 }
 

@@ -16,7 +16,7 @@ use blurnet_data::{sticker_mask, StickerLayout};
 use blurnet_defenses::model::TrainingReport;
 use blurnet_defenses::{DefendedModel, DefenseKind, TrainConfig};
 use blurnet_nn::{Layer, LisaCnn, Sequential, TapeSlot};
-use blurnet_tensor::{Scratch, Tensor};
+use blurnet_tensor::{default_backend, ConvSpec, Scratch, Tensor};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -123,6 +123,21 @@ pub fn tiny_defended_model(defense: DefenseKind, seed: u64) -> DefendedModel {
 /// a comparison.
 pub fn uniform_batch(dims: &[usize], lo: f32, hi: f32, seed: u64) -> Tensor {
     Tensor::rand_uniform(dims, lo, hi, &mut seeded_rng(seed))
+}
+
+/// The generic 2-D blur the separable fast path is pinned against: a
+/// depthwise "same" convolution of the `[N, C, H, W]` `batch` with one copy
+/// of the square, odd `kernel` per channel, through the default backend.
+///
+/// # Panics
+///
+/// Panics if the batch is not rank 4 or the kernel is not square and odd.
+pub fn blur_2d(batch: &Tensor, kernel: &Tensor) -> Tensor {
+    let weights = Tensor::stack(&vec![kernel.clone(); batch.dims()[1]]).expect("one kernel");
+    let spec = ConvSpec::same(kernel.dims()[0]).expect("odd kernel");
+    default_backend()
+        .depthwise_conv2d(batch, &weights, None, spec)
+        .expect("rank-4 batch and square kernel")
 }
 
 /// `n` individual `[3, size, size]` images in `[0, 1)`, seeded — the
