@@ -20,44 +20,46 @@
 //! `--threads` value.
 //!
 //! `--cache-dir DIR` persists trained variants and shared attack
-//! artifacts under `DIR` and reuses them on later runs. `--resume DIR`
-//! replays every completed cell from `DIR/results.json` — or, when the
-//! prior run died before writing its report, from the crash-safe
-//! `run.journal` beside it — and schedules only the delta; a resume of a
-//! fully completed run executes zero nodes and re-emits the
-//! byte-identical report.
+//! artifacts under `DIR` and reuses them on later runs.
 //!
-//! Scheduler runs write-ahead journal every completed cell to
-//! `run.journal` next to `--out` (fsynced per cell), so a run killed at
-//! *any* point — SIGKILL, OOM, power loss — resumes from its last
-//! completed cell. `--journal PATH` moves the journal, `--no-journal`
-//! disables it.
+//! Every run write-ahead journals each completed cell to `run.journal`
+//! beside `--out` (fsynced per cell), so a run killed at *any* point —
+//! SIGKILL, OOM, power loss — leaves a record of its completed cells.
+//! `--resume DIR` reads only `DIR/run.journal`: it replays every completed
+//! cell and schedules only the delta; a resume of a fully completed run
+//! executes zero nodes and re-emits the byte-identical report. A
+//! directory without a journal (never written, or retired after a failed
+//! append) is not resumable — re-run without `--resume`. Every runtime
+//! failure prints `reproduce: …` and exits 1.
+
+use std::path::{Path, PathBuf};
 
 use blurnet::experiments::grid::ExperimentGrid;
 use blurnet::experiments::paper_reference;
-use blurnet::journal::JOURNAL_FILE;
-use blurnet::{
-    recover_prior, resume_run, resume_run_with_journal, ExperimentScheduler, RunReport, Scale,
-};
+use blurnet::journal::{read_journal, JOURNAL_FILE};
+use blurnet::{resume_run, ExperimentScheduler, RunReport, Scale};
 
 fn usage() -> ! {
     eprintln!(
         "usage: reproduce [--threads N] [--grid full|tables|micro|EXPERIMENT,...] [--out PATH] \
-         [--retry-failed N] [--cache-dir DIR] [--resume DIR] [--journal PATH] \
-         [--no-journal] [--json] [--verbose]"
+         [--retry-failed N] [--cache-dir DIR] [--resume DIR] [--json] [--verbose]"
     );
     std::process::exit(2)
+}
+
+/// Reports a runtime failure and exits 1 — never a panic.
+fn fail(message: String) -> ! {
+    eprintln!("reproduce: {message}");
+    std::process::exit(1)
 }
 
 struct Args {
     threads: Option<usize>,
     retry_failed: usize,
     grid: String,
-    out: Option<std::path::PathBuf>,
-    cache_dir: Option<std::path::PathBuf>,
-    resume: Option<std::path::PathBuf>,
-    journal: Option<std::path::PathBuf>,
-    no_journal: bool,
+    out: PathBuf,
+    cache_dir: Option<PathBuf>,
+    resume: Option<PathBuf>,
     json: bool,
     verbose: bool,
 }
@@ -67,11 +69,9 @@ fn parse_args() -> Args {
         threads: None,
         retry_failed: 0,
         grid: "full".to_string(),
-        out: Some(std::path::PathBuf::from("results.json")),
+        out: PathBuf::from("results.json"),
         cache_dir: None,
         resume: None,
-        journal: None,
-        no_journal: false,
         json: false,
         verbose: false,
     };
@@ -87,35 +87,15 @@ fn parse_args() -> Args {
                 args.retry_failed = value.parse().unwrap_or_else(|_| usage());
             }
             "--grid" => args.grid = iter.next().unwrap_or_else(|| usage()),
-            "--out" => args.out = Some(iter.next().unwrap_or_else(|| usage()).into()),
-            "--no-out" => args.out = None,
+            "--out" => args.out = iter.next().unwrap_or_else(|| usage()).into(),
             "--cache-dir" => args.cache_dir = Some(iter.next().unwrap_or_else(|| usage()).into()),
             "--resume" => args.resume = Some(iter.next().unwrap_or_else(|| usage()).into()),
-            "--journal" => args.journal = Some(iter.next().unwrap_or_else(|| usage()).into()),
-            "--no-journal" => args.no_journal = true,
             "--json" => args.json = true,
             "--verbose" => args.verbose = true,
             _ => usage(),
         }
     }
     args
-}
-
-/// Where this run journals completed cells: an explicit `--journal PATH`
-/// wins, otherwise `run.journal` beside `--out`; `--no-journal` (or
-/// `--no-out` without an explicit journal path) disables journaling.
-fn journal_path(args: &Args) -> Option<std::path::PathBuf> {
-    if args.no_journal {
-        return None;
-    }
-    if let Some(path) = &args.journal {
-        return Some(path.clone());
-    }
-    args.out.as_ref().map(|out| {
-        out.parent()
-            .unwrap_or_else(|| std::path::Path::new(""))
-            .join(JOURNAL_FILE)
-    })
 }
 
 fn main() {
@@ -145,20 +125,20 @@ fn main() {
     if let Some(dir) = &args.cache_dir {
         scheduler = scheduler.cache_dir(dir.clone());
     }
+    let journal = args
+        .out
+        .parent()
+        .unwrap_or_else(|| Path::new(""))
+        .join(JOURNAL_FILE);
     let report: RunReport = if let Some(resume_dir) = &args.resume {
-        let (prior, source) = recover_prior(resume_dir).unwrap_or_else(|e| {
-            eprintln!("reproduce: cannot recover the prior run: {e}");
-            std::process::exit(1);
+        let prior = read_journal(&resume_dir.join(JOURNAL_FILE)).unwrap_or_else(|e| {
+            fail(format!(
+                "{} is not resumable ({e}); re-run without --resume",
+                resume_dir.display()
+            ))
         });
-        eprintln!("# resume source: {source}");
-        let resumed = match journal_path(&args) {
-            Some(journal) => resume_run_with_journal(&scheduler, &grid, &prior, &journal),
-            None => resume_run(&scheduler, &grid, &prior),
-        }
-        .unwrap_or_else(|e| {
-            eprintln!("reproduce: resume failed: {e}");
-            std::process::exit(1);
-        });
+        let resumed = resume_run(&scheduler, &grid, &prior, &journal)
+            .unwrap_or_else(|e| fail(format!("resume failed: {e}")));
         eprintln!(
             "# resume: replayed {} cells, scheduling {}",
             resumed.replayed, resumed.executed
@@ -168,12 +148,10 @@ fn main() {
         }
         resumed.report
     } else {
-        if let Some(journal) = journal_path(&args) {
-            scheduler = scheduler.journal_path(journal);
-        }
         let run = scheduler
+            .journal_path(journal)
             .run(&grid)
-            .unwrap_or_else(|e| panic!("scheduler run failed: {e}"));
+            .unwrap_or_else(|e| fail(format!("scheduler run failed: {e}")));
         print_profile(&run.profile);
         run.report
     };
@@ -190,12 +168,10 @@ fn main() {
             }
         }
     }
-    if let Some(path) = &args.out {
-        report
-            .write_json(path)
-            .unwrap_or_else(|e| panic!("failed to write {}: {e}", path.display()));
-        eprintln!("# wrote {}", path.display());
-    }
+    report
+        .write_json(&args.out)
+        .unwrap_or_else(|e| fail(format!("failed to write {}: {e}", args.out.display())));
+    eprintln!("# wrote {}", args.out.display());
     if !report.all_ok() {
         eprintln!("# WARNING: some cells failed or were skipped (see the report)");
         std::process::exit(1);

@@ -142,6 +142,23 @@ fn a_torn_append_flushed_mid_write_recovers_byte_identically() {
     kill_and_resume("torn-third-append", "core.journal.torn:error@3");
 }
 
+/// Runs `reproduce --resume dir` to completion and asserts it replayed
+/// exactly `replayed` cells and recovered the reference bytes.
+fn resume_to_reference(name: &str, dir: &Path, replayed: usize, reference: &[u8]) {
+    let final_run = run_reproduce(dir, None, Some(dir));
+    let stderr = stderr_of(&final_run);
+    assert!(
+        final_run.status.success(),
+        "{name}: final resume failed:\n{stderr}"
+    );
+    assert!(
+        stderr.contains(&format!("# resume: replayed {replayed} cells")),
+        "{name}: expected {replayed} replayed cells, got:\n{stderr}"
+    );
+    let recovered = std::fs::read(dir.join("results.json")).expect("recovered results.json");
+    assert_eq!(recovered, reference, "{name}: chained resume diverged");
+}
+
 #[test]
 fn a_killed_resume_resumes_again() {
     // Crash during the original run, then crash during the *resume*, then
@@ -153,26 +170,36 @@ fn a_killed_resume_resumes_again() {
     let first = run_reproduce(&dir, Some("core.journal.append:abort@2"), None);
     assert!(!first.status.success(), "first kill did not kill");
 
-    // The resume re-journals the 1 replayed cell, so its append hits 1-2
-    // land during replay and hit 3 lands inside the delta run.
-    let second = run_reproduce(&dir, Some("core.journal.append:abort@3"), Some(&dir));
+    // Replay re-seeds the journal without `append_cell`, so every append
+    // hit of the resume is a delta cell: hit 2 dies after the first
+    // delta cell, leaving the replayed cell plus one new one.
+    let second = run_reproduce(&dir, Some("core.journal.append:abort@2"), Some(&dir));
     assert!(!second.status.success(), "second kill did not kill");
 
-    let final_run = run_reproduce(&dir, None, Some(&dir));
-    assert!(
-        final_run.status.success(),
-        "resume after a killed resume failed:\n{}",
-        stderr_of(&final_run)
-    );
-    let recovered = std::fs::read(dir.join("results.json")).expect("recovered results.json");
-    assert_eq!(recovered, reference, "chained resume diverged");
+    resume_to_reference("double-crash", &dir, 2, reference);
+}
+
+#[test]
+fn a_resume_killed_at_its_first_append_keeps_the_prior_cells() {
+    // The resume rewrites the journal it resumes from: the header and the
+    // replayed cells land as one atomic file, so a kill right after the
+    // re-seed (at the delta's first append) still holds both prior cells.
+    let reference = reference_bytes();
+    let dir = work_root().join("reseed-crash");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let first = run_reproduce(&dir, Some("core.journal.append:abort@3"), None);
+    assert!(!first.status.success(), "first kill did not kill");
+    let second = run_reproduce(&dir, Some("core.journal.append:abort@1"), Some(&dir));
+    assert!(!second.status.success(), "second kill did not kill");
+
+    resume_to_reference("reseed-crash", &dir, 2, reference);
 }
 
 #[test]
 fn a_failed_append_retires_the_journal_but_not_the_run() {
-    // Error kind (not abort): the append fails, the journal self-retires
-    // so it can never disagree with the report, and the run completes
-    // with the reference bytes regardless.
+    // Error kind (not abort): the append fails, the journal self-retires,
+    // and the run completes with the reference bytes regardless.
     let reference = reference_bytes();
     let dir = work_root().join("append-error");
     let _ = std::fs::remove_dir_all(&dir);
@@ -190,12 +217,33 @@ fn a_failed_append_retires_the_journal_but_not_the_run() {
     let report = std::fs::read(dir.join("results.json")).expect("results.json");
     assert_eq!(report, reference, "journal retirement changed the report");
 
-    // The retired journal leaves results.json alone as the resume source.
+    // Without a journal the run is not resumable: `results.json` is never
+    // read back, so `--resume` refuses with a message instead.
     let resumed = run_reproduce(&dir, None, Some(&dir));
-    assert!(resumed.status.success(), "{}", stderr_of(&resumed));
     let stderr = stderr_of(&resumed);
+    assert_eq!(resumed.status.code(), Some(1), "{stderr}");
     assert!(
-        stderr.contains("# resume: replayed 4 cells, scheduling 0"),
-        "expected a full replay from results.json, got:\n{stderr}"
+        stderr.contains("not resumable") && !stderr.contains("panicked"),
+        "expected a not-resumable refusal, got:\n{stderr}"
     );
+}
+
+#[test]
+fn an_unwritable_journal_or_report_exits_1_without_a_panic() {
+    // A directory squatting on the journal's (then the report's) path
+    // makes it impossible to create: `reproduce` must say so and exit 1.
+    reference_bytes(); // warm the shared cache first
+    for blocked in ["run.journal", "results.json"] {
+        let dir = work_root().join(format!("unwritable-{blocked}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join(blocked)).expect("blocking dir");
+
+        let out = run_reproduce(&dir, None, None);
+        let stderr = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(1), "{blocked}: {stderr}");
+        assert!(
+            stderr.contains("reproduce: ") && !stderr.contains("panicked"),
+            "{blocked}: expected a clean failure, got:\n{stderr}"
+        );
+    }
 }

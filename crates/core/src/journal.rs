@@ -1,14 +1,13 @@
 //! The crash-safe run journal: an append-only, per-record-checksummed
 //! write-ahead log of completed experiment cells.
 //!
-//! PR 8's `--resume` assumes the prior run lived long enough to write a
-//! complete `results.json`; a SIGKILL/OOM halfway through the grid throws
-//! away every finished cell. The journal closes that gap: the scheduler
-//! writes one **header record** (schema/scale/seed/grid size) when a run
-//! starts and one **cell record** per successfully completed cell as
-//! cells finish — each record fsynced before the run proceeds — so a run
-//! interrupted *anywhere* leaves a durable, verifiable prefix of its
-//! work that `--resume` replays.
+//! The journal is the run's only resumable record: `results.json` is an
+//! output that nothing reads back. The scheduler writes one **header
+//! record** (schema/scale/seed/grid size) when a run starts and one
+//! **cell record** per successfully completed cell as cells finish —
+//! each record fsynced before the run proceeds — so a run interrupted
+//! *anywhere* (SIGKILL, OOM, power loss) leaves a durable, verifiable
+//! prefix of its work that `--resume` replays.
 //!
 //! # Format (`BNJL`, version 1)
 //!
@@ -36,23 +35,26 @@
 //!
 //! # Durability contract
 //!
-//! * [`JournalWriter::create`] truncates, writes the header record, and
-//!   fsyncs both the file and its parent directory.
+//! * [`JournalWriter::create`] (and the resume path's seeded variant,
+//!   which also writes the replayed cells) builds the whole file in a
+//!   temporary sibling, fsyncs it, renames it into place and fsyncs the
+//!   parent directory — a crash during creation leaves either the old
+//!   journal or the complete new one, never a truncated one.
 //! * [`JournalWriter::append_cell`] writes one record and fsyncs the file
 //!   data before returning — when a cell's record is observed by the run,
 //!   it survives a crash.
 //! * Appends are **best-effort**: an I/O failure retires the journal
-//!   (removing the file so a later `--resume` never sees a journal that
-//!   silently disagrees with `results.json`) and the run continues.
+//!   (removing the file, whose tail is now of unknown shape) and the run
+//!   continues to its `results.json` — but is no longer resumable.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use blurnet_tensor::persist::{frame_record, read_record};
+use blurnet_tensor::persist::{frame_record, read_record, write_bytes_atomic};
 use serde::{Deserialize, Serialize};
 
-use crate::report::{CellReport, RunReport};
+use crate::report::CellReport;
 use crate::{BlurNetError, Result};
 
 /// Magic bytes opening every journal record.
@@ -90,8 +92,6 @@ pub enum JournalError {
     },
     /// A filesystem failure reading or writing the journal.
     Io(String),
-    /// `results.json` and the journal disagree about the run.
-    Mismatch(String),
 }
 
 impl fmt::Display for JournalError {
@@ -108,9 +108,6 @@ impl fmt::Display for JournalError {
                 write!(f, "malformed record at byte {offset}: {detail}")
             }
             JournalError::Io(detail) => write!(f, "journal I/O failure: {detail}"),
-            JournalError::Mismatch(detail) => {
-                write!(f, "journal and results.json disagree: {detail}")
-            }
         }
     }
 }
@@ -124,8 +121,7 @@ impl From<JournalError> for BlurNetError {
 }
 
 /// The journal's first record: the identity of the run being journaled,
-/// so recovery can refuse to merge incompatible runs exactly as
-/// [`crate::plan_resume`] does for prior reports.
+/// so [`crate::plan_resume`] can refuse to merge incompatible runs.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JournalHeader {
     /// Results schema tag ([`crate::report::RESULTS_SCHEMA`]).
@@ -149,8 +145,8 @@ pub struct JournalWriter {
 }
 
 impl JournalWriter {
-    /// Creates (truncating) the journal at `path`, writes the header
-    /// record and fsyncs it — returning only once the header is durable.
+    /// Creates (replacing) the journal at `path` holding only the header
+    /// record, written atomically and durably ([`write_bytes_atomic`]).
     ///
     /// # Errors
     ///
@@ -158,33 +154,37 @@ impl JournalWriter {
     /// the journal cannot be created; a journal the caller asked for that
     /// cannot exist is a hard error, unlike per-append failures.
     pub fn create(path: impl Into<PathBuf>, header: &JournalHeader) -> Result<Self> {
-        use std::io::Write;
+        Self::seeded(path, header, &[])
+    }
+
+    /// Creates (replacing) the journal at `path` holding the header record
+    /// followed by `cells`, then opens it for appending. The whole file is
+    /// written atomically and durably ([`write_bytes_atomic`]), so a crash
+    /// at any point leaves either the previous journal or the complete new
+    /// one — a resume that re-seeds the journal it is resuming from can
+    /// never lose the prior run's cells.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JournalError::Io`] when the journal cannot be written.
+    pub(crate) fn seeded(
+        path: impl Into<PathBuf>,
+        header: &JournalHeader,
+        cells: &[CellReport],
+    ) -> Result<Self> {
         let path = path.into();
-        let io = |e: std::io::Error| {
+        let io = |e: &dyn fmt::Display| {
             BlurNetError::Journal(JournalError::Io(format!("{}: {e}", path.display())))
         };
-        let payload = serde_json::to_string(header).map_err(|e| JournalError::Io(e.to_string()))?;
-        let mut file = std::fs::File::create(&path).map_err(io)?;
-        file.write_all(&frame_record(
-            JOURNAL_MAGIC,
-            JOURNAL_VERSION,
-            KIND_HEADER,
-            payload.as_bytes(),
-        ))
-        .map_err(io)?;
-        file.sync_all().map_err(io)?;
-        // The journal file itself must survive a crash, not just its
-        // contents: fsync the directory entry too.
-        if let Some(dir) = path.parent() {
-            let dir = if dir.as_os_str().is_empty() {
-                Path::new(".")
-            } else {
-                dir
-            };
-            if let Ok(handle) = std::fs::File::open(dir) {
-                let _ = handle.sync_all();
-            }
+        let mut bytes = encode_record(KIND_HEADER, header).map_err(|e| io(&e))?;
+        for cell in cells {
+            bytes.extend(encode_record(KIND_CELL, cell).map_err(|e| io(&e))?);
         }
+        write_bytes_atomic(&path, &bytes).map_err(|e| io(&e))?;
+        let file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .map_err(|e| io(&e))?;
         Ok(JournalWriter {
             path,
             file: Mutex::new(Some(file)),
@@ -205,19 +205,13 @@ impl JournalWriter {
         #[cfg(not(feature = "fault-injection"))]
         let injected_failure = false;
 
-        let payload = match serde_json::to_string(cell) {
-            Ok(p) => p,
+        let record = match encode_record(KIND_CELL, cell) {
+            Ok(record) => record,
             Err(e) => {
                 self.retire(&format!("cell record does not serialize: {e}"));
                 return;
             }
         };
-        let record = frame_record(
-            JOURNAL_MAGIC,
-            JOURNAL_VERSION,
-            KIND_CELL,
-            payload.as_bytes(),
-        );
 
         // Fault site `core.journal.torn`: write a torn prefix of the
         // record, push it to disk, and die — a genuine kill-mid-append.
@@ -252,9 +246,10 @@ impl JournalWriter {
         }
     }
 
-    /// Drops the file handle and removes the journal file: a journal that
-    /// lost an append would disagree with the `results.json` the run goes
-    /// on to write, and a later `--resume` must never face that silently.
+    /// Drops the file handle and removes the journal file: after a failed
+    /// append the file's tail is of unknown shape (a full disk, a torn
+    /// record), so the run stops journaling and a later `--resume` finds
+    /// no journal and refuses, rather than trusting a damaged record.
     fn retire(&self, cause: &str) {
         let mut guard = self.file.lock().expect("journal writer poisoned");
         if guard.take().is_some() {
@@ -277,21 +272,6 @@ pub struct RecoveredJournal {
     /// Bytes of torn/corrupt tail discarded after the last valid record
     /// (zero for a cleanly closed journal).
     pub dropped_bytes: usize,
-}
-
-impl RecoveredJournal {
-    /// Reshapes the recovered cells as a [`RunReport`] so the ordinary
-    /// resume planner ([`crate::plan_resume`]) can replay them — the
-    /// journal-recovered report of an interrupted run is simply a prior
-    /// report that covers part of the grid.
-    pub fn into_report(self) -> RunReport {
-        RunReport {
-            schema: self.header.schema,
-            scale: self.header.scale,
-            seed: self.header.seed,
-            cells: self.cells,
-        }
-    }
 }
 
 /// Recovers a journal from its raw bytes: the torn-tail-tolerant,
@@ -376,6 +356,17 @@ pub fn recover_journal(bytes: &[u8]) -> Result<RecoveredJournal> {
     })
 }
 
+/// Frames one JSON-payload record of `kind`.
+fn encode_record(kind: u8, value: &impl Serialize) -> serde_json::Result<Vec<u8>> {
+    let payload = serde_json::to_string(value)?;
+    Ok(frame_record(
+        JOURNAL_MAGIC,
+        JOURNAL_VERSION,
+        kind,
+        payload.as_bytes(),
+    ))
+}
+
 /// Reads and recovers the journal at `path` (see [`recover_journal`]).
 ///
 /// # Errors
@@ -431,9 +422,6 @@ mod tests {
         assert_eq!(recovered.header, header());
         assert_eq!(recovered.cells, vec![cell("a"), cell("b")]);
         assert_eq!(recovered.dropped_bytes, 0);
-        let report = recovered.into_report();
-        assert_eq!(report.schema, RESULTS_SCHEMA);
-        assert_eq!(report.cells.len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -50,10 +50,7 @@ pub use error::BlurNetError;
 pub use journal::{JournalError, JournalHeader, JournalWriter, RecoveredJournal};
 pub use queue::{run_workers, BoundedQueue, PopTimeout, TryPush};
 pub use report::{CellOutput, CellReport, CellStatus, RunReport, Table};
-pub use resume::{
-    plan_resume, recover_prior, resume_run, resume_run_with_journal, PriorSource, ResumePlan,
-    ResumedRun,
-};
+pub use resume::{plan_resume, resume_run, ResumePlan, ResumedRun};
 pub use runner::BatchRunner;
 pub use scale::Scale;
 pub use scheduler::{ExperimentScheduler, RunProfile, ScheduledRun};

@@ -1,41 +1,44 @@
-//! `--resume`: replay completed cells from a prior `results.json` and
+//! `--resume`: replay completed cells from a prior run's journal and
 //! schedule only the delta.
 //!
-//! A resumed run must be **indistinguishable** from a cold run of the same
-//! grid: replayed cells are copied verbatim from the prior report, delta
-//! cells are re-executed through the ordinary [`ExperimentScheduler`]
-//! (which regenerates — or loads from the disk cache — every artifact the
-//! delta needs), and the merged report lists cells in grid order exactly
-//! as a cold run would. Because every cell's bytes are deterministic in
-//! (grid, scale, seed), the merged `results.json` is **byte-identical** to
-//! the cold run's — pinned by `tests/golden_resume.rs`.
+//! The prior run is whatever its `run.journal` recovered
+//! ([`crate::journal::read_journal`]); `results.json` is an output that
+//! nothing reads back, and a directory without a journal is not
+//! resumable. A resumed run must be **indistinguishable** from a cold
+//! run of the same grid: replayed cells are copied verbatim from the
+//! journal, delta cells are re-executed through the ordinary
+//! [`ExperimentScheduler`] (which regenerates — or loads from the disk
+//! cache — every artifact the delta needs), and the merged report lists
+//! cells in grid order exactly as a cold run would. Because every cell's
+//! bytes are deterministic in (grid, scale, seed), the merged
+//! `results.json` is **byte-identical** to the cold run's — pinned by
+//! `tests/golden_resume.rs`.
 //!
-//! Only [`CellStatus::Ok`] cells replay; failed or skipped prior cells are
+//! Only [`CellStatus::Ok`] cells replay; failed or skipped cells are
 //! rescheduled, so `--resume` doubles as a retry of a partially failed
-//! run. A prior report whose schema, scale or seed disagrees with the
+//! run. A prior journal whose schema, scale or seed disagrees with the
 //! requested run is rejected outright — silently merging incompatible
 //! results would fabricate a run that never happened.
 
-use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
 use crate::experiments::grid::ExperimentGrid;
-use crate::journal::{read_journal, JournalError, JournalHeader, JournalWriter, JOURNAL_FILE};
-use crate::report::{CellReport, CellStatus, RunReport, RESULTS_SCHEMA};
-use crate::scheduler::{ExperimentScheduler, RunProfile, ScheduledRun};
+use crate::journal::{JournalHeader, JournalWriter, RecoveredJournal};
+use crate::report::{CellStatus, RunReport, RESULTS_SCHEMA};
+use crate::scheduler::{ExperimentScheduler, RunProfile};
 use crate::{BlurNetError, Result};
 
-/// Which grid cells replay from the prior report and which must run.
+/// Which grid cells replay from the prior journal and which must run.
 #[derive(Debug)]
 pub struct ResumePlan {
-    /// For each grid cell (grid order): the index into the prior report's
-    /// cells to replay, or `None` if the cell must be executed.
+    /// For each grid cell (grid order): the index into the prior
+    /// journal's cells to replay, or `None` if the cell must be executed.
     sources: Vec<Option<usize>>,
 }
 
 impl ResumePlan {
-    /// Number of cells that replay from the prior report.
+    /// Number of cells that replay from the prior journal.
     pub fn replayed(&self) -> usize {
         self.sources.iter().flatten().count()
     }
@@ -51,7 +54,7 @@ impl ResumePlan {
 pub struct ResumedRun {
     /// The merged deterministic report (byte-identical to a cold run).
     pub report: RunReport,
-    /// Cells copied verbatim from the prior report.
+    /// Cells copied verbatim from the prior journal.
     pub replayed: usize,
     /// Cells executed by the scheduler this run.
     pub executed: usize,
@@ -59,36 +62,38 @@ pub struct ResumedRun {
     pub profile: Option<RunProfile>,
 }
 
-/// Matches a prior report against a grid: every grid cell whose
-/// (experiment, label) appears in the prior report with
-/// [`CellStatus::Ok`] replays; everything else is delta.
+/// Matches a prior journal against a grid: every grid cell whose
+/// (experiment, label) appears in the journal with [`CellStatus::Ok`]
+/// replays; everything else is delta. The status filter stays because
+/// the journal is a file from outside the process.
 ///
 /// # Errors
 ///
-/// Returns [`BlurNetError::BadConfig`] when the prior report's schema,
+/// Returns [`BlurNetError::BadConfig`] when the journal header's schema,
 /// scale or seed does not match the requested run.
 pub fn plan_resume(
     grid: &ExperimentGrid,
-    prior: &RunReport,
+    prior: &RecoveredJournal,
     scale: &str,
     seed: u64,
 ) -> Result<ResumePlan> {
-    if prior.schema != RESULTS_SCHEMA {
+    let header = &prior.header;
+    if header.schema != RESULTS_SCHEMA {
         return Err(BlurNetError::BadConfig(format!(
-            "cannot resume: prior report schema '{}' does not match '{RESULTS_SCHEMA}'",
-            prior.schema
+            "cannot resume: prior journal schema '{}' does not match '{RESULTS_SCHEMA}'",
+            header.schema
         )));
     }
-    if prior.scale != scale {
+    if header.scale != scale {
         return Err(BlurNetError::BadConfig(format!(
-            "cannot resume: prior report ran at scale '{}', this run is '{scale}'",
-            prior.scale
+            "cannot resume: prior journal ran at scale '{}', this run is '{scale}'",
+            header.scale
         )));
     }
-    if prior.seed != seed {
+    if header.seed != seed {
         return Err(BlurNetError::BadConfig(format!(
-            "cannot resume: prior report used seed {}, this run uses {seed}",
-            prior.seed
+            "cannot resume: prior journal used seed {}, this run uses {seed}",
+            header.seed
         )));
     }
     let sources = grid
@@ -106,47 +111,26 @@ pub fn plan_resume(
 }
 
 /// Resumes `grid` from `prior`: replays every completed cell and runs
-/// only the delta through `scheduler`. When the prior report covers the
-/// whole grid, **no node executes at all** — the scheduler is never
-/// invoked.
+/// only the delta through `scheduler`. When the journal covers the whole
+/// grid, **no node executes at all** — the scheduler is never invoked.
 ///
-/// # Errors
-///
-/// Returns [`BlurNetError::BadConfig`] for an incompatible prior report,
-/// plus any structural scheduler error from the delta run.
-pub fn resume_run(
-    scheduler: &ExperimentScheduler,
-    grid: &ExperimentGrid,
-    prior: &RunReport,
-) -> Result<ResumedRun> {
-    resume_inner(scheduler, grid, prior, None)
-}
-
-/// [`resume_run`] with write-ahead journaling of the resumed run itself:
-/// a fresh journal at `journal_path` is seeded with a full-grid header
-/// plus every replayed cell (they are known good), and the delta run
+/// The resumed run journals itself at `journal_path` (which may be the
+/// prior journal's own file): the header plus every replayed cell are
+/// written as one atomic file before the delta starts, and the delta
 /// appends its cells as they complete — so a crash *during the resume*
 /// leaves a journal from which a second resume recovers everything, and
 /// resumes chain arbitrarily deep.
 ///
 /// # Errors
 ///
-/// Everything [`resume_run`] returns, plus [`JournalError::Io`] when the
-/// fresh journal cannot be created.
-pub fn resume_run_with_journal(
+/// Returns [`BlurNetError::BadConfig`] for an incompatible prior journal,
+/// [`crate::JournalError::Io`] when the new journal cannot be written,
+/// plus any structural scheduler error from the delta run.
+pub fn resume_run(
     scheduler: &ExperimentScheduler,
     grid: &ExperimentGrid,
-    prior: &RunReport,
+    prior: &RecoveredJournal,
     journal_path: &Path,
-) -> Result<ResumedRun> {
-    resume_inner(scheduler, grid, prior, Some(journal_path))
-}
-
-fn resume_inner(
-    scheduler: &ExperimentScheduler,
-    grid: &ExperimentGrid,
-    prior: &RunReport,
-    journal_path: Option<&Path>,
 ) -> Result<ResumedRun> {
     let plan = plan_resume(
         grid,
@@ -154,27 +138,22 @@ fn resume_inner(
         &scheduler.scale().to_string(),
         scheduler.seed(),
     )?;
-    let journal = match journal_path {
-        Some(path) => {
-            let writer = Arc::new(JournalWriter::create(
-                path,
-                &JournalHeader {
-                    schema: RESULTS_SCHEMA.to_string(),
-                    scale: scheduler.scale().to_string(),
-                    seed: scheduler.seed(),
-                    cells: grid.len(),
-                },
-            )?);
-            // Re-seed the fresh journal with the replayed cells (grid
-            // order) before the delta runs: the journal stays a complete
-            // record of every known-good cell at all times.
-            for source in plan.sources.iter().flatten() {
-                writer.append_cell(&prior.cells[*source]);
-            }
-            Some(writer)
-        }
-        None => None,
-    };
+    let replayed: Vec<_> = plan
+        .sources
+        .iter()
+        .flatten()
+        .map(|&i| prior.cells[i].clone())
+        .collect();
+    let journal = Arc::new(JournalWriter::seeded(
+        journal_path,
+        &JournalHeader {
+            schema: RESULTS_SCHEMA.to_string(),
+            scale: scheduler.scale().to_string(),
+            seed: scheduler.seed(),
+            cells: grid.len(),
+        },
+        &replayed,
+    )?);
     let delta_specs: Vec<_> = grid
         .cells()
         .iter()
@@ -182,30 +161,27 @@ fn resume_inner(
         .filter(|(_, source)| source.is_none())
         .map(|(spec, _)| spec.clone())
         .collect();
-    let delta_run: Option<ScheduledRun> = if delta_specs.is_empty() {
+    let delta_run = if delta_specs.is_empty() {
         None
     } else {
         let delta_grid = ExperimentGrid::custom(delta_specs);
-        Some(match &journal {
-            Some(writer) => scheduler.run_with_journal(&delta_grid, Arc::clone(writer))?,
-            None => scheduler.run(&delta_grid)?,
-        })
+        Some(scheduler.run_with_journal(&delta_grid, journal)?)
     };
 
+    let mut replayed = replayed.into_iter();
     let mut delta_cells = delta_run
         .as_ref()
         .map(|run| run.report.cells.iter())
         .unwrap_or_default();
-    let cells =
-        plan.sources
-            .iter()
-            .map(|source| match source {
-                Some(prior_idx) => Ok(prior.cells[*prior_idx].clone()),
-                None => delta_cells.next().cloned().ok_or_else(|| {
-                    BlurNetError::BadConfig("delta run returned too few cells".into())
-                }),
-            })
-            .collect::<Result<Vec<_>>>()?;
+    let cells = plan
+        .sources
+        .iter()
+        .map(|source| match source {
+            Some(_) => replayed.next(),
+            None => delta_cells.next().cloned(),
+        })
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| BlurNetError::BadConfig("delta run returned too few cells".into()))?;
 
     Ok(ResumedRun {
         report: RunReport {
@@ -220,129 +196,25 @@ fn resume_inner(
     })
 }
 
-/// Where [`recover_prior`] found the prior run's state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PriorSource {
-    /// `results.json` alone — the PR 8 path.
-    Report,
-    /// The journal alone — the prior run died before writing its report.
-    Journal,
-    /// Both were present and the journal confirmed every completed cell
-    /// of the report.
-    Verified,
-}
-
-impl fmt::Display for PriorSource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PriorSource::Report => write!(f, "results.json"),
-            PriorSource::Journal => write!(f, "run.journal"),
-            PriorSource::Verified => write!(f, "results.json (journal-verified)"),
-        }
-    }
-}
-
-/// Recovers the prior run's state from a `--resume` directory, whatever
-/// the prior run lived to write:
-///
-/// * both `results.json` and `run.journal` → the report, after verifying
-///   the journal **agrees** with it (same run identity, every completed
-///   report cell present verbatim in the journal) — disagreement is a
-///   typed [`JournalError::Mismatch`], never a silent preference;
-/// * only `results.json` → the report (the PR 8 behavior);
-/// * only `run.journal` → the journal's recovered prefix, reshaped as a
-///   report — the crash-recovery path;
-/// * a file path instead of a directory → that file, parsed as a report.
-///
-/// # Errors
-///
-/// [`BlurNetError::BadConfig`] when nothing recoverable exists or the
-/// report does not parse; [`BlurNetError::Journal`] for journal
-/// recovery failures and report/journal disagreement.
-pub fn recover_prior(dir: &Path) -> Result<(RunReport, PriorSource)> {
-    if dir.is_file() {
-        return Ok((parse_report(dir)?, PriorSource::Report));
-    }
-    let report_path = dir.join("results.json");
-    let journal_path = dir.join(JOURNAL_FILE);
-    match (report_path.is_file(), journal_path.is_file()) {
-        (true, true) => {
-            let report = parse_report(&report_path)?;
-            let recovered = read_journal(&journal_path)?;
-            verify_agreement(&report, &recovered.header, &recovered.cells)?;
-            Ok((report, PriorSource::Verified))
-        }
-        (true, false) => Ok((parse_report(&report_path)?, PriorSource::Report)),
-        (false, true) => Ok((
-            read_journal(&journal_path)?.into_report(),
-            PriorSource::Journal,
-        )),
-        (false, false) => Err(BlurNetError::BadConfig(format!(
-            "nothing to resume from: neither results.json nor {JOURNAL_FILE} in {}",
-            dir.display()
-        ))),
-    }
-}
-
-/// Parses a prior `results.json`.
-fn parse_report(path: &Path) -> Result<RunReport> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        BlurNetError::BadConfig(format!(
-            "failed to read prior report {}: {e}",
-            path.display()
-        ))
-    })?;
-    serde_json::from_str(&text).map_err(|e| {
-        BlurNetError::BadConfig(format!(
-            "failed to parse prior report {}: {e}",
-            path.display()
-        ))
-    })
-}
-
-/// The agreement check behind [`PriorSource::Verified`]: the journal must
-/// describe the same run and contain every completed cell of the report
-/// **verbatim** (journal cells ⊇ report's `Ok` cells — the journal may
-/// hold more, e.g. cells completed after the report was last written).
-fn verify_agreement(
-    report: &RunReport,
-    header: &JournalHeader,
-    journal_cells: &[CellReport],
-) -> Result<()> {
-    let mismatch = |detail: String| -> BlurNetError { JournalError::Mismatch(detail).into() };
-    if header.schema != report.schema || header.scale != report.scale || header.seed != report.seed
-    {
-        return Err(mismatch(format!(
-            "journal header ({}/{}/seed {}) vs report ({}/{}/seed {})",
-            header.schema, header.scale, header.seed, report.schema, report.scale, report.seed
-        )));
-    }
-    for cell in &report.cells {
-        if cell.status != CellStatus::Ok {
-            continue;
-        }
-        if !journal_cells.contains(cell) {
-            return Err(mismatch(format!(
-                "report cell {}/{} is marked completed but the journal has no \
-                 identical record of it",
-                cell.experiment, cell.label
-            )));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{read_journal, JournalError, JOURNAL_FILE};
     use crate::report::CellReport;
     use crate::Scale;
 
-    fn fake_report(scale: &str, seed: u64, labels: &[(&str, &str, CellStatus)]) -> RunReport {
-        RunReport {
-            schema: RESULTS_SCHEMA.to_string(),
-            scale: scale.to_string(),
-            seed,
+    fn fake_journal(
+        scale: &str,
+        seed: u64,
+        labels: &[(&str, &str, CellStatus)],
+    ) -> RecoveredJournal {
+        RecoveredJournal {
+            header: JournalHeader {
+                schema: RESULTS_SCHEMA.to_string(),
+                scale: scale.to_string(),
+                seed,
+                cells: labels.len(),
+            },
             cells: labels
                 .iter()
                 .map(|(experiment, label, status)| CellReport {
@@ -352,6 +224,7 @@ mod tests {
                     output: None,
                 })
                 .collect(),
+            dropped_bytes: 0,
         }
     }
 
@@ -359,12 +232,12 @@ mod tests {
     fn mismatched_runs_are_rejected() {
         let grid = ExperimentGrid::micro();
         let scale = Scale::Smoke.to_string();
-        let mut wrong_schema = fake_report(&scale, 7, &[]);
-        wrong_schema.schema = "blurnet-results/v999".to_string();
+        let mut wrong_schema = fake_journal(&scale, 7, &[]);
+        wrong_schema.header.schema = "blurnet-results/v999".to_string();
         assert!(plan_resume(&grid, &wrong_schema, &scale, 7).is_err());
-        let wrong_scale = fake_report("paper", 7, &[]);
+        let wrong_scale = fake_journal("paper", 7, &[]);
         assert!(plan_resume(&grid, &wrong_scale, &scale, 7).is_err());
-        let wrong_seed = fake_report(&scale, 8, &[]);
+        let wrong_seed = fake_journal(&scale, 8, &[]);
         assert!(plan_resume(&grid, &wrong_seed, &scale, 7).is_err());
     }
 
@@ -373,8 +246,8 @@ mod tests {
         let grid = ExperimentGrid::micro();
         let scale = Scale::Smoke.to_string();
         let specs = grid.cells();
-        // Prior report: first cell Ok, second Failed, rest absent.
-        let prior = fake_report(
+        // Prior journal: first cell Ok, second Failed, rest absent.
+        let prior = fake_journal(
             &scale,
             7,
             &[
@@ -393,91 +266,23 @@ mod tests {
         assert_eq!(plan.delta(), grid.len() - 1);
     }
 
-    fn recover_dir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("blurnet-recover-{tag}-{}", std::process::id()));
+    #[test]
+    fn a_directory_without_a_journal_is_a_typed_refusal() {
+        let dir = std::env::temp_dir().join(format!("blurnet-journalless-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    fn write_journal_for(dir: &Path, report: &RunReport) {
-        let writer = JournalWriter::create(
-            dir.join(JOURNAL_FILE),
-            &JournalHeader {
-                schema: report.schema.clone(),
-                scale: report.scale.clone(),
-                seed: report.seed,
-                cells: report.cells.len(),
-            },
-        )
-        .unwrap();
-        for cell in &report.cells {
-            if cell.status == CellStatus::Ok {
-                writer.append_cell(cell);
-            }
+        // A report alone is an output, not a resume source.
+        RunReport {
+            schema: RESULTS_SCHEMA.to_string(),
+            scale: Scale::Smoke.to_string(),
+            seed: 7,
+            cells: Vec::new(),
         }
-    }
-
-    #[test]
-    fn recover_prior_uses_whatever_survived() {
-        let scale = Scale::Smoke.to_string();
-        let report = fake_report(&scale, 7, &[("table2", "a", CellStatus::Ok)]);
-
-        // Neither file: typed refusal.
-        let dir = recover_dir("neither");
-        assert!(recover_prior(&dir).is_err());
-
-        // Report alone.
-        report.write_json(&dir.join("results.json")).unwrap();
-        let (got, source) = recover_prior(&dir).unwrap();
-        assert_eq!(source, PriorSource::Report);
-        assert_eq!(got, report);
-
-        // Both, agreeing: verified.
-        write_journal_for(&dir, &report);
-        let (got, source) = recover_prior(&dir).unwrap();
-        assert_eq!(source, PriorSource::Verified);
-        assert_eq!(got, report);
-
-        // Journal alone: the crash-recovery path.
-        std::fs::remove_file(dir.join("results.json")).unwrap();
-        let (got, source) = recover_prior(&dir).unwrap();
-        assert_eq!(source, PriorSource::Journal);
-        assert_eq!(got.cells, report.cells);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn disagreeing_report_and_journal_are_a_typed_mismatch() {
-        let scale = Scale::Smoke.to_string();
-        let report = fake_report(
-            &scale,
-            7,
-            &[
-                ("table2", "a", CellStatus::Ok),
-                ("table2", "b", CellStatus::Ok),
-            ],
-        );
-        // The journal only knows about cell "a" — the report claims "b"
-        // completed too.
-        let mut journal_view = report.clone();
-        journal_view.cells.truncate(1);
-        let dir = recover_dir("mismatch");
-        report.write_json(&dir.join("results.json")).unwrap();
-        write_journal_for(&dir, &journal_view);
+        .write_json(&dir.join("results.json"))
+        .unwrap();
         assert!(matches!(
-            recover_prior(&dir),
-            Err(BlurNetError::Journal(JournalError::Mismatch(_)))
-        ));
-
-        // Run identity disagreement is also a mismatch.
-        let mut alien = report.clone();
-        alien.seed = 8;
-        write_journal_for(&dir, &alien);
-        assert!(matches!(
-            recover_prior(&dir),
-            Err(BlurNetError::Journal(JournalError::Mismatch(_)))
+            read_journal(&dir.join(JOURNAL_FILE)),
+            Err(BlurNetError::Journal(JournalError::Io(_)))
         ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -486,14 +291,12 @@ mod tests {
     fn fully_covered_grids_schedule_nothing() {
         let grid = ExperimentGrid::micro();
         let scale = Scale::Smoke.to_string();
-        let all_ok: Vec<_> = grid
+        let entries: Vec<_> = grid
             .cells()
             .iter()
             .map(|s| (s.experiment, s.label.as_str(), CellStatus::Ok))
             .collect();
-        let entries: Vec<(&str, &str, CellStatus)> =
-            all_ok.iter().map(|(e, l, s)| (*e, *l, s.clone())).collect();
-        let prior = fake_report(&scale, 7, &entries);
+        let prior = fake_journal(&scale, 7, &entries);
         let plan = plan_resume(&grid, &prior, &scale, 7).unwrap();
         assert_eq!(plan.replayed(), grid.len());
         assert_eq!(plan.delta(), 0);

@@ -528,21 +528,29 @@ fn sync_parent_dir(path: &Path) {
 }
 
 /// Writes `payload` to `path` inside the checksummed container,
-/// atomically **and durably**: the bytes land in a temporary sibling
-/// first, are fsynced, and only then `rename`d into place, followed by an
-/// fsync of the parent directory — so a concurrent reader sees either the
-/// old file or the complete new one (never a torn write), and a
-/// power-loss-style crash cannot lose the rename itself. Temporary
-/// siblings a crashed earlier write left behind are cleaned up before
-/// writing.
+/// atomically and durably (see [`write_bytes_atomic`]).
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::Io`] for filesystem failures.
 pub fn write_file_atomic(path: &Path, payload: &[u8]) -> Result<()> {
+    write_bytes_atomic(path, &frame(payload))
+}
+
+/// Writes `bytes` to `path` verbatim, atomically **and durably**: the
+/// bytes land in a temporary sibling first, are fsynced, and only then
+/// `rename`d into place, followed by an fsync of the parent directory —
+/// so a concurrent reader sees either the old file or the complete new
+/// one (never a torn write), and a power-loss-style crash cannot lose the
+/// rename itself. Temporary siblings a crashed earlier write left behind
+/// are cleaned up before writing.
+///
+/// # Errors
+///
+/// Returns [`TensorError::Io`] for filesystem failures.
+pub fn write_bytes_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
     use std::io::Write;
 
-    let framed = frame(payload);
     remove_stale_tmp(path);
     let mut name = path
         .file_name()
@@ -550,14 +558,14 @@ pub fn write_file_atomic(path: &Path, payload: &[u8]) -> Result<()> {
         .to_os_string();
     name.push(format!("{TMP_INFIX}{}", std::process::id()));
     let tmp = path.with_file_name(name);
-    let write_synced = |bytes: &[u8]| -> std::io::Result<()> {
+    let write_synced = || -> std::io::Result<()> {
         let mut file = std::fs::File::create(&tmp)?;
         file.write_all(bytes)?;
-        // The crash-durability half of the contract: the payload must be
-        // on disk before the rename publishes it.
+        // The crash-durability half of the contract: the bytes must be
+        // on disk before the rename publishes them.
         file.sync_all()
     };
-    write_synced(&framed).map_err(|e| {
+    write_synced().map_err(|e| {
         let _ = std::fs::remove_file(&tmp);
         TensorError::Io(format!("writing {}: {e}", tmp.display()))
     })?;

@@ -1,17 +1,22 @@
 //! Golden resume tests: `--resume` must be **indistinguishable** from a
-//! cold run.
+//! cold run. Every prior run is the journal of a journaled cold
+//! micro-grid run, read back with `read_journal` — the only thing
+//! `--resume` reads.
 //!
-//! * Resuming a fully completed micro-grid run executes **zero** cells
-//!   (the scheduler is never invoked) and re-emits the byte-identical
+//! * Resuming a fully completed run executes **zero** cells (the
+//!   scheduler is never invoked) and re-emits the byte-identical
 //!   `results.json`.
-//! * Deleting one cell from the prior report reruns **exactly** that
+//! * Deleting one cell from the prior journal reruns **exactly** that
 //!   cell, and the merged report is still byte-identical to the cold
 //!   run's.
 //! * A cached (`--cache-dir`) delta run changes nothing either: the
 //!   disk cache is an accelerator, not a source of truth.
 
+use std::path::PathBuf;
+
 use blurnet::experiments::grid::ExperimentGrid;
-use blurnet::{plan_resume, resume_run, CellStatus, ExperimentScheduler, RunReport, Scale};
+use blurnet::journal::{read_journal, JOURNAL_FILE};
+use blurnet::{plan_resume, resume_run, CellStatus, ExperimentScheduler, RecoveredJournal, Scale};
 
 const SEED: u64 = 7;
 
@@ -19,26 +24,46 @@ fn scheduler() -> ExperimentScheduler {
     ExperimentScheduler::new(Scale::Smoke, SEED).threads(2)
 }
 
-/// A cold micro-grid run plus its serialized `results.json` bytes — and
-/// the prior-report value a `--resume` run would parse back from disk
-/// (the JSON round-trip IS the persistence path).
-fn cold_run() -> (RunReport, String) {
+/// A fresh scratch directory for one test.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("blurnet-resume-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+/// A journaled cold micro-grid run in `dir`: its `results.json` bytes
+/// and the prior a `--resume dir` run reads back from `dir/run.journal`.
+fn cold_run(dir: &std::path::Path) -> (RecoveredJournal, String) {
+    let journal = dir.join(JOURNAL_FILE);
     let report = scheduler()
+        .journal_path(&journal)
         .run(&ExperimentGrid::micro())
         .expect("cold micro grid")
         .report;
-    let json = report.to_json();
-    let reparsed: RunReport = serde_json::from_str(&json).expect("results.json parses back");
-    assert_eq!(reparsed, report, "results.json round-trip must be lossless");
-    (reparsed, json)
+    let prior = read_journal(&journal).expect("the cold run's journal reads back");
+    assert_eq!(prior.cells.len(), report.cells.len());
+    (prior, report.to_json())
+}
+
+/// Removes grid cell `index` from the prior journal, as if the prior run
+/// died before finishing it (the journal holds cells in completion
+/// order, so cells are matched by identity).
+fn forget(prior: &mut RecoveredJournal, grid: &ExperimentGrid, index: usize) {
+    let spec = &grid.cells()[index];
+    prior
+        .cells
+        .retain(|c| !(c.experiment == spec.experiment && c.label == spec.label));
 }
 
 #[test]
 fn resuming_a_completed_run_executes_zero_cells() {
     let grid = ExperimentGrid::micro();
-    let (prior, cold_json) = cold_run();
+    let dir = scratch("zero");
+    let (prior, cold_json) = cold_run(&dir);
 
-    let resumed = resume_run(&scheduler(), &grid, &prior).expect("resume succeeds");
+    let journal = dir.join(JOURNAL_FILE);
+    let resumed = resume_run(&scheduler(), &grid, &prior, &journal).expect("resume succeeds");
     assert_eq!(resumed.executed, 0, "a completed run has no delta");
     assert_eq!(resumed.replayed, grid.len());
     assert!(
@@ -50,68 +75,80 @@ fn resuming_a_completed_run_executes_zero_cells() {
         cold_json,
         "the resumed results.json must be byte-identical to the cold run"
     );
+    // The resume re-seeded its own journal in place with every cell.
+    let reseeded = read_journal(&journal).expect("re-seeded journal");
+    assert_eq!(reseeded.cells.len(), grid.len());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn a_deleted_cell_is_the_only_one_that_reruns() {
     let grid = ExperimentGrid::micro();
-    let (mut prior, cold_json) = cold_run();
-
-    // Drop the second cell from the prior report, as if the first run
-    // died before finishing it.
-    let dropped = prior.cells.remove(1);
+    let dir = scratch("deleted");
+    let (mut prior, cold_json) = cold_run(&dir);
+    forget(&mut prior, &grid, 1);
 
     let plan = plan_resume(&grid, &prior, &Scale::Smoke.to_string(), SEED).expect("plan");
     assert_eq!(plan.delta(), 1, "exactly the dropped cell is delta");
     assert_eq!(plan.replayed(), grid.len() - 1);
 
-    let resumed = resume_run(&scheduler(), &grid, &prior).expect("resume succeeds");
+    let resumed =
+        resume_run(&scheduler(), &grid, &prior, &dir.join(JOURNAL_FILE)).expect("resume succeeds");
     assert_eq!(resumed.executed, 1);
     assert_eq!(resumed.replayed, grid.len() - 1);
-    let rerun = &resumed.report.cells[1];
-    assert_eq!(rerun.experiment, dropped.experiment);
-    assert_eq!(rerun.label, dropped.label);
     assert_eq!(
         resumed.report.to_json(),
         cold_json,
         "rerunning the missing cell must reproduce the cold bytes exactly"
     );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn failed_prior_cells_are_rescheduled_not_replayed() {
     let grid = ExperimentGrid::micro();
-    let (mut prior, cold_json) = cold_run();
+    let dir = scratch("failed");
+    let (mut prior, cold_json) = cold_run(&dir);
 
     // A cell that failed last time must not replay its failure.
-    prior.cells[0].status = CellStatus::Failed {
+    let spec = &grid.cells()[0];
+    let cell = prior
+        .cells
+        .iter_mut()
+        .find(|c| c.experiment == spec.experiment && c.label == spec.label)
+        .expect("journaled cell");
+    cell.status = CellStatus::Failed {
         error: "previous run died here".into(),
     };
-    prior.cells[0].output = None;
+    cell.output = None;
 
-    let resumed = resume_run(&scheduler(), &grid, &prior).expect("resume succeeds");
+    let resumed =
+        resume_run(&scheduler(), &grid, &prior, &dir.join(JOURNAL_FILE)).expect("resume succeeds");
     assert_eq!(resumed.executed, 1, "the failed cell reruns");
     assert_eq!(resumed.report.cells[0].status, CellStatus::Ok);
     assert_eq!(resumed.report.to_json(), cold_json);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn a_cached_delta_run_is_still_byte_identical() {
     let grid = ExperimentGrid::micro();
-    let (mut prior, cold_json) = cold_run();
-    prior.cells.pop();
+    let dir = scratch("cached");
+    let (mut prior, cold_json) = cold_run(&dir);
+    forget(&mut prior, &grid, grid.len() - 1);
 
-    let cache = std::env::temp_dir().join(format!("blurnet-resume-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache);
-    let resumed = resume_run(&scheduler().cache_dir(&*cache), &grid, &prior).expect("resume");
+    let cache = dir.join("cache");
+    let journal = dir.join("resumed.journal");
+    let resumed =
+        resume_run(&scheduler().cache_dir(&cache), &grid, &prior, &journal).expect("resume");
     assert_eq!(resumed.executed, 1);
     assert_eq!(resumed.report.to_json(), cold_json);
 
     // Resume again over the now-warm cache: the delta cell loads its
     // model from disk instead of training — same bytes out.
-    let mut prior2: RunReport = serde_json::from_str(&cold_json).expect("parses");
-    prior2.cells.pop();
-    let warm = resume_run(&scheduler().cache_dir(&*cache), &grid, &prior2).expect("warm resume");
+    let warm =
+        resume_run(&scheduler().cache_dir(&cache), &grid, &prior, &journal).expect("warm resume");
+    assert_eq!(warm.executed, 1);
     assert_eq!(warm.report.to_json(), cold_json);
-    let _ = std::fs::remove_dir_all(&cache);
+    let _ = std::fs::remove_dir_all(&dir);
 }
