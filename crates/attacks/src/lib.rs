@@ -30,9 +30,8 @@ pub mod transfer;
 pub use adaptive::{AdaptiveObjective, FeaturePenaltyKind};
 pub use error::AttackError;
 pub use metrics::{
-    batch_l2_dissimilarity, l2_dissimilarity, mean_l2_dissimilarity, targeted_success_from_logits,
-    targeted_success_rate, untargeted_success_from_logits, untargeted_success_rate,
-    AttackEvaluation,
+    batch_l2_dissimilarity, l2_dissimilarity, targeted_success_from_logits, targeted_success_rate,
+    untargeted_success_from_logits, untargeted_success_rate, AttackEvaluation,
 };
 pub use pgd::{PgdAttack, PgdConfig};
 pub use rp2::{Rp2Attack, Rp2Config, Rp2Result};

@@ -16,31 +16,6 @@ pub struct AttackEvaluation {
     pub count: usize,
 }
 
-impl AttackEvaluation {
-    /// Combines per-image success flags and dissimilarities into a summary.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AttackError::BadInput`] if the slices are empty or of
-    /// different lengths.
-    pub fn from_parts(successes: &[bool], dissimilarities: &[f32]) -> Result<Self> {
-        if successes.is_empty() || successes.len() != dissimilarities.len() {
-            return Err(AttackError::BadInput(format!(
-                "inconsistent evaluation sizes: {} successes, {} dissimilarities",
-                successes.len(),
-                dissimilarities.len()
-            )));
-        }
-        let success_rate = successes.iter().filter(|&&s| s).count() as f32 / successes.len() as f32;
-        let l2 = dissimilarities.iter().sum::<f32>() / dissimilarities.len() as f32;
-        Ok(AttackEvaluation {
-            success_rate,
-            l2_dissimilarity: l2,
-            count: successes.len(),
-        })
-    }
-}
-
 /// Relative L2 dissimilarity `‖x − x_adv‖₂ / ‖x‖₂` between one clean image
 /// and its adversarial counterpart (Section II-A of the paper).
 ///
@@ -59,26 +34,6 @@ pub fn l2_dissimilarity(clean: &Tensor, adversarial: &Tensor) -> Result<f32> {
         ));
     }
     Ok(diff.l2_norm() / denom)
-}
-
-/// Mean [`l2_dissimilarity`] over paired sets of images.
-///
-/// # Errors
-///
-/// Returns [`AttackError::BadInput`] for empty or mismatched sets.
-pub fn mean_l2_dissimilarity(clean: &[Tensor], adversarial: &[Tensor]) -> Result<f32> {
-    if clean.is_empty() || clean.len() != adversarial.len() {
-        return Err(AttackError::BadInput(format!(
-            "mismatched sets: {} clean vs {} adversarial",
-            clean.len(),
-            adversarial.len()
-        )));
-    }
-    let mut acc = 0.0;
-    for (c, a) in clean.iter().zip(adversarial.iter()) {
-        acc += l2_dissimilarity(c, a)?;
-    }
-    Ok(acc / clean.len() as f32)
 }
 
 /// Per-image relative L2 dissimilarities between two index-aligned
@@ -255,17 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_dissimilarity_averages() {
-        let a = Tensor::full(&[4], 1.0);
-        let b1 = a.map(|v| v + 0.1);
-        let b2 = a.map(|v| v + 0.3);
-        let mean = mean_l2_dissimilarity(&[a.clone(), a.clone()], &[b1, b2]).unwrap();
-        assert!((mean - 0.2).abs() < 1e-5);
-        assert!(mean_l2_dissimilarity(&[], &[]).is_err());
-        assert!(mean_l2_dissimilarity(std::slice::from_ref(&a), &[]).is_err());
-    }
-
-    #[test]
     fn success_rates() {
         assert_eq!(
             untargeted_success_rate(&[1, 2, 3, 4], &[1, 0, 3, 0]).unwrap(),
@@ -333,16 +277,5 @@ mod tests {
         assert_eq!(targeted_success_from_logits(&tied, 0).unwrap(), 1.0);
         assert!(untargeted_success_from_logits(&clean, &tied).is_err());
         assert!(targeted_success_from_logits(&Tensor::zeros(&[3]), 0).is_err());
-    }
-
-    #[test]
-    fn evaluation_from_parts() {
-        let eval = AttackEvaluation::from_parts(&[true, false, true, true], &[0.1, 0.2, 0.3, 0.4])
-            .unwrap();
-        assert!((eval.success_rate - 0.75).abs() < 1e-6);
-        assert!((eval.l2_dissimilarity - 0.25).abs() < 1e-6);
-        assert_eq!(eval.count, 4);
-        assert!(AttackEvaluation::from_parts(&[], &[]).is_err());
-        assert!(AttackEvaluation::from_parts(&[true], &[0.1, 0.2]).is_err());
     }
 }

@@ -18,7 +18,9 @@
 //! identical to per-image updates), and per iteration one recorded forward
 //! plus one tape-driven backward through the immutable
 //! [`blurnet_nn::BatchEngine`], with the adaptive feature penalties riding
-//! the engine's per-shard gradient-injection hook. The objective is
+//! the engine's per-shard gradient-injection hook.
+//! [`Rp2Attack::generate_sweep`] runs a whole targeted sweep as one such
+//! batch, one target per row. The objective is
 //! equivalent to the historical per-image optimizer loop — every image sees
 //! the same transform schedule its own seeded run would have sampled, and
 //! Adam updates are elementwise — up to float regrouping in the NPS term
@@ -169,7 +171,7 @@ impl Rp2Attack {
         target: usize,
     ) -> Result<Vec<Rp2Result>> {
         let (adversarial, perturbation, loss_traces) =
-            self.generate_batch_tensors(net, images, target)?;
+            self.generate_batch_tensors(net, &stack_images(images)?, &vec![target; images.len()])?;
         loss_traces
             .into_iter()
             .enumerate()
@@ -183,24 +185,36 @@ impl Rp2Attack {
             .collect()
     }
 
-    /// The batched optimizer core behind [`Rp2Attack::generate_batch`]:
-    /// returns the whole adversarial batch, the perturbation batch and the
-    /// per-image loss traces without splitting into per-image tensors, so
+    /// The batched optimizer core behind [`Rp2Attack::generate_batch`] and
+    /// [`Rp2Attack::generate_sweep`]: row `i` of the `[N, C, H, W]` batch
+    /// `clean` is attacked towards `targets[i]`. Returns the whole
+    /// adversarial batch, the perturbation batch and the per-image loss
+    /// traces without splitting into per-image tensors, so
     /// [`Rp2Attack::evaluate`] can judge the batch without re-stacking it.
+    ///
+    /// A sweep's batch holds every (target, image) row, so the loop keeps
+    /// few batch-sized buffers alive: the sticker mask is applied per
+    /// `[H, W]` plane, the projection and the clean-image sum reuse their
+    /// input buffer, and the clamp is remembered as one flag per pixel.
     fn generate_batch_tensors(
         &self,
         net: &Sequential,
-        images: &[Tensor],
-        target: usize,
+        clean: &Tensor,
+        targets: &[usize],
     ) -> Result<(Tensor, Tensor, Vec<Vec<f32>>)> {
-        if images.is_empty() {
-            return Err(AttackError::BadInput("no images to attack".into()));
+        let &[n, c, h, w] = clean.dims() else {
+            return Err(AttackError::BadInput(format!(
+                "expected an [N, C, H, W] batch, got {}",
+                clean.shape()
+            )));
+        };
+        if targets.len() != n {
+            return Err(AttackError::BadInput(format!(
+                "{} targets for {n} images",
+                targets.len()
+            )));
         }
-        let (c, h, w) = image_dims(&images[0])?;
-        let clean = Tensor::stack(images)?;
-        let n = images.len();
         let mask = blurnet_data::sticker_mask(h, w, self.config.layout)?;
-        let mask_batch = broadcast_mask(&mask, n * c)?.reshape(&[n, c, h, w])?;
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
         let transforms = sample_transforms(
             self.config.num_transforms,
@@ -236,19 +250,28 @@ impl Rp2Attack {
 
         for iter in 0..self.config.iterations {
             let transform = transforms[iter % transforms.len()];
-            let masked = delta.mul(&mask_batch)?;
-            let effective = self.project_perturbation(&masked)?;
-            let transformed = transform_perturbation(&effective, transform)?;
-            let raw = clean.add(&transformed)?;
-            let x_adv = raw.clamp(0.0, 1.0);
+            let mut x_adv = transform_perturbation(
+                &self.project_perturbation(masked(delta.clone(), &mask))?,
+                transform,
+            )?;
+            x_adv.add_scaled(clean, 1.0)?;
+            // Gradient does not flow through the [0, 1] clamp: remember
+            // where it bites, then clamp in place.
+            let clamped: Vec<bool> = x_adv
+                .data()
+                .iter()
+                .map(|v| !(0.0..=1.0).contains(v))
+                .collect();
+            x_adv.map_inplace(|v| v.clamp(0.0, 1.0));
 
             // One batched forward + backward; the loss closure sees one
-            // shard (default: one image) at a time and mirrors the
-            // per-image objective exactly.
+            // shard (one image, starting at row `start`) at a time and
+            // mirrors the per-image objective exactly.
             let step =
-                engine.forward_backward_with(&x_adv, feature_layer, |_, logits, feature| {
+                engine.forward_backward_with(&x_adv, feature_layer, |start, logits, feature| {
                     let count = logits.dims()[0];
-                    let (ce_loss, d_logits) = softmax_cross_entropy(logits, &vec![target; count])?;
+                    let (ce_loss, d_logits) =
+                        softmax_cross_entropy(logits, &targets[start..start + count])?;
                     let (injection, penalty_value) = match (&penalty, feature) {
                         (Some((kind, weight)), Some(feature)) => {
                             let (value, grad) = feature_penalty(kind, feature)
@@ -274,10 +297,8 @@ impl Rp2Attack {
             }
 
             let mut grad = step.input_grad;
-            // Gradient does not flow through the [0, 1] clamp — mask it in
-            // place on the batch buffer.
-            for (g, &v) in grad.data_mut().iter_mut().zip(raw.data()) {
-                if !(0.0..=1.0).contains(&v) {
+            for (g, &out) in grad.data_mut().iter_mut().zip(&clamped) {
+                if out {
                     *g = 0.0;
                 }
             }
@@ -285,19 +306,21 @@ impl Rp2Attack {
             grad = transform_perturbation_adjoint(&grad, transform)?;
             // Adjoint of the DCT projection (it is an orthogonal projector,
             // hence self-adjoint).
-            grad = self.project_perturbation(&grad)?;
+            grad = self.project_perturbation(grad)?;
             // Restrict to the mask.
-            let mut total_grad = grad.mul(&mask_batch)?;
+            let mut total_grad = masked(grad, &mask);
 
-            // λ‖M·δ‖₂ term, normalized per image.
+            // λ‖M·δ‖₂ term, normalized per image; M·δ is formed on the fly.
             if self.config.lambda > 0.0 {
-                let m = masked.data();
-                let tg = total_grad.data_mut();
-                for i in 0..n {
-                    let rows = &m[i * plane..(i + 1) * plane];
-                    let norm = rows.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-6);
+                let rows = total_grad
+                    .data_mut()
+                    .chunks_mut(plane)
+                    .zip(delta.data().chunks(plane));
+                for (tg, d) in rows {
+                    let masked = || d.iter().zip(mask.data().iter().cycle()).map(|(d, m)| d * m);
+                    let norm = masked().map(|v| v * v).sum::<f32>().sqrt().max(1e-6);
                     let scale = self.config.lambda / norm;
-                    for (g, &v) in tg[i * plane..(i + 1) * plane].iter_mut().zip(rows) {
+                    for (g, v) in tg.iter_mut().zip(masked()) {
                         *g += scale * v;
                     }
                 }
@@ -323,10 +346,10 @@ impl Rp2Attack {
             adam.step(&mut pairs)?;
         }
 
-        let masked = delta.mul(&mask_batch)?;
-        let effective = self.project_perturbation(&masked)?;
-        let adversarial = clean.add(&effective)?.clamp(0.0, 1.0);
-        let perturbation = adversarial.sub(&clean)?;
+        let adversarial = clean
+            .add(&self.project_perturbation(masked(delta, &mask))?)?
+            .clamp(0.0, 1.0);
+        let perturbation = adversarial.sub(clean)?;
         Ok((adversarial, perturbation, loss_traces))
     }
 
@@ -361,8 +384,8 @@ impl Rp2Attack {
         images: &[Tensor],
         target: usize,
     ) -> Result<AttackEvaluation> {
-        let (adv, _, _) = self.generate_batch_tensors(net, images, target)?;
-        let clean = Tensor::stack(images)?;
+        let clean = stack_images(images)?;
+        let (adv, _, _) = self.generate_batch_tensors(net, &clean, &vec![target; images.len()])?;
         let adv_logits = net.batch_engine()?.forward(&adv)?;
         let dissims = batch_l2_dissimilarity(&clean, &adv)?;
         Ok(AttackEvaluation {
@@ -372,56 +395,43 @@ impl Rp2Attack {
         })
     }
 
-    /// Generates adversarial examples without evaluating them (used by the
-    /// black-box transfer harness), batched like
-    /// [`Rp2Attack::generate_batch`].
+    /// Generates the adversarial examples of a whole targeted sweep — every
+    /// image towards every target — as one batched optimization, without
+    /// evaluating them. Rows are target-major: row `t·n + i` attacks
+    /// `images[i]` towards `targets[t]` (`n = images.len()`). Each row is
+    /// bitwise what [`Rp2Attack::generate_batch`] produces for its target:
+    /// the engine runs one image per shard, every target samples the same
+    /// transform schedule, and Adam, the λ-norm, NPS and the DCT
+    /// projection all act on one row at a time.
     ///
     /// # Errors
     ///
-    /// Returns an error if `images` is empty or generation fails.
-    pub fn generate_set(
-        &self,
-        net: &Sequential,
-        images: &[Tensor],
-        target: usize,
-    ) -> Result<Vec<Tensor>> {
-        Ok(self
-            .generate_batch(net, images, target)?
-            .into_iter()
-            .map(|r| r.adversarial)
-            .collect())
-    }
-
-    /// Runs [`Rp2Attack::evaluate`] for every target class in `targets` and
-    /// returns the per-target evaluations (Table II reports the average and
-    /// the worst case over targets).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `targets` is empty or any evaluation fails.
-    pub fn sweep_targets(
+    /// Returns an error if `images` or `targets` is empty or generation
+    /// fails.
+    pub fn generate_sweep(
         &self,
         net: &Sequential,
         images: &[Tensor],
         targets: &[usize],
-    ) -> Result<TargetSweep> {
-        if targets.is_empty() {
-            return Err(AttackError::BadInput("no attack targets supplied".into()));
-        }
-        let mut per_target = Vec::with_capacity(targets.len());
-        for &target in targets {
-            per_target.push((target, self.evaluate(net, images, target)?));
-        }
-        Ok(TargetSweep { per_target })
+    ) -> Result<Vec<Tensor>> {
+        let clean = Tensor::concat_batch(&vec![stack_images(images)?; targets.len()])?;
+        let row_targets: Vec<usize> = targets
+            .iter()
+            .flat_map(|&t| std::iter::repeat_n(t, images.len()))
+            .collect();
+        let (adversarial, _, _) = self.generate_batch_tensors(net, &clean, &row_targets)?;
+        (0..row_targets.len())
+            .map(|i| Ok(adversarial.batch_item(i)?))
+            .collect()
     }
 
     /// Applies the adaptive low-frequency projection to every `[H, W]`
     /// channel plane of a perturbation — rank 3 (`[C, H, W]`) or rank 4
-    /// (`[N, C, H, W]`) — a no-op clone for the other objectives.
-    fn project_perturbation(&self, perturbation: &Tensor) -> Result<Tensor> {
+    /// (`[N, C, H, W]`) — and returns it unchanged for the other objectives.
+    fn project_perturbation(&self, perturbation: Tensor) -> Result<Tensor> {
         match &self.config.objective {
             AdaptiveObjective::LowFrequencyDct { dim } => {
-                let (h, w) = spatial_dims(perturbation)?;
+                let (h, w) = spatial_dims(&perturbation)?;
                 let planes = perturbation.len() / (h * w);
                 let mut out = Vec::with_capacity(perturbation.len());
                 for p in 0..planes {
@@ -434,12 +444,13 @@ impl Rp2Attack {
                 }
                 Ok(Tensor::from_vec(out, perturbation.dims())?)
             }
-            _ => Ok(perturbation.clone()),
+            _ => Ok(perturbation),
         }
     }
 }
 
-/// Per-target evaluations from [`Rp2Attack::sweep_targets`].
+/// Per-target evaluations of a targeted RP2 sweep (Tables II, III and V
+/// report the average and the worst case over targets).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TargetSweep {
     /// `(target class, evaluation)` pairs.
@@ -467,8 +478,8 @@ impl TargetSweep {
             .fold(0.0, f32::max)
     }
 
-    /// Mean L2 dissimilarity across targets.
-    pub fn mean_l2_dissimilarity(&self) -> f32 {
+    /// Average L2 dissimilarity across targets.
+    pub fn average_l2_dissimilarity(&self) -> f32 {
         if self.per_target.is_empty() {
             return 0.0;
         }
@@ -497,14 +508,16 @@ pub(crate) fn feature_penalty(
     }
 }
 
-fn image_dims(image: &Tensor) -> Result<(usize, usize, usize)> {
-    if image.shape().rank() != 3 {
-        return Err(AttackError::BadInput(format!(
+/// Stacks `[C, H, W]` images into one `[N, C, H, W]` batch.
+fn stack_images(images: &[Tensor]) -> Result<Tensor> {
+    match images.first() {
+        None => Err(AttackError::BadInput("no images to attack".into())),
+        Some(image) if image.shape().rank() != 3 => Err(AttackError::BadInput(format!(
             "expected a [C, H, W] image, got {}",
             image.shape()
-        )));
+        ))),
+        Some(_) => Ok(Tensor::stack(images)?),
     }
-    Ok((image.dims()[0], image.dims()[1], image.dims()[2]))
 }
 
 /// Trailing spatial extents of a `[..., H, W]` tensor of rank ≥ 3.
@@ -519,13 +532,13 @@ fn spatial_dims(t: &Tensor) -> Result<(usize, usize)> {
     Ok((t.dims()[rank - 2], t.dims()[rank - 1]))
 }
 
-fn broadcast_mask(mask: &Tensor, channels: usize) -> Result<Tensor> {
-    let (h, w) = (mask.dims()[0], mask.dims()[1]);
-    let mut data = Vec::with_capacity(channels * h * w);
-    for _ in 0..channels {
-        data.extend_from_slice(mask.data());
+/// `t · M` in place: every `[H, W]` plane of `t` times the `[H, W]`
+/// sticker mask (the mask is never broadcast to a whole batch).
+fn masked(mut t: Tensor, mask: &Tensor) -> Tensor {
+    for (v, &m) in t.data_mut().iter_mut().zip(mask.data().iter().cycle()) {
+        *v *= m;
     }
-    Ok(Tensor::from_vec(data, &[channels, h, w])?)
+    t
 }
 
 /// Applies an alignment transform to a perturbation: integer shift with
@@ -732,12 +745,50 @@ mod tests {
         assert!(eval.l2_dissimilarity >= 0.0);
         assert_eq!(eval.count, 2);
 
-        let sweep = attack.sweep_targets(&net, &images, &[0, 1]).unwrap();
-        assert_eq!(sweep.per_target.len(), 2);
+        let sweep = TargetSweep {
+            per_target: vec![(0, attack.evaluate(&net, &images, 0).unwrap()), (1, eval)],
+        };
         assert!(sweep.worst_success_rate() >= sweep.average_success_rate());
-        assert!(sweep.mean_l2_dissimilarity() >= 0.0);
-        assert!(attack.sweep_targets(&net, &images, &[]).is_err());
+        assert!(sweep.average_l2_dissimilarity() >= 0.0);
         assert!(attack.evaluate(&net, &[], STOP_CLASS_ID).is_err());
+    }
+
+    #[test]
+    fn generate_sweep_rows_match_generate_batch_per_target() {
+        let (net, data) = tiny_net_and_data();
+        let images: Vec<Tensor> = data.stop_eval_images()[..2].to_vec();
+        let targets = [3, 0, 7];
+        for objective in [
+            AdaptiveObjective::Standard,
+            AdaptiveObjective::LowFrequencyDct { dim: 4 },
+            AdaptiveObjective::FeaturePenalty {
+                layer_index: 0,
+                kind: FeaturePenaltyKind::TotalVariation,
+                weight: 1.0,
+            },
+        ] {
+            let attack = Rp2Attack::new(Rp2Config {
+                iterations: 3,
+                objective: objective.clone(),
+                ..Rp2Config::default()
+            })
+            .unwrap();
+            let sweep = attack.generate_sweep(&net, &images, &targets).unwrap();
+            assert_eq!(sweep.len(), targets.len() * images.len());
+            for (t, &target) in targets.iter().enumerate() {
+                let batch = attack.generate_batch(&net, &images, target).unwrap();
+                for (i, result) in batch.iter().enumerate() {
+                    assert_eq!(
+                        sweep[t * images.len() + i],
+                        result.adversarial,
+                        "{objective:?}: row for target {target}, image {i} differs"
+                    );
+                }
+            }
+        }
+        let attack = Rp2Attack::new(Rp2Config::default()).unwrap();
+        assert!(attack.generate_sweep(&net, &images, &[]).is_err());
+        assert!(attack.generate_sweep(&net, &[], &[1]).is_err());
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl TransferSet {
                 labels.len()
             )));
         }
-        let adversarial = attack.generate_set(surrogate, clean, target)?;
+        let adversarial = attack.generate_sweep(surrogate, clean, &[target])?;
         Ok(TransferSet {
             clean: clean.to_vec(),
             adversarial,

@@ -13,7 +13,8 @@
 //!
 //! `--grid` takes `full`, `tables`, `micro`, or a comma-separated list of
 //! experiment names (`table1` … `table5`, `figure1` … `figure6`); an
-//! unknown name exits with status 2. `BLURNET_SCALE` (smoke/quick/paper)
+//! unknown name exits with status 2, as does a `--threads` value that is
+//! not a positive worker count. `BLURNET_SCALE` (smoke/quick/paper)
 //! selects the effort. The rendered output prints each table's paper
 //! values under the measured table; pass `--json` to print the report JSON
 //! to stdout instead. The emitted `results.json` is bit-identical at every
@@ -80,7 +81,10 @@ fn parse_args() -> Args {
         match arg.as_str() {
             "--threads" => {
                 let value = iter.next().unwrap_or_else(|| usage());
-                args.threads = Some(value.parse().unwrap_or_else(|_| usage()));
+                match value.parse() {
+                    Ok(0) | Err(_) => usage(),
+                    Ok(n) => args.threads = Some(n),
+                }
             }
             "--retry-failed" => {
                 let value = iter.next().unwrap_or_else(|| usage());

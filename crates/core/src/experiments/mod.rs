@@ -18,12 +18,15 @@ pub mod table4;
 pub mod table5;
 
 use blurnet_attacks::rp2::TargetSweep;
-use blurnet_attacks::{AdaptiveObjective, FeaturePenaltyKind, Rp2Attack, Rp2Config};
+use blurnet_attacks::{
+    l2_dissimilarity, targeted_success_rate, AdaptiveObjective, AttackEvaluation,
+    FeaturePenaltyKind, Rp2Attack, Rp2Config,
+};
 use blurnet_defenses::{DefendedModel, DefenseKind};
 use blurnet_signal::OperatorPenalty;
 use blurnet_tensor::Tensor;
 
-use crate::{BatchRunner, Result, Scale, Table};
+use crate::{BlurNetError, Result, Scale, Table};
 
 /// The stop-sign images every experiment attacks at the given scale.
 pub(crate) fn attack_images_for(dataset: &blurnet_data::SignDataset, scale: Scale) -> Vec<Tensor> {
@@ -77,19 +80,53 @@ pub fn paper_reference(experiment: &str) -> Option<Table> {
     }
 }
 
-/// Runs a targeted RP2 sweep against a defended model, generating the
-/// adversarial examples white-box on the underlying network but judging
-/// success through the model's *defended* prediction path (input filters
-/// and randomized smoothing included). Delegates to
-/// [`BatchRunner::rp2_sweep`], so every sweep-based experiment (Tables II
-/// and III, Figures 3 and 5) classifies through the batch-parallel engine.
+/// Runs a targeted RP2 sweep against a defended model — the one sweep
+/// path of every sweep experiment (Tables II, III and V, Figures 3, 5 and
+/// 6). The whole `targets × images` grid is generated white-box on the
+/// underlying network as one batched optimization
+/// ([`Rp2Attack::generate_sweep`]) and judged with one classification
+/// through the model's *defended* prediction path (input filters and
+/// randomized smoothing included), then split into one evaluation per
+/// target.
+///
+/// # Errors
+///
+/// Returns [`BlurNetError::BadConfig`] for empty image or target sets;
+/// propagates attack errors.
 pub(crate) fn sweep_defended(
     model: &mut DefendedModel,
     attack: &Rp2Attack,
     images: &[Tensor],
     targets: &[usize],
 ) -> Result<TargetSweep> {
-    BatchRunner::new(model).rp2_sweep(attack, images, targets)
+    if images.is_empty() || targets.is_empty() {
+        return Err(BlurNetError::BadConfig(
+            "sweep needs at least one image and one target".into(),
+        ));
+    }
+    let adversarial = attack.generate_sweep(model.network(), images, targets)?;
+    let preds = model.classify_set(&adversarial)?;
+    let n = images.len();
+    let mut per_target = Vec::with_capacity(targets.len());
+    for ((&target, adv), preds) in targets
+        .iter()
+        .zip(adversarial.chunks(n))
+        .zip(preds.chunks(n))
+    {
+        let mut dissims = Vec::with_capacity(n);
+        for (clean, adv) in images.iter().zip(adv) {
+            dissims.push(l2_dissimilarity(clean, adv)?);
+        }
+        per_target.push((
+            target,
+            AttackEvaluation {
+                success_rate: targeted_success_rate(preds, target)?,
+                l2_dissimilarity: dissims.iter().sum::<f32>() / n as f32,
+                count: n,
+            },
+        ));
+    }
+    Ok(TargetSweep { per_target })
 }
 
 /// Builds the adaptive RP2 objective matching a defense (Section V).
@@ -213,3 +250,74 @@ pub(crate) fn blurnet_defenses(_scale: Scale) -> Vec<DefenseKind> {
 /// Default DCT mask dimension of the low-frequency adaptive attack
 /// (16 in the paper).
 pub(crate) const DEFAULT_DCT_DIM: usize = 16;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use blurnet_test_support::{tiny_defended_model, uniform_images};
+
+    #[test]
+    fn sweep_defended_validates_inputs() {
+        let mut model = tiny_defended_model(DefenseKind::Baseline, 11);
+        let attack = Rp2Attack::new(Default::default()).unwrap();
+        assert!(sweep_defended(&mut model, &attack, &[], &[1]).is_err());
+        assert!(sweep_defended(&mut model, &attack, &[Tensor::zeros(&[3, 16, 16])], &[]).is_err());
+    }
+
+    /// The one batched sweep equals a per-target loop — generate each
+    /// target's set, classify it, judge it — run on a clone of the model,
+    /// including the order randomized smoothing draws its noise in.
+    #[test]
+    fn sweep_defended_matches_the_per_target_loop_under_smoothing() {
+        // One noisy vote at σ = 1 makes this untrained net's answer depend
+        // on the noise draw, and the targets are the classes it drifts
+        // between, so drawing the noise in another order shows in the rates.
+        let mut model = tiny_defended_model(
+            DefenseKind::RandomizedSmoothing {
+                sigma: 1.0,
+                samples: 1,
+            },
+            11,
+        );
+        let mut reference_model = model.clone();
+        let images = uniform_images(12, 16, 3);
+        let targets = [7, 11, 16];
+        let attack = Rp2Attack::new(Rp2Config {
+            iterations: 3,
+            ..Rp2Config::default()
+        })
+        .unwrap();
+
+        let sweep = sweep_defended(&mut model, &attack, &images, &targets).unwrap();
+
+        let mut reference = Vec::new();
+        for &target in &targets {
+            let adversarial: Vec<Tensor> = attack
+                .generate_batch(reference_model.network(), &images, target)
+                .unwrap()
+                .into_iter()
+                .map(|r| r.adversarial)
+                .collect();
+            let preds = reference_model.classify_set(&adversarial).unwrap();
+            let dissims: Vec<f32> = images
+                .iter()
+                .zip(&adversarial)
+                .map(|(clean, adv)| l2_dissimilarity(clean, adv).unwrap())
+                .collect();
+            reference.push((
+                target,
+                AttackEvaluation {
+                    success_rate: targeted_success_rate(&preds, target).unwrap(),
+                    l2_dissimilarity: dissims.iter().sum::<f32>() / dissims.len() as f32,
+                    count: images.len(),
+                },
+            ));
+        }
+        assert_eq!(sweep.per_target, reference);
+        assert_eq!(
+            model.smoothing_draws(),
+            reference_model.smoothing_draws(),
+            "both paths consume the same smoothing noise"
+        );
+    }
+}

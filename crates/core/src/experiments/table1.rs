@@ -18,7 +18,7 @@ use blurnet_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 use crate::report::pct;
-use crate::{BatchRunner, Result, Scale, Table};
+use crate::{Result, Scale, Table};
 
 /// Target class used when generating the transferred examples
 /// (speedLimit25 — an arbitrary non-stop class, as in the RP2 setup).
@@ -117,7 +117,7 @@ pub fn victim_row(
     set: &TransferSet,
 ) -> Result<Table1Row> {
     let mut model = victim.build(baseline)?;
-    let report = BatchRunner::new(&mut model).transfer_set(set)?;
+    let report = set.evaluate(&mut model)?;
     Ok(Table1Row {
         defense: victim.label(),
         accuracy: report.clean_accuracy,

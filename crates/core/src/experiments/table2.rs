@@ -120,7 +120,7 @@ pub fn row_for_model(
         legitimate_accuracy: model.training_report().test_accuracy,
         average_success_rate: sweep.average_success_rate(),
         worst_success_rate: sweep.worst_success_rate(),
-        l2_dissimilarity: sweep.mean_l2_dissimilarity(),
+        l2_dissimilarity: sweep.average_l2_dissimilarity(),
     })
 }
 

@@ -103,7 +103,7 @@ pub fn row_for_model(
         defense: defense.label(),
         average_success_rate: sweep.average_success_rate(),
         worst_success_rate: sweep.worst_success_rate(),
-        l2_dissimilarity: sweep.mean_l2_dissimilarity(),
+        l2_dissimilarity: sweep.average_l2_dissimilarity(),
     })
 }
 

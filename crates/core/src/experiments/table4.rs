@@ -13,7 +13,7 @@ use blurnet_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 use crate::report::{num3, pct};
-use crate::{BatchRunner, Result, Scale, Table};
+use crate::{Result, Scale, Table};
 
 /// One row of Table IV.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -75,15 +75,11 @@ impl Table4 {
 /// # Errors
 ///
 /// Propagates attack errors.
-pub fn row_for_model(
-    scale: Scale,
-    model: &mut DefendedModel,
-    images: &[Tensor],
-) -> Result<Table4Row> {
+pub fn row_for_model(scale: Scale, model: &DefendedModel, images: &[Tensor]) -> Result<Table4Row> {
     let labels = vec![STOP_CLASS_ID; images.len()];
     let attack = PgdAttack::new(scale.pgd_config())?;
     let defense = model.defense().label();
-    let eval = BatchRunner::new(model).pgd_evaluate(&attack, images, &labels)?;
+    let eval = attack.evaluate(model.network(), images, &labels)?;
     Ok(Table4Row {
         defense,
         attack_success_rate: eval.success_rate,

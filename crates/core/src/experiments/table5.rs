@@ -105,7 +105,7 @@ pub fn row_for_model(
         attack: attack_kind.label().to_string(),
         average_success_rate: sweep.average_success_rate(),
         worst_success_rate: sweep.worst_success_rate(),
-        l2_dissimilarity: sweep.mean_l2_dissimilarity(),
+        l2_dissimilarity: sweep.average_l2_dissimilarity(),
     })
 }
 

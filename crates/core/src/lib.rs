@@ -41,7 +41,6 @@ pub mod journal;
 pub mod queue;
 pub mod report;
 pub mod resume;
-pub mod runner;
 pub mod scale;
 pub mod scheduler;
 pub mod zoo;
@@ -51,7 +50,6 @@ pub use journal::{JournalError, JournalHeader, JournalWriter, RecoveredJournal};
 pub use queue::{run_workers, BoundedQueue, PopTimeout, TryPush};
 pub use report::{CellOutput, CellReport, CellStatus, RunReport, Table};
 pub use resume::{plan_resume, resume_run, ResumePlan, ResumedRun};
-pub use runner::BatchRunner;
 pub use scale::Scale;
 pub use scheduler::{ExperimentScheduler, RunProfile, ScheduledRun};
 pub use zoo::ModelZoo;

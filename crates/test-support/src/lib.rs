@@ -37,7 +37,7 @@ pub fn seeded_rng(seed: u64) -> ChaCha8Rng {
 /// `[3, 16, 16]` inputs with 4 first-layer filters, built from `seed`.
 ///
 /// This is the exact fixture previously copied into `crates/nn/tests/`
-/// (twice), `crates/core/src/runner.rs` and the root test suite.
+/// (twice) and the root test suite.
 ///
 /// # Panics
 ///

@@ -1,8 +1,10 @@
 //! Golden smoke suite for the cells `micro_grid.json` does not pin: one
 //! 1-worker scheduler run of a "paper subset" grid — all five Table I
-//! victims, the 5×5 depthwise Table III row (the low-frequency DCT
-//! attack), the three Table V attacks, Figures 1, 2 and 4, and Figure 3
-//! at DCT dims {8, 16} — whose `results.json` must match
+//! victims, the σ=0.2 randomized-smoothing Table II row (a sweep judged
+//! through smoothing's seeded votes), the 5×5 depthwise Table III row (the
+//! low-frequency DCT attack), the three Table V attacks, Figures 1, 2 and
+//! 4, Figure 3 at DCT dims {8, 16}, and the 5×5 depthwise Figure 5 point
+//! series — whose `results.json` must match
 //! `tests/golden/paper_subset.json` byte for byte. The remaining tests
 //! check the paper's qualitative claims over the same report's cells.
 //!
@@ -40,7 +42,11 @@ fn paper_subset() -> ExperimentGrid {
         .cells()
         .iter()
         .filter_map(|cell| match &cell.kind {
+            CellKind::Table2(_) => (cell.label == "Rand. sm (sigma=0.2)").then(|| cell.clone()),
             CellKind::Table3(defense) => (*defense == depthwise5).then(|| cell.clone()),
+            CellKind::Scatter { defense } if cell.experiment == "figure5" => {
+                (*defense == depthwise5).then(|| cell.clone())
+            }
             CellKind::Figure3 { .. } => Some(CellSpec {
                 kind: CellKind::Figure3 { dims: vec![8, 16] },
                 ..cell.clone()
@@ -92,7 +98,7 @@ fn paper_subset_matches_the_checked_in_golden_report() {
             path.display()
         )
     });
-    assert_eq!(report().cells.len(), 13);
+    assert_eq!(report().cells.len(), 15);
     assert!(
         json == golden,
         "paper-subset results drifted from {}",
