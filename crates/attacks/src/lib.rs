@@ -35,7 +35,7 @@ pub use metrics::{
 };
 pub use pgd::{PgdAttack, PgdConfig};
 pub use rp2::{Rp2Attack, Rp2Config, Rp2Result};
-pub use transfer::{evaluate_transfer, Classifier, TransferReport, TransferSet};
+pub use transfer::{TransferReport, TransferSet};
 
 /// Convenient result alias used across the crate.
 pub type Result<T> = std::result::Result<T, AttackError>;

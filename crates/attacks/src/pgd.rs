@@ -276,12 +276,13 @@ mod tests {
         .unwrap();
         let image = &data.stop_eval_images()[0];
         let label = 14usize;
-        let clean_logits = net
-            .forward_batch(&Tensor::stack(std::slice::from_ref(image)).unwrap())
+        let engine = net.batch_engine().unwrap();
+        let clean_logits = engine
+            .forward(&Tensor::stack(std::slice::from_ref(image)).unwrap())
             .unwrap();
         let (clean_loss, _) = softmax_cross_entropy(&clean_logits, &[label]).unwrap();
         let adv = attack.generate(&net, image, label).unwrap();
-        let adv_logits = net.forward_batch(&Tensor::stack(&[adv]).unwrap()).unwrap();
+        let adv_logits = engine.forward(&Tensor::stack(&[adv]).unwrap()).unwrap();
         let (adv_loss, _) = softmax_cross_entropy(&adv_logits, &[label]).unwrap();
         assert!(
             adv_loss >= clean_loss,

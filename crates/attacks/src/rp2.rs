@@ -223,10 +223,10 @@ impl Rp2Attack {
             &mut rng,
         );
 
-        // One image per shard, pinned explicitly: the per-shard loss
-        // closure below relies on per-image cross-entropy normalization,
-        // per-image feature penalties, and per-image shard losses.
-        let engine = net.batch_engine()?.with_shard_size(1);
+        // Every engine shard is one image, so the per-shard loss closure
+        // below sees per-image cross-entropy normalization, per-image
+        // feature penalties, and per-image shard losses.
+        let engine = net.batch_engine()?;
         let (feature_layer, penalty) = match &self.config.objective {
             AdaptiveObjective::FeaturePenalty {
                 layer_index,

@@ -352,7 +352,7 @@ fn bench_substrates(c: &mut Criterion) {
         });
     }
     group.bench_function("lisacnn_forward_batch4_engine_fresh_pack", |bench| {
-        bench.iter(|| net.forward_batch(&batch).unwrap());
+        bench.iter(|| net.batch_engine().unwrap().forward(&batch).unwrap());
     });
     group.bench_function("lisacnn_forward_backward_batch4", |bench| {
         bench.iter(|| {

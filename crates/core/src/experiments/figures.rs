@@ -210,7 +210,7 @@ fn mean(values: impl Iterator<Item = f32>) -> f32 {
 ///
 /// Propagates network and FFT errors.
 pub fn figure2_from_parts(
-    baseline: &mut DefendedModel,
+    baseline: &DefendedModel,
     image: &Tensor,
     adversarial: &Tensor,
     max_channels: usize,
@@ -296,7 +296,7 @@ pub fn figure3_defense() -> DefenseKind {
 /// Rejects an empty dimension list; propagates attack errors.
 pub fn figure3_for_model(
     scale: Scale,
-    model: &mut DefendedModel,
+    model: &DefendedModel,
     images: &[Tensor],
     dims: &[usize],
 ) -> Result<Figure3> {
@@ -348,7 +348,7 @@ impl Figure4 {
 /// # Errors
 ///
 /// Propagates network and FFT errors.
-pub fn figure4_for_model(baseline: &mut DefendedModel, image: &Tensor) -> Result<Figure4> {
+pub fn figure4_for_model(baseline: &DefendedModel, image: &Tensor) -> Result<Figure4> {
     let first_index = baseline.feature_layer_index();
     let second_index = baseline.arch().second_conv_layer_index();
     let first = layer_activation(baseline, image, first_index)?;
@@ -451,7 +451,7 @@ pub fn figure6_defenses() -> Vec<DefenseKind> {
 /// Propagates attack errors.
 pub fn scatter_series_for_model(
     scale: Scale,
-    model: &mut DefendedModel,
+    model: &DefendedModel,
     images: &[Tensor],
 ) -> Result<ScatterSeries> {
     let targets = scale.attack_targets();

@@ -97,7 +97,7 @@ impl CellSpec {
     }
 }
 
-/// Executes one cell against an already-trained model clone and
+/// Executes one cell against an already-trained, shared model and
 /// pre-generated artifacts: the scheduler's one way to run a cell.
 ///
 /// # Errors
@@ -108,7 +108,7 @@ pub(crate) fn execute_cell(
     kind: &CellKind,
     scale: Scale,
     images: &[Tensor],
-    model: &mut DefendedModel,
+    model: &DefendedModel,
     transfer: Option<&TransferSet>,
     sticker: Option<&Rp2Result>,
 ) -> Result<CellOutput> {

@@ -94,7 +94,7 @@ pub fn paper_reference(experiment: &str) -> Option<Table> {
 /// Returns [`BlurNetError::BadConfig`] for empty image or target sets;
 /// propagates attack errors.
 pub(crate) fn sweep_defended(
-    model: &mut DefendedModel,
+    model: &DefendedModel,
     attack: &Rp2Attack,
     images: &[Tensor],
     targets: &[usize],
@@ -105,7 +105,12 @@ pub(crate) fn sweep_defended(
         ));
     }
     let adversarial = attack.generate_sweep(model.network(), images, targets)?;
-    let preds = model.classify_set(&adversarial)?;
+    let engine = model.network().batch_engine()?;
+    let preds: Vec<usize> = model
+        .classify(&engine, &Tensor::stack(&adversarial)?)?
+        .into_iter()
+        .map(|(label, _)| label)
+        .collect();
     let n = images.len();
     let mut per_target = Vec::with_capacity(targets.len());
     for ((&target, adv), preds) in targets
@@ -254,32 +259,33 @@ pub(crate) const DEFAULT_DCT_DIM: usize = 16;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blurnet_test_support::{tiny_defended_model, uniform_images};
+    use blurnet_test_support::{reference_smoothed_votes, tiny_defended_model, uniform_images};
 
     #[test]
     fn sweep_defended_validates_inputs() {
-        let mut model = tiny_defended_model(DefenseKind::Baseline, 11);
+        let model = tiny_defended_model(DefenseKind::Baseline, 11);
         let attack = Rp2Attack::new(Default::default()).unwrap();
-        assert!(sweep_defended(&mut model, &attack, &[], &[1]).is_err());
-        assert!(sweep_defended(&mut model, &attack, &[Tensor::zeros(&[3, 16, 16])], &[]).is_err());
+        assert!(sweep_defended(&model, &attack, &[], &[1]).is_err());
+        assert!(sweep_defended(&model, &attack, &[Tensor::zeros(&[3, 16, 16])], &[]).is_err());
     }
 
     /// The one batched sweep equals a per-target loop — generate each
-    /// target's set, classify it, judge it — run on a clone of the model,
-    /// including the order randomized smoothing draws its noise in.
+    /// target's set, then judge it — whose votes come from the independent
+    /// randomized-smoothing reference: per-image noise drawn in target-major
+    /// order from one `SMOOTHING_SEED` stream, each copy judged by
+    /// `reference_forward`.
     #[test]
     fn sweep_defended_matches_the_per_target_loop_under_smoothing() {
         // One noisy vote at σ = 1 makes this untrained net's answer depend
         // on the noise draw, and the targets are the classes it drifts
         // between, so drawing the noise in another order shows in the rates.
-        let mut model = tiny_defended_model(
+        let model = tiny_defended_model(
             DefenseKind::RandomizedSmoothing {
                 sigma: 1.0,
                 samples: 1,
             },
             11,
         );
-        let mut reference_model = model.clone();
         let images = uniform_images(12, 16, 3);
         let targets = [7, 11, 16];
         let attack = Rp2Attack::new(Rp2Config {
@@ -288,20 +294,30 @@ mod tests {
         })
         .unwrap();
 
-        let sweep = sweep_defended(&mut model, &attack, &images, &targets).unwrap();
+        let sweep = sweep_defended(&model, &attack, &images, &targets).unwrap();
 
+        let adversarial: Vec<Vec<Tensor>> = targets
+            .iter()
+            .map(|&target| {
+                attack
+                    .generate_batch(model.network(), &images, target)
+                    .unwrap()
+                    .into_iter()
+                    .map(|r| r.adversarial)
+                    .collect()
+            })
+            .collect();
+        let votes = reference_smoothed_votes(model.network(), &adversarial.concat(), 1.0, 1);
         let mut reference = Vec::new();
-        for &target in &targets {
-            let adversarial: Vec<Tensor> = attack
-                .generate_batch(reference_model.network(), &images, target)
-                .unwrap()
-                .into_iter()
-                .map(|r| r.adversarial)
-                .collect();
-            let preds = reference_model.classify_set(&adversarial).unwrap();
+        for ((&target, adversarial), votes) in targets
+            .iter()
+            .zip(&adversarial)
+            .zip(votes.chunks(images.len()))
+        {
+            let preds: Vec<usize> = votes.iter().map(|&(label, _)| label).collect();
             let dissims: Vec<f32> = images
                 .iter()
-                .zip(&adversarial)
+                .zip(adversarial)
                 .map(|(clean, adv)| l2_dissimilarity(clean, adv).unwrap())
                 .collect();
             reference.push((
@@ -314,10 +330,5 @@ mod tests {
             ));
         }
         assert_eq!(sweep.per_target, reference);
-        assert_eq!(
-            model.smoothing_draws(),
-            reference_model.smoothing_draws(),
-            "both paths consume the same smoothing noise"
-        );
     }
 }

@@ -116,8 +116,13 @@ pub fn victim_row(
     baseline: &DefendedModel,
     set: &TransferSet,
 ) -> Result<Table1Row> {
-    let mut model = victim.build(baseline)?;
-    let report = set.evaluate(&mut model)?;
+    let model = victim.build(baseline)?;
+    let engine = model.network().batch_engine()?;
+    let labels = |images: &[Tensor]| -> Result<Vec<usize>> {
+        let preds = model.classify(&engine, &Tensor::stack(images)?)?;
+        Ok(preds.into_iter().map(|(label, _)| label).collect())
+    };
+    let report = set.evaluate(&labels(&set.clean)?, &labels(&set.adversarial)?)?;
     Ok(Table1Row {
         defense: victim.label(),
         accuracy: report.clean_accuracy,

@@ -107,11 +107,7 @@ impl Table2 {
 /// # Errors
 ///
 /// Propagates attack errors.
-pub fn row_for_model(
-    scale: Scale,
-    model: &mut DefendedModel,
-    images: &[Tensor],
-) -> Result<Table2Row> {
+pub fn row_for_model(scale: Scale, model: &DefendedModel, images: &[Tensor]) -> Result<Table2Row> {
     let targets = scale.attack_targets();
     let attack = super::rp2_with_objective(scale, AdaptiveObjective::Standard)?;
     let sweep = super::sweep_defended(model, &attack, images, &targets)?;

@@ -89,11 +89,7 @@ impl Table3 {
 /// # Errors
 ///
 /// Propagates attack errors.
-pub fn row_for_model(
-    scale: Scale,
-    model: &mut DefendedModel,
-    images: &[Tensor],
-) -> Result<Table3Row> {
+pub fn row_for_model(scale: Scale, model: &DefendedModel, images: &[Tensor]) -> Result<Table3Row> {
     let targets = scale.attack_targets();
     let defense = model.defense().clone();
     let objective = super::adaptive_objective_for(&defense, model, super::DEFAULT_DCT_DIM)?;

@@ -93,7 +93,7 @@ pub fn defense_for(scale: Scale) -> DefenseKind {
 /// Propagates attack errors.
 pub fn row_for_model(
     scale: Scale,
-    model: &mut DefendedModel,
+    model: &DefendedModel,
     images: &[Tensor],
     attack_kind: Table5Attack,
 ) -> Result<Table5Row> {

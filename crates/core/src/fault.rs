@@ -31,7 +31,6 @@
 //! serialize themselves around [`disarm_all`].
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -203,9 +202,6 @@ struct Registry {
 }
 
 static ARMED: Mutex<Option<Registry>> = Mutex::new(None);
-/// Total invocations across all sites since the last [`disarm_all`] —
-/// cheap liveness signal for tests.
-static TOTAL_HITS: AtomicU64 = AtomicU64::new(0);
 
 fn with_registry<R>(f: impl FnOnce(&mut Registry) -> R) -> R {
     let mut guard = ARMED.lock().expect("fault registry poisoned");
@@ -274,7 +270,6 @@ pub fn arm(site: &str, spec: FaultSpec) {
 /// Disarms every site and resets all counters.
 pub fn disarm_all() {
     *ARMED.lock().expect("fault registry poisoned") = None;
-    TOTAL_HITS.store(0, Ordering::Relaxed);
 }
 
 /// Number of times `site`'s armed trigger was evaluated (tag-matching
@@ -286,12 +281,6 @@ pub fn hits(site: &str) -> u64 {
 /// Number of times `site` actually fired since it was armed.
 pub fn fires(site: &str) -> u64 {
     with_registry(|reg| reg.armed.get(site).map_or(0, |s| s.fires))
-}
-
-/// Total fault-point invocations (all sites) since the last
-/// [`disarm_all`].
-pub fn total_hits() -> u64 {
-    TOTAL_HITS.load(Ordering::Relaxed)
 }
 
 /// Evaluates the fault point `site` for an untagged invocation. Executes
@@ -308,7 +297,6 @@ pub fn fire_tagged(site: &str, tag: u64) -> bool {
 }
 
 fn evaluate(site: &str, tag: Option<u64>) -> bool {
-    TOTAL_HITS.fetch_add(1, Ordering::Relaxed);
     // Decide under the lock, act (panic/sleep) outside it.
     let action = with_registry(|reg| {
         let state = reg.armed.get_mut(site)?;

@@ -28,11 +28,12 @@
 //! # Engine sharing and borrow model
 //!
 //! Trained variants live in the [`VariantCache`] as `Arc<DefendedModel>`
-//! handles shared read-only across workers. A cell that needs the `&mut`
-//! evaluation paths (white-box gradient access, smoothing RNG) deep-clones
-//! its variant, so per-cell mutable state (e.g. the smoothing RNG) starts
-//! from the trained snapshot whichever worker runs the cell and whatever
-//! ran before it. The underlying
+//! handles shared read-only across workers. Every cell evaluates the one
+//! shared model in place: white-box attacks read its network, and defended
+//! inference ([`DefendedModel::classify`]) is a pure `&self` function —
+//! even randomized smoothing starts a fresh noise stream per call — so a
+//! cell's result cannot depend on which worker runs it or what ran
+//! before it. The underlying
 //! [`blurnet_nn::BatchEngine`] is `Send + Sync` (asserted at compile time
 //! in `blurnet_nn::engine`), so the engines cells build over those shared
 //! weights are safe to drive from any worker.
@@ -835,10 +836,9 @@ impl Executor {
                     )));
                 }
                 let spec = &self.specs[*cell];
-                // Fresh deep clone per cell: mutable evaluation state
-                // (smoothing RNG, forward caches) starts from the trained
-                // snapshot.
-                let mut model = (*self.variant(&spec.required_defense(self.scale))?).clone();
+                // Defended inference is stateless, so every cell reads the
+                // one shared trained model; concurrent cells never copy it.
+                let model = self.variant(&spec.required_defense(self.scale))?;
                 let transfer = self
                     .transfer
                     .lock()
@@ -849,7 +849,7 @@ impl Executor {
                     &spec.kind,
                     self.scale,
                     &self.images,
-                    &mut model,
+                    &model,
                     transfer.as_deref(),
                     sticker.as_deref(),
                 )?;

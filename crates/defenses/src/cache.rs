@@ -136,7 +136,7 @@ mod tests {
         let a = cache.get("Baseline").unwrap();
         let b = cache.get("Baseline").unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        // Per-cell deep clones start from identical state.
+        // Deep clones carry identical weights.
         let ca: DefendedModel = (*a).clone();
         let cb: DefendedModel = (*b).clone();
         assert_eq!(

@@ -319,17 +319,19 @@ mod tests {
         let cache = temp_cache("roundtrip");
         let train = TrainConfig::tiny();
         let defense = DefenseKind::FeatureFilter { kernel: 3 };
-        let mut model = tiny_model(defense.clone(), &train);
+        let model = tiny_model(defense.clone(), &train);
         cache.store(&model, &train, 16, 18, SEED).unwrap();
         assert_eq!(cache.len(), 1);
-        let mut loaded = cache.load(&defense, &train, 16, 18, SEED).unwrap().unwrap();
+        let loaded = cache.load(&defense, &train, 16, 18, SEED).unwrap().unwrap();
         let images: Vec<Tensor> = (0..3)
             .map(|i| Tensor::full(&[3, 16, 16], 0.1 + 0.3 * i as f32))
             .collect();
-        assert_eq!(
-            model.classify_set(&images).unwrap(),
-            loaded.classify_set(&images).unwrap()
-        );
+        let batch = Tensor::stack(&images).unwrap();
+        let classify = |m: &DefendedModel| {
+            m.classify(&m.network().batch_engine().unwrap(), &batch)
+                .unwrap()
+        };
+        assert_eq!(classify(&model), classify(&loaded));
         std::fs::remove_dir_all(cache.dir()).unwrap();
     }
 

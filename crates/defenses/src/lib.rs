@@ -13,11 +13,12 @@
 //!
 //! Baseline defenses from the literature used for comparison — Gaussian
 //! augmentation, randomized smoothing and PGD adversarial training — are in
-//! [`augment`], [`smoothing`] and the trainer.
+//! [`augment`], [`DefendedModel::classify`] and the trainer.
 //!
 //! [`DefenseKind`] enumerates every defended model evaluated in Tables
 //! I–V; [`train_defended_model`] builds and trains it; [`DefendedModel`]
-//! wraps the result behind a single classify/evaluate interface.
+//! wraps the result behind one stateless defended prediction path,
+//! [`DefendedModel::classify`].
 
 #![warn(missing_docs)]
 
@@ -30,7 +31,7 @@ pub mod filtering;
 pub mod model;
 pub mod persist;
 pub mod regularizers;
-pub mod smoothing;
+mod smoothing;
 pub mod trainer;
 
 pub use cache::VariantCache;
@@ -41,7 +42,6 @@ pub use filtering::{filter_image, filter_images};
 pub use model::{DefendedModel, TrainingReport, SMOOTHING_SEED};
 pub use persist::{model_from_bytes, model_to_bytes};
 pub use regularizers::FeatureRegularizer;
-pub use smoothing::smoothed_predict;
 pub use trainer::{build_architecture, train_defended_model, TrainConfig};
 
 /// Convenient result alias used across the crate.

@@ -1,15 +1,14 @@
 //! The trained, defended classifier behind a single evaluation interface.
 
-use blurnet_attacks::Classifier;
 use blurnet_data::Batch;
-use blurnet_nn::{LisaCnnConfig, Sequential};
+use blurnet_nn::{BatchEngine, LisaCnnConfig, Sequential};
 use blurnet_tensor::Tensor;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::filtering::{filter_image, filter_images};
-use crate::smoothing::smoothed_predict;
+use crate::filtering::filter_images;
+use crate::smoothing::smoothed_votes;
 use crate::{DefenseError, DefenseKind, Result};
 
 /// Loss and accuracy bookkeeping from training a defended model.
@@ -24,23 +23,25 @@ pub struct TrainingReport {
 
 /// A trained classifier together with its defense configuration.
 ///
-/// Prediction goes through the defense's full inference path: the input
-/// filter is applied for [`DefenseKind::InputFilter`], a majority vote over
-/// noisy copies is used for [`DefenseKind::RandomizedSmoothing`], and all
-/// other defenses classify with a plain forward pass (their protection
-/// lives in the weights or the architecture).
+/// Prediction goes through the defense's full inference path,
+/// [`DefendedModel::classify`]: the input filter is applied for
+/// [`DefenseKind::InputFilter`], a majority vote over noisy copies is used
+/// for [`DefenseKind::RandomizedSmoothing`], and all other defenses
+/// classify with a plain forward pass (their protection lives in the
+/// weights or the architecture). Inference never mutates the model, so one
+/// model can be shared read-only by every evaluation that needs it.
 #[derive(Debug, Clone)]
 pub struct DefendedModel {
     net: Sequential,
     defense: DefenseKind,
     arch: LisaCnnConfig,
-    report: TrainingReport,
-    smoothing_rng: ChaCha8Rng,
+    pub(crate) report: TrainingReport,
 }
 
-/// Seed of the Monte-Carlo smoothing RNG every [`DefendedModel`] starts
-/// from — fixed so the randomized-smoothing evaluation is reproducible and
-/// a persisted model can restore the stream by replaying its draw count.
+/// Seed of the Monte-Carlo smoothing RNG: every
+/// [`DefendedModel::classify`] call of a randomized-smoothing model draws
+/// its noise from a fresh stream at this seed, so the evaluation is
+/// reproducible.
 pub const SMOOTHING_SEED: u64 = 0xB1A2;
 
 impl DefendedModel {
@@ -56,26 +57,6 @@ impl DefendedModel {
             defense,
             arch,
             report,
-            smoothing_rng: ChaCha8Rng::seed_from_u64(SMOOTHING_SEED),
-        }
-    }
-
-    /// Number of RNG words the smoothing stream has consumed since
-    /// construction. ChaCha is counter-based, so this single number is the
-    /// complete RNG state: persisting it and replaying the same count via
-    /// [`DefendedModel::advance_smoothing_rng`] restores the stream
-    /// bit-exactly.
-    pub fn smoothing_draws(&self) -> u64 {
-        let fresh = ChaCha8Rng::seed_from_u64(SMOOTHING_SEED).get_word_pos();
-        self.smoothing_rng.get_word_pos() - fresh
-    }
-
-    /// Fast-forwards the smoothing RNG by `draws` words (see
-    /// [`DefendedModel::smoothing_draws`]) — the restore side of
-    /// persistence for randomized-smoothing models.
-    pub fn advance_smoothing_rng(&mut self, draws: u64) {
-        for _ in 0..draws {
-            let _ = self.smoothing_rng.next_u32();
         }
     }
 
@@ -109,19 +90,6 @@ impl DefendedModel {
         self.arch.feature_map_extent()
     }
 
-    /// Applies the defense's input-space preprocessing (if any) to one
-    /// image.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filtering errors.
-    pub fn preprocess(&self, image: &Tensor) -> Result<Tensor> {
-        match &self.defense {
-            DefenseKind::InputFilter { kernel } => filter_image(image, *kernel),
-            _ => Ok(image.clone()),
-        }
-    }
-
     /// Applies the defense's input-space preprocessing (if any) to an
     /// `[N, C, H, W]` batch. Each image is filtered independently, so the
     /// result of row `i` never depends on which other images share the
@@ -147,109 +115,72 @@ impl DefendedModel {
 
     /// Whether the defended inference path is a pure function of each
     /// input image. Every defense qualifies except
-    /// [`DefenseKind::RandomizedSmoothing`], whose Monte-Carlo vote draws
-    /// from a stateful RNG — its prediction depends on how many images
-    /// were classified before, so it cannot honor the serving subsystem's
-    /// "micro-batched ≡ single-request" bit-identity guarantee.
+    /// [`DefenseKind::RandomizedSmoothing`]: its vote is a pure function of
+    /// the whole batch, but each row draws its noise from the position it
+    /// holds in the batch's one noise stream, so an image's prediction
+    /// depends on which images precede it. It therefore cannot honor the
+    /// serving subsystem's "micro-batched ≡ single-request" bit-identity
+    /// guarantee.
     pub fn deterministic_inference(&self) -> bool {
         !matches!(self.defense, DefenseKind::RandomizedSmoothing { .. })
     }
 
-    /// Classifies one `[C, H, W]` image through the defended inference
-    /// path.
+    /// Classifies every image of an `[N, C, H, W]` batch through the
+    /// defended inference path, returning each predicted class with its
+    /// confidence. `engine` must be built over [`DefendedModel::network`];
+    /// callers that classify several batches share one engine.
+    ///
+    /// - [`DefenseKind::InputFilter`] filters the batch, then runs
+    ///   [`BatchEngine::classify_with_confidence`] (softmax confidence).
+    /// - [`DefenseKind::RandomizedSmoothing`] votes row by row over noisy
+    ///   copies drawn from one fresh stream at [`SMOOTHING_SEED`], in row
+    ///   order; the confidence is the winning class's vote share.
+    /// - Every other defense runs [`BatchEngine::classify_with_confidence`]
+    ///   on the batch as given.
+    ///
+    /// The result depends only on the model and the batch, never on
+    /// earlier calls.
     ///
     /// # Errors
     ///
-    /// Propagates preprocessing and network errors.
-    pub fn classify_one(&mut self, image: &Tensor) -> Result<usize> {
-        let image = self.preprocess(image)?;
-        match &self.defense {
+    /// Rejects an empty batch; propagates preprocessing,
+    /// smoothing-configuration and network errors.
+    pub fn classify(&self, engine: &BatchEngine<'_>, images: &Tensor) -> Result<Vec<(usize, f32)>> {
+        Ok(match &self.defense {
+            DefenseKind::InputFilter { kernel } => {
+                engine.classify_with_confidence(&filter_images(images, *kernel)?)?
+            }
             DefenseKind::RandomizedSmoothing { sigma, samples } => {
-                smoothed_predict(&self.net, &image, *sigma, *samples, &mut self.smoothing_rng)
+                let mut rng = ChaCha8Rng::seed_from_u64(SMOOTHING_SEED);
+                smoothed_votes(engine, images, *sigma, *samples, &mut rng)?
             }
-            _ => {
-                let batch = Tensor::stack(&[image])?;
-                Ok(self.net.predict_batch(&batch)?[0])
-            }
-        }
+            _ => engine.classify_with_confidence(images)?,
+        })
     }
 
-    /// Classifies a set of `[C, H, W]` images through the defended
-    /// inference path, batched.
-    ///
-    /// Deterministic defenses (everything except randomized smoothing)
-    /// preprocess the whole set and run **one batch-parallel forward pass**
-    /// through the network's inference engine; randomized smoothing still
-    /// votes image by image because its Monte-Carlo sampling consumes the
-    /// model's RNG in per-image order. Predictions are identical to
-    /// looping [`DefendedModel::classify_one`].
+    /// Accuracy of the defended prediction path
+    /// ([`DefendedModel::classify`]) on a labelled batch.
     ///
     /// # Errors
     ///
-    /// Propagates preprocessing and network errors.
-    pub fn classify_set(&mut self, images: &[Tensor]) -> Result<Vec<usize>> {
-        if images.is_empty() {
-            return Ok(Vec::new());
+    /// Returns [`DefenseError::BadConfig`] for an empty batch or a label
+    /// count that differs from the number of images; propagates
+    /// classification errors.
+    pub fn accuracy(&self, batch: &Batch) -> Result<f32> {
+        let rows = batch.images.dims().first().copied().unwrap_or(0);
+        if batch.labels.is_empty() || batch.labels.len() != rows {
+            return Err(DefenseError::BadConfig(format!(
+                "{} labels for a batch of {rows} images",
+                batch.labels.len()
+            )));
         }
-        match &self.defense {
-            DefenseKind::RandomizedSmoothing { .. } => images
-                .iter()
-                .map(|image| self.classify_one(image))
-                .collect(),
-            _ => {
-                let preprocessed = self.preprocess_batch(&Tensor::stack(images)?)?;
-                Ok(self.net.predict_batch(&preprocessed)?)
-            }
-        }
-    }
-
-    /// Accuracy of the defended prediction path on a labelled batch.
-    ///
-    /// Deterministic defenses classify the whole batch in one forward pass
-    /// (preprocessing included), so the evaluation rides the batched GEMM
-    /// path; only randomized smoothing still votes image by image.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DefenseError::BadConfig`] for an empty batch.
-    pub fn accuracy(&mut self, batch: &Batch) -> Result<f32> {
-        if batch.labels.is_empty() {
-            return Err(DefenseError::BadConfig("empty evaluation batch".into()));
-        }
-        let correct = match &self.defense {
-            DefenseKind::RandomizedSmoothing { .. } => {
-                let mut correct = 0usize;
-                for (i, &label) in batch.labels.iter().enumerate() {
-                    let image = batch.images.batch_item(i)?;
-                    if self.classify_one(&image)? == label {
-                        correct += 1;
-                    }
-                }
-                correct
-            }
-            _ => {
-                let preprocessed = self.preprocess_batch(&batch.images)?;
-                let preds = self.net.predict_batch(&preprocessed)?;
-                preds
-                    .iter()
-                    .zip(batch.labels.iter())
-                    .filter(|(p, l)| p == l)
-                    .count()
-            }
-        };
+        let preds = self.classify(&self.net.batch_engine()?, &batch.images)?;
+        let correct = preds
+            .iter()
+            .zip(&batch.labels)
+            .filter(|((pred, _), label)| pred == *label)
+            .count();
         Ok(correct as f32 / batch.labels.len() as f32)
-    }
-}
-
-impl Classifier for DefendedModel {
-    fn classify(&mut self, image: &Tensor) -> blurnet_attacks::Result<usize> {
-        self.classify_one(image)
-            .map_err(|e| blurnet_attacks::AttackError::BadInput(e.to_string()))
-    }
-
-    fn classify_batch(&mut self, images: &[Tensor]) -> blurnet_attacks::Result<Vec<usize>> {
-        self.classify_set(images)
-            .map_err(|e| blurnet_attacks::AttackError::BadInput(e.to_string()))
     }
 }
 
@@ -273,94 +204,124 @@ mod tests {
         )
     }
 
+    fn smoothing() -> DefenseKind {
+        DefenseKind::RandomizedSmoothing {
+            sigma: 0.1,
+            samples: 5,
+        }
+    }
+
+    /// `n` distinct `[3, 16, 16]` images, each with one bright pixel.
+    fn spiky_images(n: usize) -> Vec<Tensor> {
+        (0..n)
+            .map(|i| {
+                let mut img = Tensor::full(&[3, 16, 16], 0.2 + 0.15 * i as f32);
+                img.set(&[0, 4 + i, 4], 1.0).unwrap();
+                img
+            })
+            .collect()
+    }
+
     #[test]
     fn preprocess_is_identity_except_for_input_filter() {
-        let image = {
-            let mut img = Tensor::full(&[3, 16, 16], 0.5);
-            img.set(&[0, 8, 8], 1.0).unwrap();
-            img
-        };
+        let batch = Tensor::stack(&spiky_images(1)).unwrap();
         let baseline = untrained(DefenseKind::Baseline);
-        assert_eq!(baseline.preprocess(&image).unwrap(), image);
+        assert_eq!(baseline.preprocess_batch(&batch).unwrap(), batch);
         let filtered = untrained(DefenseKind::InputFilter { kernel: 3 });
-        let out = filtered.preprocess(&image).unwrap();
-        assert!(out.get(&[0, 8, 8]).unwrap() < 1.0);
+        let out = filtered.preprocess_batch(&batch).unwrap();
+        assert!(out.get(&[0, 0, 4, 4]).unwrap() < 1.0);
     }
 
     #[test]
     fn classification_paths_return_valid_classes() {
-        let image = Tensor::full(&[3, 16, 16], 0.5);
+        let batch = Tensor::stack(&spiky_images(3)).unwrap();
         for defense in [
             DefenseKind::Baseline,
             DefenseKind::InputFilter { kernel: 3 },
-            DefenseKind::RandomizedSmoothing {
-                sigma: 0.1,
-                samples: 5,
-            },
+            smoothing(),
         ] {
-            let mut model = untrained(defense);
-            let pred = model.classify_one(&image).unwrap();
-            assert!(pred < 18);
-            // The Classifier impl goes through the same path.
-            let via_trait = Classifier::classify(&mut model, &image).unwrap();
-            assert!(via_trait < 18);
+            let model = untrained(defense);
+            let engine = model.network().batch_engine().unwrap();
+            let preds = model.classify(&engine, &batch).unwrap();
+            assert_eq!(preds.len(), 3);
+            for &(label, confidence) in &preds {
+                assert!(label < 18);
+                assert!(confidence > 0.0 && confidence <= 1.0);
+            }
+            // Inference is stateless: a second call answers identically.
+            assert_eq!(model.classify(&engine, &batch).unwrap(), preds);
         }
     }
 
     #[test]
     fn accuracy_counts_correct_predictions() {
-        let mut model = untrained(DefenseKind::Baseline);
-        let images = Tensor::stack(&[
-            Tensor::full(&[3, 16, 16], 0.2),
-            Tensor::full(&[3, 16, 16], 0.8),
-        ])
-        .unwrap();
-        // Use whatever the model predicts as the "labels" for a perfect score.
-        let l0 = model.classify_one(&images.batch_item(0).unwrap()).unwrap();
-        let l1 = model.classify_one(&images.batch_item(1).unwrap()).unwrap();
-        let batch = Batch {
-            images,
-            labels: vec![l0, l1],
-        };
-        assert_eq!(model.accuracy(&batch).unwrap(), 1.0);
-        let empty = Batch {
-            images: Tensor::zeros(&[1, 3, 16, 16]),
-            labels: vec![],
-        };
-        assert!(model.accuracy(&empty).is_err());
+        for defense in [DefenseKind::Baseline, smoothing()] {
+            let model = untrained(defense);
+            let images = Tensor::stack(&spiky_images(2)).unwrap();
+            // Use whatever the model predicts as the "labels" for a
+            // perfect score.
+            let engine = model.network().batch_engine().unwrap();
+            let labels = model
+                .classify(&engine, &images)
+                .unwrap()
+                .into_iter()
+                .map(|(label, _)| label)
+                .collect();
+            let batch = Batch { images, labels };
+            assert_eq!(model.accuracy(&batch).unwrap(), 1.0);
+            let empty = Batch {
+                images: Tensor::zeros(&[1, 3, 16, 16]),
+                labels: vec![],
+            };
+            assert!(model.accuracy(&empty).is_err());
+        }
     }
 
     #[test]
-    fn classify_set_matches_per_image_classification() {
-        let images: Vec<Tensor> = (0..4)
-            .map(|i| Tensor::full(&[3, 16, 16], 0.2 + 0.15 * i as f32))
-            .collect();
+    fn accuracy_rejects_a_label_count_that_differs_from_the_batch() {
+        for defense in [DefenseKind::Baseline, smoothing()] {
+            let model = untrained(defense.clone());
+            let images = Tensor::stack(&spiky_images(2)).unwrap();
+            for labels in [vec![0], vec![0, 0, 0]] {
+                let batch = Batch {
+                    images: images.clone(),
+                    labels,
+                };
+                assert!(
+                    matches!(model.accuracy(&batch), Err(DefenseError::BadConfig(_))),
+                    "defense {defense:?}, {} labels",
+                    batch.labels.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn classify_matches_per_image_classification() {
+        let images = spiky_images(4);
+        let batch = Tensor::stack(&images).unwrap();
         for defense in [
             DefenseKind::Baseline,
             DefenseKind::InputFilter { kernel: 3 },
             DefenseKind::FeatureFilter { kernel: 5 },
         ] {
-            let mut model = untrained(defense.clone());
-            let batched = model.classify_set(&images).unwrap();
-            let singles: Vec<usize> = images
+            let model = untrained(defense.clone());
+            let engine = model.network().batch_engine().unwrap();
+            let batched = model.classify(&engine, &batch).unwrap();
+            let singles: Vec<(usize, f32)> = images
                 .iter()
-                .map(|i| model.classify_one(i).unwrap())
+                .flat_map(|image| {
+                    let single = Tensor::stack(std::slice::from_ref(image)).unwrap();
+                    model.classify(&engine, &single).unwrap()
+                })
                 .collect();
             assert_eq!(batched, singles, "defense {defense:?}");
         }
-        let mut model = untrained(DefenseKind::Baseline);
-        assert!(model.classify_set(&[]).unwrap().is_empty());
     }
 
     #[test]
     fn preprocess_batch_matches_per_image_preprocess() {
-        let images: Vec<Tensor> = (0..3)
-            .map(|i| {
-                let mut img = Tensor::full(&[3, 16, 16], 0.3 + 0.2 * i as f32);
-                img.set(&[0, 4 + i, 4], 1.0).unwrap();
-                img
-            })
-            .collect();
+        let images = spiky_images(3);
         let stacked = Tensor::stack(&images).unwrap();
         for defense in [
             DefenseKind::Baseline,
@@ -370,7 +331,12 @@ mod tests {
             let model = untrained(defense.clone());
             let batched = model.preprocess_batch(&stacked).unwrap();
             for (i, image) in images.iter().enumerate() {
-                let solo = model.preprocess(image).unwrap();
+                let solo = match &defense {
+                    DefenseKind::InputFilter { kernel } => {
+                        crate::filter_image(image, *kernel).unwrap()
+                    }
+                    _ => image.clone(),
+                };
                 assert_eq!(
                     batched.batch_item(i).unwrap(),
                     solo,
@@ -387,10 +353,7 @@ mod tests {
         let filtered = untrained(DefenseKind::InputFilter { kernel: 3 });
         assert!(filtered.deterministic_inference());
         assert!(filtered.has_input_preprocessing());
-        let smoothed = untrained(DefenseKind::RandomizedSmoothing {
-            sigma: 0.1,
-            samples: 5,
-        });
+        let smoothed = untrained(smoothing());
         assert!(!smoothed.deterministic_inference());
         assert!(!smoothed.has_input_preprocessing());
     }

@@ -1,12 +1,12 @@
 //! Versioned binary persistence for [`DefendedModel`].
 //!
-//! # Layout (`BNDM`, version 1)
+//! # Layout (`BNDM`, version 2)
 //!
 //! ```text
 //! magic       4 bytes   b"BNDM"
 //! version     u16 LE
 //! header_len  u64 LE
-//! header      JSON (vendored serde): defense, arch, report, smoothing_draws
+//! header      JSON (vendored serde): defense, arch, report
 //! network     embedded BNSQ record (blurnet_nn::persist)
 //! ```
 //!
@@ -14,12 +14,14 @@
 //! small structured config (the [`DefenseKind`], the [`LisaCnnConfig`] —
 //! including the fixed-blur kernel, whose f32s round-trip exactly through
 //! the workspace's JSON — and the [`TrainingReport`]); the weight payload
-//! stays binary via the `BNSQ`/`BNTR` records. `smoothing_draws` persists
-//! the randomized-smoothing RNG position (see
-//! [`DefendedModel::smoothing_draws`]), so a reloaded model continues the
-//! exact Monte-Carlo stream the saved one would have — without it, a
-//! warm-cache grid run would diverge from a cold one on every
-//! smoothing cell after the first.
+//! stays binary via the `BNSQ`/`BNTR` records.
+//!
+//! Version 1 headers also carried a draw count, the position of a
+//! per-model smoothing RNG. Inference carries no state (every
+//! [`DefendedModel::classify`] call starts a fresh stream), so version 2
+//! drops the field. Version 1 files still load: the JSON decoder skips the
+//! unknown field, and every version 1 file this program wrote holds 0
+//! there.
 
 use blurnet_nn::persist::{read_sequential, write_sequential};
 use blurnet_nn::LisaCnnConfig;
@@ -33,7 +35,7 @@ use crate::{DefendedModel, DefenseError, DefenseKind, Result};
 /// Magic bytes opening a serialized [`DefendedModel`].
 pub const MODEL_MAGIC: [u8; 4] = *b"BNDM";
 /// Newest model format version this build reads and writes.
-pub const MODEL_VERSION: u16 = 1;
+pub const MODEL_VERSION: u16 = 2;
 
 /// The JSON header of a persisted model: everything except the weights.
 #[derive(Debug, Serialize, Deserialize)]
@@ -41,7 +43,6 @@ struct ModelHeader {
     defense: DefenseKind,
     arch: LisaCnnConfig,
     report: TrainingReport,
-    smoothing_draws: u64,
 }
 
 fn tensor_fail(e: TensorError) -> DefenseError {
@@ -59,7 +60,6 @@ pub fn model_to_bytes(model: &DefendedModel) -> Result<Vec<u8>> {
         defense: model.defense().clone(),
         arch: model.arch().clone(),
         report: model.training_report().clone(),
-        smoothing_draws: model.smoothing_draws(),
     };
     let header_json = serde_json::to_vec(&header)
         .map_err(|e| DefenseError::BadConfig(format!("encoding model header: {e}")))?;
@@ -90,15 +90,17 @@ pub fn model_from_bytes(bytes: &[u8]) -> Result<DefendedModel> {
         .map_err(|e| DefenseError::BadConfig(format!("decoding model header: {e}")))?;
     let net = read_sequential(&mut reader)?;
     reader.finish().map_err(tensor_fail)?;
-    let mut model = DefendedModel::new(net, header.defense, header.arch, header.report);
-    model.advance_smoothing_rng(header.smoothing_draws);
-    Ok(model)
+    Ok(DefendedModel::new(
+        net,
+        header.defense,
+        header.arch,
+        header.report,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::SMOOTHING_SEED;
     use blurnet_nn::LisaCnn;
     use blurnet_tensor::Tensor;
     use rand::SeedableRng;
@@ -119,56 +121,69 @@ mod tests {
         )
     }
 
-    #[test]
-    fn roundtrip_preserves_classification_bitwise() {
+    /// Every defense's classification of one batch, from one engine.
+    fn classify(model: &DefendedModel) -> Vec<(usize, f32)> {
         let images: Vec<Tensor> = (0..3)
             .map(|i| Tensor::full(&[3, 16, 16], 0.2 + 0.2 * i as f32))
             .collect();
+        let engine = model.network().batch_engine().unwrap();
+        model
+            .classify(&engine, &Tensor::stack(&images).unwrap())
+            .unwrap()
+    }
+
+    #[test]
+    fn roundtrip_preserves_classification_bitwise() {
         for defense in [
             DefenseKind::Baseline,
             DefenseKind::InputFilter { kernel: 3 },
             DefenseKind::FeatureFilter { kernel: 5 },
+            DefenseKind::RandomizedSmoothing {
+                sigma: 0.1,
+                samples: 5,
+            },
         ] {
-            let mut model = untrained(defense);
-            let mut restored = model_from_bytes(&model_to_bytes(&model).unwrap()).unwrap();
+            let model = untrained(defense);
+            let restored = model_from_bytes(&model_to_bytes(&model).unwrap()).unwrap();
             assert_eq!(model.defense(), restored.defense());
             assert_eq!(model.arch(), restored.arch());
             assert_eq!(model.training_report(), restored.training_report());
-            assert_eq!(
-                model.classify_set(&images).unwrap(),
-                restored.classify_set(&images).unwrap()
-            );
+            assert_eq!(classify(&model), classify(&restored));
         }
     }
 
     #[test]
-    fn smoothing_rng_position_survives_the_roundtrip() {
-        let mut model = untrained(DefenseKind::RandomizedSmoothing {
+    fn v1_files_load_and_classify_identically() {
+        let model = untrained(DefenseKind::RandomizedSmoothing {
             sigma: 0.1,
             samples: 5,
         });
-        let image = Tensor::full(&[3, 16, 16], 0.4);
-        // Consume some of the stream before saving.
-        let _ = model.classify_one(&image).unwrap();
-        let draws = model.smoothing_draws();
-        assert!(draws > 0);
-        let mut restored = model_from_bytes(&model_to_bytes(&model).unwrap()).unwrap();
-        assert_eq!(restored.smoothing_draws(), draws);
-        // Both continue the stream identically.
-        assert_eq!(
-            model.classify_one(&image).unwrap(),
-            restored.classify_one(&image).unwrap()
+        // A version 1 file, written field by field: its header also holds
+        // the retired smoothing draw count (always 0 in files this program
+        // wrote).
+        let header = format!(
+            "{{\"defense\":{},\"arch\":{},\"report\":{},\"smoothing_draws\":0}}",
+            serde_json::to_string(model.defense()).unwrap(),
+            serde_json::to_string(model.arch()).unwrap(),
+            serde_json::to_string(model.training_report()).unwrap()
         );
-    }
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(b"BNDM");
+        v1.extend_from_slice(&1u16.to_le_bytes());
+        put_u64(&mut v1, header.len() as u64);
+        v1.extend_from_slice(header.as_bytes());
+        write_sequential(&mut v1, model.network());
 
-    #[test]
-    fn fresh_models_start_at_draw_zero() {
-        let model = untrained(DefenseKind::Baseline);
-        assert_eq!(model.smoothing_draws(), 0);
-        // Draw counting is relative to a fresh RNG at the fixed seed, so
-        // zero means "restore needs no replay", whatever the vendored
-        // ChaCha's absolute starting position is.
-        let _ = SMOOTHING_SEED;
+        let loaded = model_from_bytes(&v1).unwrap();
+        assert_eq!(loaded.defense(), model.defense());
+        assert_eq!(loaded.arch(), model.arch());
+        assert_eq!(loaded.training_report(), model.training_report());
+        assert_eq!(classify(&loaded), classify(&model));
+        // Saving it again writes the current version.
+        assert_eq!(
+            model_to_bytes(&loaded).unwrap(),
+            model_to_bytes(&model).unwrap()
+        );
     }
 
     #[test]

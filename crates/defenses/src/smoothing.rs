@@ -2,92 +2,107 @@
 //! copies of the input (Cohen et al., used as a baseline defense in
 //! Table II).
 
-use blurnet_nn::Sequential;
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
+
+use blurnet_nn::BatchEngine;
 use blurnet_tensor::Tensor;
 use rand::Rng;
 
 use crate::{DefenseError, Result};
 
-/// Predicts the class of one `[C, H, W]` image by majority vote over
-/// `samples` Gaussian-noised copies with standard deviation `sigma`.
+/// Classifies every row of an `[N, C, H, W]` batch by majority vote over
+/// `samples` Gaussian-noised copies with standard deviation `sigma`,
+/// returning the winning class (ties go to the lowest class) and its vote
+/// share. Rows draw their noise from `rng` in row order, one
+/// `[samples, C, H, W]` block each, and every vote runs through `engine`.
 ///
 /// # Errors
 ///
-/// Returns [`DefenseError::BadConfig`] for non-positive `sigma` or zero
-/// `samples`, and propagates network errors.
-pub fn smoothed_predict<R: Rng + ?Sized>(
-    net: &Sequential,
-    image: &Tensor,
+/// Returns [`DefenseError::BadConfig`] for non-positive `sigma`, zero
+/// `samples` or an empty batch, and propagates network errors.
+pub(crate) fn smoothed_votes<R: Rng + ?Sized>(
+    engine: &BatchEngine<'_>,
+    images: &Tensor,
     sigma: f32,
     samples: usize,
     rng: &mut R,
-) -> Result<usize> {
+) -> Result<Vec<(usize, f32)>> {
     if sigma <= 0.0 || samples == 0 {
         return Err(DefenseError::BadConfig(format!(
             "smoothing needs positive sigma and samples, got sigma={sigma}, samples={samples}"
         )));
     }
-    // Draw the whole noise batch in one tensor (same RNG stream as the old
-    // per-sample loop) and add the image in place: one allocation and one
-    // pass instead of `samples` temporary tensors plus a stack copy.
-    let dims = image.dims();
-    let mut batch_dims = Vec::with_capacity(dims.len() + 1);
-    batch_dims.push(samples);
-    batch_dims.extend_from_slice(dims);
-    let mut batch = Tensor::rand_normal(&batch_dims, 0.0, sigma, rng);
-    let len = image.len();
-    for sample in batch.data_mut().chunks_mut(len) {
-        for (noisy, &clean) in sample.iter_mut().zip(image.data().iter()) {
-            *noisy = (*noisy + clean).clamp(0.0, 1.0);
-        }
+    if images.shape().rank() < 2 || images.dims()[0] == 0 {
+        return Err(DefenseError::BadConfig(format!(
+            "smoothing expects a non-empty [N, ...] batch, got {}",
+            images.shape()
+        )));
     }
-    let preds = net.predict_batch(&batch)?;
-    let mut votes = std::collections::HashMap::new();
-    for p in preds {
-        *votes.entry(p).or_insert(0usize) += 1;
-    }
-    Ok(votes
-        .into_iter()
-        .max_by_key(|&(class, count)| (count, std::cmp::Reverse(class)))
-        .map(|(class, _)| class)
-        .unwrap_or(0))
+    let rows = images.dims()[0];
+    (0..rows)
+        .map(|i| {
+            let image = images.batch_item(i)?;
+            // The whole noise block in one tensor, the image added in place.
+            let mut noise_dims = vec![samples];
+            noise_dims.extend_from_slice(image.dims());
+            let mut batch = Tensor::rand_normal(&noise_dims, 0.0, sigma, rng);
+            for sample in batch.data_mut().chunks_mut(image.len()) {
+                for (noisy, &clean) in sample.iter_mut().zip(image.data()) {
+                    *noisy = (*noisy + clean).clamp(0.0, 1.0);
+                }
+            }
+            let mut votes = BTreeMap::new();
+            for class in engine.predict(&batch)? {
+                *votes.entry(class).or_insert(0usize) += 1;
+            }
+            let (class, count) = votes
+                .into_iter()
+                .max_by_key(|&(class, count)| (count, Reverse(class)))
+                .expect("at least one sample voted");
+            Ok((class, count as f32 / samples as f32))
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blurnet_nn::LisaCnn;
+    use blurnet_nn::{LisaCnn, Sequential};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    #[test]
-    fn smoothing_returns_a_valid_class_and_is_stable_for_tiny_noise() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let net = LisaCnn::new(18)
+    fn net(seed: u64) -> Sequential {
+        LisaCnn::new(18)
             .input_size(16)
             .conv1_filters(4)
-            .build(&mut rng)
-            .unwrap();
-        let image = Tensor::full(&[3, 16, 16], 0.4);
-        let plain = net
-            .predict_batch(&Tensor::stack(std::slice::from_ref(&image)).unwrap())
-            .unwrap()[0];
-        let smoothed = smoothed_predict(&net, &image, 1e-4, 11, &mut rng).unwrap();
-        assert!(smoothed < 18);
-        // With near-zero noise the vote must match the plain prediction.
-        assert_eq!(smoothed, plain);
+            .build(&mut ChaCha8Rng::seed_from_u64(seed))
+            .unwrap()
+    }
+
+    #[test]
+    fn smoothing_returns_a_valid_class_and_is_stable_for_tiny_noise() {
+        let net = net(0);
+        let engine = net.batch_engine().unwrap();
+        let images = Tensor::stack(&[
+            Tensor::full(&[3, 16, 16], 0.4),
+            Tensor::full(&[3, 16, 16], 0.7),
+        ])
+        .unwrap();
+        let plain = engine.predict(&images).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let smoothed = smoothed_votes(&engine, &images, 1e-4, 11, &mut rng).unwrap();
+        // With near-zero noise every vote must match the plain prediction.
+        assert_eq!(smoothed, vec![(plain[0], 1.0), (plain[1], 1.0)]);
     }
 
     #[test]
     fn parameter_validation() {
+        let net = net(1);
+        let engine = net.batch_engine().unwrap();
+        let images = Tensor::zeros(&[1, 3, 16, 16]);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let net = LisaCnn::new(18)
-            .input_size(16)
-            .conv1_filters(4)
-            .build(&mut rng)
-            .unwrap();
-        let image = Tensor::zeros(&[3, 16, 16]);
-        assert!(smoothed_predict(&net, &image, 0.0, 4, &mut rng).is_err());
-        assert!(smoothed_predict(&net, &image, 0.1, 0, &mut rng).is_err());
+        assert!(smoothed_votes(&engine, &images, 0.0, 4, &mut rng).is_err());
+        assert!(smoothed_votes(&engine, &images, 0.1, 0, &mut rng).is_err());
     }
 }

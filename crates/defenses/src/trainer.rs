@@ -212,17 +212,8 @@ pub fn train_defended_model(
         test_accuracy: 0.0,
     };
     let mut model = DefendedModel::new(net, defense.clone(), arch, report);
-    let test_accuracy = model.accuracy(&dataset.test_batch()?)?;
-    let report = TrainingReport {
-        epoch_losses: model.training_report().epoch_losses.clone(),
-        test_accuracy,
-    };
-    Ok(DefendedModel::new(
-        model.network().clone(),
-        defense.clone(),
-        model.arch().clone(),
-        report,
-    ))
+    model.report.test_accuracy = model.accuracy(&dataset.test_batch()?)?;
+    Ok(model)
 }
 
 /// Applies the defense's training-time input pipeline to one batch.

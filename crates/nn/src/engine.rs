@@ -6,7 +6,7 @@
 //! pre-packs each convolution's weights into the GEMM-ready transposed
 //! layout (and each dense layer's weights into `[in, out]`) exactly once,
 //! and then evaluates **batch shards in parallel** — the batch dimension is
-//! split into fixed-size shards that rayon workers process independently,
+//! split into one-image shards that rayon workers process independently,
 //! each worker owning a private [`Scratch`] pool that is reused across
 //! every layer of every shard it processes.
 //!
@@ -33,10 +33,9 @@
 //! Forward outputs are **bit-identical** to folding [`crate::Layer::infer`]
 //! over the layers, and input gradients to folding
 //! [`crate::Layer::infer_recording`] / [`crate::Layer::input_grad`], for
-//! every batch size, shard size and thread count:
+//! every batch size and thread count:
 //!
-//! * shard boundaries depend only on the batch size, never on the thread
-//!   count;
+//! * every shard is one image, whatever the thread count;
 //! * every per-element accumulation (GEMM register tiles, im2col rows,
 //!   depthwise taps, col2im folds) runs in a fixed order that does not
 //!   depend on how the work is partitioned;
@@ -58,8 +57,9 @@
 //! experiment scheduler builds on — trained networks are shared read-only
 //! (e.g. behind an `Arc`) across concurrently executing evaluation cells,
 //! and each cell freely constructs or reuses engines over those weights
-//! from whatever worker it lands on. Anything mutable (smoothing RNGs,
-//! optimizer moments) lives outside the engine in per-cell state.
+//! from whatever worker it lands on. Anything mutable (optimizer moments,
+//! a smoothing vote's noise stream) lives outside the engine, owned by the
+//! caller.
 
 use std::sync::Arc;
 
@@ -178,8 +178,7 @@ pub struct GradBatch {
     /// Gradient of the loss with respect to the batch input, same shape as
     /// the input.
     pub input_grad: Tensor,
-    /// Per-shard loss values, in shard order. With the default shard size
-    /// of one image this is one loss per image.
+    /// Per-shard loss values, in shard order: one loss per image.
     pub shard_losses: Vec<f32>,
 }
 
@@ -209,17 +208,11 @@ pub struct BatchEngine<'n> {
     /// its layers directly.
     net: &'n Sequential,
     layers: Vec<EngineLayer<'n>>,
-    shard_size: usize,
     /// Compute backend every kernel call routes through; per-worker
     /// [`Scratch`] pools are bound to it, so one engine dispatches at one
     /// tier for its whole lifetime.
     backend: Arc<dyn Backend>,
 }
-
-/// Default images per shard: one. The finest sharding maximizes batch-level
-/// parallelism, and per-image GEMMs on this workload are already large
-/// enough to run the blocked core at full speed.
-const DEFAULT_SHARD_IMAGES: usize = 1;
 
 // Compile-time pin of the sharing contract: an engine (and the plan it
 // borrows) must remain usable from many threads at once. Removing `Sync`
@@ -259,7 +252,6 @@ impl<'n> BatchEngine<'n> {
         Ok(BatchEngine {
             net,
             layers,
-            shard_size: DEFAULT_SHARD_IMAGES,
             backend: default_backend(),
         })
     }
@@ -275,26 +267,6 @@ impl<'n> BatchEngine<'n> {
     /// The compute backend this engine dispatches through.
     pub fn backend(&self) -> Arc<dyn Backend> {
         Arc::clone(&self.backend)
-    }
-
-    /// Overrides the number of images per shard (clamped to at least 1).
-    ///
-    /// For **forward** evaluation, sharding only affects how work is
-    /// distributed, never the results. The **gradient** path is different:
-    /// [`BatchEngine::forward_backward_batch`] normalizes its per-shard
-    /// cross-entropy over the shard, so a larger shard scales the logit
-    /// (and therefore input) gradients by `1/shard_count` and makes
-    /// [`GradBatch::shard_losses`] shard means instead of per-image
-    /// losses. Sign-based consumers (PGD) are unaffected; magnitude-based
-    /// consumers should keep the default of one image per shard.
-    pub fn with_shard_size(mut self, images: usize) -> Self {
-        self.shard_size = images.max(1);
-        self
-    }
-
-    /// Images per shard.
-    pub fn shard_size(&self) -> usize {
-        self.shard_size
     }
 
     /// Runs the first `depth` layers over one shard, drawing workspace from
@@ -455,9 +427,9 @@ impl<'n> BatchEngine<'n> {
     /// index of the shard's first image, the shard logits, and (when
     /// `feature_layer` is `Some(i)`) the activation after layer `i`; it
     /// returns the shard's loss gradient, an optional gradient to inject at
-    /// that activation, and a diagnostic loss value. With the default shard
-    /// size of one image the closure sees exactly what a per-image attack
-    /// loop would — per-image logits and per-image losses.
+    /// that activation, and a diagnostic loss value. Every shard is one
+    /// image, so the closure sees exactly what a per-image attack loop
+    /// would — per-image logits and per-image losses.
     ///
     /// # Errors
     ///
@@ -588,10 +560,10 @@ impl<'n> BatchEngine<'n> {
     /// parallelism to one thread, so the thread budget is spent on the
     /// batch dimension exactly once.
     ///
-    /// Shard boundaries depend only on the batch size and shard size —
-    /// never on the thread count — which is what makes every engine result
-    /// bit-identical at any `RAYON_NUM_THREADS`. Both entry points share
-    /// this scheduler, so their partitioning can never drift apart.
+    /// Every shard is one image — whatever the thread count — which is
+    /// what makes every engine result bit-identical at any
+    /// `RAYON_NUM_THREADS`. Both entry points share this scheduler, so
+    /// their partitioning can never drift apart.
     fn run_sharded<T, S, MkS, F>(
         &self,
         input: &Tensor,
@@ -604,21 +576,18 @@ impl<'n> BatchEngine<'n> {
         F: Fn(&mut S, usize, &Tensor) -> Result<T> + Sync,
     {
         let n = input.dims()[0];
-        let num_shards = n.div_ceil(self.shard_size);
         let threads = rayon::current_num_threads();
-        if threads <= 1 || num_shards == 1 {
+        if threads <= 1 || n == 1 {
             let mut state = make_state();
-            let mut out = Vec::with_capacity(num_shards);
-            for s in 0..num_shards {
-                let start = s * self.shard_size;
-                let count = self.shard_size.min(n - start);
-                let shard = input.batch_slice(start, count)?;
+            let mut out = Vec::with_capacity(n);
+            for start in 0..n {
+                let shard = input.batch_slice(start, 1)?;
                 out.push(run_shard(&mut state, start, &shard)?);
             }
             return Ok(out);
         }
-        let group = num_shards.div_ceil(threads);
-        let mut slots: Vec<Option<Result<T>>> = (0..num_shards).map(|_| None).collect();
+        let group = n.div_ceil(threads);
+        let mut slots: Vec<Option<Result<T>>> = (0..n).map(|_| None).collect();
         slots
             .par_chunks_mut(group)
             .enumerate()
@@ -626,16 +595,15 @@ impl<'n> BatchEngine<'n> {
                 let inner = rayon::ThreadPoolBuilder::new().num_threads(1).build();
                 let mut state = make_state();
                 for (j, slot) in slots_group.iter_mut().enumerate() {
-                    let s = g * group + j;
-                    let start = s * self.shard_size;
-                    let count = self.shard_size.min(n - start);
-                    let result = input
-                        .batch_slice(start, count)
-                        .map_err(NnError::from)
-                        .and_then(|shard| match &inner {
-                            Ok(pool) => pool.install(|| run_shard(&mut state, start, &shard)),
-                            Err(_) => run_shard(&mut state, start, &shard),
-                        });
+                    let start = g * group + j;
+                    let result =
+                        input
+                            .batch_slice(start, 1)
+                            .map_err(NnError::from)
+                            .and_then(|shard| match &inner {
+                                Ok(pool) => pool.install(|| run_shard(&mut state, start, &shard)),
+                                Err(_) => run_shard(&mut state, start, &shard),
+                            });
                     *slot = Some(result);
                 }
             });
@@ -676,10 +644,10 @@ impl<'n> BatchEngine<'n> {
 
     /// Batched softmax cross-entropy forward + backward: the gradient-loop
     /// workhorse of PGD-style attacks. Losses and logit gradients are
-    /// computed **per shard** (default: per image), so with the default
-    /// shard size the result matches a per-image attack loop exactly —
-    /// `shard_losses[i]` is image `i`'s loss and the input gradient rows
-    /// are per-image cross-entropy gradients.
+    /// computed **per shard**, that is per image, so the result matches a
+    /// per-image attack loop exactly — `shard_losses[i]` is image `i`'s
+    /// loss and the input gradient rows are per-image cross-entropy
+    /// gradients.
     ///
     /// # Errors
     ///
@@ -724,7 +692,7 @@ impl<'n> BatchEngine<'n> {
         }
         let depth = self.layers.len();
         // Single-shard fast path: no slicing or concatenation to pay.
-        if input.dims()[0].div_ceil(self.shard_size) == 1 {
+        if input.dims()[0] == 1 {
             return self.infer_shard(input, depth, &mut Scratch::with_backend(self.backend()));
         }
         let parts = self.run_sharded(
@@ -765,7 +733,7 @@ impl<'n> BatchEngine<'n> {
     /// sharded forward pass and [`loss::confidences`] treat every image
     /// independently, each `(label, confidence)` pair is **bit-identical**
     /// no matter which other requests were coalesced into the same batch —
-    /// at every batch size, shard size and thread count.
+    /// at every batch size and thread count.
     ///
     /// # Errors
     ///
@@ -822,19 +790,6 @@ mod tests {
         assert_eq!(engine.forward(&batch).unwrap(), reference);
         // A second call through the same engine (reused packs) agrees too.
         assert_eq!(engine.forward(&batch).unwrap(), reference);
-    }
-
-    #[test]
-    fn shard_size_does_not_change_results() {
-        let net = lisa_net(3);
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let batch = Tensor::rand_uniform(&[7, 3, 16, 16], 0.0, 1.0, &mut rng);
-        let base = BatchEngine::new(&net).unwrap().forward(&batch).unwrap();
-        for shard in [2usize, 3, 7, 16] {
-            let engine = BatchEngine::new(&net).unwrap().with_shard_size(shard);
-            assert_eq!(engine.shard_size(), shard);
-            assert_eq!(engine.forward(&batch).unwrap(), base, "shard {shard}");
-        }
     }
 
     #[test]
@@ -964,7 +919,7 @@ mod tests {
         }
         // Logits agree with the plain forward path.
         assert_eq!(outputs[0].logits, engine.forward(&batch).unwrap());
-        // Per-image losses (default shard size 1).
+        // Per-image losses (one image per shard).
         assert_eq!(outputs[0].shard_losses.len(), 6);
         // Label count validation.
         assert!(engine.forward_backward_batch(&batch, &labels[..3]).is_err());

@@ -22,10 +22,11 @@
 //! the first convolution.
 //!
 //! Inference-heavy workloads (the attack×defense evaluation grids behind
-//! every table of the paper) shard the batch dimension across rayon
-//! workers ([`Sequential::forward_batch`] / [`BatchEngine::forward`]) with
-//! per-worker scratch pools and once-per-pass weight packing, producing
-//! outputs bit-identical to the per-sample path at every thread count.
+//! every table of the paper) build one engine per network
+//! ([`Sequential::batch_engine`]) and shard the batch dimension across
+//! rayon workers ([`BatchEngine::forward`]) with per-worker scratch pools
+//! and weights packed once per engine, producing outputs bit-identical to
+//! the per-sample path at every thread count.
 //!
 //! # Example
 //!
@@ -38,7 +39,7 @@
 //! let mut rng = ChaCha8Rng::seed_from_u64(0);
 //! let net = LisaCnn::new(18).build(&mut rng)?;
 //! let batch = Tensor::zeros(&[2, 3, 32, 32]);
-//! let logits = net.forward_batch(&batch)?;
+//! let logits = net.batch_engine()?.forward(&batch)?;
 //! assert_eq!(logits.dims(), &[2, 18]);
 //! let (loss, _grad) = softmax_cross_entropy(&logits, &[0, 1])?;
 //! assert!(loss > 0.0);
@@ -69,7 +70,7 @@ pub use engine::{BatchEngine, GradBatch, Gradients, ShardGrad};
 pub use error::NnError;
 pub use flatten::Flatten;
 pub use layer::{Layer, LayerKind, TapeSlot};
-pub use loss::{accuracy, softmax, softmax_cross_entropy};
+pub use loss::{softmax, softmax_cross_entropy};
 pub use model::{LisaCnn, LisaCnnConfig};
 pub use network::Sequential;
 pub use optim::Adam;

@@ -1,4 +1,4 @@
-//! Softmax, cross-entropy loss and classification accuracy.
+//! Softmax, cross-entropy loss and per-row class predictions.
 
 use blurnet_tensor::Tensor;
 
@@ -82,31 +82,6 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> Result<(f32, 
     Ok((loss * scale, Tensor::from_vec(grad, &[n, c])?))
 }
 
-/// Fraction of rows whose argmax equals the label.
-///
-/// # Errors
-///
-/// Returns an error if the logits are not rank 2 or the labels are
-/// inconsistent with the batch.
-pub fn accuracy(logits: &Tensor, labels: &[usize]) -> Result<f32> {
-    let (n, c) = check_labels(logits, labels)?;
-    let d = logits.data();
-    let mut correct = 0usize;
-    for (i, &label) in labels.iter().enumerate() {
-        let row = &d[i * c..(i + 1) * c];
-        let mut best = 0usize;
-        for (j, &v) in row.iter().enumerate() {
-            if v > row[best] {
-                best = j;
-            }
-        }
-        if best == label {
-            correct += 1;
-        }
-    }
-    Ok(correct as f32 / n as f32)
-}
-
 /// Predicted class index **and** its softmax probability for every row of
 /// a `[N, classes]` logits tensor.
 ///
@@ -118,25 +93,12 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> Result<f32> {
 ///
 /// # Errors
 ///
-/// Returns [`NnError::BadConfig`] if the input is not rank 2.
+/// Returns [`NnError::BadConfig`] if the input is not rank 2 or has
+/// no classes.
 pub fn confidences(logits: &Tensor) -> Result<Vec<(usize, f32)>> {
-    if logits.shape().rank() != 2 {
-        return Err(NnError::BadConfig(format!(
-            "expected [N, classes] logits, got {}",
-            logits.shape()
-        )));
-    }
-    let (n, c) = (logits.dims()[0], logits.dims()[1]);
-    let d = logits.data();
-    Ok((0..n)
-        .map(|i| {
-            let row = &d[i * c..(i + 1) * c];
-            let mut best = 0usize;
-            for (j, &v) in row.iter().enumerate() {
-                if v > row[best] {
-                    best = j;
-                }
-            }
+    Ok(rows(logits)?
+        .map(|row| {
+            let best = argmax(row);
             // v_best is the row max, so every exponent is ≤ 0: stable.
             let denom: f32 = row.iter().map(|&v| (v - row[best]).exp()).sum();
             (best, 1.0 / denom)
@@ -148,28 +110,33 @@ pub fn confidences(logits: &Tensor) -> Result<Vec<(usize, f32)>> {
 ///
 /// # Errors
 ///
-/// Returns [`NnError::BadConfig`] if the input is not rank 2.
+/// Returns [`NnError::BadConfig`] if the input is not rank 2 or has
+/// no classes.
 pub fn predictions(logits: &Tensor) -> Result<Vec<usize>> {
-    if logits.shape().rank() != 2 {
+    Ok(rows(logits)?.map(argmax).collect())
+}
+
+/// The rows of a `[N, classes]` logits tensor with at least one class.
+fn rows(logits: &Tensor) -> Result<std::slice::ChunksExact<'_, f32>> {
+    if logits.shape().rank() != 2 || logits.dims()[1] == 0 {
         return Err(NnError::BadConfig(format!(
             "expected [N, classes] logits, got {}",
             logits.shape()
         )));
     }
-    let (n, c) = (logits.dims()[0], logits.dims()[1]);
-    let d = logits.data();
-    Ok((0..n)
-        .map(|i| {
-            let row = &d[i * c..(i + 1) * c];
-            let mut best = 0usize;
-            for (j, &v) in row.iter().enumerate() {
-                if v > row[best] {
-                    best = j;
-                }
-            }
-            best
-        })
-        .collect())
+    Ok(logits.data().chunks_exact(logits.dims()[1]))
+}
+
+/// Index of a row's first maximum — the one argmax behind both
+/// [`predictions`] and [`confidences`].
+fn argmax(row: &[f32]) -> usize {
+    let mut best = 0usize;
+    for (j, &v) in row.iter().enumerate() {
+        if v > row[best] {
+            best = j;
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -227,11 +194,11 @@ mod tests {
     }
 
     #[test]
-    fn accuracy_and_predictions() {
+    fn predictions_take_the_first_row_maximum() {
         let logits =
-            Tensor::from_vec(vec![2.0, 1.0, 0.0, 0.0, 0.5, 3.0, 1.0, 0.0, -1.0], &[3, 3]).unwrap();
+            Tensor::from_vec(vec![2.0, 1.0, 0.0, 0.0, 0.5, 3.0, 1.0, 0.0, 1.0], &[3, 3]).unwrap();
         assert_eq!(predictions(&logits).unwrap(), vec![0, 2, 0]);
-        assert!((accuracy(&logits, &[0, 2, 1]).unwrap() - 2.0 / 3.0).abs() < 1e-6);
+        assert!(predictions(&Tensor::zeros(&[3])).is_err());
     }
 
     #[test]
@@ -268,7 +235,6 @@ mod tests {
         let logits = Tensor::zeros(&[2, 3]);
         assert!(softmax_cross_entropy(&logits, &[0]).is_err());
         assert!(softmax_cross_entropy(&logits, &[0, 3]).is_err());
-        assert!(accuracy(&logits, &[0, 5]).is_err());
         assert!(softmax(&Tensor::zeros(&[3])).is_err());
         assert!(confidences(&Tensor::zeros(&[3])).is_err());
     }

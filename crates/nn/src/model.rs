@@ -123,11 +123,6 @@ impl LisaCnn {
         }
     }
 
-    /// Starts a builder from an explicit configuration.
-    pub fn from_config(config: LisaCnnConfig) -> Self {
-        LisaCnn { config }
-    }
-
     /// Overrides the input extent (must be divisible by `4 · conv1_stride`).
     pub fn input_size(mut self, size: usize) -> Self {
         self.config.input_size = size;
@@ -247,7 +242,7 @@ mod tests {
         let builder = LisaCnn::new(18);
         let net = builder.build(&mut rng).unwrap();
         let x = Tensor::zeros(&[2, 3, 32, 32]);
-        let y = net.forward_batch(&x).unwrap();
+        let y = net.batch_engine().unwrap().forward(&x).unwrap();
         assert_eq!(y.dims(), &[2, 18]);
         assert_eq!(builder.config().feature_map_extent(), 16);
         assert_eq!(builder.config().feature_layer_index(), 0);
@@ -265,7 +260,8 @@ mod tests {
         assert_eq!(blurred.len(), plain.len() + 1);
         assert_eq!(builder.config().filter_layer_index(), Some(1));
         let x = Tensor::zeros(&[1, 3, 32, 32]);
-        assert_eq!(blurred.forward_batch(&x).unwrap().dims(), &[1, 18]);
+        let y = blurred.batch_engine().unwrap().forward(&x).unwrap();
+        assert_eq!(y.dims(), &[1, 18]);
         // The fixed blur layer adds no parameters.
         assert_eq!(blurred.parameter_count(), plain.parameter_count());
     }
@@ -313,7 +309,8 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let builder = LisaCnn::new(4).input_size(16).conv1_filters(4);
         let net = builder.build(&mut rng).unwrap();
-        let y = net.forward_batch(&Tensor::zeros(&[1, 3, 16, 16])).unwrap();
+        let engine = net.batch_engine().unwrap();
+        let y = engine.forward(&Tensor::zeros(&[1, 3, 16, 16])).unwrap();
         assert_eq!(y.dims(), &[1, 4]);
     }
 }

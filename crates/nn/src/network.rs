@@ -3,7 +3,7 @@
 use blurnet_tensor::{Scratch, Tensor};
 
 use crate::engine::Recording;
-use crate::{loss, BatchEngine, Gradients, Layer, LayerKind, NnError, Result};
+use crate::{BatchEngine, Gradients, Layer, LayerKind, NnError, Result};
 
 /// A feed-forward stack of layers.
 ///
@@ -98,7 +98,7 @@ impl Sequential {
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
         let previous = self.recorded.take();
         if !train {
-            return self.forward_batch(input);
+            return BatchEngine::new(self)?.forward(input);
         }
         let engine = BatchEngine::new(self)?;
         let mut scratch =
@@ -140,14 +140,11 @@ impl Sequential {
         grads
     }
 
-    /// Runs the network over an `[N, ...]` batch in pure inference mode,
-    /// sharding the batch dimension across rayon workers (see
-    /// [`BatchEngine`]). The output is **bit-identical** at every
-    /// `RAYON_NUM_THREADS` setting.
-    ///
-    /// This builds a fresh [`BatchEngine`] per call (packing each layer's
-    /// weights once); loops that evaluate many batches against a frozen
-    /// network should hold a [`Sequential::batch_engine`] instead.
+    /// Builds a reusable [`BatchEngine`] over this network: every
+    /// convolution and dense layer's weights are packed into their
+    /// GEMM-ready layouts exactly once and shared across all subsequent
+    /// [`BatchEngine::forward`] calls and batch shards. Its outputs are
+    /// **bit-identical** at every `RAYON_NUM_THREADS` setting.
     ///
     /// ```
     /// use blurnet_nn::{Layer, LisaCnn};
@@ -158,7 +155,7 @@ impl Sequential {
     /// let mut rng = ChaCha8Rng::seed_from_u64(0);
     /// let net = LisaCnn::new(18).build(&mut rng)?;
     /// let batch = Tensor::zeros(&[4, 3, 32, 32]);
-    /// let logits = net.forward_batch(&batch)?;
+    /// let logits = net.batch_engine()?.forward(&batch)?;
     /// assert_eq!(logits.dims(), &[4, 18]);
     /// // Identical to folding each layer's own inference, bit for bit.
     /// let mut scratch = Scratch::new();
@@ -169,52 +166,6 @@ impl Sequential {
     /// assert_eq!(logits, folded);
     /// # Ok::<(), blurnet_nn::NnError>(())
     /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an empty network or batch, or a shape the
-    /// first layer rejects.
-    pub fn forward_batch(&self, input: &Tensor) -> Result<Tensor> {
-        BatchEngine::new(self)?.forward(input)
-    }
-
-    /// Class predictions (argmax of the logits) for a batch through the
-    /// batch-parallel inference path, without mutating the network.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Sequential::forward_batch`] errors.
-    pub fn predict_batch(&self, input: &Tensor) -> Result<Vec<usize>> {
-        loss::predictions(&self.forward_batch(input)?)
-    }
-
-    /// Gradient of `grad_output` with respect to the network input over an
-    /// `[N, ...]` batch, computed **immutably** through the batched
-    /// gradient engine: a recorded forward pass (per-layer tapes owned by
-    /// the workers, not the network) followed by a tape-driven backward,
-    /// sharded across rayon workers like [`Sequential::forward_batch`].
-    ///
-    /// No parameter gradients are computed — this is the attack-generation
-    /// backward. The result is bit-identical at every `RAYON_NUM_THREADS`
-    /// setting (pinned by `tests/input_grad_batch.rs`).
-    ///
-    /// This builds a fresh [`BatchEngine`] per call; gradient loops (PGD
-    /// steps, RP2 iterations) should hold a [`Sequential::batch_engine`]
-    /// and call [`BatchEngine::input_grad`] /
-    /// [`BatchEngine::forward_backward_batch`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an empty network or batch, or mismatched
-    /// shapes.
-    pub fn input_grad_batch(&self, input: &Tensor, grad_output: &Tensor) -> Result<Tensor> {
-        BatchEngine::new(self)?.input_grad(input, grad_output)
-    }
-
-    /// Builds a reusable [`BatchEngine`] over this network: every
-    /// convolution and dense layer's weights are packed into their
-    /// GEMM-ready layouts exactly once and shared across all subsequent
-    /// [`BatchEngine::forward`] calls and batch shards.
     ///
     /// # Errors
     ///
@@ -275,7 +226,7 @@ mod tests {
         let x = Tensor::zeros(&[4, 1, 8, 8]);
         let y = net.forward(&x, false).unwrap();
         assert_eq!(y.dims(), &[4, 3]);
-        assert_eq!(net.predict_batch(&x).unwrap().len(), 4);
+        assert_eq!(net.batch_engine().unwrap().predict(&x).unwrap().len(), 4);
         assert!(net.parameter_count() > 0);
     }
 
@@ -378,8 +329,8 @@ mod tests {
         let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, &mut rng);
         let restored = sequential_from_bytes(&sequential_to_bytes(&net)).unwrap();
         assert_eq!(
-            net.forward_batch(&x).unwrap(),
-            restored.forward_batch(&x).unwrap()
+            net.batch_engine().unwrap().forward(&x).unwrap(),
+            restored.batch_engine().unwrap().forward(&x).unwrap()
         );
         assert!(sequential_from_bytes(b"not a network").is_err());
     }
@@ -427,6 +378,6 @@ mod tests {
             last_loss = loss;
         }
         assert!(last_loss < 0.5 * first_loss.unwrap());
-        assert_eq!(net.predict_batch(&x).unwrap(), vec![0, 1]);
+        assert_eq!(net.batch_engine().unwrap().predict(&x).unwrap(), vec![0, 1]);
     }
 }

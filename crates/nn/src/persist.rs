@@ -207,8 +207,8 @@ mod tests {
         for net in nets() {
             let restored = sequential_from_bytes(&sequential_to_bytes(&net)).unwrap();
             assert_eq!(restored.len(), net.len());
-            let a = net.forward_batch(&batch).unwrap();
-            let b = restored.forward_batch(&batch).unwrap();
+            let a = net.batch_engine().unwrap().forward(&batch).unwrap();
+            let b = restored.batch_engine().unwrap().forward(&batch).unwrap();
             assert_eq!(a, b, "save→load→infer diverged");
             // Double roundtrip produces identical bytes (canonical form).
             assert_eq!(sequential_to_bytes(&net), sequential_to_bytes(&restored));

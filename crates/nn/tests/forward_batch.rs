@@ -1,7 +1,7 @@
 //! Property tests pinning the batch-parallel inference engine to an
 //! independent per-sample reference.
 //!
-//! The contract under test (see `engine.rs`): `forward_batch` is
+//! The contract under test (see `engine.rs`): `BatchEngine::forward` is
 //! **bit-identical** — not merely close — to stacking per-sample folds of
 //! each layer's own `infer` (unpacked kernels, no engine code), across
 //! batch sizes {1, 3, 8} and rayon thread counts {1, 4}. Equality is
@@ -32,7 +32,7 @@ fn per_sample_forward(net: &Sequential, batch: &Tensor) -> Tensor {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// forward_batch == per-sample reference loop, bitwise, for every batch
+    /// Engine forward == per-sample reference loop, bitwise, for every batch
     /// size and thread count combination.
     #[test]
     fn forward_batch_is_bit_identical_to_per_sample_loops(
@@ -40,6 +40,7 @@ proptest! {
         data_seed in 0u64..1000,
     ) {
         let net = tiny_lisa_net(net_seed);
+        let engine = net.batch_engine().expect("engine builds");
         for (offset, &batch_size) in BATCH_SIZES.iter().enumerate() {
             let batch = uniform_batch(
                 &[batch_size, 3, 16, 16],
@@ -53,7 +54,7 @@ proptest! {
                     .num_threads(threads)
                     .build()
                     .expect("pool builds");
-                let batched = pool.install(|| net.forward_batch(&batch).expect("forward_batch"));
+                let batched = pool.install(|| engine.forward(&batch).expect("engine forward"));
                 // Bitwise equality on the raw buffers, not a tolerance.
                 prop_assert_eq!(
                     batched.data(),
@@ -67,7 +68,7 @@ proptest! {
         }
     }
 
-    /// predict_batch agrees with the stateful `forward(_, true)` wrapper and
+    /// Engine predictions agree with the stateful `forward(_, true)` wrapper and
     /// with the whole-batch reference fold under both thread counts (argmax
     /// on bit-identical logits can never diverge).
     #[test]
@@ -82,7 +83,8 @@ proptest! {
                 .num_threads(threads)
                 .build()
                 .expect("pool builds");
-            let got = pool.install(|| net.predict_batch(&batch).expect("predict_batch"));
+            let engine = net.batch_engine().expect("engine builds");
+            let got = pool.install(|| engine.predict(&batch).expect("engine predict"));
             prop_assert_eq!(&got, &expected, "threads {}", threads);
         }
     }

@@ -1,7 +1,7 @@
 //! Property tests pinning the batched gradient engine to an independent
 //! per-image reference and to the `&mut` forward/backward wrapper.
 //!
-//! The contract under test (see `engine.rs`): `input_grad_batch` is
+//! The contract under test (see `engine.rs`): `BatchEngine::input_grad` is
 //! **bit-identical across thread counts** — the shard partition depends
 //! only on the batch size — and agrees with a per-image fold of each
 //! layer's `infer_recording` / `input_grad` (unpacked kernels, no engine
@@ -38,7 +38,7 @@ fn per_image_backward(net: &mut Sequential, batch: &Tensor, grad_output: &Tensor
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// input_grad_batch: bitwise equal across thread counts, ≤ 1e-6 vs the
+    /// Engine input_grad: bitwise equal across thread counts, ≤ 1e-6 vs the
     /// per-image references, for every batch size.
     #[test]
     fn input_grad_batch_matches_mutable_backward(
@@ -58,9 +58,11 @@ proptest! {
                     .num_threads(threads)
                     .build()
                     .expect("pool builds");
+                let engine = net.batch_engine().expect("engine builds");
                 per_thread.push(pool.install(|| {
-                    net.input_grad_batch(&batch, &grad_output)
-                        .expect("input_grad_batch")
+                    engine
+                        .input_grad(&batch, &grad_output)
+                        .expect("engine input_grad")
                 }));
             }
             // Bitwise equality across thread counts, not a tolerance.

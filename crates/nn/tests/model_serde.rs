@@ -36,13 +36,17 @@ proptest! {
         prop_assert_eq!(a.data(), b.data(), "per-sample logits diverged");
 
         let batch = uniform_batch(&[5, 3, 16, 16], 0.0, 1.0, data_seed ^ 0xF00D);
-        let expected = net.forward_batch(&batch).expect("original batch");
+        let expected = net
+            .batch_engine()
+            .and_then(|engine| engine.forward(&batch))
+            .expect("original batch");
+        let engine = restored.batch_engine().expect("restored engine");
         for &threads in &THREAD_COUNTS {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .expect("pool builds");
-            let got = pool.install(|| restored.forward_batch(&batch).expect("restored batch"));
+            let got = pool.install(|| engine.forward(&batch).expect("restored batch"));
             prop_assert_eq!(
                 got.data(),
                 expected.data(),

@@ -17,7 +17,7 @@
 //! client ──submit──▶ admission queue ──▶ batcher ──▶ batch queue ──▶ workers
 //!   ▲   (BoundedQueue, back-pressure)  (flush at      (BoundedQueue)   │
 //!   │                                   max_batch                      │
-//!   └──────────────── per-request reply channel ◀── forward_batch ─────┘
+//!   └──────────────── per-request reply channel ◀──── classify ────────┘
 //! ```
 //!
 //! 1. A [`ServeClient`] validates the image shape and pushes the request
@@ -32,9 +32,10 @@
 //!    whichever triggers first flushes the batch downstream.
 //! 3. A fleet of [`ServeConfig::workers`] **batch workers** (each owning a
 //!    prepacked [`blurnet_nn::BatchEngine`] over the shared read-only
-//!    weights) pops batches, runs the defense's preprocessing plus one
-//!    `forward_batch`, and answers every request's reply channel with a
-//!    [`Classification`].
+//!    weights) pops batches, runs the model's one defended prediction path
+//!    ([`blurnet_defenses::DefendedModel::classify`]: the defense's
+//!    preprocessing plus one engine pass) through its engine, and answers
+//!    every request's reply channel with a [`Classification`].
 //!
 //! # Determinism
 //!
@@ -47,8 +48,9 @@
 //! worker counts {1, 4}; [`classify_single`] is the reference path.
 //!
 //! Randomized smoothing is the one defense that cannot honor this
-//! contract (its Monte-Carlo vote consumes a stateful RNG), so
-//! [`ClassifyService::new`] refuses it up front.
+//! contract: its vote is a pure function of the whole batch, but each
+//! image's noise comes from the position it holds in the batch's one noise
+//! stream, so [`ClassifyService::new`] refuses it up front.
 //!
 //! # Shutdown
 //!

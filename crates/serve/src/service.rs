@@ -413,9 +413,9 @@ impl ClassifyService {
     pub fn new(model: Arc<DefendedModel>, config: ServeConfig) -> Result<Self> {
         if !model.deterministic_inference() {
             return Err(ServeError::BadConfig(format!(
-                "defense {} draws from a stateful RNG at inference time; its responses would \
-                 depend on request arrival order, so it cannot be served through the \
-                 micro-batching path",
+                "defense {} draws each image's noise from one RNG stream per batch; its \
+                 responses would depend on which requests share a batch, so it cannot be \
+                 served through the micro-batching path",
                 model.defense().label()
             )));
         }
@@ -788,10 +788,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The defended classification of one coalesced batch: preprocessing +
-/// one engine pass (+ one raw pass for the verdict when the defense
-/// rewrites its input). Every step is per-image independent, which is
-/// what makes micro-batching invisible in the responses.
+/// The defended classification of one coalesced batch:
+/// [`DefendedModel::classify`] (+ one raw pass for the verdict when the
+/// defense rewrites its input). Every served defense treats each image
+/// independently, which is what makes micro-batching invisible in the
+/// responses.
 fn classify_batch(
     model: &DefendedModel,
     engine: &BatchEngine<'_>,
@@ -810,8 +811,7 @@ fn classify_batch(
     }
     let images: Vec<Tensor> = batch.iter().map(|p| p.image.clone()).collect();
     let raw = Tensor::stack(&images)?;
-    let defended_input = model.preprocess_batch(&raw)?;
-    let defended = engine.classify_with_confidence(&defended_input)?;
+    let defended = model.classify(engine, &raw)?;
     let verdicts: Vec<DefenseVerdict> = if model.has_input_preprocessing() {
         let raw_labels = engine.predict(&raw)?;
         defended

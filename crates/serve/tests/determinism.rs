@@ -9,9 +9,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use blurnet_defenses::DefenseKind;
-use blurnet_serve::{classify_single, Classification, ClassifyService, ServeConfig};
+use blurnet_nn::loss;
+use blurnet_serve::{
+    classify_single, Classification, ClassifyService, DefenseVerdict, ServeConfig,
+};
 use blurnet_tensor::Tensor;
-use blurnet_test_support::{tiny_defended_model, uniform_images, TINY_IMAGE_SIZE};
+use blurnet_test_support::{
+    reference_forward, tiny_defended_model, uniform_images, TINY_IMAGE_SIZE,
+};
 
 /// Pinned by the ISSUE: batch windows {1, 4, 32} × worker counts {1, 4}.
 const MAX_BATCHES: [usize; 3] = [1, 4, 32];
@@ -82,6 +87,39 @@ fn micro_batched_matches_single_request_bitwise() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// The oracle itself, pinned to code it does not share with the service:
+/// the defense's preprocessing, a layer-by-layer `reference_forward`, the
+/// row-local softmax confidence, and the raw-input verdict.
+#[test]
+fn classify_single_matches_the_reference_fold() {
+    for defense in [
+        DefenseKind::Baseline,
+        DefenseKind::InputFilter { kernel: 3 },
+        DefenseKind::FeatureFilter { kernel: 3 },
+    ] {
+        let model = tiny_defended_model(defense, 7);
+        let top = |batch: &Tensor| {
+            loss::confidences(&reference_forward(model.network(), batch)).expect("[1, classes]")[0]
+        };
+        for image in uniform_images(6, TINY_IMAGE_SIZE, 31) {
+            let raw = Tensor::stack(std::slice::from_ref(&image)).expect("one image");
+            let (label, confidence) = top(&model.preprocess_batch(&raw).expect("preprocess"));
+            let verdict = if model.has_input_preprocessing() && top(&raw).0 != label {
+                DefenseVerdict::Flagged
+            } else {
+                DefenseVerdict::Clean
+            };
+            let got = classify_single(&model, &image).expect("oracle answers");
+            assert_eq!(
+                bits(&got),
+                (label, confidence.to_bits(), verdict),
+                "defense {}",
+                model.defense().label()
+            );
         }
     }
 }

@@ -14,7 +14,7 @@
 
 use blurnet_data::{sticker_mask, StickerLayout};
 use blurnet_defenses::model::TrainingReport;
-use blurnet_defenses::{DefendedModel, DefenseKind, TrainConfig};
+use blurnet_defenses::{DefendedModel, DefenseKind, TrainConfig, SMOOTHING_SEED};
 use blurnet_nn::{Layer, LisaCnn, Sequential, TapeSlot};
 use blurnet_tensor::{default_backend, ConvSpec, Scratch, Tensor};
 use rand::SeedableRng;
@@ -69,6 +69,59 @@ pub fn reference_forward(net: &Sequential, input: &Tensor) -> Tensor {
     net.iter()
         .try_fold(input.clone(), |x, layer| layer.infer(&x, &mut scratch))
         .expect("reference forward")
+}
+
+/// Independent randomized-smoothing reference: for each image in order,
+/// `samples` Gaussian-noised copies (σ = `sigma`, clamped to `[0, 1]`)
+/// drawn from one ChaCha8 stream seeded with [`SMOOTHING_SEED`], each
+/// judged alone by [`reference_forward`]. Returns the majority class (ties
+/// go to the lowest class) and its vote share per image.
+///
+/// # Panics
+///
+/// Panics if a layer rejects the image shape.
+pub fn reference_smoothed_votes(
+    net: &Sequential,
+    images: &[Tensor],
+    sigma: f32,
+    samples: usize,
+) -> Vec<(usize, f32)> {
+    let mut rng = seeded_rng(SMOOTHING_SEED);
+    images
+        .iter()
+        .map(|image| {
+            let mut noise_dims = vec![samples];
+            noise_dims.extend_from_slice(image.dims());
+            let noise = Tensor::rand_normal(&noise_dims, 0.0, sigma, &mut rng);
+            let mut votes: Vec<usize> = Vec::new();
+            for s in 0..samples {
+                let noisy = noise
+                    .batch_item(s)
+                    .expect("sample in range")
+                    .zip_map(image, |n, x| (n + x).clamp(0.0, 1.0))
+                    .expect("noise matches the image");
+                let batch = Tensor::stack(&[noisy]).expect("one image");
+                let logits = reference_forward(net, &batch);
+                let mut class = 0;
+                for (j, &v) in logits.data().iter().enumerate() {
+                    if v > logits.data()[class] {
+                        class = j;
+                    }
+                }
+                if votes.len() <= class {
+                    votes.resize(class + 1, 0);
+                }
+                votes[class] += 1;
+            }
+            let mut winner = 0;
+            for (class, &count) in votes.iter().enumerate() {
+                if count > votes[winner] {
+                    winner = class;
+                }
+            }
+            (winner, votes[winner] as f32 / samples as f32)
+        })
+        .collect()
 }
 
 /// Independent input-gradient reference: [`Layer::infer_recording`]
@@ -209,9 +262,10 @@ mod tests {
 
     #[test]
     fn defended_model_fixture_classifies() {
-        let mut model = tiny_defended_model(DefenseKind::Baseline, 0);
-        let image = Tensor::full(&[3, TINY_IMAGE_SIZE, TINY_IMAGE_SIZE], 0.5);
-        assert!(model.classify_one(&image).unwrap() < NUM_CLASSES);
+        let model = tiny_defended_model(DefenseKind::Baseline, 0);
+        let image = Tensor::full(&[1, 3, TINY_IMAGE_SIZE, TINY_IMAGE_SIZE], 0.5);
+        let engine = model.network().batch_engine().unwrap();
+        assert!(model.classify(&engine, &image).unwrap()[0].0 < NUM_CLASSES);
         assert_eq!(smoke_train_config(4).epochs, 4);
     }
 }

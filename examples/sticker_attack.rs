@@ -15,7 +15,7 @@ use blurnet_tensor::Tensor;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut zoo = ModelZoo::new(Scale::Smoke, 21)?;
-    let mut baseline = zoo.get_or_train(&DefenseKind::Baseline)?;
+    let baseline = zoo.get_or_train(&DefenseKind::Baseline)?;
     let stop_sign = zoo.dataset().stop_eval_images()[0].clone();
 
     // The threat model: the attacker may only touch the sign through a
@@ -35,8 +35,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let target = 17; // yield
     let result = attack.generate(baseline.network(), &stop_sign, target)?;
 
-    let clean_pred = baseline.classify_one(&stop_sign)?;
-    let adv_pred = baseline.classify_one(&result.adversarial)?;
+    let engine = baseline.network().batch_engine()?;
+    let preds = baseline.classify(
+        &engine,
+        &Tensor::stack(&[stop_sign.clone(), result.adversarial.clone()])?,
+    )?;
+    let (clean_pred, adv_pred) = (preds[0].0, preds[1].0);
     println!(
         "prediction: clean = class {clean_pred} (stop = {STOP_CLASS_ID}), adversarial = class {adv_pred} (target = {target})"
     );

@@ -1,13 +1,17 @@
 //! Property-based integration tests on the defense and attack invariants
 //! that hold regardless of training: masks confine perturbations, filters
-//! only remove energy, smoothing never changes tensor ranges, and the
-//! regularizer gradients match their finite differences end-to-end.
+//! only remove energy, smoothing never changes tensor ranges, the
+//! regularizer gradients match their finite differences end-to-end, and
+//! the randomized-smoothing vote matches an independent reference.
 
-use blurnet_defenses::filter_image;
+use blurnet_defenses::{filter_image, DefenseKind};
 use blurnet_nn::softmax_cross_entropy;
 use blurnet_signal::{box_kernel, gaussian_kernel, total_variation};
 use blurnet_tensor::Tensor;
-use blurnet_test_support::{canned_sticker_mask, tiny_lisa_net, uniform_batch};
+use blurnet_test_support::{
+    canned_sticker_mask, reference_smoothed_votes, tiny_defended_model, tiny_lisa_net,
+    uniform_batch, uniform_images, TINY_IMAGE_SIZE,
+};
 use proptest::prelude::*;
 
 fn image_strategy(size: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -107,4 +111,27 @@ proptest! {
             grad.data()[pixel]
         );
     }
+}
+
+/// Randomized smoothing through `DefendedModel::classify` equals the
+/// independent reference vote (one `SMOOTHING_SEED` stream, rows in order,
+/// each noisy copy judged alone by `reference_forward`), and a second call
+/// answers the same: inference carries no state.
+#[test]
+fn smoothing_classify_matches_the_reference_vote() {
+    let (sigma, samples) = (1.0, 7);
+    let model = tiny_defended_model(DefenseKind::RandomizedSmoothing { sigma, samples }, 11);
+    let images = uniform_images(6, TINY_IMAGE_SIZE, 9);
+    let batch = Tensor::stack(&images).unwrap();
+    let engine = model.network().batch_engine().unwrap();
+    let votes = model.classify(&engine, &batch).unwrap();
+    assert_eq!(
+        votes,
+        reference_smoothed_votes(model.network(), &images, sigma, samples)
+    );
+    assert!(
+        votes.iter().any(|&(_, share)| share < 1.0),
+        "the noise must split some votes: {votes:?}"
+    );
+    assert_eq!(model.classify(&engine, &batch).unwrap(), votes);
 }

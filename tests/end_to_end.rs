@@ -39,15 +39,20 @@ fn baseline_learns_above_chance_accuracy() {
 #[test]
 fn rp2_succeeds_against_the_baseline_and_stays_on_the_sticker() {
     let dataset = SignDataset::generate(&DatasetConfig::smoke(), 7).unwrap();
-    let mut model =
+    let model =
         train_defended_model(&DefenseKind::Baseline, &dataset, &smoke_train_config(4)).unwrap();
+    let engine = model.network().batch_engine().unwrap();
+    let classify = |image: &Tensor| {
+        let batch = Tensor::stack(std::slice::from_ref(image)).unwrap();
+        model.classify(&engine, &batch).unwrap()[0].0
+    };
     let attack = Rp2Attack::new(Rp2Config {
         iterations: 60,
         ..Rp2Config::default()
     })
     .unwrap();
     let image = dataset.stop_eval_images()[0].clone();
-    let clean_pred = model.classify_one(&image).unwrap();
+    let clean_pred = classify(&image);
     let result = attack.generate(model.network(), &image, 12).unwrap();
     // The perturbation must be confined to the sticker mask and valid range.
     assert!(result.adversarial.min().unwrap() >= 0.0);
@@ -65,7 +70,7 @@ fn rp2_succeeds_against_the_baseline_and_stays_on_the_sticker() {
     );
     // The attack should at least degrade the classifier's view of the sign:
     // either the prediction changes or the stop-sign confidence drops.
-    let adv_pred = model.classify_one(&result.adversarial).unwrap();
+    let adv_pred = classify(&result.adversarial);
     let loss_first = result.loss_trace.first().copied().unwrap();
     let loss_last = result.loss_trace.last().copied().unwrap();
     assert!(
@@ -146,14 +151,13 @@ fn pgd_is_stronger_than_rp2_under_its_own_threat_model() {
 #[test]
 fn trained_models_serialize_and_keep_their_predictions() {
     let dataset = SignDataset::generate(&DatasetConfig::tiny(), 11).unwrap();
-    let mut model =
+    let model =
         train_defended_model(&DefenseKind::Baseline, &dataset, &smoke_train_config(1)).unwrap();
-    let image = dataset.stop_eval_images()[0].clone();
-    let before = model.classify_one(&image).unwrap();
+    let image = Tensor::stack(&dataset.stop_eval_images()[..1]).unwrap();
+    let engine = model.network().batch_engine().unwrap();
+    let before = model.classify(&engine, &image).unwrap()[0].0;
     let bytes = sequential_to_bytes(model.network());
     let restored = sequential_from_bytes(&bytes).unwrap();
-    let after = restored
-        .predict_batch(&Tensor::stack(&[image]).unwrap())
-        .unwrap()[0];
+    let after = restored.batch_engine().unwrap().predict(&image).unwrap()[0];
     assert_eq!(before, after);
 }

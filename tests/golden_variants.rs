@@ -53,13 +53,13 @@ fn every_full_grid_variant_roundtrips_bit_identically() {
     let batch = zoo.dataset().test_batch().expect("test batch");
     let mut pins = Vec::with_capacity(roster.len());
     for defense in &roster {
-        let mut original = zoo.get_or_train(defense).expect("variant trains");
+        let original = zoo.get_or_train(defense).expect("variant trains");
         let bytes = model_to_bytes(&original).expect("variant serializes");
-        let mut restored = model_from_bytes(&bytes).expect("variant deserializes");
+        let restored = model_from_bytes(&bytes).expect("variant deserializes");
         assert_eq!(restored.defense(), original.defense());
 
         // Re-serialization is canonical: identical bytes straight back
-        // out (before any inference advances the smoothing RNG).
+        // out.
         assert_eq!(
             model_to_bytes(&restored).expect("re-serializes"),
             bytes,
@@ -67,9 +67,10 @@ fn every_full_grid_variant_roundtrips_bit_identically() {
             defense.label()
         );
 
-        // Exact equality, not a tolerance: the restored network (and, for
-        // randomized smoothing, its restored RNG position) must classify
-        // the whole test set identically to the in-memory original.
+        // Exact equality, not a tolerance: the restored network must
+        // classify the whole test set identically to the in-memory
+        // original (randomized smoothing included: every call draws its
+        // noise from a fresh stream).
         let a = original.accuracy(&batch).expect("original accuracy");
         let b = restored.accuracy(&batch).expect("restored accuracy");
         assert_eq!(
