@@ -29,7 +29,7 @@
 
 use blurnet_data::{sample_transforms, StickerLayout, Transform};
 use blurnet_nn::{softmax_cross_entropy, Adam, NnError, Sequential, ShardGrad};
-use blurnet_signal::low_frequency_project;
+use blurnet_signal::low_frequency_project_planes;
 use blurnet_tensor::Tensor;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -170,8 +170,11 @@ impl Rp2Attack {
         images: &[Tensor],
         target: usize,
     ) -> Result<Vec<Rp2Result>> {
-        let (adversarial, perturbation, loss_traces) =
-            self.generate_batch_tensors(net, &stack_images(images)?, &vec![target; images.len()])?;
+        let (adversarial, perturbation, loss_traces) = self.generate_batch_tensors(
+            net,
+            &stack_images(images, 1)?,
+            &vec![target; images.len()],
+        )?;
         loss_traces
             .into_iter()
             .enumerate()
@@ -384,7 +387,7 @@ impl Rp2Attack {
         images: &[Tensor],
         target: usize,
     ) -> Result<AttackEvaluation> {
-        let clean = stack_images(images)?;
+        let clean = stack_images(images, 1)?;
         let (adv, _, _) = self.generate_batch_tensors(net, &clean, &vec![target; images.len()])?;
         let adv_logits = net.batch_engine()?.forward(&adv)?;
         let dissims = batch_l2_dissimilarity(&clean, &adv)?;
@@ -397,8 +400,9 @@ impl Rp2Attack {
 
     /// Generates the adversarial examples of a whole targeted sweep — every
     /// image towards every target — as one batched optimization, without
-    /// evaluating them. Rows are target-major: row `t·n + i` attacks
-    /// `images[i]` towards `targets[t]` (`n = images.len()`). Each row is
+    /// evaluating them, and returns them as one `[T·n, C, H, W]` batch
+    /// (`T = targets.len()`, `n = images.len()`). Rows are target-major:
+    /// row `t·n + i` attacks `images[i]` towards `targets[t]`. Each row is
     /// bitwise what [`Rp2Attack::generate_batch`] produces for its target:
     /// the engine runs one image per shard, every target samples the same
     /// transform schedule, and Adam, the λ-norm, NPS and the DCT
@@ -413,39 +417,26 @@ impl Rp2Attack {
         net: &Sequential,
         images: &[Tensor],
         targets: &[usize],
-    ) -> Result<Vec<Tensor>> {
-        let clean = Tensor::concat_batch(&vec![stack_images(images)?; targets.len()])?;
+    ) -> Result<Tensor> {
+        let clean = stack_images(images, targets.len())?;
         let row_targets: Vec<usize> = targets
             .iter()
             .flat_map(|&t| std::iter::repeat_n(t, images.len()))
             .collect();
         let (adversarial, _, _) = self.generate_batch_tensors(net, &clean, &row_targets)?;
-        (0..row_targets.len())
-            .map(|i| Ok(adversarial.batch_item(i)?))
-            .collect()
+        Ok(adversarial)
     }
 
-    /// Applies the adaptive low-frequency projection to every `[H, W]`
-    /// channel plane of a perturbation — rank 3 (`[C, H, W]`) or rank 4
-    /// (`[N, C, H, W]`) — and returns it unchanged for the other objectives.
-    fn project_perturbation(&self, perturbation: Tensor) -> Result<Tensor> {
-        match &self.config.objective {
-            AdaptiveObjective::LowFrequencyDct { dim } => {
-                let (h, w) = spatial_dims(&perturbation)?;
-                let planes = perturbation.len() / (h * w);
-                let mut out = Vec::with_capacity(perturbation.len());
-                for p in 0..planes {
-                    let map = Tensor::from_vec(
-                        perturbation.data()[p * h * w..(p + 1) * h * w].to_vec(),
-                        &[h, w],
-                    )?;
-                    let projected = low_frequency_project(&map, *dim)?;
-                    out.extend_from_slice(projected.data());
-                }
-                Ok(Tensor::from_vec(out, perturbation.dims())?)
-            }
-            _ => Ok(perturbation),
+    /// Applies the adaptive low-frequency projection in place to every
+    /// `[H, W]` channel plane of a perturbation — rank 3 (`[C, H, W]`) or
+    /// rank 4 (`[N, C, H, W]`) — and returns it unchanged for the other
+    /// objectives.
+    fn project_perturbation(&self, mut perturbation: Tensor) -> Result<Tensor> {
+        if let AdaptiveObjective::LowFrequencyDct { dim } = self.config.objective {
+            let (h, w) = spatial_dims(&perturbation)?;
+            low_frequency_project_planes(perturbation.data_mut(), h, w, dim)?;
         }
+        Ok(perturbation)
     }
 }
 
@@ -508,16 +499,28 @@ pub(crate) fn feature_penalty(
     }
 }
 
-/// Stacks `[C, H, W]` images into one `[N, C, H, W]` batch.
-fn stack_images(images: &[Tensor]) -> Result<Tensor> {
-    match images.first() {
-        None => Err(AttackError::BadInput("no images to attack".into())),
-        Some(image) if image.shape().rank() != 3 => Err(AttackError::BadInput(format!(
+/// Stacks `[C, H, W]` images into one `[repeats·N, C, H, W]` batch: the
+/// whole set, `repeats` times over (a sweep's target-major rows).
+fn stack_images(images: &[Tensor], repeats: usize) -> Result<Tensor> {
+    let Some(first) = images.first() else {
+        return Err(AttackError::BadInput("no images to attack".into()));
+    };
+    if first.shape().rank() != 3 {
+        return Err(AttackError::BadInput(format!(
             "expected a [C, H, W] image, got {}",
-            image.shape()
-        ))),
-        Some(_) => Ok(Tensor::stack(images)?),
+            first.shape()
+        )));
     }
+    if repeats == 0 {
+        return Err(AttackError::BadInput("no targets to attack".into()));
+    }
+    let once = Tensor::stack(images)?;
+    if repeats == 1 {
+        return Ok(once);
+    }
+    let mut dims = once.dims().to_vec();
+    dims[0] *= repeats;
+    Ok(Tensor::from_vec(once.data().repeat(repeats), &dims)?)
 }
 
 /// Trailing spatial extents of a `[..., H, W]` tensor of rank ≥ 3.
@@ -774,12 +777,12 @@ mod tests {
             })
             .unwrap();
             let sweep = attack.generate_sweep(&net, &images, &targets).unwrap();
-            assert_eq!(sweep.len(), targets.len() * images.len());
+            assert_eq!(sweep.dims()[0], targets.len() * images.len());
             for (t, &target) in targets.iter().enumerate() {
                 let batch = attack.generate_batch(&net, &images, target).unwrap();
                 for (i, result) in batch.iter().enumerate() {
                     assert_eq!(
-                        sweep[t * images.len() + i],
+                        sweep.batch_item(t * images.len() + i).unwrap(),
                         result.adversarial,
                         "{objective:?}: row for target {target}, image {i} differs"
                     );
@@ -789,6 +792,38 @@ mod tests {
         let attack = Rp2Attack::new(Rp2Config::default()).unwrap();
         assert!(attack.generate_sweep(&net, &images, &[]).is_err());
         assert!(attack.generate_sweep(&net, &[], &[1]).is_err());
+    }
+
+    /// The in-place batch projection equals `low_frequency_project` on
+    /// every `[H, W]` plane of an `[N, C, H, W]` perturbation, bit for bit.
+    #[test]
+    fn batch_projection_matches_per_plane_projection_bitwise() {
+        let (n, c, h, w) = (2, 3, 12, 10);
+        let perturbation = blurnet_test_support::uniform_batch(&[n, c, h, w], -0.5, 0.5, 17);
+        for dim in [1, 4, 10] {
+            let attack = Rp2Attack::new(Rp2Config {
+                objective: AdaptiveObjective::LowFrequencyDct { dim },
+                ..Rp2Config::default()
+            })
+            .unwrap();
+            let projected = attack.project_perturbation(perturbation.clone()).unwrap();
+            assert_eq!(projected.dims(), perturbation.dims());
+            for (p, out) in projected.data().chunks(h * w).enumerate() {
+                let plane = Tensor::from_vec(
+                    perturbation.data()[p * h * w..(p + 1) * h * w].to_vec(),
+                    &[h, w],
+                )
+                .unwrap();
+                let expected = blurnet_signal::low_frequency_project(&plane, dim).unwrap();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(out), bits(expected.data()), "plane {p} at dim {dim}");
+            }
+        }
+        let standard = Rp2Attack::new(Rp2Config::default()).unwrap();
+        assert_eq!(
+            standard.project_perturbation(perturbation.clone()).unwrap(),
+            perturbation
+        );
     }
 
     #[test]

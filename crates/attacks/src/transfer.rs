@@ -60,7 +60,10 @@ impl TransferSet {
                 labels.len()
             )));
         }
-        let adversarial = attack.generate_sweep(surrogate, clean, &[target])?;
+        let batch = attack.generate_sweep(surrogate, clean, &[target])?;
+        let adversarial = (0..clean.len())
+            .map(|i| Ok(batch.batch_item(i)?))
+            .collect::<Result<_>>()?;
         Ok(TransferSet {
             clean: clean.to_vec(),
             adversarial,

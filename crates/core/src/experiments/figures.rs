@@ -24,6 +24,10 @@ use crate::report::{num3, pct};
 use crate::{BlurNetError, Result, Scale, Table};
 
 /// The DCT mask dimensions the Figure 3 sweep evaluates by default.
+///
+/// On the 32×32 images of every scale, dim 32 keeps every DCT coefficient,
+/// so that point is the standard RP2 attack up to the projection's
+/// rounding.
 pub const FIGURE3_DIMS: [usize; 4] = [4, 8, 16, 32];
 
 /// Number of feature-map channels the Figure 2 analysis summarizes by

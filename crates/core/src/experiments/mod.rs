@@ -19,7 +19,7 @@ pub mod table5;
 
 use blurnet_attacks::rp2::TargetSweep;
 use blurnet_attacks::{
-    l2_dissimilarity, targeted_success_rate, AdaptiveObjective, AttackEvaluation,
+    batch_l2_dissimilarity, targeted_success_rate, AdaptiveObjective, AttackEvaluation,
     FeaturePenaltyKind, Rp2Attack, Rp2Config,
 };
 use blurnet_defenses::{DefendedModel, DefenseKind};
@@ -107,30 +107,28 @@ pub(crate) fn sweep_defended(
     let adversarial = attack.generate_sweep(model.network(), images, targets)?;
     let engine = model.network().batch_engine()?;
     let preds: Vec<usize> = model
-        .classify(&engine, &Tensor::stack(&adversarial)?)?
+        .classify(&engine, &adversarial)?
         .into_iter()
         .map(|(label, _)| label)
         .collect();
+    let clean = Tensor::stack(images)?;
     let n = images.len();
-    let mut per_target = Vec::with_capacity(targets.len());
-    for ((&target, adv), preds) in targets
+    let per_target = targets
         .iter()
-        .zip(adversarial.chunks(n))
         .zip(preds.chunks(n))
-    {
-        let mut dissims = Vec::with_capacity(n);
-        for (clean, adv) in images.iter().zip(adv) {
-            dissims.push(l2_dissimilarity(clean, adv)?);
-        }
-        per_target.push((
-            target,
-            AttackEvaluation {
-                success_rate: targeted_success_rate(preds, target)?,
-                l2_dissimilarity: dissims.iter().sum::<f32>() / n as f32,
-                count: n,
-            },
-        ));
-    }
+        .enumerate()
+        .map(|(t, (&target, preds))| {
+            let dissims = batch_l2_dissimilarity(&clean, &adversarial.batch_slice(t * n, n)?)?;
+            Ok((
+                target,
+                AttackEvaluation {
+                    success_rate: targeted_success_rate(preds, target)?,
+                    l2_dissimilarity: dissims.iter().sum::<f32>() / n as f32,
+                    count: n,
+                },
+            ))
+        })
+        .collect::<Result<_>>()?;
     Ok(TargetSweep { per_target })
 }
 
@@ -259,6 +257,7 @@ pub(crate) const DEFAULT_DCT_DIM: usize = 16;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blurnet_attacks::l2_dissimilarity;
     use blurnet_test_support::{reference_smoothed_votes, tiny_defended_model, uniform_images};
 
     #[test]

@@ -65,20 +65,6 @@ impl Table1Victim {
             }
         }
     }
-
-    /// Builds the victim model from the trained baseline (weight-sharing,
-    /// no retraining — exactly the Table I setting).
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer-construction errors.
-    pub fn build(&self, baseline: &DefendedModel) -> Result<DefendedModel> {
-        match self {
-            Table1Victim::Baseline => Ok(baseline.clone()),
-            Table1Victim::InputFilter { kernel } => Ok(input_filter_victim(baseline, *kernel)),
-            Table1Victim::FeatureFilter { kernel } => feature_filter_victim(baseline, *kernel),
-        }
-    }
 }
 
 /// Generates the shared Table I transfer artifact: RP2 on the undefended
@@ -106,17 +92,30 @@ pub fn transfer_set(
 }
 
 /// Evaluates the shared transfer artifact against one victim — the work of
-/// a single Table I cell.
+/// a single Table I cell. Every victim shares the baseline's weights, with
+/// no retraining (exactly the Table I setting): the baseline victim is
+/// `baseline` itself, and the filter victims are built over its weights.
 ///
 /// # Errors
 ///
-/// Propagates evaluation errors.
+/// Propagates layer-construction and evaluation errors.
 pub fn victim_row(
     victim: &Table1Victim,
     baseline: &DefendedModel,
     set: &TransferSet,
 ) -> Result<Table1Row> {
-    let model = victim.build(baseline)?;
+    let filtered;
+    let model = match victim {
+        Table1Victim::Baseline => baseline,
+        Table1Victim::InputFilter { kernel } => {
+            filtered = input_filter_victim(baseline, *kernel);
+            &filtered
+        }
+        Table1Victim::FeatureFilter { kernel } => {
+            filtered = feature_filter_victim(baseline, *kernel)?;
+            &filtered
+        }
+    };
     let engine = model.network().batch_engine()?;
     let labels = |images: &[Tensor]| -> Result<Vec<usize>> {
         let preds = model.classify(&engine, &Tensor::stack(images)?)?;

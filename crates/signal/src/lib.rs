@@ -39,7 +39,7 @@ pub mod tikhonov;
 pub mod tv;
 
 pub use complex::Complex32;
-pub use dct::{dct2d, idct2d, low_frequency_mask, low_frequency_project};
+pub use dct::{dct2d, idct2d, low_frequency_project, low_frequency_project_planes};
 pub use error::SignalError;
 pub use fft::{fft2d, fft2d_magnitude, fftshift2d, ifft2d, log_magnitude_spectrum};
 pub use kernels::{box_kernel, gaussian_kernel};
