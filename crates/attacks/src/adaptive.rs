@@ -66,46 +66,6 @@ pub fn low_frequency_attack(base: Rp2Config, dim: usize) -> Result<Rp2Attack> {
     })
 }
 
-/// Builds the TV-aware adaptive attack of Eq. 9.
-///
-/// `feature_layer` is the index of the first-convolution output in the
-/// victim network.
-///
-/// # Errors
-///
-/// Propagates [`Rp2Attack::new`] validation errors.
-pub fn tv_aware_attack(base: Rp2Config, feature_layer: usize) -> Result<Rp2Attack> {
-    Rp2Attack::new(Rp2Config {
-        objective: AdaptiveObjective::FeaturePenalty {
-            layer_index: feature_layer,
-            kind: FeaturePenaltyKind::TotalVariation,
-            weight: 1.0,
-        },
-        ..base
-    })
-}
-
-/// Builds the Tikhonov-aware adaptive attack of Eq. 10 or 11, depending on
-/// the operator wrapped by `penalty`.
-///
-/// # Errors
-///
-/// Propagates [`Rp2Attack::new`] validation errors.
-pub fn tikhonov_aware_attack(
-    base: Rp2Config,
-    feature_layer: usize,
-    penalty: OperatorPenalty,
-) -> Result<Rp2Attack> {
-    Rp2Attack::new(Rp2Config {
-        objective: AdaptiveObjective::FeaturePenalty {
-            layer_index: feature_layer,
-            kind: FeaturePenaltyKind::Operator(penalty),
-            weight: 1.0,
-        },
-        ..base
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,6 +97,20 @@ mod tests {
         }
     }
 
+    /// The regularizer-aware attack of Eq. 9–11: `kind` on the activation
+    /// at `layer_index`, unweighted.
+    fn penalty_attack(layer_index: usize, kind: FeaturePenaltyKind) -> Rp2Attack {
+        Rp2Attack::new(Rp2Config {
+            objective: AdaptiveObjective::FeaturePenalty {
+                layer_index,
+                kind,
+                weight: 1.0,
+            },
+            ..fast_config()
+        })
+        .unwrap()
+    }
+
     #[test]
     fn low_frequency_attack_produces_low_frequency_perturbations() {
         let (net, _) = tiny_net();
@@ -161,7 +135,7 @@ mod tests {
     fn tv_aware_attack_runs_and_stays_masked() {
         let (net, feature_layer) = tiny_net();
         let image = tiny_image();
-        let attack = tv_aware_attack(fast_config(), feature_layer).unwrap();
+        let attack = penalty_attack(feature_layer, FeaturePenaltyKind::TotalVariation);
         let result = attack.generate(&net, &image, 5).unwrap();
         assert_eq!(result.adversarial.dims(), image.dims());
         assert!(result.loss_trace.iter().all(|l| l.is_finite()));
@@ -173,7 +147,7 @@ mod tests {
         let image = tiny_image();
         // Feature maps are 8x8 for a 16x16 input with stride-2 conv1.
         let penalty = OperatorPenalty::high_frequency(8, 3).unwrap();
-        let attack = tikhonov_aware_attack(fast_config(), feature_layer, penalty).unwrap();
+        let attack = penalty_attack(feature_layer, FeaturePenaltyKind::Operator(penalty));
         let result = attack.generate(&net, &image, 7).unwrap();
         assert!(result.loss_trace.iter().all(|l| l.is_finite()));
     }
@@ -182,7 +156,7 @@ mod tests {
     fn bad_feature_layer_index_is_reported() {
         let (net, _) = tiny_net();
         let image = tiny_image();
-        let attack = tv_aware_attack(fast_config(), 99).unwrap();
+        let attack = penalty_attack(99, FeaturePenaltyKind::TotalVariation);
         assert!(attack.generate(&net, &image, 1).is_err());
     }
 

@@ -81,7 +81,7 @@ pub fn batch_l2_dissimilarity(clean: &Tensor, adversarial: &Tensor) -> Result<Ve
 }
 
 /// Argmax of one logits row, first maximum winning ties — the same rule as
-/// `blurnet_nn::loss::predictions`, applied to a slice.
+/// `blurnet_nn::predictions`, applied to a slice.
 fn argmax_row(row: &[f32]) -> usize {
     let mut best = 0usize;
     for (j, &v) in row.iter().enumerate() {

@@ -35,14 +35,14 @@ use blurnet_tensor::TensorError;
 use crate::{AttackError, Result, Rp2Result, TransferSet};
 
 /// Magic bytes opening a serialized [`TransferSet`].
-pub const TRANSFER_MAGIC: [u8; 4] = *b"BNXS";
+const TRANSFER_MAGIC: [u8; 4] = *b"BNXS";
 /// Newest transfer-set format version this build reads and writes.
-pub const TRANSFER_VERSION: u16 = 1;
+const TRANSFER_VERSION: u16 = 1;
 
 /// Magic bytes opening a serialized [`Rp2Result`].
-pub const RP2_MAGIC: [u8; 4] = *b"BNRP";
+const RP2_MAGIC: [u8; 4] = *b"BNRP";
 /// Newest RP2-result format version this build reads and writes.
-pub const RP2_VERSION: u16 = 1;
+const RP2_VERSION: u16 = 1;
 
 fn fail(e: TensorError) -> AttackError {
     AttackError::Tensor(e)

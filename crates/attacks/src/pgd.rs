@@ -67,11 +67,6 @@ impl PgdAttack {
         Ok(PgdAttack { config })
     }
 
-    /// The attack configuration.
-    pub fn config(&self) -> &PgdConfig {
-        &self.config
-    }
-
     /// Generates untargeted adversarial examples for a whole `[N, C, H, W]`
     /// batch at once: every PGD step is one batched recorded forward + one
     /// tape-driven backward through `engine`, and the
@@ -86,7 +81,7 @@ impl PgdAttack {
     ///
     /// Returns an error for a non-`[N, C, H, W]` batch or a label count
     /// that does not match the batch size.
-    pub fn perturb_with_engine(
+    fn perturb_with_engine(
         &self,
         engine: &BatchEngine<'_>,
         images: &Tensor,
@@ -134,34 +129,18 @@ impl PgdAttack {
         Ok(x_adv)
     }
 
-    /// [`PgdAttack::perturb_with_engine`] over a borrowed network: builds
-    /// the engine (packing each layer's weights once for all steps) and
-    /// runs the batched attack.
+    /// Generates untargeted adversarial examples for a whole `[N, C, H, W]`
+    /// batch over a borrowed network: builds the engine (packing each
+    /// layer's weights once for all steps) and runs every PGD step on the
+    /// full batch, bit-identically at every rayon thread count.
     ///
     /// # Errors
     ///
-    /// Propagates [`PgdAttack::perturb_with_engine`] errors.
+    /// Returns an error for a non-`[N, C, H, W]` batch or a label count
+    /// that does not match the batch size.
     pub fn perturb(&self, net: &Sequential, images: &Tensor, labels: &[usize]) -> Result<Tensor> {
         let engine = net.batch_engine()?;
         self.perturb_with_engine(&engine, images, labels)
-    }
-
-    /// Generates an untargeted adversarial example for one `[C, H, W]`
-    /// image with true label `label` (a batch-of-one
-    /// [`PgdAttack::perturb`]; the network stays immutable).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for malformed inputs.
-    pub fn generate(&self, net: &Sequential, image: &Tensor, label: usize) -> Result<Tensor> {
-        if image.shape().rank() != 3 {
-            return Err(AttackError::BadInput(format!(
-                "expected a [C, H, W] image, got {}",
-                image.shape()
-            )));
-        }
-        let batch = Tensor::stack(std::slice::from_ref(image))?;
-        Ok(self.perturb(net, &batch, &[label])?.batch_item(0)?)
     }
 
     /// Attacks a set of images and reports the untargeted success rate (the
@@ -222,6 +201,16 @@ mod tests {
         (net, SignDataset::generate(&cfg, 3).unwrap())
     }
 
+    /// A batch-of-one [`PgdAttack::perturb`] of one `[C, H, W]` image.
+    fn perturb_one(attack: &PgdAttack, net: &Sequential, image: &Tensor, label: usize) -> Tensor {
+        let batch = Tensor::stack(std::slice::from_ref(image)).unwrap();
+        attack
+            .perturb(net, &batch, &[label])
+            .unwrap()
+            .batch_item(0)
+            .unwrap()
+    }
+
     #[test]
     fn config_validation() {
         assert!(PgdAttack::new(PgdConfig {
@@ -242,7 +231,7 @@ mod tests {
         let (net, data) = tiny_setup();
         let attack = PgdAttack::new(PgdConfig::default()).unwrap();
         let image = &data.stop_eval_images()[0];
-        let adv = attack.generate(&net, image, 14).unwrap();
+        let adv = perturb_one(&attack, &net, image, 14);
         let max_diff = adv.sub(image).unwrap().linf_norm();
         assert!(
             max_diff <= 8.0 / 255.0 + 1e-5,
@@ -260,7 +249,7 @@ mod tests {
         })
         .unwrap();
         let image = &data.stop_eval_images()[1];
-        let adv = attack.generate(&net, image, 14).unwrap();
+        let adv = perturb_one(&attack, &net, image, 14);
         assert!(adv.sub(image).unwrap().linf_norm() <= 8.0 / 255.0 + 1e-5);
     }
 
@@ -281,7 +270,7 @@ mod tests {
             .forward(&Tensor::stack(std::slice::from_ref(image)).unwrap())
             .unwrap();
         let (clean_loss, _) = softmax_cross_entropy(&clean_logits, &[label]).unwrap();
-        let adv = attack.generate(&net, image, label).unwrap();
+        let adv = perturb_one(&attack, &net, image, label);
         let adv_logits = engine.forward(&Tensor::stack(&[adv]).unwrap()).unwrap();
         let (adv_loss, _) = softmax_cross_entropy(&adv_logits, &[label]).unwrap();
         assert!(
@@ -299,7 +288,7 @@ mod tests {
         let batch = Tensor::stack(&images).unwrap();
         let batched = attack.perturb(&net, &batch, &labels).unwrap();
         for (i, image) in images.iter().enumerate() {
-            let single = attack.generate(&net, image, labels[i]).unwrap();
+            let single = perturb_one(&attack, &net, image, labels[i]);
             assert_eq!(
                 batched.batch_item(i).unwrap(),
                 single,
@@ -337,6 +326,8 @@ mod tests {
     fn bad_image_rank_rejected() {
         let (net, _) = tiny_setup();
         let attack = PgdAttack::new(PgdConfig::default()).unwrap();
-        assert!(attack.generate(&net, &Tensor::zeros(&[16, 16]), 0).is_err());
+        assert!(attack
+            .perturb(&net, &Tensor::zeros(&[16, 16]), &[0])
+            .is_err());
     }
 }

@@ -140,11 +140,6 @@ impl Rp2Attack {
         Ok(Rp2Attack { config })
     }
 
-    /// The attack configuration.
-    pub fn config(&self) -> &Rp2Config {
-        &self.config
-    }
-
     /// Generates adversarial examples for a whole image set targeting class
     /// `target`, optimizing every sticker simultaneously: the perturbation
     /// is one `[N, C, H, W]` tensor updated by a single (elementwise, hence
@@ -484,10 +479,7 @@ impl TargetSweep {
 
 /// Computes the value and activation-gradient of an adaptive feature
 /// penalty.
-pub(crate) fn feature_penalty(
-    kind: &FeaturePenaltyKind,
-    feature: &Tensor,
-) -> Result<(f32, Tensor)> {
+fn feature_penalty(kind: &FeaturePenaltyKind, feature: &Tensor) -> Result<(f32, Tensor)> {
     match kind {
         FeaturePenaltyKind::TotalVariation => Ok((
             blurnet_signal::total_variation_batch(feature)?,
@@ -548,7 +540,7 @@ fn masked(mut t: Tensor, mask: &Tensor) -> Tensor {
 /// zero fill plus brightness scaling (no clamping — the perturbation is a
 /// signed quantity). Accepts a single `[C, H, W]` image or a whole
 /// `[N, C, H, W]` batch (every leading plane is shifted identically).
-pub(crate) fn transform_perturbation(perturbation: &Tensor, t: Transform) -> Result<Tensor> {
+fn transform_perturbation(perturbation: &Tensor, t: Transform) -> Result<Tensor> {
     let (h, w) = spatial_dims(perturbation)?;
     let planes = perturbation.len() / (h * w);
     let mut out = Tensor::zeros(perturbation.dims());
@@ -576,7 +568,7 @@ pub(crate) fn transform_perturbation(perturbation: &Tensor, t: Transform) -> Res
 /// Adjoint of [`transform_perturbation`]: the reverse shift with the same
 /// brightness factor. Needed to map input-space gradients back onto the
 /// untransformed perturbation.
-pub(crate) fn transform_perturbation_adjoint(grad: &Tensor, t: Transform) -> Result<Tensor> {
+fn transform_perturbation_adjoint(grad: &Tensor, t: Transform) -> Result<Tensor> {
     transform_perturbation(
         grad,
         Transform {

@@ -33,9 +33,9 @@ pub struct TransferSet {
     /// Index-aligned adversarial examples from the surrogate.
     pub adversarial: Vec<Tensor>,
     /// True classes of the clean images.
-    pub labels: Vec<usize>,
+    pub(crate) labels: Vec<usize>,
     /// The attacker's target class.
-    pub target: usize,
+    pub(crate) target: usize,
 }
 
 impl TransferSet {
@@ -70,16 +70,6 @@ impl TransferSet {
             labels: labels.to_vec(),
             target,
         })
-    }
-
-    /// Number of image pairs in the artifact.
-    pub fn len(&self) -> usize {
-        self.clean.len()
-    }
-
-    /// Whether the artifact is empty (never true for a generated set).
-    pub fn is_empty(&self) -> bool {
-        self.clean.is_empty()
     }
 
     /// Judges one victim from its predictions on this artifact:
@@ -137,9 +127,9 @@ pub struct TransferReport {
     /// adversarial examples changed.
     pub attack_success_rate: f32,
     /// Mean relative L2 dissimilarity of the transferred examples.
-    pub l2_dissimilarity: f32,
+    l2_dissimilarity: f32,
     /// Number of evaluated images.
-    pub count: usize,
+    count: usize,
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use blurnet_attacks::{
 use blurnet_tensor::Tensor;
 use proptest::prelude::*;
 
-/// First-maximum argmax — the tie rule `blurnet_nn::loss::predictions`
+/// First-maximum argmax — the tie rule `blurnet_nn::predictions`
 /// documents, restated independently so the test does not share code with
 /// the implementation under test.
 fn argmax(row: &[f32]) -> usize {

@@ -4,7 +4,7 @@
 //! per-image-loop vs batched engine, plus the persistent-pool vs
 //! scoped-spawn dispatch delta in the vendored rayon stand-in.
 //!
-//! Besides the criterion output, the run writes `BENCH_attack.json` at the
+//! The run writes `BENCH_attack.json` at the
 //! repository root (schema `blurnet-attack-bench/v1`): median ns/iter for
 //! the per-image gradient loop and the batched engine at thread
 //! counts {1, 2, 4}, PGD steps/sec for both, the single-thread speedup
@@ -16,9 +16,9 @@
 use std::time::Duration;
 
 use blurnet_attacks::{PgdAttack, PgdConfig};
+use blurnet_bench::measure_median_ns;
 use blurnet_nn::{softmax_cross_entropy, LisaCnn, Sequential};
 use blurnet_tensor::Tensor;
-use criterion::{criterion_group, criterion_main, measure_median_ns, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Value;
@@ -258,35 +258,6 @@ fn write_attack_json() {
     }
 }
 
-fn bench_attack_gen(c: &mut Criterion) {
-    let mut rng = ChaCha8Rng::seed_from_u64(0);
-    let mut group = c.benchmark_group("attack_gen");
-    group.sample_size(10);
-
-    let mut net = LisaCnn::new(18).build(&mut rng).unwrap();
-    let batch = Tensor::rand_uniform(&[8, 3, 32, 32], 0.0, 1.0, &mut rng);
-    let labels: Vec<usize> = (0..8).map(|i| (i * 2) % 18).collect();
-    let config = PgdConfig::default();
-    let attack = PgdAttack::new(config).unwrap();
-
-    group.bench_function("pgd10_batch8_batched_engine", |b| {
-        b.iter(|| attack.perturb(&net, &batch, &labels).unwrap());
-    });
-    group.bench_function("pgd10_batch8_per_image_loop", |b| {
-        b.iter(|| {
-            for (i, &label) in labels.iter().enumerate() {
-                let image = batch.batch_slice(i, 1).unwrap().batch_item(0).unwrap();
-                pgd_per_image(&mut net, &image, label, &config);
-            }
-        });
-    });
-    group.finish();
-}
-
-fn bench_with_json(c: &mut Criterion) {
+fn main() {
     write_attack_json();
-    bench_attack_gen(c);
 }
-
-criterion_group!(benches, bench_with_json);
-criterion_main!(benches);

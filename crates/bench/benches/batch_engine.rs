@@ -3,7 +3,7 @@
 //! forward, and LisaCnn probes of the inference forward (batch 8) and the
 //! training step (batch 32, the trainer's batch size).
 //!
-//! Besides the criterion output, the run writes `BENCH_batch.json` at the
+//! The run writes `BENCH_batch.json` at the
 //! repository root (schema `blurnet-batch-bench/v2`): median ns/iter per
 //! thread count, images/s throughput, the scaling ratios, and the host's
 //! CPU budget — scaling ratios are only meaningful when `host_cpus`
@@ -14,13 +14,13 @@
 
 use std::time::Duration;
 
+use blurnet_bench::measure_median_ns;
 use blurnet_nn::{
     softmax_cross_entropy, BatchEngine, Conv2d, Dense, DepthwiseConv2d, Flatten, LisaCnn,
     MaxPool2d, Relu, Sequential, ShardGrad,
 };
 use blurnet_signal::box_kernel;
 use blurnet_tensor::{ConvSpec, Scratch, Tensor};
-use criterion::{criterion_group, criterion_main, measure_median_ns, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Value;
@@ -210,36 +210,6 @@ fn write_batch_json() {
     }
 }
 
-fn bench_engine(c: &mut Criterion) {
-    let mut rng = ChaCha8Rng::seed_from_u64(0);
-    let mut group = c.benchmark_group("batch_engine");
-    group.sample_size(20);
-
-    let net = feature_stage_net(&mut rng);
-    let batch = Tensor::rand_uniform(&[8, 16, 32, 32], 0.0, 1.0, &mut rng);
-    let engine = net.batch_engine().unwrap();
-    group.bench_function("forward_batch_8x16x32x32", |bench| {
-        bench.iter(|| engine.forward(&batch).unwrap());
-    });
-
-    let lisa = LisaCnn::new(18).build(&mut rng).unwrap();
-    let lisa_batch = Tensor::rand_uniform(&[8, 3, 32, 32], 0.0, 1.0, &mut rng);
-    let lisa_engine = lisa.batch_engine().unwrap();
-    group.bench_function("lisacnn_forward_batch8_engine", |bench| {
-        bench.iter(|| lisa_engine.forward(&lisa_batch).unwrap());
-    });
-    let (train_batch, labels) = lisa_train_batch(&mut rng);
-    group.bench_function("lisacnn_train_step_batch32", |bench| {
-        let mut scratch = Scratch::new();
-        bench.iter(|| train_step(&lisa_engine, &train_batch, &labels, &mut scratch));
-    });
-    group.finish();
-}
-
-fn bench_with_json(c: &mut Criterion) {
+fn main() {
     write_batch_json();
-    bench_engine(c);
 }
-
-criterion_group!(benches, bench_with_json);
-criterion_main!(benches);

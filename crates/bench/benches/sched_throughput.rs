@@ -16,9 +16,8 @@ use std::path::Path;
 use std::time::Instant;
 
 use blurnet::experiments::grid::{CellKind, CellSpec, ExperimentGrid};
-use blurnet::experiments::table1::Table1Victim;
+use blurnet::experiments::Table1Victim;
 use blurnet::{ExperimentScheduler, Scale, ScheduledRun};
-use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Value;
 
 /// Seed shared with `reproduce`.
@@ -140,23 +139,6 @@ fn round2(v: f64) -> f64 {
     (v * 100.0).round() / 100.0
 }
 
-fn bench_scheduler(c: &mut Criterion) {
-    // The JSON probe is the real measurement; register one criterion probe
-    // on the cheap DAG-planning path so the harness has a group to report.
-    let mut group = c.benchmark_group("sched_throughput");
-    group.sample_size(10);
-    let grid = ExperimentGrid::full(Scale::Smoke);
-    let scheduler = ExperimentScheduler::new(Scale::Smoke, SEED);
-    group.bench_function("plan_full_grid", |b| {
-        b.iter(|| scheduler.plan(&grid));
-    });
-    group.finish();
-}
-
-fn bench_with_json(c: &mut Criterion) {
+fn main() {
     write_sched_json();
-    bench_scheduler(c);
 }
-
-criterion_group!(benches, bench_with_json);
-criterion_main!(benches);

@@ -3,7 +3,7 @@
 //! kernels — plus head-to-head comparisons of the blocked/parallel fast
 //! paths against the seed implementations they replaced.
 //!
-//! Besides the human-readable criterion output, the run writes
+//! The run writes
 //! `BENCH_substrate.json` at the repository root: a machine-readable record
 //! (schema `blurnet-substrate-bench/v3`) of median ns/iter for every probe
 //! and the fast-vs-seed speedups, so future PRs can track the perf
@@ -19,11 +19,10 @@
 
 use std::time::Duration;
 
-use blurnet_bench::{host_entries, BENCH_THREAD_COUNTS};
+use blurnet_bench::{host_entries, measure_median_ns, BENCH_THREAD_COUNTS};
 use blurnet_nn::LisaCnn;
-use blurnet_signal::{box_kernel, dct2d, fft2d_magnitude, total_variation_batch, OperatorPenalty};
+use blurnet_signal::box_kernel;
 use blurnet_tensor::{default_backend, reference, ConvSpec, Scratch, SimdTier, Tensor};
-use criterion::{criterion_group, criterion_main, measure_median_ns, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Value;
@@ -256,117 +255,6 @@ fn write_bench_json() {
     }
 }
 
-fn bench_substrates(c: &mut Criterion) {
-    let mut rng = ChaCha8Rng::seed_from_u64(0);
-    let backend = default_backend();
-    let mut group = c.benchmark_group("substrate");
-    group.sample_size(20);
-
-    for &n in &[64usize, 128, 256] {
-        let a = Tensor::rand_uniform(&[n, n], -1.0, 1.0, &mut rng);
-        let b = Tensor::rand_uniform(&[n, n], -1.0, 1.0, &mut rng);
-        group.bench_function(format!("matmul_{n}x{n}"), |bench| {
-            bench.iter(|| backend.matmul(&a, &b).unwrap());
-        });
-        group.bench_function(format!("matmul_{n}x{n}_seed"), |bench| {
-            bench.iter(|| reference::matmul_naive(&a, &b).unwrap());
-        });
-    }
-
-    let input = Tensor::rand_uniform(&[1, 3, 32, 32], 0.0, 1.0, &mut rng);
-    let weight = Tensor::rand_uniform(&[8, 3, 5, 5], -0.5, 0.5, &mut rng);
-    let mut conv_scratch = Scratch::new();
-    group.bench_function("conv2d_32x32_8f", |bench| {
-        bench.iter(|| {
-            backend
-                .conv2d(
-                    &input,
-                    &weight,
-                    None,
-                    ConvSpec::new(2, 2).unwrap(),
-                    &mut conv_scratch,
-                )
-                .unwrap()
-        });
-    });
-
-    let feature_maps_big = Tensor::rand_uniform(&[8, 16, 32, 32], 0.0, 1.0, &mut rng);
-    let dw_weight = Tensor::rand_uniform(&[16, 5, 5], -0.5, 0.5, &mut rng);
-    let dw_spec = ConvSpec::same(5).unwrap();
-    group.bench_function("depthwise5x5_8x16x32x32", |bench| {
-        bench.iter(|| {
-            backend
-                .depthwise_conv2d(&feature_maps_big, &dw_weight, None, dw_spec)
-                .unwrap()
-        });
-    });
-    group.bench_function("depthwise5x5_8x16x32x32_seed", |bench| {
-        bench.iter(|| {
-            reference::depthwise_conv2d_naive(&feature_maps_big, &dw_weight, None, dw_spec).unwrap()
-        });
-    });
-
-    let image = Tensor::rand_uniform(&[32, 32], 0.0, 1.0, &mut rng);
-    group.bench_function("fft2d_32x32", |bench| {
-        bench.iter(|| fft2d_magnitude(&image).unwrap());
-    });
-    group.bench_function("dct2d_32x32", |bench| {
-        bench.iter(|| dct2d(&image).unwrap());
-    });
-
-    let feature_maps = Tensor::rand_uniform(&[1, 8, 16, 16], 0.0, 1.0, &mut rng);
-    group.bench_function("tv_batch_8x16x16", |bench| {
-        bench.iter(|| total_variation_batch(&feature_maps).unwrap());
-    });
-    let penalty = OperatorPenalty::high_frequency(16, 3).unwrap();
-    group.bench_function("tikhonov_hf_batch_8x16x16", |bench| {
-        bench.iter(|| penalty.value_batch(&feature_maps).unwrap());
-    });
-
-    let kernel = box_kernel(5);
-    let blur_weights = Tensor::stack(&vec![kernel.clone(); 16]).unwrap();
-    group.bench_function("blur5x5_batch_8x16x32x32_separable", |bench| {
-        bench.iter(|| backend.blur_batch(&feature_maps_big, &kernel).unwrap());
-    });
-    group.bench_function("blur5x5_batch_8x16x32x32_2d", |bench| {
-        bench.iter(|| {
-            backend
-                .depthwise_conv2d(&feature_maps_big, &blur_weights, None, dw_spec)
-                .unwrap()
-        });
-    });
-
-    let mut net = LisaCnn::new(18).build(&mut rng).unwrap();
-    let batch = Tensor::rand_uniform(&[4, 3, 32, 32], 0.0, 1.0, &mut rng);
-    group.bench_function("lisacnn_forward_batch4", |bench| {
-        bench.iter(|| net.forward(&batch, false).unwrap());
-    });
-    // The batch-parallel inference engine over the same workload: packed
-    // weights reused across calls, batch sharded over rayon. The full
-    // thread-scaling sweep lives in the `batch_engine` bench
-    // (BENCH_batch.json).
-    {
-        let engine = net.batch_engine().unwrap();
-        group.bench_function("lisacnn_forward_batch4_engine", |bench| {
-            bench.iter(|| engine.forward(&batch).unwrap());
-        });
-    }
-    group.bench_function("lisacnn_forward_batch4_engine_fresh_pack", |bench| {
-        bench.iter(|| net.batch_engine().unwrap().forward(&batch).unwrap());
-    });
-    group.bench_function("lisacnn_forward_backward_batch4", |bench| {
-        bench.iter(|| {
-            let out = net.forward(&batch, true).unwrap();
-            net.backward(&Tensor::ones(out.dims())).unwrap();
-        });
-    });
-    group.finish();
-}
-
-fn bench_with_json(c: &mut Criterion) {
+fn main() {
     write_bench_json();
-    bench_substrates(c);
 }
-
-criterion_group!(benches, bench_with_json);
-criterion_main!(benches);

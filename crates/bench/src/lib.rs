@@ -1,6 +1,9 @@
 //! Shared helpers for the `reproduce` binary and the trajectory benches:
-//! the experiment seed and the host/thread-count conventions every
-//! `BENCH_*.json` records.
+//! the experiment seed, the timing loop, and the host/thread-count
+//! conventions every `BENCH_*.json` records.
+
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use serde::Value;
 
@@ -24,7 +27,7 @@ pub fn host_cpus() -> usize {
 /// Warns (on stderr) when the bench is running on a single-core host,
 /// where every thread count beyond 1 measures oversubscription rather
 /// than parallel speedup. Returns whether the warning fired.
-pub fn warn_if_single_core(bench: &str) -> bool {
+pub(crate) fn warn_if_single_core(bench: &str) -> bool {
     let single = host_cpus() == 1;
     if single {
         eprintln!(
@@ -57,4 +60,35 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
         .build()
         .expect("thread pool");
     pool.install(f)
+}
+
+/// Measures `f` adaptively: batch sizes grow until one batch takes at
+/// least `min_batch`; the per-iteration median over `samples` batches is
+/// returned in nanoseconds.
+pub fn measure_median_ns<O, F: FnMut() -> O>(mut f: F, samples: usize, min_batch: Duration) -> f64 {
+    // Warm-up and batch sizing.
+    let mut batch = 1usize;
+    loop {
+        let start = Instant::now();
+        for _ in 0..batch {
+            black_box(f());
+        }
+        let elapsed = start.elapsed();
+        if elapsed >= min_batch || batch >= 1 << 24 {
+            break;
+        }
+        // Grow toward the target with a 2x safety factor.
+        let grow = (min_batch.as_secs_f64() / elapsed.as_secs_f64().max(1e-9)).ceil() as usize;
+        batch = (batch * grow.clamp(2, 64)).min(1 << 24);
+    }
+    let mut per_iter: Vec<f64> = Vec::with_capacity(samples);
+    for _ in 0..samples.max(2) {
+        let start = Instant::now();
+        for _ in 0..batch {
+            black_box(f());
+        }
+        per_iter.push(start.elapsed().as_secs_f64() * 1e9 / batch as f64);
+    }
+    per_iter.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    per_iter[per_iter.len() / 2]
 }

@@ -20,19 +20,20 @@ use blurnet_signal::{box_kernel, high_frequency_ratio, log_magnitude_spectrum};
 use blurnet_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
+use crate::report::Table;
 use crate::report::{num3, pct};
-use crate::{BlurNetError, Result, Scale, Table};
+use crate::{BlurNetError, Result, Scale};
 
 /// The DCT mask dimensions the Figure 3 sweep evaluates by default.
 ///
 /// On the 32×32 images of every scale, dim 32 keeps every DCT coefficient,
 /// so that point is the standard RP2 attack up to the projection's
 /// rounding.
-pub const FIGURE3_DIMS: [usize; 4] = [4, 8, 16, 32];
+pub(crate) const FIGURE3_DIMS: [usize; 4] = [4, 8, 16, 32];
 
 /// Number of feature-map channels the Figure 2 analysis summarizes by
 /// default.
-pub const FIGURE2_CHANNELS: usize = 4;
+pub(crate) const FIGURE2_CHANNELS: usize = 4;
 
 /// Generates the single-image RP2 sticker artifact shared by the Figure 1
 /// and Figure 2 analyses: the attack result for the first stop-sign
@@ -42,7 +43,7 @@ pub const FIGURE2_CHANNELS: usize = 4;
 /// # Errors
 ///
 /// Propagates attack errors; rejects an empty image set.
-pub fn sticker_artifact(
+pub(crate) fn sticker_artifact(
     scale: Scale,
     baseline: &DefendedModel,
     images: &[Tensor],
@@ -82,11 +83,11 @@ pub struct Figure1 {
     /// High-frequency energy fraction of the perturbed stop sign.
     pub adversarial_high_fraction: f32,
     /// High-frequency energy fraction of the perturbation alone.
-    pub perturbation_high_fraction: f32,
+    perturbation_high_fraction: f32,
     /// Normalized log-magnitude spectrum of the clean sign.
-    pub clean_spectrum: Tensor,
+    clean_spectrum: Tensor,
     /// Normalized log-magnitude spectrum of the perturbed sign.
-    pub adversarial_spectrum: Tensor,
+    adversarial_spectrum: Tensor,
 }
 
 impl Figure1 {
@@ -117,7 +118,7 @@ impl Figure1 {
 /// # Errors
 ///
 /// Propagates FFT errors.
-pub fn figure1_from_parts(image: &Tensor, result: &Rp2Result) -> Result<Figure1> {
+pub(crate) fn figure1_from_parts(image: &Tensor, result: &Rp2Result) -> Result<Figure1> {
     let clean_gray = grayscale(image)?;
     let adv_gray = grayscale(&result.adversarial)?;
     let pert_gray = grayscale(&result.perturbation)?;
@@ -138,17 +139,17 @@ pub fn figure1_from_parts(image: &Tensor, result: &Rp2Result) -> Result<Figure1>
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Figure2Channel {
     /// Feature-map channel index.
-    pub channel: usize,
+    channel: usize,
     /// High-frequency fraction of the clean feature map.
-    pub clean_high_fraction: f32,
+    clean_high_fraction: f32,
     /// High-frequency fraction of the adversarial feature map.
-    pub adversarial_high_fraction: f32,
+    adversarial_high_fraction: f32,
     /// High-frequency fraction of the (adversarial − clean) difference.
-    pub difference_high_fraction: f32,
+    difference_high_fraction: f32,
     /// High-frequency fraction of the difference after a 5×5 blur — the
     /// paper's fourth column, showing the blur removes the injected
     /// high-frequency artefacts.
-    pub blurred_difference_high_fraction: f32,
+    blurred_difference_high_fraction: f32,
 }
 
 /// Figure 2 — spectra of first-layer feature maps.
@@ -213,7 +214,7 @@ fn mean(values: impl Iterator<Item = f32>) -> f32 {
 /// # Errors
 ///
 /// Propagates network and FFT errors.
-pub fn figure2_from_parts(
+pub(crate) fn figure2_from_parts(
     baseline: &DefendedModel,
     image: &Tensor,
     adversarial: &Tensor,
@@ -298,7 +299,7 @@ pub fn figure3_defense() -> DefenseKind {
 /// # Errors
 ///
 /// Rejects an empty dimension list; propagates attack errors.
-pub fn figure3_for_model(
+pub(crate) fn figure3_for_model(
     scale: Scale,
     model: &DefendedModel,
     images: &[Tensor],
@@ -325,7 +326,7 @@ pub struct Figure4 {
     /// Mean high-frequency fraction of the second-layer feature maps.
     pub second_layer_mean_fraction: f32,
     /// Per-channel high-frequency fraction of the second-layer maps.
-    pub second_layer_fractions: Vec<f32>,
+    second_layer_fractions: Vec<f32>,
 }
 
 impl Figure4 {
@@ -352,7 +353,7 @@ impl Figure4 {
 /// # Errors
 ///
 /// Propagates network and FFT errors.
-pub fn figure4_for_model(baseline: &DefendedModel, image: &Tensor) -> Result<Figure4> {
+pub(crate) fn figure4_for_model(baseline: &DefendedModel, image: &Tensor) -> Result<Figure4> {
     let first_index = baseline.feature_layer_index();
     let second_index = baseline.arch().second_conv_layer_index();
     let first = layer_activation(baseline, image, first_index)?;
@@ -375,24 +376,24 @@ pub fn figure4_for_model(baseline: &DefendedModel, image: &Tensor) -> Result<Fig
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScatterSeries {
     /// Defense label.
-    pub defense: String,
+    defense: String,
     /// `(L2 dissimilarity, targeted success rate)` per attack target.
-    pub points: Vec<(f32, f32)>,
+    points: Vec<(f32, f32)>,
 }
 
 /// Figures 5 and 6 — per-target success rate vs L2 dissimilarity.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Figure5And6 {
+pub(crate) struct Figure5And6 {
     /// Series for the depthwise-convolution and TV models (Figure 5).
-    pub figure5: Vec<ScatterSeries>,
+    pub(crate) figure5: Vec<ScatterSeries>,
     /// Series for the Tikhonov and Gaussian-augmented models (Figure 6).
-    pub figure6: Vec<ScatterSeries>,
+    pub(crate) figure6: Vec<ScatterSeries>,
 }
 
 impl Figure5And6 {
     /// Renders both scatters as one table (`figure` column distinguishes
     /// them).
-    pub fn table(&self) -> Table {
+    pub(crate) fn table(&self) -> Table {
         let mut table = Table::new(
             "Figures 5-6 — per-target ASR vs L2 dissimilarity",
             &["Figure", "Defense", "Target point (L2, ASR)"],
@@ -413,7 +414,7 @@ impl Figure5And6 {
 }
 
 /// The defenses plotted by Figure 5 (depthwise and TV models), in order.
-pub fn figure5_defenses() -> Vec<DefenseKind> {
+pub(crate) fn figure5_defenses() -> Vec<DefenseKind> {
     vec![
         DefenseKind::DepthwiseLinf {
             kernel: 3,
@@ -434,7 +435,7 @@ pub fn figure5_defenses() -> Vec<DefenseKind> {
 
 /// The defenses plotted by Figure 6 (Tikhonov and Gaussian-augmented
 /// models), in order.
-pub fn figure6_defenses() -> Vec<DefenseKind> {
+pub(crate) fn figure6_defenses() -> Vec<DefenseKind> {
     vec![
         DefenseKind::TikhonovHf {
             alpha: 1e-4,
@@ -453,7 +454,7 @@ pub fn figure6_defenses() -> Vec<DefenseKind> {
 /// # Errors
 ///
 /// Propagates attack errors.
-pub fn scatter_series_for_model(
+pub(crate) fn scatter_series_for_model(
     scale: Scale,
     model: &DefendedModel,
     images: &[Tensor],

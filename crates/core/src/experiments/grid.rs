@@ -87,12 +87,12 @@ impl CellSpec {
     }
 
     /// Whether the cell consumes the shared Table I transfer artifact.
-    pub fn needs_transfer_set(&self) -> bool {
+    pub(crate) fn needs_transfer_set(&self) -> bool {
         matches!(self.kind, CellKind::Table1(_))
     }
 
     /// Whether the cell consumes the shared single-image sticker artifact.
-    pub fn needs_sticker_artifact(&self) -> bool {
+    pub(crate) fn needs_sticker_artifact(&self) -> bool {
         matches!(self.kind, CellKind::Figure1 | CellKind::Figure2 { .. })
     }
 }
@@ -233,7 +233,7 @@ impl ExperimentGrid {
     }
 
     /// The table-only grid: every row of Tables I–V.
-    pub fn tables(scale: Scale) -> Self {
+    fn tables(scale: Scale) -> Self {
         let mut cells = Vec::new();
         for victim in Table1Victim::roster() {
             cells.push(CellSpec {
@@ -343,7 +343,7 @@ impl ExperimentGrid {
 
 /// A `--grid` list entry that names no experiment of the paper grid.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownExperiment(pub String);
+pub struct UnknownExperiment(pub(crate) String);
 
 impl std::fmt::Display for UnknownExperiment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

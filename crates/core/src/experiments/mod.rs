@@ -4,29 +4,32 @@
 //! `victim_row`, `*_from_parts`, `*_for_model`) that evaluate one table
 //! row or figure analysis against an already-trained model, plus the typed
 //! result structs a [`crate::RunReport`] collates and renders as
-//! [`crate::Table`]s. [`grid`] declares the cells; the
+//! [`crate::report::Table`]s. [`grid`] declares the cells; the
 //! [`crate::ExperimentScheduler`] runs them (`reproduce --grid` is its
 //! CLI) and `reproduce` prints [`paper_reference`] under each measured
 //! table.
 
 pub mod figures;
 pub mod grid;
-pub mod table1;
-pub mod table2;
-pub mod table3;
-pub mod table4;
-pub mod table5;
+pub(crate) mod table1;
+pub(crate) mod table2;
+pub(crate) mod table3;
+pub(crate) mod table4;
+pub(crate) mod table5;
 
-use blurnet_attacks::rp2::TargetSweep;
+pub use table1::Table1Victim;
+pub use table2::Table2Row;
+
 use blurnet_attacks::{
     batch_l2_dissimilarity, targeted_success_rate, AdaptiveObjective, AttackEvaluation,
-    FeaturePenaltyKind, Rp2Attack, Rp2Config,
+    FeaturePenaltyKind, Rp2Attack, Rp2Config, TargetSweep,
 };
 use blurnet_defenses::{DefendedModel, DefenseKind};
 use blurnet_signal::OperatorPenalty;
 use blurnet_tensor::Tensor;
 
-use crate::{BlurNetError, Result, Scale, Table};
+use crate::report::Table;
+use crate::{BlurNetError, Result, Scale};
 
 /// The stop-sign images every experiment attacks at the given scale.
 pub(crate) fn attack_images_for(dataset: &blurnet_data::SignDataset, scale: Scale) -> Vec<Tensor> {
@@ -41,7 +44,7 @@ pub(crate) fn attack_images_for(dataset: &blurnet_data::SignDataset, scale: Scal
 /// Runs `kinds` as one grid through a 1-worker scheduler at smoke scale —
 /// the unit tests' way to execute cells.
 #[cfg(test)]
-pub(crate) fn run_smoke_cells(seed: u64, kinds: Vec<grid::CellKind>) -> crate::RunReport {
+fn run_smoke_cells(seed: u64, kinds: Vec<grid::CellKind>) -> crate::RunReport {
     let cells = kinds
         .into_iter()
         .enumerate()
@@ -60,8 +63,8 @@ pub(crate) fn run_smoke_cells(seed: u64, kinds: Vec<grid::CellKind>) -> crate::R
 
 /// The output of a report's only cell, which must have completed.
 #[cfg(test)]
-pub(crate) fn only_output(report: crate::RunReport) -> crate::CellOutput {
-    let [cell] = <[crate::CellReport; 1]>::try_from(report.cells).expect("one cell");
+fn only_output(report: crate::RunReport) -> crate::CellOutput {
+    let [cell] = <[crate::report::CellReport; 1]>::try_from(report.cells).expect("one cell");
     assert_eq!(cell.status, crate::CellStatus::Ok);
     cell.output.expect("an ok cell carries its output")
 }
@@ -93,7 +96,7 @@ pub fn paper_reference(experiment: &str) -> Option<Table> {
 ///
 /// Returns [`BlurNetError::BadConfig`] for empty image or target sets;
 /// propagates attack errors.
-pub(crate) fn sweep_defended(
+fn sweep_defended(
     model: &DefendedModel,
     attack: &Rp2Attack,
     images: &[Tensor],
@@ -138,7 +141,7 @@ pub(crate) fn sweep_defended(
 /// regularized defenses get their own penalty added to the attacker's
 /// loss. Defenses without a dedicated adaptive attack fall back to the
 /// standard objective.
-pub(crate) fn adaptive_objective_for(
+fn adaptive_objective_for(
     defense: &DefenseKind,
     model: &DefendedModel,
     dct_dim: usize,
@@ -169,7 +172,7 @@ pub(crate) fn adaptive_objective_for(
 }
 
 /// Builds the RP2 attack for a scale with the given objective.
-pub(crate) fn rp2_with_objective(scale: Scale, objective: AdaptiveObjective) -> Result<Rp2Attack> {
+fn rp2_with_objective(scale: Scale, objective: AdaptiveObjective) -> Result<Rp2Attack> {
     Ok(Rp2Attack::new(Rp2Config {
         objective,
         ..scale.rp2_config()
@@ -177,7 +180,7 @@ pub(crate) fn rp2_with_objective(scale: Scale, objective: AdaptiveObjective) -> 
 }
 
 /// The Table II defense roster (in the paper's row order).
-pub(crate) fn table2_defenses(scale: Scale) -> Vec<DefenseKind> {
+fn table2_defenses(scale: Scale) -> Vec<DefenseKind> {
     let samples = scale.smoothing_samples();
     let adv_steps = scale.adv_train_steps();
     vec![
@@ -226,7 +229,7 @@ pub(crate) fn table2_defenses(scale: Scale) -> Vec<DefenseKind> {
 
 /// The defenses evaluated by the adaptive and PGD tables (Tables III and
 /// IV): the BlurNet defenses proper.
-pub(crate) fn blurnet_defenses(_scale: Scale) -> Vec<DefenseKind> {
+fn blurnet_defenses(_scale: Scale) -> Vec<DefenseKind> {
     vec![
         DefenseKind::DepthwiseLinf {
             kernel: 3,
@@ -252,7 +255,7 @@ pub(crate) fn blurnet_defenses(_scale: Scale) -> Vec<DefenseKind> {
 
 /// Default DCT mask dimension of the low-frequency adaptive attack
 /// (16 in the paper).
-pub(crate) const DEFAULT_DCT_DIM: usize = 16;
+const DEFAULT_DCT_DIM: usize = 16;
 
 #[cfg(test)]
 mod tests {

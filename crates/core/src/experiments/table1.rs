@@ -11,18 +11,19 @@
 use blurnet_attacks::{Rp2Attack, TransferSet};
 use blurnet_data::STOP_CLASS_ID;
 use blurnet_defenses::{DefendedModel, DefenseKind};
-use blurnet_nn::model::FilterLayer;
 use blurnet_nn::DepthwiseConv2d;
+use blurnet_nn::FilterLayer;
 use blurnet_signal::box_kernel;
 use blurnet_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 use crate::report::pct;
-use crate::{Result, Scale, Table};
+use crate::report::Table;
+use crate::{Result, Scale};
 
 /// Target class used when generating the transferred examples
 /// (speedLimit25 — an arbitrary non-stop class, as in the RP2 setup).
-pub const TRANSFER_TARGET: usize = 12;
+pub(crate) const TRANSFER_TARGET: usize = 12;
 
 /// The five victims of Table I, as declarative cell parameters: every row
 /// of the table is "evaluate the shared transfer set against this victim".
@@ -45,7 +46,7 @@ pub enum Table1Victim {
 
 impl Table1Victim {
     /// The victims in the paper's row order.
-    pub fn roster() -> Vec<Table1Victim> {
+    pub(crate) fn roster() -> Vec<Table1Victim> {
         vec![
             Table1Victim::Baseline,
             Table1Victim::InputFilter { kernel: 3 },
@@ -75,7 +76,7 @@ impl Table1Victim {
 /// # Errors
 ///
 /// Propagates attack-generation errors.
-pub fn transfer_set(
+pub(crate) fn transfer_set(
     scale: Scale,
     baseline: &DefendedModel,
     images: &[Tensor],
@@ -99,7 +100,7 @@ pub fn transfer_set(
 /// # Errors
 ///
 /// Propagates layer-construction and evaluation errors.
-pub fn victim_row(
+pub(crate) fn victim_row(
     victim: &Table1Victim,
     baseline: &DefendedModel,
     set: &TransferSet,
@@ -135,21 +136,21 @@ pub struct Table1Row {
     /// Victim label (baseline / input filter / feature-map filter).
     pub defense: String,
     /// Victim accuracy on the clean stop-sign evaluation images.
-    pub accuracy: f32,
+    accuracy: f32,
     /// Fraction of victim predictions the transferred examples changed.
     pub attack_success_rate: f32,
 }
 
 /// The reproduced Table I.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Table1 {
+pub(crate) struct Table1 {
     /// Rows in the paper's order.
-    pub rows: Vec<Table1Row>,
+    pub(crate) rows: Vec<Table1Row>,
 }
 
 impl Table1 {
     /// Renders the result as a printable table.
-    pub fn table(&self) -> Table {
+    pub(crate) fn table(&self) -> Table {
         let mut table = Table::new(
             "Table I — black-box transfer (RP2 generated on the baseline)",
             &["Defense", "Accuracy", "Attack Success Rate"],
@@ -165,7 +166,7 @@ impl Table1 {
     }
 
     /// The values reported in the paper, for side-by-side comparison.
-    pub fn paper_reference() -> Table {
+    pub(crate) fn paper_reference() -> Table {
         let mut table = Table::new(
             "Table I (paper)",
             &["Defense", "Accuracy", "Attack Success Rate"],
@@ -186,7 +187,7 @@ impl Table1 {
 /// Builds a feature-map-filter victim sharing the baseline's weights: the
 /// trained network with a frozen blur layer inserted after conv1, without
 /// retraining (exactly the Table I setting).
-pub fn feature_filter_victim(baseline: &DefendedModel, kernel: usize) -> Result<DefendedModel> {
+fn feature_filter_victim(baseline: &DefendedModel, kernel: usize) -> Result<DefendedModel> {
     let mut net = baseline.network().clone();
     let blur = box_kernel(kernel);
     let channels = baseline.arch().conv1_filters;
@@ -202,7 +203,7 @@ pub fn feature_filter_victim(baseline: &DefendedModel, kernel: usize) -> Result<
 }
 
 /// Builds an input-filter victim sharing the baseline's weights.
-pub fn input_filter_victim(baseline: &DefendedModel, kernel: usize) -> DefendedModel {
+fn input_filter_victim(baseline: &DefendedModel, kernel: usize) -> DefendedModel {
     DefendedModel::new(
         baseline.network().clone(),
         DefenseKind::InputFilter { kernel },
@@ -220,13 +221,13 @@ mod tests {
 
     #[test]
     fn paper_reference_has_five_rows() {
-        assert_eq!(Table1::paper_reference().len(), 5);
+        assert_eq!(Table1::paper_reference().rows.len(), 5);
     }
 
     #[test]
     fn victims_share_weights_with_the_baseline() {
         let mut zoo = ModelZoo::new(Scale::Smoke, 9).unwrap();
-        let baseline = zoo.get_or_train(&DefenseKind::Baseline).unwrap();
+        let baseline = zoo.get_or_train_shared(&DefenseKind::Baseline).unwrap();
         let input = input_filter_victim(&baseline, 3);
         assert_eq!(
             sequential_to_bytes(input.network()),

@@ -10,8 +10,9 @@ use blurnet_defenses::DefendedModel;
 use blurnet_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
+use crate::report::Table;
 use crate::report::{num3, pct};
-use crate::{Result, Scale, Table};
+use crate::{Result, Scale};
 
 /// One row of Table II.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -30,14 +31,14 @@ pub struct Table2Row {
 
 /// The reproduced Table II.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Table2 {
+pub(crate) struct Table2 {
     /// Rows in the paper's order.
-    pub rows: Vec<Table2Row>,
+    pub(crate) rows: Vec<Table2Row>,
 }
 
 impl Table2 {
     /// Renders the result as a printable table.
-    pub fn table(&self) -> Table {
+    pub(crate) fn table(&self) -> Table {
         let mut table = Table::new(
             "Table II — white-box evaluation (RP2, swept over targets)",
             &[
@@ -61,7 +62,7 @@ impl Table2 {
     }
 
     /// Key rows from the paper for side-by-side comparison.
-    pub fn paper_reference() -> Table {
+    pub(crate) fn paper_reference() -> Table {
         let mut table = Table::new(
             "Table II (paper, selected rows)",
             &["Defense", "Legit Acc.", "Avg SR", "Worst SR", "L2"],
@@ -94,11 +95,6 @@ impl Table2 {
         }
         table
     }
-
-    /// Looks up a row by its defense label.
-    pub fn row(&self, label: &str) -> Option<&Table2Row> {
-        self.rows.iter().find(|r| r.defense == label)
-    }
 }
 
 /// The per-cell evaluation of a Table II row: a white-box RP2 sweep
@@ -107,7 +103,11 @@ impl Table2 {
 /// # Errors
 ///
 /// Propagates attack errors.
-pub fn row_for_model(scale: Scale, model: &DefendedModel, images: &[Tensor]) -> Result<Table2Row> {
+pub(crate) fn row_for_model(
+    scale: Scale,
+    model: &DefendedModel,
+    images: &[Tensor],
+) -> Result<Table2Row> {
     let targets = scale.attack_targets();
     let attack = super::rp2_with_objective(scale, AdaptiveObjective::Standard)?;
     let sweep = super::sweep_defended(model, &attack, images, &targets)?;

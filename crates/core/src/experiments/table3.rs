@@ -11,32 +11,33 @@ use blurnet_defenses::DefendedModel;
 use blurnet_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
+use crate::report::Table;
 use crate::report::{num3, pct};
-use crate::{Result, Scale, Table};
+use crate::{Result, Scale};
 
 /// One row of Table III.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Table3Row {
     /// Defense label.
-    pub defense: String,
+    defense: String,
     /// Adaptive-attack success rate averaged over targets.
     pub average_success_rate: f32,
     /// Worst-case adaptive success rate over targets.
     pub worst_success_rate: f32,
     /// Mean relative L2 dissimilarity.
-    pub l2_dissimilarity: f32,
+    l2_dissimilarity: f32,
 }
 
 /// The reproduced Table III.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Table3 {
+pub(crate) struct Table3 {
     /// Rows in the paper's order.
-    pub rows: Vec<Table3Row>,
+    pub(crate) rows: Vec<Table3Row>,
 }
 
 impl Table3 {
     /// Renders the result as a printable table.
-    pub fn table(&self) -> Table {
+    pub(crate) fn table(&self) -> Table {
         let mut table = Table::new(
             "Table III — adaptive attack evaluation",
             &[
@@ -58,7 +59,7 @@ impl Table3 {
     }
 
     /// The paper's values for side-by-side comparison.
-    pub fn paper_reference() -> Table {
+    pub(crate) fn paper_reference() -> Table {
         let mut table = Table::new(
             "Table III (paper)",
             &["Defense", "Avg SR", "Worst SR", "L2"],
@@ -89,7 +90,11 @@ impl Table3 {
 /// # Errors
 ///
 /// Propagates attack errors.
-pub fn row_for_model(scale: Scale, model: &DefendedModel, images: &[Tensor]) -> Result<Table3Row> {
+pub(crate) fn row_for_model(
+    scale: Scale,
+    model: &DefendedModel,
+    images: &[Tensor],
+) -> Result<Table3Row> {
     let targets = scale.attack_targets();
     let defense = model.defense().clone();
     let objective = super::adaptive_objective_for(&defense, model, super::DEFAULT_DCT_DIM)?;
@@ -113,7 +118,7 @@ mod tests {
 
     #[test]
     fn paper_reference_has_seven_rows() {
-        assert_eq!(Table3::paper_reference().len(), 7);
+        assert_eq!(Table3::paper_reference().rows.len(), 7);
     }
 
     #[test]

@@ -12,30 +12,31 @@ use blurnet_defenses::DefendedModel;
 use blurnet_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
+use crate::report::Table;
 use crate::report::{num3, pct};
-use crate::{Result, Scale, Table};
+use crate::{Result, Scale};
 
 /// One row of Table IV.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Table4Row {
     /// Defense label.
-    pub defense: String,
+    defense: String,
     /// PGD (untargeted) attack success rate.
-    pub attack_success_rate: f32,
+    attack_success_rate: f32,
     /// Mean relative L2 dissimilarity of the PGD examples.
-    pub l2_dissimilarity: f32,
+    l2_dissimilarity: f32,
 }
 
 /// The reproduced Table IV.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Table4 {
+pub(crate) struct Table4 {
     /// Rows in the paper's order.
-    pub rows: Vec<Table4Row>,
+    pub(crate) rows: Vec<Table4Row>,
 }
 
 impl Table4 {
     /// Renders the result as a printable table.
-    pub fn table(&self) -> Table {
+    pub(crate) fn table(&self) -> Table {
         let mut table = Table::new(
             "Table IV — PGD evaluation (epsilon = 8/255)",
             &["Defense", "Attack Success Rate", "L2 Dissimilarity"],
@@ -51,7 +52,7 @@ impl Table4 {
     }
 
     /// The paper's values for side-by-side comparison.
-    pub fn paper_reference() -> Table {
+    pub(crate) fn paper_reference() -> Table {
         let mut table = Table::new("Table IV (paper)", &["Defense", "ASR", "L2"]);
         for (d, s, l2) in [
             ("Baseline", "100%", "0.53"),
@@ -75,7 +76,11 @@ impl Table4 {
 /// # Errors
 ///
 /// Propagates attack errors.
-pub fn row_for_model(scale: Scale, model: &DefendedModel, images: &[Tensor]) -> Result<Table4Row> {
+pub(crate) fn row_for_model(
+    scale: Scale,
+    model: &DefendedModel,
+    images: &[Tensor],
+) -> Result<Table4Row> {
     let labels = vec![STOP_CLASS_ID; images.len()];
     let attack = PgdAttack::new(scale.pgd_config())?;
     let defense = model.defense().label();
@@ -98,7 +103,7 @@ mod tests {
     #[test]
     fn paper_reference_reports_total_break() {
         let reference = Table4::paper_reference();
-        assert_eq!(reference.len(), 8);
+        assert_eq!(reference.rows.len(), 8);
         assert!(reference.to_string().matches("100%").count() >= 8);
     }
 

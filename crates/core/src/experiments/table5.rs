@@ -12,8 +12,9 @@ use blurnet_signal::OperatorPenalty;
 use blurnet_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
+use crate::report::Table;
 use crate::report::{num3, pct};
-use crate::{Result, Scale, Table};
+use crate::{Result, Scale};
 
 /// The three adaptive adversaries Table V turns against the
 /// adversarially-trained model, as declarative cell parameters.
@@ -29,7 +30,7 @@ pub enum Table5Attack {
 
 impl Table5Attack {
     /// The attacks in the paper's row order.
-    pub fn roster() -> Vec<Table5Attack> {
+    pub(crate) fn roster() -> Vec<Table5Attack> {
         vec![
             Table5Attack::TotalVariation,
             Table5Attack::TikhonovHf,
@@ -38,7 +39,7 @@ impl Table5Attack {
     }
 
     /// The paper's row label for this attack.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Table5Attack::TotalVariation => "TV adaptive attack",
             Table5Attack::TikhonovHf => "Tik_hf attack",
@@ -51,7 +52,7 @@ impl Table5Attack {
     /// # Errors
     ///
     /// Propagates operator-construction errors.
-    pub fn objective(&self, model: &DefendedModel) -> Result<AdaptiveObjective> {
+    fn objective(&self, model: &DefendedModel) -> Result<AdaptiveObjective> {
         let feature_layer = model.feature_layer_index();
         let extent = model.feature_map_extent();
         Ok(match self {
@@ -77,7 +78,7 @@ impl Table5Attack {
 }
 
 /// The adversarially-trained defense Table V evaluates, at `scale`.
-pub fn defense_for(scale: Scale) -> DefenseKind {
+pub(crate) fn defense_for(scale: Scale) -> DefenseKind {
     DefenseKind::AdversarialTraining {
         epsilon: 8.0 / 255.0,
         step_size: 0.1,
@@ -91,7 +92,7 @@ pub fn defense_for(scale: Scale) -> DefenseKind {
 /// # Errors
 ///
 /// Propagates attack errors.
-pub fn row_for_model(
+pub(crate) fn row_for_model(
     scale: Scale,
     model: &DefendedModel,
     images: &[Tensor],
@@ -115,23 +116,23 @@ pub struct Table5Row {
     /// Attack label (which adaptive objective was used).
     pub attack: String,
     /// Success rate averaged over targets.
-    pub average_success_rate: f32,
+    average_success_rate: f32,
     /// Worst-case success rate over targets.
-    pub worst_success_rate: f32,
+    worst_success_rate: f32,
     /// Mean relative L2 dissimilarity.
-    pub l2_dissimilarity: f32,
+    l2_dissimilarity: f32,
 }
 
 /// The reproduced Table V.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Table5 {
+pub(crate) struct Table5 {
     /// Rows in the paper's order.
-    pub rows: Vec<Table5Row>,
+    pub(crate) rows: Vec<Table5Row>,
 }
 
 impl Table5 {
     /// Renders the result as a printable table.
-    pub fn table(&self) -> Table {
+    pub(crate) fn table(&self) -> Table {
         let mut table = Table::new(
             "Table V — adversarial training vs adaptive adversaries",
             &[
@@ -153,7 +154,7 @@ impl Table5 {
     }
 
     /// The paper's values for side-by-side comparison.
-    pub fn paper_reference() -> Table {
+    pub(crate) fn paper_reference() -> Table {
         let mut table = Table::new("Table V (paper)", &["Attack", "Avg SR", "Worst SR", "L2"]);
         for (a, avg, worst, l2) in [
             ("TV adaptive attack", "5.85%", "27.5%", "0.046"),
@@ -178,7 +179,7 @@ mod tests {
     #[test]
     fn paper_reference_has_three_attacks() {
         let reference = Table5::paper_reference();
-        assert_eq!(reference.len(), 3);
+        assert_eq!(reference.rows.len(), 3);
         assert!(reference.to_string().contains("TV adaptive attack"));
     }
 }

@@ -339,7 +339,7 @@ fn evaluate(site: &str, tag: Option<u64>) -> bool {
 /// Environment variable [`arm_from_env`] reads: a comma-separated list of
 /// `site:kind[@hit]` entries, e.g.
 /// `BLURNET_FAULT=core.journal.append:abort@3,core.queue.pop:error`.
-pub const FAULT_ENV: &str = "BLURNET_FAULT";
+const FAULT_ENV: &str = "BLURNET_FAULT";
 
 /// Arms fault sites from the [`FAULT_ENV`] environment variable — the
 /// bridge that lets a chaos harness inject faults into a **subprocess**

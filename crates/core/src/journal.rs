@@ -266,7 +266,7 @@ impl JournalWriter {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveredJournal {
     /// The run identity from the header record.
-    pub header: JournalHeader,
+    pub(crate) header: JournalHeader,
     /// Every fully durable completed-cell record, in append order.
     pub cells: Vec<CellReport>,
     /// Bytes of torn/corrupt tail discarded after the last valid record

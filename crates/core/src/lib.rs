@@ -3,19 +3,18 @@
 //! A from-scratch Rust reproduction of *BlurNet: Defense by Filtering the
 //! Feature Maps* (Raju & Lipasti, DSN Workshops 2020).
 //!
-//! The crate is the public facade of the workspace: it re-exports the
-//! substrates (tensor math, signal processing, the CNN framework, the
-//! synthetic LISA dataset, the attacks and the defenses) and adds the
-//! experiment harness that regenerates every table and figure of the
-//! paper's evaluation:
+//! The crate is the experiment harness of the workspace: built on the
+//! substrate crates (`blurnet-tensor`, `blurnet-signal`, `blurnet-nn`,
+//! `blurnet-data`, `blurnet-attacks` and `blurnet-defenses`), it
+//! regenerates every table and figure of the paper's evaluation:
 //!
 //! | Module | Paper artefact |
 //! |---|---|
-//! | [`experiments::table1`] | Table I — black-box transfer: input vs feature-map filtering |
-//! | [`experiments::table2`] | Table II — white-box evaluation of all defenses |
-//! | [`experiments::table3`] | Table III — adaptive attacks per defense |
-//! | [`experiments::table4`] | Table IV — PGD breaks every defense |
-//! | [`experiments::table5`] | Table V — adversarial training vs adaptive attacks |
+//! | `experiments::table1` | Table I — black-box transfer: input vs feature-map filtering |
+//! | `experiments::table2` | Table II — white-box evaluation of all defenses |
+//! | `experiments::table3` | Table III — adaptive attacks per defense |
+//! | `experiments::table4` | Table IV — PGD breaks every defense |
+//! | `experiments::table5` | Table V — adversarial training vs adaptive attacks |
 //! | [`experiments::figures`] | Figures 1–6 — spectra, DCT sweep, ASR/L2 scatters |
 //!
 //! # Quick start
@@ -25,7 +24,7 @@
 //! use blurnet_defenses::DefenseKind;
 //!
 //! let mut zoo = ModelZoo::new(Scale::Smoke, 7)?;
-//! let mut model = zoo.get_or_train(&DefenseKind::TotalVariation { alpha: 1e-4 })?;
+//! let model = zoo.get_or_train_shared(&DefenseKind::TotalVariation { alpha: 1e-4 })?;
 //! let accuracy = model.accuracy(&zoo.dataset().test_batch()?)?;
 //! println!("legitimate accuracy: {accuracy:.3}");
 //! # Ok::<(), blurnet::BlurNetError>(())
@@ -40,29 +39,20 @@ pub mod fault;
 pub mod journal;
 pub mod queue;
 pub mod report;
-pub mod resume;
-pub mod scale;
+mod resume;
+mod scale;
 pub mod scheduler;
-pub mod zoo;
+mod zoo;
 
 pub use error::BlurNetError;
-pub use journal::{JournalError, JournalHeader, JournalWriter, RecoveredJournal};
-pub use queue::{run_workers, BoundedQueue, PopTimeout, TryPush};
-pub use report::{CellOutput, CellReport, CellStatus, RunReport, Table};
-pub use resume::{plan_resume, resume_run, ResumePlan, ResumedRun};
+pub use report::{CellOutput, CellStatus, RunReport};
+pub use resume::{plan_resume, resume_run};
 pub use scale::Scale;
 pub use scheduler::{ExperimentScheduler, RunProfile, ScheduledRun};
 pub use zoo::ModelZoo;
 
-pub use blurnet_attacks as attacks;
-pub use blurnet_data as data;
-pub use blurnet_defenses as defenses;
-pub use blurnet_nn as nn;
-pub use blurnet_signal as signal;
-pub use blurnet_tensor as tensor;
-
 /// Convenient result alias used across the crate.
-pub type Result<T> = std::result::Result<T, BlurNetError>;
+pub(crate) type Result<T> = std::result::Result<T, BlurNetError>;
 
 /// Evaluates a registered fault point (see the `fault` module, present
 /// only with the `fault-injection` feature) — and expands to

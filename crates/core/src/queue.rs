@@ -113,19 +113,9 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Maximum number of queued items.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current number of queued items.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.lock().items.len()
-    }
-
-    /// Whether the queue currently holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Whether [`close`](BoundedQueue::close) has been called.
@@ -306,8 +296,7 @@ mod tests {
     #[test]
     fn push_pop_roundtrip_in_fifo_order() {
         let queue = BoundedQueue::new(8);
-        assert!(queue.is_empty());
-        assert_eq!(queue.capacity(), 8);
+        assert_eq!(queue.len(), 0);
         for i in 0..5 {
             queue.push(i).unwrap();
         }
@@ -320,8 +309,8 @@ mod tests {
     #[test]
     fn capacity_is_clamped_to_one() {
         let queue = BoundedQueue::new(0);
-        assert_eq!(queue.capacity(), 1);
-        queue.push(1).unwrap();
+        assert!(matches!(queue.try_push(1), TryPush::Pushed));
+        assert!(matches!(queue.try_push(2), TryPush::Full(2)));
         assert_eq!(queue.pop(), Some(1));
     }
 

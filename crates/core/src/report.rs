@@ -25,16 +25,16 @@ use crate::experiments::table5::Table5Row;
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Table {
     /// Table caption (e.g. "Table II — white-box evaluation").
-    pub title: String,
+    title: String,
     /// Column headers.
-    pub headers: Vec<String>,
+    headers: Vec<String>,
     /// Row cells, one `Vec<String>` per row.
-    pub rows: Vec<Vec<String>>,
+    pub(crate) rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Creates a table from a title and headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         Table {
             title: title.into(),
             headers: headers.iter().map(|h| h.to_string()).collect(),
@@ -44,23 +44,8 @@ impl Table {
 
     /// Appends a row; extra or missing cells are allowed but will render
     /// ragged.
-    pub fn push_row(&mut self, cells: Vec<String>) {
+    pub(crate) fn push_row(&mut self, cells: Vec<String>) {
         self.rows.push(cells);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Serializes the table to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).unwrap_or_else(|_| "{}".to_string())
     }
 }
 
@@ -161,7 +146,7 @@ pub struct CellReport {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Schema tag (`"blurnet-results/v1"`).
-    pub schema: String,
+    pub(crate) schema: String,
     /// The scale profile the run used (`"smoke"`, `"quick"`, `"paper"`).
     pub scale: String,
     /// The dataset/zoo seed.
@@ -302,12 +287,12 @@ impl RunReport {
 
 /// Formats a fraction as a percentage with one decimal place (the paper
 /// reports success rates and accuracies as percentages).
-pub fn pct(value: f32) -> String {
+pub(crate) fn pct(value: f32) -> String {
     format!("{:.1}%", value * 100.0)
 }
 
 /// Formats a dissimilarity / loss value with three decimal places.
-pub fn num3(value: f32) -> String {
+pub(crate) fn num3(value: f32) -> String {
     format!("{value:.3}")
 }
 
@@ -325,15 +310,14 @@ mod tests {
         assert!(rendered.contains("| Baseline "));
         assert!(rendered.contains("90.0%"));
         assert!(rendered.contains("17.5%"));
-        assert_eq!(table.len(), 2);
-        assert!(!table.is_empty());
+        assert_eq!(table.rows.len(), 2);
     }
 
     #[test]
     fn json_roundtrip() {
         let mut table = Table::new("T", &["a"]);
         table.push_row(vec!["1".into()]);
-        let json = table.to_json();
+        let json = serde_json::to_string_pretty(&table).unwrap();
         let parsed: Table = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed, table);
     }

@@ -124,7 +124,7 @@ pub fn plan_resume(
 /// # Errors
 ///
 /// Returns [`BlurNetError::BadConfig`] for an incompatible prior journal,
-/// [`crate::JournalError::Io`] when the new journal cannot be written,
+/// [`crate::journal::JournalError::Io`] when the new journal cannot be written,
 /// plus any structural scheduler error from the delta run.
 pub fn resume_run(
     scheduler: &ExperimentScheduler,

@@ -128,7 +128,7 @@ impl Scale {
     }
 
     /// Monte-Carlo samples for randomized smoothing (100 in the paper).
-    pub fn smoothing_samples(&self) -> usize {
+    pub(crate) fn smoothing_samples(&self) -> usize {
         match self {
             Scale::Smoke => 8,
             Scale::Quick => 24,
@@ -137,7 +137,7 @@ impl Scale {
     }
 
     /// Number of adversarial-training PGD steps (7 in the paper).
-    pub fn adv_train_steps(&self) -> usize {
+    pub(crate) fn adv_train_steps(&self) -> usize {
         match self {
             Scale::Smoke => 2,
             Scale::Quick => 4,

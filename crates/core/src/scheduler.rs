@@ -70,10 +70,10 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use blurnet_attacks::persist::{
+use blurnet_attacks::{
     rp2_result_from_bytes, rp2_result_to_bytes, transfer_set_from_bytes, transfer_set_to_bytes,
+    Rp2Result, TransferSet,
 };
-use blurnet_attacks::{Rp2Result, TransferSet};
 use blurnet_data::SignDataset;
 use blurnet_defenses::{
     train_defended_model, DefendedModel, DefenseKind, DiskVariantCache, VariantCache,
@@ -212,7 +212,7 @@ impl ExperimentScheduler {
     }
 
     /// The dataset/zoo seed this scheduler runs with.
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 

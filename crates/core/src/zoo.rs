@@ -1,7 +1,7 @@
 //! The model zoo: a dataset plus a cache of trained defended models.
 //!
 //! The zoo trains each [`DefenseKind`] at most once per process and hands
-//! out clones or shared handles. Grid runs do not use it: the experiment
+//! out shared handles. Grid runs do not use it: the experiment
 //! scheduler trains variants as DAG nodes into its own cache.
 
 use std::sync::Arc;
@@ -41,20 +41,8 @@ impl ModelZoo {
         &self.dataset
     }
 
-    /// Returns a trained model for the defense, training it on first use.
-    ///
-    /// The returned model is a clone; callers may freely mutate it (attacks
-    /// need mutable access to the network) without invalidating the cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training errors.
-    pub fn get_or_train(&mut self, defense: &DefenseKind) -> Result<DefendedModel> {
-        Ok((*self.get_or_train_shared(defense)?).clone())
-    }
-
-    /// Like [`ModelZoo::get_or_train`] but returns the shared (read-only)
-    /// cache handle instead of a deep clone.
+    /// Returns the shared (read-only) cache handle of a trained model for
+    /// the defense, training it on first use.
     ///
     /// # Errors
     ///
@@ -71,7 +59,6 @@ impl ModelZoo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blurnet_nn::persist::sequential_to_bytes;
 
     #[test]
     fn training_is_cached_per_defense() {
@@ -80,12 +67,6 @@ mod tests {
         let b = zoo.get_or_train_shared(&DefenseKind::Baseline).unwrap();
         // The second request is a cache hit: the very same model.
         assert!(Arc::ptr_eq(&a, &b));
-        // Clones carry the cached weights.
-        let c = zoo.get_or_train(&DefenseKind::Baseline).unwrap();
-        assert_eq!(
-            sequential_to_bytes(a.network()),
-            sequential_to_bytes(c.network())
-        );
         assert!(zoo.dataset().train_len() > 0);
     }
 }

@@ -15,7 +15,7 @@ pub const STOP_CLASS_ID: usize = 14;
 
 /// Geometric silhouette of a sign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SignShape {
+pub(crate) enum SignShape {
     /// Eight-sided stop sign.
     Octagon,
     /// Diamond (square rotated 45°) warning sign.
@@ -31,7 +31,7 @@ pub enum SignShape {
 /// Simple glyph pattern drawn inside the sign to make classes visually
 /// distinct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Glyph {
+pub(crate) enum Glyph {
     /// A single horizontal bar.
     HorizontalBar,
     /// A single vertical bar.
@@ -56,19 +56,19 @@ pub enum Glyph {
 
 /// Static description of one sign class.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SignClass {
+pub(crate) struct SignClass {
     /// Class identifier in `0..NUM_CLASSES`.
-    pub id: usize,
+    id: usize,
     /// LISA class name.
-    pub name: &'static str,
+    name: &'static str,
     /// Sign silhouette.
-    pub shape: SignShape,
+    pub(crate) shape: SignShape,
     /// Face (fill) colour, RGB in `[0, 1]`.
-    pub fill: [f32; 3],
+    pub(crate) fill: [f32; 3],
     /// Glyph colour, RGB in `[0, 1]`.
-    pub glyph_color: [f32; 3],
+    pub(crate) glyph_color: [f32; 3],
     /// Glyph pattern.
-    pub glyph: Glyph,
+    pub(crate) glyph: Glyph,
 }
 
 const YELLOW: [f32; 3] = [0.95, 0.80, 0.15];
@@ -78,7 +78,7 @@ const ORANGE: [f32; 3] = [0.95, 0.55, 0.10];
 const BLACK: [f32; 3] = [0.05, 0.05, 0.05];
 
 /// The full class table, indexed by class id.
-pub const CLASSES: [SignClass; NUM_CLASSES] = [
+pub(crate) const CLASSES: [SignClass; NUM_CLASSES] = [
     SignClass {
         id: 0,
         name: "addedLane",
@@ -231,13 +231,8 @@ impl SignClass {
     /// # Errors
     ///
     /// Returns [`DataError::UnknownClass`] for ids `>= NUM_CLASSES`.
-    pub fn from_id(id: usize) -> Result<SignClass> {
+    pub(crate) fn from_id(id: usize) -> Result<SignClass> {
         CLASSES.get(id).copied().ok_or(DataError::UnknownClass(id))
-    }
-
-    /// Looks up a class by its LISA name.
-    pub fn from_name(name: &str) -> Option<SignClass> {
-        CLASSES.iter().copied().find(|c| c.name == name)
     }
 }
 
@@ -281,12 +276,10 @@ mod tests {
         let stop = SignClass::from_id(STOP_CLASS_ID).unwrap();
         assert_eq!(stop.name, "stop");
         assert_eq!(stop.shape, SignShape::Octagon);
-        assert_eq!(SignClass::from_name("stop").unwrap().id, STOP_CLASS_ID);
     }
 
     #[test]
     fn unknown_lookups_fail() {
         assert!(SignClass::from_id(NUM_CLASSES).is_err());
-        assert!(SignClass::from_name("not-a-sign").is_none());
     }
 }

@@ -151,11 +151,6 @@ impl SignDataset {
         })
     }
 
-    /// The configuration the dataset was generated with.
-    pub fn config(&self) -> &DatasetConfig {
-        &self.config
-    }
-
     /// Number of classes (always [`NUM_CLASSES`]).
     pub fn num_classes(&self) -> usize {
         NUM_CLASSES
@@ -223,25 +218,6 @@ impl SignDataset {
             labels: self.test_labels.clone(),
         })
     }
-
-    /// A batch view of the stop-sign evaluation set with stop labels.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor stacking errors (cannot occur for valid configs).
-    pub fn stop_eval_batch(&self) -> Result<Batch> {
-        Ok(Batch {
-            images: Tensor::stack(&self.stop_eval)?,
-            labels: vec![STOP_CLASS_ID; self.stop_eval.len()],
-        })
-    }
-
-    /// Individual training sample accessor (image, label).
-    pub fn train_sample(&self, index: usize) -> Option<(&Tensor, usize)> {
-        self.train_images
-            .get(index)
-            .map(|img| (img, self.train_labels[index]))
-    }
 }
 
 #[cfg(test)]
@@ -255,10 +231,9 @@ mod tests {
         assert_eq!(ds.test_len(), NUM_CLASSES * 2);
         assert_eq!(ds.stop_eval_images().len(), 4);
         assert_eq!(ds.num_classes(), NUM_CLASSES);
-        let (img, label) = ds.train_sample(0).unwrap();
-        assert_eq!(img.dims(), &[3, 32, 32]);
-        assert!(label < NUM_CLASSES);
-        assert!(ds.train_sample(10_000).is_none());
+        let test = ds.test_batch().unwrap();
+        assert_eq!(test.images.dims(), &[NUM_CLASSES * 2, 3, 32, 32]);
+        assert!(test.labels.iter().all(|&label| label < NUM_CLASSES));
     }
 
     #[test]
@@ -266,8 +241,12 @@ mod tests {
         let a = SignDataset::generate(&DatasetConfig::tiny(), 11).unwrap();
         let b = SignDataset::generate(&DatasetConfig::tiny(), 11).unwrap();
         let c = SignDataset::generate(&DatasetConfig::tiny(), 12).unwrap();
-        assert_eq!(a.train_sample(5).unwrap().0, b.train_sample(5).unwrap().0);
-        assert_ne!(a.train_sample(5).unwrap().0, c.train_sample(5).unwrap().0);
+        let train = |ds: &SignDataset| {
+            let mut rng = ChaCha8Rng::seed_from_u64(0);
+            ds.train_batches(ds.train_len(), &mut rng).unwrap()[0].clone()
+        };
+        assert_eq!(train(&a).images, train(&b).images);
+        assert_ne!(train(&a).images, train(&c).images);
     }
 
     #[test]
@@ -293,14 +272,6 @@ mod tests {
             counts[l] += 1;
         }
         assert!(counts.iter().all(|&c| c == 2));
-    }
-
-    #[test]
-    fn stop_eval_set_is_all_stop_signs() {
-        let ds = SignDataset::generate(&DatasetConfig::tiny(), 0).unwrap();
-        let batch = ds.stop_eval_batch().unwrap();
-        assert!(batch.labels.iter().all(|&l| l == STOP_CLASS_ID));
-        assert_eq!(batch.images.dims()[0], 4);
     }
 
     #[test]

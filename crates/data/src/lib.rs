@@ -9,7 +9,8 @@
 //! shapes, palettes and glyph patterns plus background, position, scale and
 //! brightness jitter. What the defense relies on — smooth sign regions
 //! against which a mask-constrained sticker perturbation is a localized,
-//! high-frequency anomaly — is preserved (see DESIGN.md, substitution 1).
+//! high-frequency anomaly — is preserved (see `docs/ARCHITECTURE.md`,
+//! § Substitutions).
 //!
 //! # Example
 //!
@@ -24,19 +25,18 @@
 
 #![warn(missing_docs)]
 
-pub mod classes;
-pub mod dataset;
+mod classes;
+mod dataset;
 mod error;
-pub mod mask;
-pub mod render;
-pub mod transform;
+mod mask;
+mod render;
+mod transform;
 
-pub use classes::{SignClass, SignShape, NUM_CLASSES, STOP_CLASS_ID};
+pub use classes::{NUM_CLASSES, STOP_CLASS_ID};
 pub use dataset::{Batch, DatasetConfig, SignDataset};
 pub use error::DataError;
 pub use mask::{mask_coverage, sticker_mask, StickerLayout};
-pub use render::{render_sign, RenderJitter};
-pub use transform::{apply_transform, sample_transforms, Transform};
+pub use transform::{sample_transforms, Transform};
 
 /// Convenient result alias used across the crate.
-pub type Result<T> = std::result::Result<T, DataError>;
+pub(crate) type Result<T> = std::result::Result<T, DataError>;

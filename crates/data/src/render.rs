@@ -17,15 +17,15 @@ use crate::Result;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RenderJitter {
     /// Maximum absolute centre offset as a fraction of the image extent.
-    pub max_offset: f32,
+    max_offset: f32,
     /// Minimum sign radius as a fraction of the half-extent.
-    pub min_radius: f32,
+    min_radius: f32,
     /// Maximum sign radius as a fraction of the half-extent.
-    pub max_radius: f32,
+    max_radius: f32,
     /// Brightness multiplier range `[1 - b, 1 + b]`.
-    pub brightness: f32,
+    brightness: f32,
     /// Standard deviation of the additive pixel noise.
-    pub noise_std: f32,
+    noise_std: f32,
 }
 
 impl Default for RenderJitter {
@@ -36,19 +36,6 @@ impl Default for RenderJitter {
             max_radius: 0.88,
             brightness: 0.25,
             noise_std: 0.02,
-        }
-    }
-}
-
-impl RenderJitter {
-    /// No jitter at all — identical canonical renders for every call.
-    pub fn none() -> Self {
-        RenderJitter {
-            max_offset: 0.0,
-            min_radius: 0.8,
-            max_radius: 0.8,
-            brightness: 0.0,
-            noise_std: 0.0,
         }
     }
 }
@@ -99,7 +86,7 @@ fn inside_glyph(glyph: Glyph, dx: f32, dy: f32) -> bool {
 /// # Errors
 ///
 /// Propagates tensor construction errors (they cannot occur for `size > 0`).
-pub fn render_sign<R: Rng + ?Sized>(
+pub(crate) fn render_sign<R: Rng + ?Sized>(
     class: SignClass,
     size: usize,
     jitter: RenderJitter,
@@ -160,6 +147,17 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
+    /// No jitter at all — identical canonical renders for every call.
+    fn no_jitter() -> RenderJitter {
+        RenderJitter {
+            max_offset: 0.0,
+            min_radius: 0.8,
+            max_radius: 0.8,
+            brightness: 0.0,
+            noise_std: 0.0,
+        }
+    }
+
     #[test]
     fn renders_are_in_range_and_right_shape() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
@@ -195,7 +193,7 @@ mod tests {
     fn stop_sign_is_predominantly_red() {
         let class = SignClass::from_id(STOP_CLASS_ID).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let img = render_sign(class, 32, RenderJitter::none(), &mut rng).unwrap();
+        let img = render_sign(class, 32, no_jitter(), &mut rng).unwrap();
         // Compare mean red vs mean blue in the central region.
         let mut red = 0.0;
         let mut blue = 0.0;
@@ -214,7 +212,7 @@ mod tests {
     #[test]
     fn different_classes_render_differently() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let jitter = RenderJitter::none();
+        let jitter = no_jitter();
         let stop = render_sign(SignClass::from_id(14).unwrap(), 32, jitter, &mut rng).unwrap();
         let yield_sign =
             render_sign(SignClass::from_id(17).unwrap(), 32, jitter, &mut rng).unwrap();

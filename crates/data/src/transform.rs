@@ -2,15 +2,13 @@
 //!
 //! RP2 optimizes one perturbation that survives varying viewing conditions
 //! by sampling per-step transforms of the sign image. We model the
-//! digital equivalent: integer translation, brightness scaling and additive
-//! noise. (Perspective warps of the physical capture pipeline are outside
-//! the digital threat model reproduced here; see DESIGN.md substitution 3.)
+//! digital equivalent: integer translation and brightness scaling.
+//! (Perspective warps of the physical capture pipeline are outside the
+//! digital threat model reproduced here; see `docs/ARCHITECTURE.md`,
+//! § Substitutions.)
 
-use blurnet_tensor::Tensor;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-use crate::{DataError, Result};
 
 /// One sampled viewing-condition transform.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -25,7 +23,7 @@ pub struct Transform {
 
 impl Transform {
     /// The identity transform.
-    pub fn identity() -> Self {
+    fn identity() -> Self {
         Transform {
             dx: 0,
             dy: 0,
@@ -55,96 +53,11 @@ pub fn sample_transforms<R: Rng + ?Sized>(
     out
 }
 
-/// Applies a transform to a `[C, H, W]` image: shift (zero-filled) then
-/// brightness scaling, clamped to `[0, 1]`.
-///
-/// # Errors
-///
-/// Returns [`DataError::BadConfig`] if the image is not rank 3.
-pub fn apply_transform(image: &Tensor, transform: Transform) -> Result<Tensor> {
-    if image.shape().rank() != 3 {
-        return Err(DataError::BadConfig(format!(
-            "expected a [C, H, W] image, got {}",
-            image.shape()
-        )));
-    }
-    let (c, h, w) = (image.dims()[0], image.dims()[1], image.dims()[2]);
-    let mut out = Tensor::zeros(&[c, h, w]);
-    let src = image.data();
-    let dst = out.data_mut();
-    for ch in 0..c {
-        for y in 0..h {
-            let sy = y as i32 - transform.dy;
-            if sy < 0 || sy >= h as i32 {
-                continue;
-            }
-            for x in 0..w {
-                let sx = x as i32 - transform.dx;
-                if sx < 0 || sx >= w as i32 {
-                    continue;
-                }
-                let v = src[ch * h * w + sy as usize * w + sx as usize] * transform.brightness;
-                dst[ch * h * w + y * w + x] = v.clamp(0.0, 1.0);
-            }
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn identity_transform_is_a_no_op() {
-        let img = Tensor::from_vec((0..27).map(|v| v as f32 / 27.0).collect(), &[3, 3, 3]).unwrap();
-        let out = apply_transform(&img, Transform::identity()).unwrap();
-        assert_eq!(out, img);
-    }
-
-    #[test]
-    fn translation_moves_content() {
-        let mut img = Tensor::zeros(&[1, 5, 5]);
-        img.set(&[0, 2, 2], 1.0).unwrap();
-        let out = apply_transform(
-            &img,
-            Transform {
-                dx: 1,
-                dy: -1,
-                brightness: 1.0,
-            },
-        )
-        .unwrap();
-        assert_eq!(out.get(&[0, 1, 3]).unwrap(), 1.0);
-        assert_eq!(out.get(&[0, 2, 2]).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn brightness_scales_and_clamps() {
-        let img = Tensor::full(&[1, 4, 4], 0.8);
-        let out = apply_transform(
-            &img,
-            Transform {
-                dx: 0,
-                dy: 0,
-                brightness: 1.5,
-            },
-        )
-        .unwrap();
-        assert!(out.data().iter().all(|&v| (v - 1.0).abs() < 1e-6));
-        let dim = apply_transform(
-            &img,
-            Transform {
-                dx: 0,
-                dy: 0,
-                brightness: 0.5,
-            },
-        )
-        .unwrap();
-        assert!(dim.data().iter().all(|&v| (v - 0.4).abs() < 1e-6));
-    }
 
     #[test]
     fn sampled_ensemble_starts_with_identity_and_respects_bounds() {
@@ -156,10 +69,5 @@ mod tests {
             assert!(t.dx.abs() <= 3 && t.dy.abs() <= 3);
             assert!((0.8..=1.2).contains(&t.brightness));
         }
-    }
-
-    #[test]
-    fn rank_validation() {
-        assert!(apply_transform(&Tensor::zeros(&[4, 4]), Transform::identity()).is_err());
     }
 }

@@ -11,7 +11,7 @@ use crate::{DefenseError, Result};
 /// # Errors
 ///
 /// Returns [`DefenseError::BadConfig`] for a non-positive `sigma`.
-pub fn gaussian_augment<R: Rng + ?Sized>(
+pub(crate) fn gaussian_augment<R: Rng + ?Sized>(
     images: &Tensor,
     sigma: f32,
     rng: &mut R,

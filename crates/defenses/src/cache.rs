@@ -50,32 +50,6 @@ impl VariantCache {
         let mut map = self.inner.lock().expect("variant cache lock poisoned");
         map.entry(label).or_insert_with(|| Arc::new(model)).clone()
     }
-
-    /// Number of cached variants.
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("variant cache lock poisoned")
-            .len()
-    }
-
-    /// Whether the cache holds no variants.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The cached defense labels, sorted (for deterministic reporting).
-    pub fn labels(&self) -> Vec<String> {
-        let mut labels: Vec<String> = self
-            .inner
-            .lock()
-            .expect("variant cache lock poisoned")
-            .keys()
-            .cloned()
-            .collect();
-        labels.sort();
-        labels
-    }
 }
 
 #[cfg(test)]
@@ -105,11 +79,10 @@ mod tests {
     #[test]
     fn first_insert_wins_per_label() {
         let cache = VariantCache::new();
-        assert!(cache.is_empty());
         assert!(cache.get("Baseline").is_none());
         let first = cache.insert(model(DefenseKind::Baseline, 1));
         let second = cache.insert(model(DefenseKind::Baseline, 2));
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.inner.lock().unwrap().len(), 1);
         // Same Arc: the duplicate insert returned the existing variant.
         assert!(Arc::ptr_eq(&first, &second));
         let fetched = cache.get("Baseline").unwrap();
@@ -117,16 +90,6 @@ mod tests {
             sequential_to_bytes(fetched.network()),
             sequential_to_bytes(first.network())
         );
-    }
-
-    #[test]
-    fn labels_are_sorted_and_complete() {
-        let cache = VariantCache::new();
-        cache.insert(model(DefenseKind::InputFilter { kernel: 3 }, 1));
-        cache.insert(model(DefenseKind::Baseline, 1));
-        let labels = cache.labels();
-        assert_eq!(labels.len(), 2);
-        assert!(labels.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

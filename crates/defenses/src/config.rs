@@ -105,31 +105,13 @@ impl DefenseKind {
         }
     }
 
-    /// Whether this defense inserts a depthwise layer after the first
-    /// convolution.
-    pub fn has_filter_layer(&self) -> bool {
-        matches!(
-            self,
-            DefenseKind::FeatureFilter { .. } | DefenseKind::DepthwiseLinf { .. }
-        )
-    }
-
-    /// Whether predictions apply input-space preprocessing (input blur or
-    /// smoothing) in addition to the plain network forward pass.
-    pub fn has_prediction_wrapper(&self) -> bool {
-        matches!(
-            self,
-            DefenseKind::InputFilter { .. } | DefenseKind::RandomizedSmoothing { .. }
-        )
-    }
-
     /// Validates parameter ranges.
     ///
     /// # Errors
     ///
     /// Returns [`DefenseError::BadConfig`] for out-of-range parameters
     /// (even kernels, non-positive strengths, zero sample counts, …).
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         let fail = |msg: String| Err(DefenseError::BadConfig(msg));
         match self {
             DefenseKind::Baseline => Ok(()),
@@ -198,16 +180,6 @@ impl DefenseKind {
             }
         }
     }
-
-    /// The paper's default adversarial-training configuration
-    /// (ε = 8/255, α = 0.1, 7 steps).
-    pub fn paper_adversarial_training() -> Self {
-        DefenseKind::AdversarialTraining {
-            epsilon: 8.0 / 255.0,
-            step_size: 0.1,
-            steps: 7,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -223,7 +195,11 @@ mod tests {
                 sigma: 0.1,
                 samples: 10,
             },
-            DefenseKind::paper_adversarial_training(),
+            DefenseKind::AdversarialTraining {
+                epsilon: 8.0 / 255.0,
+                step_size: 0.1,
+                steps: 7,
+            },
             DefenseKind::DepthwiseLinf {
                 kernel: 3,
                 alpha: 1e-5,
@@ -289,23 +265,5 @@ mod tests {
         }
         .validate()
         .is_err());
-    }
-
-    #[test]
-    fn structural_flags() {
-        assert!(DefenseKind::FeatureFilter { kernel: 5 }.has_filter_layer());
-        assert!(DefenseKind::DepthwiseLinf {
-            kernel: 5,
-            alpha: 0.1
-        }
-        .has_filter_layer());
-        assert!(!DefenseKind::TotalVariation { alpha: 1e-4 }.has_filter_layer());
-        assert!(DefenseKind::InputFilter { kernel: 3 }.has_prediction_wrapper());
-        assert!(DefenseKind::RandomizedSmoothing {
-            sigma: 0.1,
-            samples: 4
-        }
-        .has_prediction_wrapper());
-        assert!(!DefenseKind::Baseline.has_prediction_wrapper());
     }
 }

@@ -33,7 +33,7 @@
 //!
 //! [`VariantCache`]: crate::VariantCache
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use blurnet_nn::LisaCnnConfig;
 use blurnet_tensor::persist::{fnv1a, put_u64, read_file_verified, write_file_atomic, ByteReader};
@@ -44,12 +44,12 @@ use crate::trainer::build_architecture;
 use crate::{DefendedModel, DefenseError, DefenseKind, Result, TrainConfig};
 
 /// File extension of persisted model entries.
-pub const MODEL_EXT: &str = "bndm";
+const MODEL_EXT: &str = "bndm";
 
 /// Magic bytes opening a cache entry (key header + embedded model).
-pub const ENTRY_MAGIC: [u8; 4] = *b"BNCE";
+const ENTRY_MAGIC: [u8; 4] = *b"BNCE";
 /// Newest cache-entry format version this build reads and writes.
-pub const ENTRY_VERSION: u16 = 1;
+const ENTRY_VERSION: u16 = 1;
 
 /// The serialized form of a cache key; hashing its JSON gives the file
 /// name, and the JSON itself is embedded in the entry so a load can
@@ -90,11 +90,6 @@ impl DiskVariantCache {
         Ok(DiskVariantCache { dir })
     }
 
-    /// The cache's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The canonical key JSON for a variant identity.
     fn key_json(
         defense: &DefenseKind,
@@ -124,25 +119,6 @@ impl DiskVariantCache {
         let hash = fnv1a(key_json);
         let slug = slugify(&defense.label());
         self.dir.join(format!("{slug}-{hash:016x}.{MODEL_EXT}"))
-    }
-
-    /// The file a variant with this identity lives at (whether or not it
-    /// exists yet).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DefenseError::BadConfig`] for defense parameters the
-    /// architecture builder rejects.
-    pub fn model_path(
-        &self,
-        defense: &DefenseKind,
-        train: &TrainConfig,
-        image_size: usize,
-        num_classes: usize,
-        dataset_seed: u64,
-    ) -> Result<PathBuf> {
-        let json = Self::key_json(defense, train, image_size, num_classes, dataset_seed)?;
-        Ok(self.entry_path(defense, &json))
     }
 
     /// Loads the cached model for this identity, distinguishing a miss
@@ -205,23 +181,6 @@ impl DiskVariantCache {
         let payload = entry_to_bytes(&key, model)?;
         write_file_atomic(&path, &payload).map_err(DefenseError::Tensor)?;
         Ok(path)
-    }
-
-    /// Number of model entries currently on disk.
-    pub fn len(&self) -> usize {
-        std::fs::read_dir(&self.dir)
-            .map(|entries| {
-                entries
-                    .filter_map(|e| e.ok())
-                    .filter(|e| e.path().extension().is_some_and(|x| x == MODEL_EXT))
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-
-    /// Whether no model entries exist yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -301,6 +260,21 @@ mod tests {
         DiskVariantCache::open(dir).unwrap()
     }
 
+    /// The file a variant with this identity lives at (whether or not it
+    /// exists yet).
+    fn model_path(
+        cache: &DiskVariantCache,
+        defense: &DefenseKind,
+        train: &TrainConfig,
+        image_size: usize,
+        num_classes: usize,
+        dataset_seed: u64,
+    ) -> PathBuf {
+        let key = DiskVariantCache::key_json(defense, train, image_size, num_classes, dataset_seed)
+            .unwrap();
+        cache.entry_path(defense, &key)
+    }
+
     fn tiny_model(defense: DefenseKind, train: &TrainConfig) -> DefendedModel {
         let (net, arch) = build_architecture(&defense, 16, 18, train.seed).unwrap();
         DefendedModel::new(
@@ -321,7 +295,7 @@ mod tests {
         let defense = DefenseKind::FeatureFilter { kernel: 3 };
         let model = tiny_model(defense.clone(), &train);
         cache.store(&model, &train, 16, 18, SEED).unwrap();
-        assert_eq!(cache.len(), 1);
+        assert_eq!(std::fs::read_dir(&cache.dir).unwrap().count(), 1);
         let loaded = cache.load(&defense, &train, 16, 18, SEED).unwrap().unwrap();
         let images: Vec<Tensor> = (0..3)
             .map(|i| Tensor::full(&[3, 16, 16], 0.1 + 0.3 * i as f32))
@@ -332,7 +306,7 @@ mod tests {
                 .unwrap()
         };
         assert_eq!(classify(&model), classify(&loaded));
-        std::fs::remove_dir_all(cache.dir()).unwrap();
+        std::fs::remove_dir_all(&cache.dir).unwrap();
     }
 
     #[test]
@@ -342,8 +316,8 @@ mod tests {
             .load(&DefenseKind::Baseline, &TrainConfig::tiny(), 16, 18, SEED)
             .unwrap()
             .is_none());
-        assert!(cache.is_empty());
-        std::fs::remove_dir_all(cache.dir()).unwrap();
+        assert_eq!(std::fs::read_dir(&cache.dir).unwrap().count(), 0);
+        std::fs::remove_dir_all(&cache.dir).unwrap();
     }
 
     #[test]
@@ -355,33 +329,28 @@ mod tests {
             learning_rate: 1e-4,
             ..base
         };
-        let p0 = cache
-            .model_path(&DefenseKind::Baseline, &base, 16, 18, SEED)
-            .unwrap();
-        let p1 = cache
-            .model_path(&DefenseKind::InputFilter { kernel: 3 }, &base, 16, 18, SEED)
-            .unwrap();
-        let p2 = cache
-            .model_path(&DefenseKind::Baseline, &other_seed, 16, 18, SEED)
-            .unwrap();
-        let p3 = cache
-            .model_path(&DefenseKind::Baseline, &other_lr, 16, 18, SEED)
-            .unwrap();
-        let p4 = cache
-            .model_path(&DefenseKind::Baseline, &base, 32, 18, SEED)
-            .unwrap();
+        let p0 = model_path(&cache, &DefenseKind::Baseline, &base, 16, 18, SEED);
+        let p1 = model_path(
+            &cache,
+            &DefenseKind::InputFilter { kernel: 3 },
+            &base,
+            16,
+            18,
+            SEED,
+        );
+        let p2 = model_path(&cache, &DefenseKind::Baseline, &other_seed, 16, 18, SEED);
+        let p3 = model_path(&cache, &DefenseKind::Baseline, &other_lr, 16, 18, SEED);
+        let p4 = model_path(&cache, &DefenseKind::Baseline, &base, 32, 18, SEED);
         // The dataset seed alone must separate entries: same defense, same
         // trainer, same dims, different generated training set.
-        let p5 = cache
-            .model_path(&DefenseKind::Baseline, &base, 16, 18, SEED + 1)
-            .unwrap();
+        let p5 = model_path(&cache, &DefenseKind::Baseline, &base, 16, 18, SEED + 1);
         let paths = [&p0, &p1, &p2, &p3, &p4, &p5];
         for (i, a) in paths.iter().enumerate() {
             for b in &paths[i + 1..] {
                 assert_ne!(a, b);
             }
         }
-        std::fs::remove_dir_all(cache.dir()).unwrap();
+        std::fs::remove_dir_all(&cache.dir).unwrap();
     }
 
     #[test]
@@ -394,9 +363,7 @@ mod tests {
             .unwrap();
         // Move the seed-7 entry to where the seed-8 entry would live: the
         // checksum still passes, but the embedded key must not.
-        let other = cache
-            .model_path(&defense, &train, 16, 18, SEED + 1)
-            .unwrap();
+        let other = model_path(&cache, &defense, &train, 16, 18, SEED + 1);
         std::fs::rename(&stored, &other).unwrap();
         assert!(matches!(
             cache.load(&defense, &train, 16, 18, SEED + 1),
@@ -407,7 +374,7 @@ mod tests {
             .load(&defense, &train, 16, 18, SEED)
             .unwrap()
             .is_none());
-        std::fs::remove_dir_all(cache.dir()).unwrap();
+        std::fs::remove_dir_all(&cache.dir).unwrap();
     }
 
     #[test]
@@ -425,7 +392,7 @@ mod tests {
         let bare = model_to_bytes(&from_entry).unwrap();
         let from_bare = model_from_file_bytes(&bare).unwrap();
         assert_eq!(from_bare.defense(), &defense);
-        std::fs::remove_dir_all(cache.dir()).unwrap();
+        std::fs::remove_dir_all(&cache.dir).unwrap();
     }
 
     #[test]
@@ -448,6 +415,6 @@ mod tests {
         // Truncation is typed too.
         std::fs::write(&path, &bytes[..mid]).unwrap();
         assert!(cache.load(&defense, &train, 16, 18, SEED).is_err());
-        std::fs::remove_dir_all(cache.dir()).unwrap();
+        std::fs::remove_dir_all(&cache.dir).unwrap();
     }
 }

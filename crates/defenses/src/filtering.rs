@@ -35,7 +35,7 @@ pub fn filter_image(image: &Tensor, kernel: usize) -> Result<Tensor> {
 /// # Errors
 ///
 /// Returns an error for even kernels or malformed batches.
-pub fn filter_images(batch: &Tensor, kernel: usize) -> Result<Tensor> {
+pub(crate) fn filter_images(batch: &Tensor, kernel: usize) -> Result<Tensor> {
     check_kernel(kernel)?;
     Ok(default_backend().blur_batch(batch, &box_kernel(kernel))?)
 }

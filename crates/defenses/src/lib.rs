@@ -4,16 +4,17 @@
 //! maps**, realized three ways:
 //!
 //! 1. a fixed depthwise blur layer after the first convolution, compared
-//!    against blurring the input (Section III, Table I) — [`filtering`];
+//!    against blurring the input with [`filter_image`] (Section III,
+//!    Table I);
 //! 2. a trainable depthwise layer regularized with an L∞ penalty on its
-//!    kernels (Eq. 2) — [`regularizers`];
+//!    kernels (Eq. 2);
 //! 3. training-time regularization of the feature maps themselves with
 //!    total variation (Eq. 4) or generalized Tikhonov operators
-//!    (Eq. 6–7) — [`regularizers`].
+//!    (Eq. 6–7).
 //!
 //! Baseline defenses from the literature used for comparison — Gaussian
 //! augmentation, randomized smoothing and PGD adversarial training — are in
-//! [`augment`], [`DefendedModel::classify`] and the trainer.
+//! the trainer and [`DefendedModel::classify`].
 //!
 //! [`DefenseKind`] enumerates every defended model evaluated in Tables
 //! I–V; [`train_defended_model`] builds and trains it; [`DefendedModel`]
@@ -22,27 +23,26 @@
 
 #![warn(missing_docs)]
 
-pub mod augment;
-pub mod cache;
-pub mod config;
-pub mod disk;
+mod augment;
+mod cache;
+mod config;
+mod disk;
 mod error;
-pub mod filtering;
-pub mod model;
-pub mod persist;
-pub mod regularizers;
+mod filtering;
+mod model;
+mod persist;
+mod regularizers;
 mod smoothing;
-pub mod trainer;
+mod trainer;
 
 pub use cache::VariantCache;
 pub use config::DefenseKind;
 pub use disk::{model_from_file_bytes, DiskVariantCache};
 pub use error::DefenseError;
-pub use filtering::{filter_image, filter_images};
+pub use filtering::filter_image;
 pub use model::{DefendedModel, TrainingReport, SMOOTHING_SEED};
 pub use persist::{model_from_bytes, model_to_bytes};
-pub use regularizers::FeatureRegularizer;
-pub use trainer::{build_architecture, train_defended_model, TrainConfig};
+pub use trainer::{train_defended_model, TrainConfig};
 
 /// Convenient result alias used across the crate.
-pub type Result<T> = std::result::Result<T, DefenseError>;
+pub(crate) type Result<T> = std::result::Result<T, DefenseError>;

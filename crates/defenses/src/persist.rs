@@ -33,9 +33,9 @@ use crate::model::TrainingReport;
 use crate::{DefendedModel, DefenseError, DefenseKind, Result};
 
 /// Magic bytes opening a serialized [`DefendedModel`].
-pub const MODEL_MAGIC: [u8; 4] = *b"BNDM";
+const MODEL_MAGIC: [u8; 4] = *b"BNDM";
 /// Newest model format version this build reads and writes.
-pub const MODEL_VERSION: u16 = 2;
+const MODEL_VERSION: u16 = 2;
 
 /// The JSON header of a persisted model: everything except the weights.
 #[derive(Debug, Serialize, Deserialize)]

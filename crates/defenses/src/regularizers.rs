@@ -20,7 +20,7 @@ use crate::{DefenseError, DefenseKind, Result};
 
 /// A regularizer evaluated (and differentiated) every training step.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum FeatureRegularizer {
+pub(crate) enum FeatureRegularizer {
     /// No extra loss term.
     None,
     /// `α Σ_j ‖W_depthwise[:,:,j]‖∞` on the inserted depthwise layer.
@@ -57,7 +57,7 @@ impl FeatureRegularizer {
     ///
     /// Returns an error if the defense parameters are invalid for the
     /// architecture (e.g. a Tikhonov window wider than the feature maps).
-    pub fn from_defense(defense: &DefenseKind, arch: &LisaCnnConfig) -> Result<Self> {
+    pub(crate) fn from_defense(defense: &DefenseKind, arch: &LisaCnnConfig) -> Result<Self> {
         let feature_index = arch.feature_layer_index();
         let extent = arch.feature_map_extent();
         match defense {
@@ -92,7 +92,7 @@ impl FeatureRegularizer {
 
     /// The layer whose output activation the training step must collect
     /// for this regularizer (the TV and Tikhonov feature maps).
-    pub fn feature_layer(&self) -> Option<usize> {
+    pub(crate) fn feature_layer(&self) -> Option<usize> {
         match self {
             FeatureRegularizer::TotalVariation { layer_index, .. }
             | FeatureRegularizer::Operator { layer_index, .. } => Some(*layer_index),
@@ -114,7 +114,7 @@ impl FeatureRegularizer {
     /// Returns an error if the layer index does not name a depthwise layer
     /// (L∞), the feature activation is missing, or its shape does not fit
     /// the penalty.
-    pub fn apply(
+    pub(crate) fn apply(
         &self,
         net: &Sequential,
         feature: Option<&Tensor>,

@@ -85,7 +85,7 @@ impl Default for TrainConfig {
 /// # Errors
 ///
 /// Returns an error for invalid defense parameters.
-pub fn build_architecture(
+pub(crate) fn build_architecture(
     defense: &DefenseKind,
     image_size: usize,
     num_classes: usize,

@@ -55,7 +55,7 @@ impl Conv2d {
     /// # Errors
     ///
     /// Returns [`NnError::BadConfig`] when the shapes disagree.
-    pub fn from_parts(weight: Tensor, bias: Tensor, spec: ConvSpec) -> Result<Self> {
+    pub(crate) fn from_parts(weight: Tensor, bias: Tensor, spec: ConvSpec) -> Result<Self> {
         if weight.shape().rank() != 4 {
             return Err(NnError::BadConfig(format!(
                 "conv2d weight must be rank 4, got {}",
@@ -73,17 +73,17 @@ impl Conv2d {
     }
 
     /// The convolution stride/padding spec.
-    pub fn spec(&self) -> ConvSpec {
+    pub(crate) fn spec(&self) -> ConvSpec {
         self.spec
     }
 
     /// The filter weights `[F, C, KH, KW]`.
-    pub fn weight(&self) -> &Tensor {
+    pub(crate) fn weight(&self) -> &Tensor {
         &self.weight
     }
 
     /// The bias vector `[F]`.
-    pub fn bias(&self) -> &Tensor {
+    pub(crate) fn bias(&self) -> &Tensor {
         &self.bias
     }
 
@@ -95,7 +95,7 @@ impl Conv2d {
     /// # Errors
     ///
     /// Never fails for a constructed layer (the weights are always rank 4).
-    pub fn packed_weights(&self) -> Result<PackedConvWeights> {
+    pub(crate) fn packed_weights(&self) -> Result<PackedConvWeights> {
         PackedConvWeights::pack(&self.weight).map_err(NnError::from)
     }
 }

@@ -44,7 +44,7 @@ impl Dense {
     /// # Errors
     ///
     /// Returns [`NnError::BadConfig`] when the shapes disagree.
-    pub fn from_parts(weight: Tensor, bias: Tensor) -> Result<Self> {
+    pub(crate) fn from_parts(weight: Tensor, bias: Tensor) -> Result<Self> {
         if weight.shape().rank() != 2 {
             return Err(NnError::BadConfig(format!(
                 "dense weight must be rank 2, got {}",
@@ -62,19 +62,19 @@ impl Dense {
     }
 
     /// The weight matrix `[out, in]`.
-    pub fn weight(&self) -> &Tensor {
+    pub(crate) fn weight(&self) -> &Tensor {
         &self.weight
     }
 
     /// The bias vector `[out]`.
-    pub fn bias(&self) -> &Tensor {
+    pub(crate) fn bias(&self) -> &Tensor {
         &self.bias
     }
 
     /// The weight matrix pre-transposed to `[in, out]`, so inference is a
     /// plain stride-1 matmul. The batch engine transposes once per
     /// forward pass and shares the result across batch shards.
-    pub fn weight_transposed(&self) -> Tensor {
+    pub(crate) fn weight_transposed(&self) -> Tensor {
         let (out_f, in_f) = (self.weight.dims()[0], self.weight.dims()[1]);
         let mut data = vec![0.0f32; in_f * out_f];
         let w = self.weight.data();

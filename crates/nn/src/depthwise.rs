@@ -27,7 +27,7 @@ impl DepthwiseConv2d {
     ///
     /// Returns [`NnError::BadConfig`] if `channels` or `kernel` is zero or
     /// `kernel` is even (the identity centre tap must exist).
-    pub fn identity(channels: usize, kernel: usize) -> Result<Self> {
+    pub(crate) fn identity(channels: usize, kernel: usize) -> Result<Self> {
         if channels == 0 || kernel == 0 || kernel.is_multiple_of(2) {
             return Err(NnError::BadConfig(
                 "depthwise layer needs non-zero channels and an odd kernel".to_string(),
@@ -80,7 +80,7 @@ impl DepthwiseConv2d {
     /// # Errors
     ///
     /// Returns [`NnError::BadConfig`] when the shapes disagree.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         weight: Tensor,
         bias: Tensor,
         spec: ConvSpec,
@@ -113,23 +113,18 @@ impl DepthwiseConv2d {
     }
 
     /// The per-channel bias vector `[C]`.
-    pub fn bias(&self) -> &Tensor {
+    pub(crate) fn bias(&self) -> &Tensor {
         &self.bias
     }
 
     /// The convolution stride/padding spec.
-    pub fn spec(&self) -> ConvSpec {
+    pub(crate) fn spec(&self) -> ConvSpec {
         self.spec
     }
 
     /// Whether the layer's kernels are updated during training.
-    pub fn is_trainable(&self) -> bool {
+    pub(crate) fn is_trainable(&self) -> bool {
         self.trainable
-    }
-
-    /// Kernel extent `K`.
-    pub fn kernel_size(&self) -> usize {
-        self.weight.dims()[1]
     }
 
     /// L∞ norm of each channel kernel summed over channels — the
@@ -267,7 +262,7 @@ mod tests {
         let kernel = Tensor::full(&[5, 5], 1.0 / 25.0);
         let layer = DepthwiseConv2d::fixed_kernel(4, &kernel).unwrap();
         assert!(!layer.is_trainable());
-        assert_eq!(layer.kernel_size(), 5);
+        assert_eq!(layer.weight.dims()[1], 5);
         assert_eq!(layer.parameter_count(), 0);
         // The training step still propagates input gradients, and only those.
         let input = Tensor::ones(&[1, 4, 8, 8]);

@@ -173,8 +173,6 @@ impl Recording {
 /// Result of a batched forward + backward pass through a [`BatchEngine`].
 #[derive(Debug)]
 pub struct GradBatch {
-    /// Logits for the whole batch, `[N, classes]`.
-    pub logits: Tensor,
     /// Gradient of the loss with respect to the batch input, same shape as
     /// the input.
     pub input_grad: Tensor,
@@ -405,7 +403,7 @@ impl<'n> BatchEngine<'n> {
         grad_fn: &F,
         tapes: &mut Vec<TapeSlot>,
         scratch: &mut Scratch,
-    ) -> Result<(Tensor, Tensor, f32)>
+    ) -> Result<(Tensor, f32)>
     where
         F: Fn(usize, &Tensor, Option<&Tensor>) -> Result<ShardGrad> + Sync,
     {
@@ -414,7 +412,7 @@ impl<'n> BatchEngine<'n> {
         check_logit_grad(&shard_grad.d_logits, &logits)?;
         let injection = feature_layer.zip(shard_grad.injection.as_ref());
         let d_input = self.input_grad_shard(tapes, shard_grad.d_logits, injection, scratch)?;
-        Ok((logits, d_input, shard_grad.loss))
+        Ok((d_input, shard_grad.loss))
     }
 
     /// Runs a recorded forward pass and a tape-driven backward pass over an
@@ -454,16 +452,8 @@ impl<'n> BatchEngine<'n> {
                 self.run_shard_backward(shard, start, feature_layer, &grad_fn, tapes, scratch)
             },
         )?;
-        let mut logits = Vec::with_capacity(results.len());
-        let mut grads = Vec::with_capacity(results.len());
-        let mut losses = Vec::with_capacity(results.len());
-        for (l, g, loss) in results {
-            logits.push(l);
-            grads.push(g);
-            losses.push(loss);
-        }
+        let (grads, losses): (Vec<Tensor>, Vec<f32>) = results.into_iter().unzip();
         Ok(GradBatch {
-            logits: Tensor::concat_batch(&logits)?,
             input_grad: Tensor::concat_batch(&grads)?,
             shard_losses: losses,
         })
@@ -913,14 +903,18 @@ mod tests {
             outputs.push(pool.install(|| engine.forward_backward_batch(&batch, &labels).unwrap()));
         }
         for other in &outputs[1..] {
-            assert_eq!(outputs[0].logits, other.logits);
             assert_eq!(outputs[0].input_grad, other.input_grad);
             assert_eq!(outputs[0].shard_losses, other.shard_losses);
         }
-        // Logits agree with the plain forward path.
-        assert_eq!(outputs[0].logits, engine.forward(&batch).unwrap());
-        // Per-image losses (one image per shard).
+        // Per-image losses (one image per shard), from logits that agree
+        // with the plain forward path.
         assert_eq!(outputs[0].shard_losses.len(), 6);
+        let logits = engine.forward(&batch).unwrap();
+        for (i, &loss) in outputs[0].shard_losses.iter().enumerate() {
+            let row = logits.batch_slice(i, 1).unwrap();
+            let (expected, _) = loss::softmax_cross_entropy(&row, &labels[i..=i]).unwrap();
+            assert_eq!(loss, expected, "image {i}");
+        }
         // Label count validation.
         assert!(engine.forward_backward_batch(&batch, &labels[..3]).is_err());
     }

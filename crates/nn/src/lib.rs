@@ -31,7 +31,7 @@
 //! # Example
 //!
 //! ```
-//! use blurnet_nn::{model::LisaCnn, loss::softmax_cross_entropy};
+//! use blurnet_nn::{softmax_cross_entropy, LisaCnn};
 //! use blurnet_tensor::Tensor;
 //! use rand::SeedableRng;
 //! use rand_chacha::ChaCha8Rng;
@@ -48,21 +48,22 @@
 
 #![deny(missing_docs)]
 
-pub mod activation;
-pub mod conv;
-pub mod dense;
-pub mod depthwise;
-pub mod engine;
+mod activation;
+mod conv;
+mod dense;
+mod depthwise;
+mod engine;
 mod error;
-pub mod flatten;
-pub mod layer;
-pub mod loss;
-pub mod model;
-pub mod network;
-pub mod optim;
+mod flatten;
+mod layer;
+mod loss;
+mod model;
+mod network;
+mod optim;
 pub mod persist;
-pub mod pool;
+mod pool;
 
+pub use activation::Relu;
 pub use conv::Conv2d;
 pub use dense::Dense;
 pub use depthwise::DepthwiseConv2d;
@@ -70,13 +71,11 @@ pub use engine::{BatchEngine, GradBatch, Gradients, ShardGrad};
 pub use error::NnError;
 pub use flatten::Flatten;
 pub use layer::{Layer, LayerKind, TapeSlot};
-pub use loss::{softmax, softmax_cross_entropy};
-pub use model::{LisaCnn, LisaCnnConfig};
+pub use loss::{confidences, predictions, softmax_cross_entropy};
+pub use model::{FilterLayer, LisaCnn, LisaCnnConfig};
 pub use network::Sequential;
 pub use optim::Adam;
 pub use pool::MaxPool2d;
 
-pub use activation::Relu;
-
 /// Convenient result alias used across the crate.
-pub type Result<T> = std::result::Result<T, NnError>;
+pub(crate) type Result<T> = std::result::Result<T, NnError>;

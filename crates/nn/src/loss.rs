@@ -9,7 +9,7 @@ use crate::{NnError, Result};
 /// # Errors
 ///
 /// Returns [`NnError::BadConfig`] if the input is not rank 2.
-pub fn softmax(logits: &Tensor) -> Result<Tensor> {
+fn softmax(logits: &Tensor) -> Result<Tensor> {
     if logits.shape().rank() != 2 {
         return Err(NnError::BadConfig(format!(
             "softmax expects [N, classes], got {}",

@@ -2,8 +2,8 @@
 //!
 //! The original Cleverhans LISA-CNN has three convolution layers followed by
 //! a fully-connected layer. We keep that topology (including a stride-2
-//! first convolution) at a CPU-friendly channel count; DESIGN.md documents
-//! the scaling substitution.
+//! first convolution) at a CPU-friendly channel count; `docs/ARCHITECTURE.md`
+//! (§ Substitutions) documents the scaling substitution.
 
 use blurnet_tensor::{ConvSpec, Tensor};
 use rand::Rng;
@@ -44,13 +44,13 @@ pub struct LisaCnnConfig {
     /// First-convolution filter count.
     pub conv1_filters: usize,
     /// First-convolution kernel extent.
-    pub conv1_kernel: usize,
+    conv1_kernel: usize,
     /// First-convolution stride.
-    pub conv1_stride: usize,
+    conv1_stride: usize,
     /// Second-convolution filter count.
-    pub conv2_filters: usize,
+    conv2_filters: usize,
     /// Third-convolution filter count.
-    pub conv3_filters: usize,
+    conv3_filters: usize,
     /// Optional depthwise filter layer after the first convolution.
     pub filter_layer: FilterLayer,
 }

@@ -38,7 +38,7 @@ impl Adam {
     ///
     /// Returns [`NnError::BadConfig`] if the learning rate is non-positive
     /// or either beta lies outside `[0, 1)`.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32, eps: f32) -> Result<Self> {
+    fn with_betas(lr: f32, beta1: f32, beta2: f32, eps: f32) -> Result<Self> {
         if lr <= 0.0 || !(0.0..1.0).contains(&beta1) || !(0.0..1.0).contains(&beta2) || eps <= 0.0 {
             return Err(NnError::BadConfig(format!(
                 "invalid Adam hyper-parameters lr={lr}, beta1={beta1}, beta2={beta2}, eps={eps}"

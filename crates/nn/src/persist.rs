@@ -35,9 +35,9 @@ use crate::{
 };
 
 /// Magic bytes opening a serialized [`Sequential`].
-pub const SEQUENTIAL_MAGIC: [u8; 4] = *b"BNSQ";
+const SEQUENTIAL_MAGIC: [u8; 4] = *b"BNSQ";
 /// Newest network format version this build reads and writes.
-pub const SEQUENTIAL_VERSION: u16 = 1;
+const SEQUENTIAL_VERSION: u16 = 1;
 
 const TAG_CONV: u8 = 1;
 const TAG_DEPTHWISE: u8 = 2;

@@ -23,7 +23,7 @@ impl MaxPool2d {
     }
 
     /// The pooling spec.
-    pub fn spec(&self) -> PoolSpec {
+    pub(crate) fn spec(&self) -> PoolSpec {
         self.spec
     }
 }

@@ -8,7 +8,7 @@
 //! checked with `==` on the raw `f32` buffers; any reordering of a
 //! floating-point accumulation would fail.
 
-use blurnet_nn::{loss, Sequential};
+use blurnet_nn::{predictions, Sequential};
 use blurnet_tensor::Tensor;
 use blurnet_test_support::{reference_forward, tiny_lisa_net, uniform_batch};
 use proptest::prelude::*;
@@ -75,9 +75,9 @@ proptest! {
     fn predict_batch_matches_stateful_predict(seed in 0u64..1000) {
         let mut net = tiny_lisa_net(seed);
         let batch = uniform_batch(&[8, 3, 16, 16], 0.0, 1.0, seed ^ 0xBADC0DE);
-        let expected = loss::predictions(&reference_forward(&net, &batch)).expect("argmax");
+        let expected = predictions(&reference_forward(&net, &batch)).expect("argmax");
         let stateful = net.forward(&batch, true).expect("stateful forward");
-        prop_assert_eq!(&loss::predictions(&stateful).expect("argmax"), &expected);
+        prop_assert_eq!(&predictions(&stateful).expect("argmax"), &expected);
         for &threads in &THREAD_COUNTS {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)

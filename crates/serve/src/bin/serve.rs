@@ -224,7 +224,7 @@ fn resolve_model(args: &Args, scale: Scale) -> Arc<DefendedModel> {
             .unwrap_or_else(|e| fail(format!("cannot open cache {}: {e}", dir.display())));
         let train = scale.train_config();
         let image_size = scale.dataset_config().image_size;
-        let num_classes = blurnet::data::NUM_CLASSES;
+        let num_classes = blurnet_data::NUM_CLASSES;
         match cache.load(&args.defense, &train, image_size, num_classes, args.seed) {
             Ok(Some(model)) => {
                 eprintln!(

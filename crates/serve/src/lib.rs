@@ -88,8 +88,8 @@ mod service;
 
 pub use error::ServeError;
 pub use service::{
-    classify_single, Classification, ClassifyService, DefenseVerdict, ModelInfo, ServeClient,
-    ServeConfig, ServiceHealth, Ticket,
+    classify_single, Classification, ClassifyService, DefenseVerdict, ServeClient, ServeConfig,
+    ServiceHealth, Ticket,
 };
 
 /// Convenient result alias used across the crate.

@@ -40,7 +40,8 @@ use std::time::{Duration, Instant};
 use blurnet_tensor::Tensor;
 use serde::Value;
 
-use crate::{Classification, DefenseVerdict, ModelInfo, Result, ServeClient, ServeError};
+use crate::service::{ModelInfo, ServeClient};
+use crate::{Classification, DefenseVerdict, Result, ServeError};
 
 /// Protocol identifier sent in the handshake's `schema` field.
 pub const SCHEMA: &str = "blurnet-serve/1";
@@ -67,7 +68,7 @@ pub struct Handshake {
     /// Protocol identifier; always [`SCHEMA`] for this version.
     pub schema: String,
     /// Number of output classes.
-    pub classes: usize,
+    classes: usize,
     /// Expected image shape, `[channels, height, width]`.
     pub input_dims: [usize; 3],
     /// Label of the defense variant being served.
@@ -98,7 +99,7 @@ impl Handshake {
 
     /// Encodes the handshake as its one-line JSON wire form (no trailing
     /// newline).
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let value = Value::Map(vec![
             ("schema".into(), Value::Str(self.schema.clone())),
             ("classes".into(), Value::Int(self.classes as i64)),

@@ -100,18 +100,11 @@ pub struct Classification {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelInfo {
     /// Number of output classes.
-    pub classes: usize,
+    pub(crate) classes: usize,
     /// Expected image shape, `[channels, height, width]`.
     pub input_dims: [usize; 3],
     /// Human-readable label of the defense variant being served.
-    pub defense: String,
-}
-
-impl ModelInfo {
-    /// Number of `f32` elements in one request image.
-    pub fn elements(&self) -> usize {
-        self.input_dims.iter().product()
-    }
+    pub(crate) defense: String,
 }
 
 /// Recovery telemetry: how many service threads died and were respawned
@@ -261,11 +254,6 @@ pub struct ServeClient {
 }
 
 impl ServeClient {
-    /// The served model's metadata.
-    pub fn info(&self) -> &ModelInfo {
-        &self.info
-    }
-
     /// Submits one `[C, H, W]` image and returns a [`Ticket`] for the
     /// response. With blocking admission (the default) a full queue
     /// back-pressures the caller; with [`ServeConfig::shed`] it rejects

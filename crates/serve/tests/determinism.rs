@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use blurnet_defenses::DefenseKind;
-use blurnet_nn::loss;
+use blurnet_nn::confidences;
 use blurnet_serve::{
     classify_single, Classification, ClassifyService, DefenseVerdict, ServeConfig,
 };
@@ -103,7 +103,7 @@ fn classify_single_matches_the_reference_fold() {
     ] {
         let model = tiny_defended_model(defense, 7);
         let top = |batch: &Tensor| {
-            loss::confidences(&reference_forward(model.network(), batch)).expect("[1, classes]")[0]
+            confidences(&reference_forward(model.network(), batch)).expect("[1, classes]")[0]
         };
         for image in uniform_images(6, TINY_IMAGE_SIZE, 31) {
             let raw = Tensor::stack(std::slice::from_ref(&image)).expect("one image");

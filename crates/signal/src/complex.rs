@@ -2,21 +2,21 @@ use serde::{Deserialize, Serialize};
 
 /// A minimal single-precision complex number used by the FFT routines.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct Complex32 {
+pub(crate) struct Complex32 {
     /// Real part.
-    pub re: f32,
+    re: f32,
     /// Imaginary part.
-    pub im: f32,
+    im: f32,
 }
 
 impl Complex32 {
     /// Creates a complex number from real and imaginary parts.
-    pub fn new(re: f32, im: f32) -> Self {
+    pub(crate) fn new(re: f32, im: f32) -> Self {
         Complex32 { re, im }
     }
 
     /// The complex number `e^{iθ}`.
-    pub fn from_angle(theta: f32) -> Self {
+    pub(crate) fn from_angle(theta: f32) -> Self {
         Complex32 {
             re: theta.cos(),
             im: theta.sin(),
@@ -24,16 +24,8 @@ impl Complex32 {
     }
 
     /// Magnitude `|z|`.
-    pub fn abs(self) -> f32 {
+    pub(crate) fn abs(self) -> f32 {
         (self.re * self.re + self.im * self.im).sqrt()
-    }
-
-    /// Complex conjugate.
-    pub fn conj(self) -> Self {
-        Complex32 {
-            re: self.re,
-            im: -self.im,
-        }
     }
 }
 
@@ -61,13 +53,6 @@ impl std::ops::Mul for Complex32 {
     }
 }
 
-impl std::ops::Mul<f32> for Complex32 {
-    type Output = Complex32;
-    fn mul(self, rhs: f32) -> Complex32 {
-        Complex32::new(self.re * rhs, self.im * rhs)
-    }
-}
-
 impl std::fmt::Display for Complex32 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if self.im >= 0.0 {
@@ -90,14 +75,6 @@ mod tests {
         assert_eq!(a - b, Complex32::new(-2.0, 3.0));
         // (1+2i)(3-i) = 3 - i + 6i - 2i^2 = 5 + 5i
         assert_eq!(a * b, Complex32::new(5.0, 5.0));
-        assert_eq!(a * 2.0, Complex32::new(2.0, 4.0));
-    }
-
-    #[test]
-    fn abs_and_conj() {
-        let z = Complex32::new(3.0, 4.0);
-        assert!((z.abs() - 5.0).abs() < 1e-6);
-        assert_eq!(z.conj(), Complex32::new(3.0, -4.0));
     }
 
     #[test]

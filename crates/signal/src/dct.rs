@@ -131,9 +131,12 @@ fn inverse(coeffs: &[f32], th: &CosTable, tw: &CosTable, rows: &mut [f32], out: 
     }
 }
 
-/// The full forward (`inverse_transform == false`) or inverse transform of an
-/// `[H, W]` tensor.
-fn transform2d(image: &Tensor, inverse_transform: bool) -> Result<Tensor> {
+/// Orthonormal 2-D DCT-II of an `[H, W]` tensor.
+///
+/// # Errors
+///
+/// Returns [`SignalError::BadShape`] if the input is not rank 2.
+pub fn dct2d(image: &Tensor) -> Result<Tensor> {
     let (h, w) = require_2d(image)?;
     let mut out = image.clone();
     if h * w == 0 {
@@ -141,30 +144,8 @@ fn transform2d(image: &Tensor, inverse_transform: bool) -> Result<Tensor> {
     }
     let (th, tw) = (CosTable::new(h), CosTable::new(w));
     let mut rows = vec![0.0f32; h * w];
-    if inverse_transform {
-        inverse(image.data(), &th, &tw, &mut rows, out.data_mut());
-    } else {
-        forward(image.data(), &th, &tw, &mut rows, out.data_mut());
-    }
+    forward(image.data(), &th, &tw, &mut rows, out.data_mut());
     Ok(out)
-}
-
-/// Orthonormal 2-D DCT-II of an `[H, W]` tensor.
-///
-/// # Errors
-///
-/// Returns [`SignalError::BadShape`] if the input is not rank 2.
-pub fn dct2d(image: &Tensor) -> Result<Tensor> {
-    transform2d(image, false)
-}
-
-/// Inverse of [`dct2d`].
-///
-/// # Errors
-///
-/// Returns [`SignalError::BadShape`] if the input is not rank 2.
-pub fn idct2d(coeffs: &Tensor) -> Result<Tensor> {
-    transform2d(coeffs, true)
 }
 
 /// Projects every `[h, w]` plane of `data` in place onto its lowest
@@ -172,7 +153,7 @@ pub fn idct2d(coeffs: &Tensor) -> Result<Tensor> {
 /// keeps the coefficients `(ky, kx)` with `ky, kx < dim`.
 ///
 /// One pair of cosine tables serves every plane. The result is
-/// bit-identical to [`dct2d`], the mask product and [`idct2d`]: every
+/// bit-identical to [`dct2d`], the mask product and the inverse DCT: every
 /// coefficient is formed and multiplied by its mask entry, so a dropped one
 /// still enters the inverse sums as the same signed zero.
 ///
@@ -375,14 +356,11 @@ mod tests {
             }
         }
 
-        /// `dct2d` and `idct2d` equal the textbook transforms bit for bit.
+        /// `dct2d` equals the textbook transform bit for bit.
         #[test]
         fn transforms_match_naive_bitwise(h in 1usize..34, w in 1usize..34, seed in 0u64..1_000_000) {
             let x = plane(&random_planes(seed, 1, h, w), h, w);
-            let coeffs = dct2d(&x).unwrap();
-            assert_bits(coeffs.data(), naive_transform2d(&x, false).data(), "dct2d")?;
-            assert_bits(idct2d(&x).unwrap().data(), naive_transform2d(&x, true).data(), "idct2d")?;
-            assert_bits(idct2d(&coeffs).unwrap().data(), naive_transform2d(&coeffs, true).data(), "roundtrip")?;
+            assert_bits(dct2d(&x).unwrap().data(), naive_transform2d(&x, false).data(), "dct2d")?;
         }
 
         /// Projecting twice equals projecting once (`P² = P`) within 1e-5.
@@ -457,16 +435,14 @@ mod tests {
         assert!(data.iter().all(|&v| v == 0.5));
     }
 
+    /// Keeping every coefficient makes the projection an identity: the
+    /// inverse transform undoes the forward one.
     #[test]
     fn dct_idct_roundtrip() {
-        let img = Tensor::from_vec(
-            (0..64).map(|v| ((v * 31) % 17) as f32 * 0.1).collect(),
-            &[8, 8],
-        )
-        .unwrap();
-        let coeffs = dct2d(&img).unwrap();
-        let back = idct2d(&coeffs).unwrap();
-        for (a, b) in back.data().iter().zip(img.data().iter()) {
+        let img: Vec<f32> = (0..64).map(|v| ((v * 31) % 17) as f32 * 0.1).collect();
+        let mut back = img.clone();
+        low_frequency_project_planes(&mut back, 8, 8, 8).unwrap();
+        for (a, b) in back.iter().zip(&img) {
             assert!((a - b).abs() < 1e-4);
         }
     }

@@ -1,4 +1,4 @@
-//! 1-D and 2-D discrete Fourier transforms.
+//! 1-D and 2-D forward discrete Fourier transforms.
 //!
 //! Power-of-two lengths use an iterative radix-2 Cooley–Tukey FFT; other
 //! lengths fall back to a direct DFT, which is fine for the ≤64-pixel
@@ -6,14 +6,15 @@
 
 use blurnet_tensor::Tensor;
 
-use crate::{Complex32, Result, SignalError};
+use crate::complex::Complex32;
+use crate::{Result, SignalError};
 
 fn is_power_of_two(n: usize) -> bool {
     n != 0 && n & (n - 1) == 0
 }
 
 /// In-place radix-2 FFT for power-of-two lengths.
-fn fft_radix2(buf: &mut [Complex32], inverse: bool) {
+fn fft_radix2(buf: &mut [Complex32]) {
     let n = buf.len();
     if n <= 1 {
         return;
@@ -31,10 +32,9 @@ fn fft_radix2(buf: &mut [Complex32], inverse: bool) {
             buf.swap(i, j);
         }
     }
-    let sign = if inverse { 1.0 } else { -1.0 };
     let mut len = 2;
     while len <= n {
-        let angle = sign * 2.0 * std::f32::consts::PI / len as f32;
+        let angle = -2.0 * std::f32::consts::PI / len as f32;
         let wlen = Complex32::from_angle(angle);
         let mut i = 0;
         while i < n {
@@ -53,14 +53,13 @@ fn fft_radix2(buf: &mut [Complex32], inverse: bool) {
 }
 
 /// Direct O(n²) DFT for arbitrary lengths.
-fn dft_direct(buf: &[Complex32], inverse: bool) -> Vec<Complex32> {
+fn dft_direct(buf: &[Complex32]) -> Vec<Complex32> {
     let n = buf.len();
-    let sign = if inverse { 1.0 } else { -1.0 };
     (0..n)
         .map(|k| {
             let mut acc = Complex32::default();
             for (t, &x) in buf.iter().enumerate() {
-                let angle = sign * 2.0 * std::f32::consts::PI * (k * t) as f32 / n as f32;
+                let angle = -2.0 * std::f32::consts::PI * (k * t) as f32 / n as f32;
                 acc = acc + x * Complex32::from_angle(angle);
             }
             acc
@@ -69,27 +68,14 @@ fn dft_direct(buf: &[Complex32], inverse: bool) -> Vec<Complex32> {
 }
 
 /// 1-D FFT of a complex buffer (not normalized).
-pub fn fft1d(buf: &[Complex32]) -> Vec<Complex32> {
+fn fft1d(buf: &[Complex32]) -> Vec<Complex32> {
     if is_power_of_two(buf.len()) {
         let mut v = buf.to_vec();
-        fft_radix2(&mut v, false);
+        fft_radix2(&mut v);
         v
     } else {
-        dft_direct(buf, false)
+        dft_direct(buf)
     }
-}
-
-/// 1-D inverse FFT of a complex buffer (normalized by `1/n`).
-pub fn ifft1d(buf: &[Complex32]) -> Vec<Complex32> {
-    let n = buf.len().max(1) as f32;
-    let out = if is_power_of_two(buf.len()) {
-        let mut v = buf.to_vec();
-        fft_radix2(&mut v, true);
-        v
-    } else {
-        dft_direct(buf, true)
-    };
-    out.into_iter().map(|z| z * (1.0 / n)).collect()
 }
 
 fn require_2d(t: &Tensor) -> Result<(usize, usize)> {
@@ -107,7 +93,7 @@ fn require_2d(t: &Tensor) -> Result<(usize, usize)> {
 /// # Errors
 ///
 /// Returns [`SignalError::BadShape`] if the input is not rank 2.
-pub fn fft2d(image: &Tensor) -> Result<Vec<Complex32>> {
+fn fft2d(image: &Tensor) -> Result<Vec<Complex32>> {
     let (h, w) = require_2d(image)?;
     let mut grid: Vec<Complex32> = image
         .data()
@@ -133,40 +119,6 @@ pub fn fft2d(image: &Tensor) -> Result<Vec<Complex32>> {
     Ok(grid)
 }
 
-/// 2-D inverse FFT returning the real part as an `[H, W]` tensor.
-///
-/// # Errors
-///
-/// Returns [`SignalError::BadShape`] if `coeffs.len() != h * w`.
-pub fn ifft2d(coeffs: &[Complex32], h: usize, w: usize) -> Result<Tensor> {
-    if coeffs.len() != h * w {
-        return Err(SignalError::BadShape(format!(
-            "expected {} coefficients, got {}",
-            h * w,
-            coeffs.len()
-        )));
-    }
-    let mut grid = coeffs.to_vec();
-    let mut col = vec![Complex32::default(); h];
-    for x in 0..w {
-        for y in 0..h {
-            col[y] = grid[y * w + x];
-        }
-        let out = ifft1d(&col);
-        for y in 0..h {
-            grid[y * w + x] = out[y];
-        }
-    }
-    for y in 0..h {
-        let row = ifft1d(&grid[y * w..(y + 1) * w]);
-        grid[y * w..(y + 1) * w].copy_from_slice(&row);
-    }
-    Ok(Tensor::from_vec(
-        grid.iter().map(|z| z.re).collect(),
-        &[h, w],
-    )?)
-}
-
 /// Magnitude of the 2-D FFT of a real `[H, W]` tensor.
 ///
 /// # Errors
@@ -187,7 +139,7 @@ pub fn fft2d_magnitude(image: &Tensor) -> Result<Tensor> {
 /// # Errors
 ///
 /// Returns [`SignalError::BadShape`] if the input is not rank 2.
-pub fn fftshift2d(spectrum: &Tensor) -> Result<Tensor> {
+pub(crate) fn fftshift2d(spectrum: &Tensor) -> Result<Tensor> {
     let (h, w) = require_2d(spectrum)?;
     let mut out = Tensor::zeros(&[h, w]);
     let (sh, sw) = (h / 2, w / 2);
@@ -231,27 +183,6 @@ mod tests {
         assert!((coeffs[0].abs() - 2.0 * 64.0).abs() < 1e-3);
         for z in &coeffs[1..] {
             assert!(z.abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn fft_ifft_roundtrip_power_of_two() {
-        let img = Tensor::from_vec((0..64).map(|v| (v as f32).sin()).collect(), &[8, 8]).unwrap();
-        let coeffs = fft2d(&img).unwrap();
-        let back = ifft2d(&coeffs, 8, 8).unwrap();
-        for (a, b) in back.data().iter().zip(img.data().iter()) {
-            assert!((a - b).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn fft_ifft_roundtrip_non_power_of_two() {
-        let img =
-            Tensor::from_vec((0..35).map(|v| (v as f32 * 0.3).cos()).collect(), &[5, 7]).unwrap();
-        let coeffs = fft2d(&img).unwrap();
-        let back = ifft2d(&coeffs, 5, 7).unwrap();
-        for (a, b) in back.data().iter().zip(img.data().iter()) {
-            assert!((a - b).abs() < 1e-4);
         }
     }
 
@@ -312,6 +243,5 @@ mod tests {
         let t = Tensor::zeros(&[2, 3, 4]);
         assert!(fft2d(&t).is_err());
         assert!(fftshift2d(&t).is_err());
-        assert!(ifft2d(&[], 2, 2).is_err());
     }
 }

@@ -8,26 +8,27 @@
 use blurnet_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-use crate::{fft2d_magnitude, fftshift2d, Result, SignalError};
+use crate::fft::{fft2d_magnitude, fftshift2d};
+use crate::{Result, SignalError};
 
 /// Energy split of a 2-D spectrum into a low-frequency disc and the
 /// remaining high-frequency band.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BandEnergy {
+struct BandEnergy {
     /// Energy (squared magnitude) within the low-frequency disc.
-    pub low: f32,
+    low: f32,
     /// Energy outside the disc.
-    pub high: f32,
+    high: f32,
 }
 
 impl BandEnergy {
     /// Total spectral energy.
-    pub fn total(&self) -> f32 {
+    fn total(&self) -> f32 {
         self.low + self.high
     }
 
     /// Fraction of the energy in the high band (0 when the map is empty).
-    pub fn high_fraction(&self) -> f32 {
+    fn high_fraction(&self) -> f32 {
         let total = self.total();
         if total > 0.0 {
             self.high / total
@@ -47,7 +48,7 @@ impl BandEnergy {
 ///
 /// Returns [`SignalError::BadShape`] for non-rank-2 inputs and
 /// [`SignalError::BadParameter`] for a radius fraction outside `(0, 1]`.
-pub fn band_energy(map: &Tensor, low_radius_fraction: f32) -> Result<BandEnergy> {
+fn band_energy(map: &Tensor, low_radius_fraction: f32) -> Result<BandEnergy> {
     if !(0.0..=1.0).contains(&low_radius_fraction) || low_radius_fraction == 0.0 {
         return Err(SignalError::BadParameter(format!(
             "low_radius_fraction must lie in (0, 1], got {low_radius_fraction}"
@@ -81,7 +82,8 @@ pub fn band_energy(map: &Tensor, low_radius_fraction: f32) -> Result<BandEnergy>
 ///
 /// # Errors
 ///
-/// See [`band_energy`].
+/// Returns [`SignalError::BadShape`] for non-rank-2 inputs and
+/// [`SignalError::BadParameter`] for a radius fraction outside `(0, 1]`.
 pub fn high_frequency_ratio(map: &Tensor, low_radius_fraction: f32) -> Result<f32> {
     Ok(band_energy(map, low_radius_fraction)?.high_fraction())
 }

@@ -30,7 +30,7 @@ use crate::{Result, SignalError};
 ///
 /// Returns [`SignalError::BadParameter`] if `n == 0`, the window is even,
 /// zero, or larger than `n`.
-pub fn moving_average_matrix(n: usize, window: usize) -> Result<Tensor> {
+fn moving_average_matrix(n: usize, window: usize) -> Result<Tensor> {
     if n == 0 || window == 0 || window.is_multiple_of(2) || window > n {
         return Err(SignalError::BadParameter(format!(
             "moving average needs 0 < odd window <= n, got window {window}, n {n}"
@@ -54,7 +54,7 @@ pub fn moving_average_matrix(n: usize, window: usize) -> Result<Tensor> {
 /// # Errors
 ///
 /// Propagates the validation errors of [`moving_average_matrix`].
-pub fn high_frequency_operator(n: usize, window: usize) -> Result<Tensor> {
+fn high_frequency_operator(n: usize, window: usize) -> Result<Tensor> {
     let avg = moving_average_matrix(n, window)?;
     let mut out = avg.scale(-1.0);
     for i in 0..n {
@@ -69,7 +69,7 @@ pub fn high_frequency_operator(n: usize, window: usize) -> Result<Tensor> {
 /// # Errors
 ///
 /// Returns [`SignalError::BadParameter`] if `n < 2`.
-pub fn difference_matrix(n: usize) -> Result<Tensor> {
+fn difference_matrix(n: usize) -> Result<Tensor> {
     if n < 2 {
         return Err(SignalError::BadParameter(
             "difference matrix needs n >= 2".into(),
@@ -90,7 +90,7 @@ pub fn difference_matrix(n: usize) -> Result<Tensor> {
 ///
 /// Returns [`SignalError::BadShape`] for non-square inputs and
 /// [`SignalError::BadParameter`] if the matrix is (numerically) singular.
-pub fn invert(matrix: &Tensor) -> Result<Tensor> {
+fn invert(matrix: &Tensor) -> Result<Tensor> {
     if matrix.shape().rank() != 2 || matrix.dims()[0] != matrix.dims()[1] {
         return Err(SignalError::BadShape(format!(
             "matrix inverse needs a square rank-2 tensor, got {}",
@@ -155,7 +155,7 @@ pub fn invert(matrix: &Tensor) -> Result<Tensor> {
 ///
 /// Returns an error for non-square inputs or if the damped normal matrix is
 /// singular (which cannot happen for `eps > 0`).
-pub fn ridge_pseudoinverse(matrix: &Tensor, eps: f32) -> Result<Tensor> {
+fn ridge_pseudoinverse(matrix: &Tensor, eps: f32) -> Result<Tensor> {
     if matrix.shape().rank() != 2 || matrix.dims()[0] != matrix.dims()[1] {
         return Err(SignalError::BadShape(format!(
             "pseudoinverse needs a square rank-2 tensor, got {}",
@@ -195,7 +195,7 @@ impl OperatorPenalty {
     ///
     /// Returns [`SignalError::BadShape`] if the operator is not a square
     /// rank-2 tensor.
-    pub fn new(operator: Tensor) -> Result<Self> {
+    pub(crate) fn new(operator: Tensor) -> Result<Self> {
         if operator.shape().rank() != 2 || operator.dims()[0] != operator.dims()[1] {
             return Err(SignalError::BadShape(format!(
                 "operator must be square rank-2, got {}",
@@ -210,7 +210,8 @@ impl OperatorPenalty {
     ///
     /// # Errors
     ///
-    /// Propagates validation errors from [`high_frequency_operator`].
+    /// Returns [`SignalError::BadParameter`] for `n == 0` or a window that
+    /// is zero, even, or larger than `n`.
     pub fn high_frequency(n: usize, window: usize) -> Result<Self> {
         Self::new(high_frequency_operator(n, window)?)
     }
@@ -219,19 +220,14 @@ impl OperatorPenalty {
     ///
     /// # Errors
     ///
-    /// Propagates validation errors from [`difference_matrix`] and
-    /// [`ridge_pseudoinverse`].
+    /// Returns [`SignalError::BadParameter`] if `n < 2`, and an error if
+    /// the damped normal matrix is singular (possible only for `eps <= 0`).
     pub fn pseudo_difference(n: usize, eps: f32) -> Result<Self> {
         Self::new(ridge_pseudoinverse(&difference_matrix(n)?, eps)?)
     }
 
-    /// The operator matrix `L`.
-    pub fn operator(&self) -> &Tensor {
-        &self.operator
-    }
-
     /// Size `n` of the operator (feature maps must have height `n`).
-    pub fn size(&self) -> usize {
+    fn size(&self) -> usize {
         self.operator.dims()[0]
     }
 
@@ -240,7 +236,7 @@ impl OperatorPenalty {
     /// # Errors
     ///
     /// Returns [`SignalError::BadShape`] if the map height does not match.
-    pub fn value(&self, map: &Tensor) -> Result<f32> {
+    fn value(&self, map: &Tensor) -> Result<f32> {
         let lf = self.apply(map)?;
         Ok(lf.data().iter().map(|v| v * v).sum())
     }
@@ -250,7 +246,7 @@ impl OperatorPenalty {
     /// # Errors
     ///
     /// Returns [`SignalError::BadShape`] if the map height does not match.
-    pub fn grad(&self, map: &Tensor) -> Result<Tensor> {
+    fn grad(&self, map: &Tensor) -> Result<Tensor> {
         self.check(map)?;
         Ok(default_backend().matmul(&self.gram, map)?.scale(2.0))
     }
@@ -260,7 +256,7 @@ impl OperatorPenalty {
     /// # Errors
     ///
     /// Returns [`SignalError::BadShape`] if the map height does not match.
-    pub fn apply(&self, map: &Tensor) -> Result<Tensor> {
+    fn apply(&self, map: &Tensor) -> Result<Tensor> {
         self.check(map)?;
         Ok(default_backend().matmul(&self.operator, map)?)
     }

@@ -51,7 +51,7 @@ pub fn total_variation(map: &Tensor) -> Result<f32> {
 /// # Errors
 ///
 /// Returns [`SignalError::BadShape`] if the input is not rank 2.
-pub fn tv_gradient(map: &Tensor) -> Result<Tensor> {
+fn tv_gradient(map: &Tensor) -> Result<Tensor> {
     let (h, w) = require_2d(map)?;
     let d = map.data();
     let mut grad = vec![0.0f32; h * w];

@@ -172,7 +172,7 @@ pub(crate) fn blur_batch(batch: &Tensor, kernel: &Tensor) -> Result<Tensor> {
 
 /// Generic 2-D blur path: depthwise convolution with the full `k × k`
 /// kernel, used for non-separable kernels.
-pub(crate) fn blur_batch_2d(batch: &Tensor, kernel: &Tensor) -> Result<Tensor> {
+fn blur_batch_2d(batch: &Tensor, kernel: &Tensor) -> Result<Tensor> {
     if batch.shape().rank() != 4 {
         return Err(TensorError::RankMismatch {
             expected: 4,

@@ -58,7 +58,7 @@ impl SimdTier {
 
     /// The widest tier the running CPU actually supports, ignoring the
     /// environment override.
-    pub(crate) fn widest_supported() -> SimdTier {
+    fn widest_supported() -> SimdTier {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {

@@ -35,14 +35,14 @@ impl Initializer {
 }
 
 /// Kaiming/He uniform initialization: `U(-b, b)` with `b = sqrt(6 / fan_in)`.
-pub fn kaiming_uniform<R: Rng + ?Sized>(dims: &[usize], fan_in: usize, rng: &mut R) -> Tensor {
+fn kaiming_uniform<R: Rng + ?Sized>(dims: &[usize], fan_in: usize, rng: &mut R) -> Tensor {
     let bound = (6.0 / fan_in.max(1) as f32).sqrt();
     Tensor::rand_uniform(dims, -bound, bound, rng)
 }
 
 /// Xavier/Glorot uniform initialization:
 /// `U(-b, b)` with `b = sqrt(6 / (fan_in + fan_out))`.
-pub fn xavier_uniform<R: Rng + ?Sized>(
+fn xavier_uniform<R: Rng + ?Sized>(
     dims: &[usize],
     fan_in: usize,
     fan_out: usize,

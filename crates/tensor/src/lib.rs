@@ -22,7 +22,7 @@
 
 #![deny(missing_docs)]
 
-pub mod backend;
+mod backend;
 mod conv;
 mod error;
 mod init;
@@ -36,7 +36,7 @@ mod tensor;
 pub use backend::{default_backend, separable_factors, Backend, CpuBackend, SimdTier};
 pub use conv::{Conv2dGrads, ConvSpec, DepthwiseGrads, PackedConvWeights};
 pub use error::TensorError;
-pub use init::{kaiming_uniform, xavier_uniform, Initializer};
+pub use init::Initializer;
 
 /// Seed (pre-optimisation) implementations, kept verbatim so equivalence
 /// tests and `substrate_micro` can pin the fast paths against them. Never
@@ -47,7 +47,6 @@ pub mod reference {
 }
 pub use pool::{MaxPoolOutput, PoolSpec};
 pub use scratch::Scratch;
-pub use shape::Shape;
 pub use tensor::Tensor;
 
 /// Convenient result alias used across the crate.

@@ -144,7 +144,7 @@ pub(crate) trait ARows: Sync {
 }
 
 /// The ordinary materialized `A` operand.
-pub(crate) struct SliceRows<'a> {
+struct SliceRows<'a> {
     a: &'a [f32],
     k: usize,
 }
@@ -455,7 +455,7 @@ pub(crate) fn matmul_transpose_b(
 /// Straightforward reference implementations kept for equivalence tests and
 /// benchmark baselines. These mirror the pre-optimisation seed code (scalar
 /// ikj loop with the zero-skip branch) and must never be used on hot paths.
-pub mod reference {
+pub(crate) mod reference {
     use super::dims2;
     use crate::{Result, Tensor, TensorError};
 

@@ -16,15 +16,11 @@
 //! ```
 //!
 //! The writer always emits contiguous row-major data (our [`Tensor`] is
-//! dense row-major), but the **reader accepts arbitrary positive strides**
-//! and gathers the payload into a contiguous tensor — the same
-//! data + shape + strides triple `kornia-rs` serializes, so records
-//! produced by foreign layouts (transposed views, padded rows) round-trip
-//! into the canonical layout instead of being rejected. Aliasing layouts
-//! — a zero stride, or a logical volume exceeding the payload's element
-//! count — are rejected as [`TensorError::InvalidSpec`], so a small
-//! crafted record can never declare (and force allocation of) a huge
-//! logical tensor.
+//! dense row-major), and the reader accepts only that layout: the strides
+//! must be the row-major strides of `dims` and `len` must equal their
+//! volume. Any other layout — transposed, padded, zero or aliasing strides
+//! — is rejected as [`TensorError::InvalidSpec`], so a small crafted record
+//! can never declare (and force allocation of) a huge logical tensor.
 //!
 //! # File container (`BNPF`, version 1)
 //!
@@ -46,19 +42,19 @@
 
 use std::path::Path;
 
-use crate::{Result, Shape, Tensor, TensorError};
+use crate::{Result, Tensor, TensorError};
 
 /// Magic bytes opening every serialized tensor record.
-pub const TENSOR_MAGIC: [u8; 4] = *b"BNTR";
+const TENSOR_MAGIC: [u8; 4] = *b"BNTR";
 /// Newest tensor-record format version this build reads and writes.
-pub const TENSOR_VERSION: u16 = 1;
+const TENSOR_VERSION: u16 = 1;
 /// Element-type tag for little-endian IEEE-754 `f32`.
-pub const DTYPE_F32: u8 = 1;
+const DTYPE_F32: u8 = 1;
 
 /// Magic bytes opening the checksummed file container.
-pub const FILE_MAGIC: [u8; 4] = *b"BNPF";
+const FILE_MAGIC: [u8; 4] = *b"BNPF";
 /// Newest file-container version this build reads and writes.
-pub const FILE_VERSION: u16 = 1;
+const FILE_VERSION: u16 = 1;
 
 /// FNV-1a over a byte slice — the checksum the file container stores and
 /// the hash persisted cache keys are derived from.
@@ -91,7 +87,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Whether every byte has been consumed.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.remaining() == 0
     }
 
@@ -126,7 +122,7 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     ///
     /// Returns [`TensorError::Truncated`] if fewer than two bytes remain.
-    pub fn u16_le(&mut self) -> Result<u16> {
+    fn u16_le(&mut self) -> Result<u16> {
         let b = self.take(2)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
@@ -136,7 +132,7 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     ///
     /// Returns [`TensorError::Truncated`] if fewer than eight bytes remain.
-    pub fn u64_le(&mut self) -> Result<u64> {
+    fn u64_le(&mut self) -> Result<u64> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes(b.try_into().expect("eight bytes")))
     }
@@ -228,93 +224,14 @@ pub fn write_tensor(buf: &mut Vec<u8>, tensor: &Tensor) {
     }
 }
 
-/// Appends a tensor record with an **explicit** (possibly non-row-major)
-/// stride layout: element `(i₀, …, iₖ)` of the logical tensor lives at
-/// payload position `Σ iⱼ·stridesⱼ`. This is the producer side of the
-/// foreign-layout records [`read_tensor`] gathers; the workspace itself
-/// always writes row-major via [`write_tensor`].
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] when `dims` and `strides`
-/// disagree in length and [`TensorError::Truncated`] when `payload` is too
-/// short to cover the strided extent.
-pub fn write_tensor_strided(
-    buf: &mut Vec<u8>,
-    payload: &[f32],
-    dims: &[usize],
-    strides: &[usize],
-) -> Result<()> {
-    if dims.len() != strides.len() {
-        return Err(TensorError::RankMismatch {
-            expected: dims.len(),
-            actual: strides.len(),
-        });
-    }
-    let needed = strided_extent(dims, strides)?;
-    if payload.len() < needed {
-        return Err(TensorError::Truncated {
-            needed: needed * 4,
-            available: payload.len() * 4,
-        });
-    }
-    buf.extend_from_slice(&TENSOR_MAGIC);
-    buf.extend_from_slice(&TENSOR_VERSION.to_le_bytes());
-    buf.push(DTYPE_F32);
-    buf.push(dims.len() as u8);
-    for &d in dims {
-        put_u64(buf, d as u64);
-    }
-    for &s in strides {
-        put_u64(buf, s as u64);
-    }
-    put_u64(buf, payload.len() as u64);
-    buf.reserve(payload.len() * 4);
-    for v in payload {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    Ok(())
-}
-
-/// Payload elements a `(dims, strides)` layout must provide: zero for an
-/// empty tensor, otherwise one past the largest reachable flat offset.
-/// Zero strides on a non-degenerate dimension are rejected — they alias
-/// every index of that dimension onto one payload element, which lets a
-/// tiny payload declare an arbitrarily large logical volume.
-fn strided_extent(dims: &[usize], strides: &[usize]) -> Result<usize> {
-    if let Some((d, _)) = dims.iter().zip(strides).find(|&(&d, &s)| s == 0 && d > 1) {
-        return Err(TensorError::InvalidSpec(format!(
-            "zero stride for dimension of size {d} (aliasing layout)"
-        )));
-    }
-    if dims.contains(&0) {
-        return Ok(0);
-    }
-    let mut last = 0usize;
-    for (&d, &s) in dims.iter().zip(strides) {
-        let span = (d - 1)
-            .checked_mul(s)
-            .and_then(|v| v.checked_add(last))
-            .ok_or_else(|| {
-                TensorError::InvalidSpec(format!(
-                    "strided extent overflows usize for dims {dims:?} strides {strides:?}"
-                ))
-            })?;
-        last = span;
-    }
-    last.checked_add(1)
-        .ok_or_else(|| TensorError::InvalidSpec("strided extent overflows usize".to_string()))
-}
-
-/// Reads one tensor record from `reader`, gathering any stride layout into
-/// a contiguous row-major [`Tensor`].
+/// Reads one row-major tensor record from `reader`.
 ///
 /// # Errors
 ///
 /// Returns the typed persist errors ([`TensorError::WrongMagic`],
 /// [`TensorError::UnsupportedVersion`], [`TensorError::UnsupportedDtype`],
-/// [`TensorError::Truncated`]) plus [`TensorError::InvalidSpec`] for
-/// layouts whose extents overflow.
+/// [`TensorError::Truncated`]) plus [`TensorError::InvalidSpec`] for a
+/// layout other than the row-major one [`write_tensor`] emits.
 pub fn read_tensor(reader: &mut ByteReader<'_>) -> Result<Tensor> {
     reader.expect_magic(TENSOR_MAGIC)?;
     reader.expect_version(TENSOR_VERSION)?;
@@ -335,54 +252,28 @@ pub fn read_tensor(reader: &mut ByteReader<'_>) -> Result<Tensor> {
     let payload_bytes = reader.take(len.checked_mul(4).ok_or_else(|| {
         TensorError::InvalidSpec(format!("payload length {len} overflows usize"))
     })?)?;
-    let needed = strided_extent(&dims, &strides)?;
-    if len < needed {
-        return Err(TensorError::Truncated {
-            needed: needed * 4,
-            available: len * 4,
-        });
+    let volume = dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d));
+    if volume != Some(len) || row_major_strides(&dims).as_ref() != Some(&strides) {
+        return Err(TensorError::InvalidSpec(format!(
+            "layout dims {dims:?} strides {strides:?} over {len} elements is not row-major"
+        )));
     }
-    // An injective layout reaches at least `volume` distinct payload
-    // positions, so a logical volume beyond the payload's element count
-    // necessarily aliases — reject it before sizing the gather buffer by
-    // it (overflow included: `len` itself is bounded by the input bytes).
-    let volume = dims
-        .iter()
-        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-        .filter(|&v| v <= len)
-        .ok_or_else(|| {
-            TensorError::InvalidSpec(format!(
-                "layout {dims:?} declares more elements than the {len}-element payload holds"
-            ))
-        })?;
-    let shape = Shape::new(&dims);
-    let row_major = shape.strides();
-    let decode = |i: usize| {
-        let b = &payload_bytes[i * 4..i * 4 + 4];
-        f32::from_le_bytes(b.try_into().expect("four bytes"))
-    };
-    let data = if strides == row_major && len == volume {
-        // Contiguous fast path: one straight decode pass.
-        (0..volume).map(decode).collect()
-    } else {
-        // Gather: walk the logical index space in row-major order and pick
-        // each element from its strided payload position.
-        let mut out = Vec::with_capacity(volume);
-        let mut index = vec![0usize; rank];
-        for _ in 0..volume {
-            let offset: usize = index.iter().zip(&strides).map(|(&i, &s)| i * s).sum();
-            out.push(decode(offset));
-            for axis in (0..rank).rev() {
-                index[axis] += 1;
-                if index[axis] < dims[axis] {
-                    break;
-                }
-                index[axis] = 0;
-            }
-        }
-        out
-    };
+    let data = payload_bytes
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes(b.try_into().expect("four bytes")))
+        .collect();
     Tensor::from_vec(data, &dims)
+}
+
+/// The row-major strides of `dims`, or `None` if one overflows. A zero
+/// dimension makes the volume 0 however large the others are, so the
+/// volume check alone does not bound the outer strides.
+fn row_major_strides(dims: &[usize]) -> Option<Vec<usize>> {
+    let mut strides = vec![1usize; dims.len()];
+    for i in (0..dims.len().saturating_sub(1)).rev() {
+        strides[i] = strides[i + 1].checked_mul(dims[i + 1])?;
+    }
+    Some(strides)
 }
 
 /// Serializes one tensor as a standalone record.
@@ -613,17 +504,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn strided_records_gather_into_row_major() {
-        // A transposed 2×3 layout: logical [2, 3] stored column-major.
-        let payload = [1.0f32, 4.0, 2.0, 5.0, 3.0, 6.0];
-        let mut buf = Vec::new();
-        write_tensor_strided(&mut buf, &payload, &[2, 3], &[1, 2]).unwrap();
-        let t = tensor_from_bytes(&buf).unwrap();
-        assert_eq!(t.dims(), &[2, 3]);
-        assert_eq!(t.data(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-    }
-
     /// Encodes a raw record with the given layout fields, bypassing the
     /// writer's validation — the attacker-controlled shape of input.
     fn raw_record(dims: &[u64], strides: &[u64], payload: &[f32]) -> Vec<u8> {
@@ -654,12 +534,6 @@ mod tests {
             tensor_from_bytes(&zero),
             Err(TensorError::InvalidSpec(_))
         ));
-        // The writer refuses to produce such a record in the first place.
-        let mut buf = Vec::new();
-        assert!(matches!(
-            write_tensor_strided(&mut buf, &[1.0], &[4], &[0]),
-            Err(TensorError::InvalidSpec(_))
-        ));
         // Overlapping nonzero strides: dims [3, 3] over a 5-element
         // payload declares 9 logical elements — more than the payload
         // holds, so the layout cannot be injective.
@@ -668,11 +542,24 @@ mod tests {
             tensor_from_bytes(&overlapping),
             Err(TensorError::InvalidSpec(_))
         ));
-        // A degenerate dimension of size 1 may carry stride 0 (it indexes
-        // nothing), as NumPy-style exporters emit.
+        // Even a stride that indexes nothing (a size-1 dimension) must be
+        // the row-major one.
         let degenerate = raw_record(&[1, 3], &[0, 1], &[1.0, 2.0, 3.0]);
+        assert!(matches!(
+            tensor_from_bytes(&degenerate),
+            Err(TensorError::InvalidSpec(_))
+        ));
+        // A zero dimension passes the volume check, but the outer stride
+        // of the other two overflows: refused, not a panic or a wrap.
+        let huge = raw_record(&[0, 1 << 33, 1 << 33], &[0, 1 << 33, 1], &[]);
+        assert!(matches!(
+            tensor_from_bytes(&huge),
+            Err(TensorError::InvalidSpec(_))
+        ));
         assert_eq!(
-            tensor_from_bytes(&degenerate).unwrap().data(),
+            tensor_from_bytes(&raw_record(&[1, 3], &[3, 1], &[1.0, 2.0, 3.0]))
+                .unwrap()
+                .data(),
             &[1.0, 2.0, 3.0]
         );
     }

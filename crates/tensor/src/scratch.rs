@@ -27,7 +27,7 @@ use crate::backend::{default_backend, Backend};
 /// (e.g. a forced-scalar [`crate::CpuBackend`] in cross-dispatch tests).
 #[derive(Debug)]
 pub struct Scratch {
-    pool: Vec<Vec<f32>>,
+    pub(crate) pool: Vec<Vec<f32>>,
     backend: Arc<dyn Backend>,
 }
 
@@ -85,7 +85,7 @@ impl Scratch {
     /// Returns a zero-filled buffer of exactly `len` elements, reusing the
     /// pooled allocation with the smallest sufficient capacity when one
     /// exists.
-    pub fn take(&mut self, len: usize) -> Vec<f32> {
+    pub(crate) fn take(&mut self, len: usize) -> Vec<f32> {
         match self.pop_best(len) {
             Some(mut buf) => {
                 buf.clear();
@@ -106,7 +106,7 @@ impl Scratch {
     /// new tail.
     ///
     /// [`take`]: Scratch::take
-    pub fn take_dirty(&mut self, len: usize) -> Vec<f32> {
+    pub(crate) fn take_dirty(&mut self, len: usize) -> Vec<f32> {
         match self.pop_best(len) {
             Some(mut buf) => {
                 if buf.len() >= len {
@@ -121,7 +121,7 @@ impl Scratch {
     }
 
     /// Returns a buffer to the pool for reuse.
-    pub fn put(&mut self, buf: Vec<f32>) {
+    pub(crate) fn put(&mut self, buf: Vec<f32>) {
         if buf.capacity() == 0 {
             return;
         }
@@ -139,11 +139,6 @@ impl Scratch {
             self.pool.swap_remove(smallest);
         }
         self.pool.push(buf);
-    }
-
-    /// Number of pooled buffers (diagnostics/tests).
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
     }
 
     /// Runs `f` with this thread's shared scratch pool, for kernels whose
@@ -197,14 +192,14 @@ mod tests {
         for i in 0..32 {
             s.put(vec![0.0; 64 + i]);
         }
-        assert!(s.pooled() <= MAX_POOLED);
+        assert!(s.pool.len() <= MAX_POOLED);
     }
 
     #[test]
     fn clone_starts_empty() {
         let mut s = Scratch::new();
         s.put(vec![0.0; 128]);
-        assert_eq!(s.clone().pooled(), 0);
+        assert_eq!(s.clone().pool.len(), 0);
     }
 
     #[test]

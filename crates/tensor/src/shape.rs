@@ -25,7 +25,7 @@ pub struct Shape(Vec<usize>);
 
 impl Shape {
     /// Creates a shape from a slice of dimension extents.
-    pub fn new(dims: &[usize]) -> Self {
+    pub(crate) fn new(dims: &[usize]) -> Self {
         Shape(dims.to_vec())
     }
 
@@ -40,7 +40,7 @@ impl Shape {
     }
 
     /// Total number of elements implied by the shape.
-    pub fn volume(&self) -> usize {
+    pub(crate) fn volume(&self) -> usize {
         self.0.iter().product()
     }
 
@@ -49,12 +49,12 @@ impl Shape {
     /// # Panics
     ///
     /// Panics if `i >= self.rank()`.
-    pub fn dim(&self, i: usize) -> usize {
+    pub(crate) fn dim(&self, i: usize) -> usize {
         self.0[i]
     }
 
     /// Returns the row-major strides for this shape.
-    pub fn strides(&self) -> Vec<usize> {
+    pub(crate) fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1usize; self.0.len()];
         for i in (0..self.0.len().saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.0[i + 1];
@@ -69,7 +69,7 @@ impl Shape {
     /// Returns [`TensorError::RankMismatch`] if the index rank differs from
     /// the shape rank, and [`TensorError::IndexOutOfBounds`] if any index
     /// exceeds its dimension.
-    pub fn flat_index(&self, index: &[usize]) -> Result<usize, TensorError> {
+    pub(crate) fn flat_index(&self, index: &[usize]) -> Result<usize, TensorError> {
         if index.len() != self.0.len() {
             return Err(TensorError::RankMismatch {
                 expected: self.0.len(),
@@ -95,7 +95,7 @@ impl Shape {
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] when they differ.
-    pub fn ensure_same(&self, other: &Shape) -> Result<(), TensorError> {
+    pub(crate) fn ensure_same(&self, other: &Shape) -> Result<(), TensorError> {
         if self != other {
             return Err(TensorError::ShapeMismatch {
                 left: self.0.clone(),

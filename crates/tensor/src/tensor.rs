@@ -1,7 +1,8 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::{Result, Shape, TensorError};
+use crate::shape::Shape;
+use crate::{Result, TensorError};
 
 /// A dense, row-major `f32` tensor.
 ///
@@ -113,7 +114,7 @@ impl Tensor {
     }
 
     /// Consumes the tensor and returns its underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
+    pub(crate) fn into_vec(self) -> Vec<f32> {
         self.data
     }
 
@@ -235,15 +236,6 @@ impl Tensor {
         self.data.iter().sum()
     }
 
-    /// Mean of all elements; zero for an empty tensor.
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
     /// Maximum element.
     ///
     /// # Errors
@@ -272,24 +264,6 @@ impl Tensor {
                 Some(acc.map_or(v, |m| m.min(v)))
             })
             .ok_or(TensorError::EmptyTensor)
-    }
-
-    /// Index of the maximum element (first occurrence).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::EmptyTensor`] for an empty tensor.
-    pub fn argmax(&self) -> Result<usize> {
-        if self.data.is_empty() {
-            return Err(TensorError::EmptyTensor);
-        }
-        let mut best = 0usize;
-        for (i, &v) in self.data.iter().enumerate() {
-            if v > self.data[best] {
-                best = i;
-            }
-        }
-        Ok(best)
     }
 
     /// Euclidean (L2) norm of the flattened tensor.
@@ -512,10 +486,8 @@ mod tests {
     fn reductions() {
         let t = Tensor::from_vec(vec![-1.0, 2.0, -3.0, 4.0], &[2, 2]).unwrap();
         assert_eq!(t.sum(), 2.0);
-        assert_eq!(t.mean(), 0.5);
         assert_eq!(t.max().unwrap(), 4.0);
         assert_eq!(t.min().unwrap(), -3.0);
-        assert_eq!(t.argmax().unwrap(), 3);
         assert_eq!(t.l1_norm(), 10.0);
         assert!((t.l2_norm() - 30.0f32.sqrt()).abs() < 1e-6);
         assert_eq!(t.linf_norm(), 4.0);
@@ -576,7 +548,7 @@ mod tests {
 
         let n = Tensor::rand_normal(&[1001], 0.0, 1.0, &mut r1);
         assert_eq!(n.len(), 1001);
-        assert!(n.mean().abs() < 0.2);
+        assert!((n.sum() / 1001.0).abs() < 0.2);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! exactly.
 
 use blurnet_data::{sticker_mask, StickerLayout};
-use blurnet_defenses::model::TrainingReport;
-use blurnet_defenses::{DefendedModel, DefenseKind, TrainConfig, SMOOTHING_SEED};
+use blurnet_defenses::{DefendedModel, DefenseKind, TrainConfig, TrainingReport, SMOOTHING_SEED};
 use blurnet_nn::{Layer, LisaCnn, Sequential, TapeSlot};
 use blurnet_tensor::{default_backend, ConvSpec, Scratch, Tensor};
 use rand::SeedableRng;
@@ -51,7 +50,7 @@ pub fn tiny_lisa_net(seed: u64) -> Sequential {
 
 /// The builder behind [`tiny_lisa_net`], for tests that also need the
 /// architecture config.
-pub fn tiny_lisa_builder() -> LisaCnn {
+pub(crate) fn tiny_lisa_builder() -> LisaCnn {
     LisaCnn::new(NUM_CLASSES)
         .input_size(TINY_IMAGE_SIZE)
         .conv1_filters(4)

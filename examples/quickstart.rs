@@ -22,8 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 1. Train the undefended baseline and the TV-regularized defense.
-    let baseline = zoo.get_or_train(&DefenseKind::Baseline)?;
-    let defended = zoo.get_or_train(&DefenseKind::TotalVariation { alpha: 1e-4 })?;
+    let baseline = zoo.get_or_train_shared(&DefenseKind::Baseline)?;
+    let defended = zoo.get_or_train_shared(&DefenseKind::TotalVariation { alpha: 1e-4 })?;
     println!(
         "clean test accuracy — baseline: {:.1}%, TV-regularized: {:.1}%",
         baseline.training_report().test_accuracy * 100.0,

@@ -15,7 +15,7 @@ use blurnet_tensor::Tensor;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut zoo = ModelZoo::new(Scale::Smoke, 21)?;
-    let baseline = zoo.get_or_train(&DefenseKind::Baseline)?;
+    let baseline = zoo.get_or_train_shared(&DefenseKind::Baseline)?;
     let stop_sign = zoo.dataset().stop_eval_images()[0].clone();
 
     // The threat model: the attacker may only touch the sign through a

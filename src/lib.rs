@@ -1,16 +1,9 @@
-//! Top-level convenience crate for the BlurNet reproduction workspace.
+//! Top-level package of the BlurNet reproduction workspace.
 //!
-//! This crate exists to host the runnable examples (`examples/`) and the
-//! cross-crate integration tests (`tests/`); the actual functionality lives
-//! in the `blurnet-*` crates re-exported by [`blurnet`].
+//! This package exists to host the runnable examples (`examples/`) and the
+//! cross-crate integration tests (`tests/`); the functionality lives in the
+//! `blurnet-*` crates under `crates/`.
 //!
-//! See `README.md` for the repository layout and `DESIGN.md` for the
-//! mapping from the paper's systems and experiments to modules.
-
-pub use blurnet;
-pub use blurnet_attacks as attacks;
-pub use blurnet_data as data;
-pub use blurnet_defenses as defenses;
-pub use blurnet_nn as nn;
-pub use blurnet_signal as signal;
-pub use blurnet_tensor as tensor;
+//! See `README.md` for the repository layout and `docs/ARCHITECTURE.md`
+//! for the mapping from the paper's systems and experiments to modules and
+//! the substitutions this reproduction makes.

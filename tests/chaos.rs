@@ -20,7 +20,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use blurnet::experiments::grid::{CellKind, CellSpec, ExperimentGrid};
-use blurnet::experiments::table1::Table1Victim;
+use blurnet::experiments::Table1Victim;
 use blurnet::fault::{self, sites, FaultKind, FaultSpec, MARKER};
 use blurnet::queue::{BoundedQueue, PopTimeout};
 use blurnet::{CellStatus, ExperimentScheduler, Scale, ScheduledRun};

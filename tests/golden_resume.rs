@@ -15,8 +15,8 @@
 use std::path::PathBuf;
 
 use blurnet::experiments::grid::ExperimentGrid;
-use blurnet::journal::{read_journal, JOURNAL_FILE};
-use blurnet::{plan_resume, resume_run, CellStatus, ExperimentScheduler, RecoveredJournal, Scale};
+use blurnet::journal::{read_journal, RecoveredJournal, JOURNAL_FILE};
+use blurnet::{plan_resume, resume_run, CellStatus, ExperimentScheduler, Scale};
 
 const SEED: u64 = 7;
 

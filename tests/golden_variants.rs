@@ -53,7 +53,7 @@ fn every_full_grid_variant_roundtrips_bit_identically() {
     let batch = zoo.dataset().test_batch().expect("test batch");
     let mut pins = Vec::with_capacity(roster.len());
     for defense in &roster {
-        let original = zoo.get_or_train(defense).expect("variant trains");
+        let original = zoo.get_or_train_shared(defense).expect("variant trains");
         let bytes = model_to_bytes(&original).expect("variant serializes");
         let restored = model_from_bytes(&bytes).expect("variant deserializes");
         assert_eq!(restored.defense(), original.defense());

@@ -4,13 +4,13 @@
 //! panic, must keep the longest valid prefix under truncation, and must
 //! reject — not misparse — corrupted records.
 
-use blurnet::experiments::table2::Table2Row;
+use blurnet::experiments::Table2Row;
 use blurnet::journal::{
     recover_journal, JournalError, JournalHeader, JOURNAL_MAGIC, JOURNAL_VERSION, KIND_CELL,
     KIND_HEADER,
 };
-use blurnet::report::{CellOutput, CellReport, CellStatus};
-use blurnet::BlurNetError;
+use blurnet::report::CellReport;
+use blurnet::{BlurNetError, CellOutput, CellStatus};
 use blurnet_tensor::persist::frame_record;
 use proptest::prelude::*;
 
