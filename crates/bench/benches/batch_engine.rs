@@ -1,10 +1,11 @@
 //! Benchmarks for the batch-parallel engine ([`blurnet_nn::BatchEngine`]):
 //! thread-count scaling on the acceptance-criteria `[8, 16, 32, 32]` batch
 //! forward, and LisaCnn probes of the inference forward (batch 8) and the
-//! training step (batch 32, the trainer's batch size).
+//! training step (batch 32, the standard trainer's batch size, and batch
+//! 16, the smoke scale's).
 //!
 //! The run writes `BENCH_batch.json` at the
-//! repository root (schema `blurnet-batch-bench/v2`): median ns/iter per
+//! repository root (schema `blurnet-batch-bench/v3`): median ns/iter per
 //! thread count, images/s throughput, the scaling ratios, and the host's
 //! CPU budget — scaling ratios are only meaningful when `host_cpus`
 //! provides real parallelism (CI containers pinned to one core report ~1×
@@ -20,7 +21,7 @@ use blurnet_nn::{
     MaxPool2d, Relu, Sequential, ShardGrad,
 };
 use blurnet_signal::box_kernel;
-use blurnet_tensor::{ConvSpec, Scratch, Tensor};
+use blurnet_tensor::{ConvSpec, Tensor};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Value;
@@ -64,15 +65,10 @@ fn feature_stage_net(rng: &mut ChaCha8Rng) -> Sequential {
 }
 
 /// One cross-entropy training step (forward, loss, parameter gradients)
-/// through `engine`, drawing workspace from `scratch` like the trainer.
-fn train_step(
-    engine: &BatchEngine<'_>,
-    batch: &Tensor,
-    labels: &[usize],
-    scratch: &mut Scratch,
-) -> f32 {
+/// through `engine`, like the trainer's.
+fn train_step(engine: &BatchEngine<'_>, batch: &Tensor, labels: &[usize]) -> f32 {
     let (loss, _) = engine
-        .train_step(batch, None, scratch, |logits, _| {
+        .train_step(batch, None, |logits, _| {
             let (loss, d_logits) = softmax_cross_entropy(logits, labels)?;
             Ok(ShardGrad {
                 d_logits,
@@ -84,10 +80,10 @@ fn train_step(
     loss
 }
 
-/// The LisaCnn training-step workload: batch 32 with cycling labels.
-fn lisa_train_batch(rng: &mut ChaCha8Rng) -> (Tensor, Vec<usize>) {
-    let batch = Tensor::rand_uniform(&[32, 3, 32, 32], 0.0, 1.0, rng);
-    (batch, (0..32).map(|i| i % 18).collect())
+/// A LisaCnn training-step workload: `n` images with cycling labels.
+fn lisa_train_batch(n: usize, rng: &mut ChaCha8Rng) -> (Tensor, Vec<usize>) {
+    let batch = Tensor::rand_uniform(&[n, 3, 32, 32], 0.0, 1.0, rng);
+    (batch, (0..n).map(|i| i % 18).collect())
 }
 
 struct Record {
@@ -118,7 +114,7 @@ impl Record {
         let mut root = vec![
             (
                 "schema".to_string(),
-                Value::Str("blurnet-batch-bench/v2".to_string()),
+                Value::Str("blurnet-batch-bench/v3".to_string()),
             ),
             (
                 "rayon_threads".to_string(),
@@ -184,8 +180,8 @@ fn write_batch_json() {
     }
 
     // LisaCnn end-to-end probes: the batch-8 inference forward and the
-    // batch-32 training step (one whole-batch shard; threads only reach
-    // the kernels' intra-op parallelism).
+    // training step at batch 32 and 16 (fixed `TRAIN_SHARD_ROWS` shards
+    // across the rayon workers).
     let lisa = LisaCnn::new(18).build(&mut rng).expect("default LisaCnn");
     let lisa_batch = Tensor::rand_uniform(&[8, 3, 32, 32], 0.0, 1.0, &mut rng);
     let lisa_engine = lisa.batch_engine().expect("non-empty network");
@@ -193,13 +189,18 @@ fn write_batch_json() {
         let ns = with_threads(threads, || lisa_engine.forward(&lisa_batch).unwrap());
         record.push_ns(&format!("lisacnn_forward_batch8_engine_t{threads}"), ns);
     }
-    let (train_batch, labels) = lisa_train_batch(&mut rng);
-    for &threads in &THREAD_COUNTS {
-        let mut scratch = Scratch::new();
-        let ns = with_threads(threads, || {
-            train_step(&lisa_engine, &train_batch, &labels, &mut scratch)
-        });
-        record.push_ns(&format!("lisacnn_train_step_batch32_t{threads}"), ns);
+    for n in [32usize, 16] {
+        let (train_batch, labels) = lisa_train_batch(n, &mut rng);
+        let mut ns_at = Vec::new();
+        for &threads in &THREAD_COUNTS {
+            let ns = with_threads(threads, || train_step(&lisa_engine, &train_batch, &labels));
+            record.push_ns(&format!("lisacnn_train_step_batch{n}_t{threads}"), ns);
+            ns_at.push(ns);
+        }
+        record.push_ratio(
+            &format!("train_step_batch{n}_scaling_2t_vs_1t"),
+            ns_at[0] / ns_at[1],
+        );
     }
 
     // crates/bench/ -> workspace root.

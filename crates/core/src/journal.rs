@@ -49,7 +49,7 @@
 
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use blurnet_tensor::persist::{frame_record, read_record, write_bytes_atomic};
 use serde::{Deserialize, Serialize};
@@ -197,14 +197,6 @@ impl JournalWriter {
     /// the run does not.
     pub fn append_cell(&self, cell: &CellReport) {
         use std::io::Write;
-        // Fault site `core.journal.append`: Error kind models a failed
-        // append (the journal must retire, the run must survive); Abort
-        // kind at hit n is the kill-after-(n−1)-cells point.
-        #[cfg(feature = "fault-injection")]
-        let injected_failure = crate::fault::fire(crate::fault::sites::JOURNAL_APPEND);
-        #[cfg(not(feature = "fault-injection"))]
-        let injected_failure = false;
-
         let record = match encode_record(KIND_CELL, cell) {
             Ok(record) => record,
             Err(e) => {
@@ -213,26 +205,39 @@ impl JournalWriter {
             }
         };
 
-        // Fault site `core.journal.torn`: write a torn prefix of the
-        // record, push it to disk, and die — a genuine kill-mid-append.
-        // Subprocess harness only (this aborts the whole process).
-        #[cfg(feature = "fault-injection")]
-        if crate::fault::fire(crate::fault::sites::JOURNAL_TORN) {
-            let mut guard = self.file.lock().expect("journal writer poisoned");
-            if let Some(file) = guard.as_mut() {
-                let _ = file.write_all(&record[..record.len() / 2]);
-                let _ = file.sync_data();
-            }
-            eprintln!(
-                "{}: torn append + abort at {}",
-                crate::fault::MARKER,
-                crate::fault::sites::JOURNAL_TORN
-            );
-            std::process::abort();
-        }
-
         let outcome = {
-            let mut guard = self.file.lock().expect("journal writer poisoned");
+            // A panic fault below fires under this lock; it leaves the
+            // handle untouched, so a poisoned lock is still sound to use.
+            let mut guard = self.file.lock().unwrap_or_else(PoisonError::into_inner);
+            // The fault sites are evaluated under the file lock, so hit
+            // order is append order and an abort stops every other
+            // worker's append: abort at hit n leaves exactly n−1 cells.
+            //
+            // Fault site `core.journal.append`: Error kind models a failed
+            // append (the journal must retire, the run must survive); Abort
+            // kind at hit n is the kill-after-(n−1)-cells point.
+            #[cfg(feature = "fault-injection")]
+            let injected_failure = crate::fault::fire(crate::fault::sites::JOURNAL_APPEND);
+            #[cfg(not(feature = "fault-injection"))]
+            let injected_failure = false;
+
+            // Fault site `core.journal.torn`: write a torn prefix of the
+            // record, push it to disk, and die — a genuine kill-mid-append.
+            // Subprocess harness only (this aborts the whole process).
+            #[cfg(feature = "fault-injection")]
+            if crate::fault::fire(crate::fault::sites::JOURNAL_TORN) {
+                if let Some(file) = guard.as_mut() {
+                    let _ = file.write_all(&record[..record.len() / 2]);
+                    let _ = file.sync_data();
+                }
+                eprintln!(
+                    "{}: torn append + abort at {}",
+                    crate::fault::MARKER,
+                    crate::fault::sites::JOURNAL_TORN
+                );
+                std::process::abort();
+            }
+
             match guard.as_mut() {
                 None => return, // already retired
                 Some(_) if injected_failure => {
@@ -241,6 +246,7 @@ impl JournalWriter {
                 Some(file) => file.write_all(&record).and_then(|()| file.sync_data()),
             }
         };
+        // The guard is released above: `retire` takes the lock itself.
         if let Err(e) = outcome {
             self.retire(&e.to_string());
         }
@@ -251,7 +257,7 @@ impl JournalWriter {
     /// record), so the run stops journaling and a later `--resume` finds
     /// no journal and refuses, rather than trusting a damaged record.
     fn retire(&self, cause: &str) {
-        let mut guard = self.file.lock().expect("journal writer poisoned");
+        let mut guard = self.file.lock().unwrap_or_else(PoisonError::into_inner);
         if guard.take().is_some() {
             let _ = std::fs::remove_file(&self.path);
             eprintln!(

@@ -3,8 +3,10 @@
 //!
 //! # Cache key
 //!
-//! A variant's identity is the tuple **(architecture, defense config,
-//! trainer config, dataset seed, dims)** — `TrainConfig` carries the
+//! A variant's identity is the tuple **(trainer revision, architecture,
+//! defense config, trainer config, dataset seed, dims)** — the revision
+//! marks the training arithmetic that produced the weights
+//! ([`TRAINER_REVISION`]), `TrainConfig` carries the
 //! optimizer seed, the dataset seed pins the generated training set (two
 //! runs with different `--seed`s train different weights), and
 //! [`build_architecture`] derives the architecture deterministically from
@@ -51,6 +53,16 @@ const ENTRY_MAGIC: [u8; 4] = *b"BNCE";
 /// Newest cache-entry format version this build reads and writes.
 const ENTRY_VERSION: u16 = 1;
 
+/// Revision of the training arithmetic, part of every cache key. Bump it
+/// whenever training bits change (a new reduction order, a kernel that
+/// rounds differently): a cache directory filled by an older build then
+/// misses instead of serving weights this build would not train.
+///
+/// Revision 1: training steps shard the batch into fixed
+/// `blurnet_nn::TRAIN_SHARD_ROWS` blocks and sum their gradients in block
+/// order. Keys without a revision came from whole-batch training steps.
+const TRAINER_REVISION: u32 = 1;
+
 /// The serialized form of a cache key; hashing its JSON gives the file
 /// name, and the JSON itself is embedded in the entry so a load can
 /// verify it got the identity it asked for. Field order is fixed by this
@@ -58,6 +70,7 @@ const ENTRY_VERSION: u16 = 1;
 /// derive does not handle lifetime-generic types.)
 #[derive(Serialize)]
 struct KeyRecord {
+    trainer_revision: u32,
     defense: DefenseKind,
     train: TrainConfig,
     dataset_seed: u64,
@@ -90,6 +103,29 @@ impl DiskVariantCache {
         Ok(DiskVariantCache { dir })
     }
 
+    /// The key record for a variant identity.
+    fn key_record(
+        defense: &DefenseKind,
+        train: &TrainConfig,
+        image_size: usize,
+        num_classes: usize,
+        dataset_seed: u64,
+    ) -> Result<KeyRecord> {
+        // The architecture is deterministic in (defense, dims, seed), so
+        // deriving it here keeps it part of the key without the caller
+        // having trained anything.
+        let (_, arch) = build_architecture(defense, image_size, num_classes, train.seed)?;
+        Ok(KeyRecord {
+            trainer_revision: TRAINER_REVISION,
+            defense: defense.clone(),
+            train: *train,
+            dataset_seed,
+            image_size,
+            num_classes,
+            arch,
+        })
+    }
+
     /// The canonical key JSON for a variant identity.
     fn key_json(
         defense: &DefenseKind,
@@ -98,20 +134,8 @@ impl DiskVariantCache {
         num_classes: usize,
         dataset_seed: u64,
     ) -> Result<Vec<u8>> {
-        // The architecture is deterministic in (defense, dims, seed), so
-        // deriving it here keeps it part of the key without the caller
-        // having trained anything.
-        let (_, arch) = build_architecture(defense, image_size, num_classes, train.seed)?;
-        let record = KeyRecord {
-            defense: defense.clone(),
-            train: *train,
-            dataset_seed,
-            image_size,
-            num_classes,
-            arch,
-        };
-        serde_json::to_vec(&record)
-            .map_err(|e| DefenseError::BadConfig(format!("encoding cache key: {e}")))
+        let record = Self::key_record(defense, train, image_size, num_classes, dataset_seed)?;
+        encode_key(&record)
     }
 
     /// The file name a key hashes to.
@@ -182,6 +206,12 @@ impl DiskVariantCache {
         write_file_atomic(&path, &payload).map_err(DefenseError::Tensor)?;
         Ok(path)
     }
+}
+
+/// Encodes a key record as its canonical JSON.
+fn encode_key<K: Serialize>(record: &K) -> Result<Vec<u8>> {
+    serde_json::to_vec(record)
+        .map_err(|e| DefenseError::BadConfig(format!("encoding cache key: {e}")))
 }
 
 /// Serializes a cache entry: the canonical key JSON followed by the
@@ -350,6 +380,61 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
+        std::fs::remove_dir_all(&cache.dir).unwrap();
+    }
+
+    #[test]
+    fn entries_of_an_older_trainer_revision_miss_without_error() {
+        let cache = temp_cache("revision");
+        let train = TrainConfig::tiny();
+        let defense = DefenseKind::Baseline;
+        let model = tiny_model(defense.clone(), &train);
+        let current = DiskVariantCache::key_record(&defense, &train, 16, 18, SEED).unwrap();
+        // The key an older build wrote: the previous revision, and the
+        // layout from before keys carried one.
+        #[derive(Serialize)]
+        struct UnrevisionedKey {
+            defense: DefenseKind,
+            train: TrainConfig,
+            dataset_seed: u64,
+            image_size: usize,
+            num_classes: usize,
+            arch: LisaCnnConfig,
+        }
+        let unrevisioned = UnrevisionedKey {
+            defense: current.defense.clone(),
+            train: current.train,
+            dataset_seed: current.dataset_seed,
+            image_size: current.image_size,
+            num_classes: current.num_classes,
+            arch: current.arch.clone(),
+        };
+        let previous = KeyRecord {
+            trainer_revision: TRAINER_REVISION - 1,
+            ..current
+        };
+        for old_key in [
+            encode_key(&previous).unwrap(),
+            encode_key(&unrevisioned).unwrap(),
+        ] {
+            let path = cache.entry_path(&defense, &old_key);
+            write_file_atomic(&path, &entry_to_bytes(&old_key, &model).unwrap()).unwrap();
+        }
+        assert_eq!(std::fs::read_dir(&cache.dir).unwrap().count(), 2);
+        assert!(
+            cache
+                .load(&defense, &train, 16, 18, SEED)
+                .unwrap()
+                .is_none(),
+            "an older revision's weights must not be served"
+        );
+        // Storing under the current revision adds a third entry, which hits.
+        cache.store(&model, &train, 16, 18, SEED).unwrap();
+        assert_eq!(std::fs::read_dir(&cache.dir).unwrap().count(), 3);
+        assert!(cache
+            .load(&defense, &train, 16, 18, SEED)
+            .unwrap()
+            .is_some());
         std::fs::remove_dir_all(&cache.dir).unwrap();
     }
 

@@ -42,11 +42,15 @@
 //! * workers write disjoint output ranges, so there are no accumulation
 //!   races.
 //!
-//! A training step runs **one shard holding the whole batch**, so its
-//! batch reductions (weight and bias gradients) keep one fixed order too.
-//! `RAYON_NUM_THREADS=1` (or a 1-thread `rayon` pool) therefore reproduces
-//! the parallel results exactly; the property tests in
-//! `tests/forward_batch.rs` and `tests/input_grad_batch.rs` pin this.
+//! A training step shards the batch into fixed blocks of
+//! [`TRAIN_SHARD_ROWS`] images (the last block may be shorter). Each
+//! block's weight and bias gradients reduce over its own rows in one fixed
+//! order, and the per-block sums are added in block order, so the batch
+//! reductions keep one fixed order too: the block size is a constant,
+//! never derived from the thread count. `RAYON_NUM_THREADS=1` (or a
+//! 1-thread `rayon` pool) therefore reproduces the parallel results
+//! exactly; the property tests in `tests/forward_batch.rs`,
+//! `tests/input_grad_batch.rs` and `tests/train_step.rs` pin this.
 //!
 //! # Sharing an engine across workers
 //!
@@ -67,6 +71,13 @@ use blurnet_tensor::{default_backend, Backend, PackedConvWeights, Scratch, Tenso
 use rayon::prelude::*;
 
 use crate::{loss, Conv2d, Dense, Layer, LayerKind, NnError, Result, Sequential, TapeSlot};
+
+/// Rows per shard of a training step ([`BatchEngine::train_step`]). A
+/// constant, never derived from the thread count, so trained weights are
+/// bit-identical at every `RAYON_NUM_THREADS` and scheduler worker count.
+/// Four measured fastest of 1, 4 and 8 on the smoke grid's training runs
+/// (`BENCH_grid.json` `train_shard_rows`).
+pub const TRAIN_SHARD_ROWS: usize = 4;
 
 /// One layer of a prepared inference plan: convolutions and dense layers
 /// carry their pre-packed weights, everything else runs its plain
@@ -115,7 +126,7 @@ pub struct Gradients {
     pub params: Vec<Tensor>,
 }
 
-/// A recorded forward pass over one whole-batch shard: every layer's tape
+/// A recorded forward pass over one training shard: every layer's tape
 /// slot and owned output. The outputs double as the parameter-gradient
 /// step's forward inputs (layer `i` reads `outputs[i - 1]`).
 #[derive(Debug, Clone)]
@@ -446,6 +457,7 @@ impl<'n> BatchEngine<'n> {
         self.check_gradient_call(input, feature_layer)?;
         let results = self.run_sharded(
             input,
+            1,
             || (Scratch::with_backend(self.backend()), Vec::new()),
             |state, start, shard| {
                 let (scratch, tapes) = state;
@@ -459,56 +471,102 @@ impl<'n> BatchEngine<'n> {
         })
     }
 
-    /// One training step's gradients: a recorded forward pass over **one
-    /// shard holding the whole batch**, the caller's loss closure, and a
-    /// backward pass that runs every layer's [`Layer::param_grad`] step.
+    /// One training step's gradients: a recorded forward pass, the
+    /// caller's loss closure, and a backward pass that runs every layer's
+    /// [`Layer::param_grad`] step.
     ///
-    /// `grad_fn(logits, feature)` receives the batch logits and (when
-    /// `feature_layer` is `Some(i)`) the activation after layer `i`, and
-    /// returns the loss gradient, an optional gradient to inject at that
-    /// activation (the Eq. 4, 6–7 feature-map penalties) and the loss
-    /// value, which is returned alongside the gradients.
+    /// The batch is split into shards of [`TRAIN_SHARD_ROWS`] images (the
+    /// last one may be shorter) that run on rayon workers in two phases:
     ///
-    /// One shard keeps every batch reduction in one fixed order, so the
-    /// gradients are bit-identical at every thread count. They come back
-    /// in [`Sequential::params_mut`] order, ready for [`crate::Adam::step`].
+    /// 1. every shard's recorded forward;
+    /// 2. every shard's backward, fed its rows of the loss gradient and of
+    ///    the injection.
     ///
-    /// Every workspace buffer comes from `scratch`, which should be bound
-    /// to this engine's backend ([`BatchEngine::backend`]). A training loop
-    /// keeps one pool across steps: the convolution workspaces are then
-    /// reused instead of being freshly allocated and page-faulted in every
-    /// step.
+    /// Between them, `grad_fn(logits, feature)` runs **once on the whole
+    /// batch**: it receives the concatenated shard logits and (when
+    /// `feature_layer` is `Some(i)`) the concatenated activation after
+    /// layer `i`, and returns the loss gradient, an optional gradient to
+    /// inject at that activation (the Eq. 4, 6–7 feature-map penalties)
+    /// and the loss value, which is returned alongside the gradients.
+    ///
+    /// The input gradients are concatenated and the per-shard parameter
+    /// gradients summed in shard order. The shard size is a constant, so
+    /// the gradients are bit-identical at every thread count. They come
+    /// back in [`Sequential::params_mut`] order, ready for
+    /// [`crate::Adam::step`].
     ///
     /// # Errors
     ///
     /// Returns an error for an empty batch, an out-of-range
     /// `feature_layer`, a shape the first layer rejects, a wrong-shaped
-    /// loss gradient, or any `grad_fn` failure.
+    /// loss gradient or injection, or any `grad_fn` failure.
     pub fn train_step<F>(
         &self,
         input: &Tensor,
         feature_layer: Option<usize>,
-        scratch: &mut Scratch,
         grad_fn: F,
     ) -> Result<(f32, Gradients)>
     where
         F: FnOnce(&Tensor, Option<&Tensor>) -> Result<ShardGrad>,
     {
         self.check_gradient_call(input, feature_layer)?;
-        let recording = self.record(input, scratch)?;
-        let feature = feature_layer.map(|idx| &recording.outputs[idx]);
+        let recordings = self.run_sharded(
+            input,
+            TRAIN_SHARD_ROWS,
+            || Scratch::with_backend(self.backend()),
+            |scratch, _start, shard| self.record(shard, scratch),
+        )?;
+        let concat = |layer: usize| {
+            let parts: Vec<Tensor> = recordings
+                .iter()
+                .map(|r| r.outputs[layer].clone())
+                .collect();
+            Tensor::concat_batch(&parts)
+        };
+        let logits = concat(self.layers.len() - 1)?;
+        let feature = feature_layer.map(concat).transpose()?;
         let ShardGrad {
             d_logits,
             injection,
             loss,
-        } = grad_fn(recording.logits(), feature)?;
-        let injection = feature_layer.zip(injection.as_ref());
-        let grads = recording.backward(self.net, input, d_logits, injection, scratch)?;
-        Ok((loss, grads))
+        } = grad_fn(&logits, feature.as_ref())?;
+        check_logit_grad(&d_logits, &logits)?;
+        let injection = feature_layer.zip(injection);
+        let shard_grads = self.run_sharded(
+            input,
+            TRAIN_SHARD_ROWS,
+            || Scratch::with_backend(self.backend()),
+            |scratch, start, shard| {
+                let rows = shard.dims()[0];
+                let d_logits = d_logits.batch_slice(start, rows)?;
+                let injection = match &injection {
+                    Some((idx, extra)) => Some((*idx, extra.batch_slice(start, rows)?)),
+                    None => None,
+                };
+                recordings[start / TRAIN_SHARD_ROWS].backward(
+                    self.net,
+                    shard,
+                    d_logits,
+                    injection.as_ref().map(|(idx, extra)| (*idx, extra)),
+                    scratch,
+                )
+            },
+        )?;
+        let mut shard_grads = shard_grads.into_iter();
+        let first = shard_grads.next().expect("a non-empty batch has a shard");
+        let (mut inputs, mut params) = (vec![first.input], first.params);
+        for grads in shard_grads {
+            for (total, part) in params.iter_mut().zip(&grads.params) {
+                total.add_scaled(part, 1.0)?;
+            }
+            inputs.push(grads.input);
+        }
+        let input = Tensor::concat_batch(&inputs)?;
+        Ok((loss, Gradients { input, params }))
     }
 
-    /// The recorded forward of [`BatchEngine::train_step`]: one
-    /// whole-batch shard, every layer output kept.
+    /// The recorded forward of one training shard, every layer output
+    /// kept. [`Sequential::forward`] records a whole batch through it.
     pub(crate) fn record(&self, input: &Tensor, scratch: &mut Scratch) -> Result<Recording> {
         self.check_gradient_call(input, None)?;
         let mut tapes = vec![TapeSlot::default(); self.layers.len()];
@@ -541,22 +599,25 @@ impl<'n> BatchEngine<'n> {
         Ok(())
     }
 
-    /// The one shard scheduler behind [`BatchEngine::forward`] and
-    /// [`BatchEngine::forward_backward_with`]: runs `run_shard` over every
-    /// shard of `input`, sequentially on a single worker state when the
-    /// thread budget is one (or there is only one shard), otherwise in
-    /// contiguous shard groups across rayon workers — each worker owns one
-    /// `make_state()` for its whole group and pins nested (intra-op)
-    /// parallelism to one thread, so the thread budget is spent on the
-    /// batch dimension exactly once.
+    /// The one shard scheduler behind every batched entry point: runs
+    /// `run_shard(state, start, shard)` over consecutive shards of `rows`
+    /// images (the last one may be shorter), sequentially on a single
+    /// worker state when the thread budget is one (or there is only one
+    /// shard), otherwise in contiguous shard groups across rayon workers —
+    /// each worker owns one `make_state()` for its whole group and pins
+    /// nested (intra-op) parallelism to one thread, so the thread budget is
+    /// spent on the batch dimension exactly once. Results come back in
+    /// shard order.
     ///
-    /// Every shard is one image — whatever the thread count — which is
-    /// what makes every engine result bit-identical at any
-    /// `RAYON_NUM_THREADS`. Both entry points share this scheduler, so
-    /// their partitioning can never drift apart.
+    /// Inference and input gradients run one image per shard
+    /// (`rows == 1`), training [`TRAIN_SHARD_ROWS`]. The shard boundaries
+    /// depend only on `rows` and the batch size, never on the thread
+    /// count, which is what makes every engine result bit-identical at
+    /// any `RAYON_NUM_THREADS`.
     fn run_sharded<T, S, MkS, F>(
         &self,
         input: &Tensor,
+        rows: usize,
         make_state: MkS,
         run_shard: F,
     ) -> Result<Vec<T>>
@@ -566,18 +627,19 @@ impl<'n> BatchEngine<'n> {
         F: Fn(&mut S, usize, &Tensor) -> Result<T> + Sync,
     {
         let n = input.dims()[0];
+        let shards = n.div_ceil(rows);
+        let run_at = |state: &mut S, index: usize| {
+            let start = index * rows;
+            let shard = input.batch_slice(start, rows.min(n - start))?;
+            run_shard(state, start, &shard)
+        };
         let threads = rayon::current_num_threads();
-        if threads <= 1 || n == 1 {
+        if threads <= 1 || shards == 1 {
             let mut state = make_state();
-            let mut out = Vec::with_capacity(n);
-            for start in 0..n {
-                let shard = input.batch_slice(start, 1)?;
-                out.push(run_shard(&mut state, start, &shard)?);
-            }
-            return Ok(out);
+            return (0..shards).map(|index| run_at(&mut state, index)).collect();
         }
-        let group = n.div_ceil(threads);
-        let mut slots: Vec<Option<Result<T>>> = (0..n).map(|_| None).collect();
+        let group = shards.div_ceil(threads);
+        let mut slots: Vec<Option<Result<T>>> = (0..shards).map(|_| None).collect();
         slots
             .par_chunks_mut(group)
             .enumerate()
@@ -585,16 +647,11 @@ impl<'n> BatchEngine<'n> {
                 let inner = rayon::ThreadPoolBuilder::new().num_threads(1).build();
                 let mut state = make_state();
                 for (j, slot) in slots_group.iter_mut().enumerate() {
-                    let start = g * group + j;
-                    let result =
-                        input
-                            .batch_slice(start, 1)
-                            .map_err(NnError::from)
-                            .and_then(|shard| match &inner {
-                                Ok(pool) => pool.install(|| run_shard(&mut state, start, &shard)),
-                                Err(_) => run_shard(&mut state, start, &shard),
-                            });
-                    *slot = Some(result);
+                    let index = g * group + j;
+                    *slot = Some(match &inner {
+                        Ok(pool) => pool.install(|| run_at(&mut state, index)),
+                        Err(_) => run_at(&mut state, index),
+                    });
                 }
             });
         slots
@@ -687,6 +744,7 @@ impl<'n> BatchEngine<'n> {
         }
         let parts = self.run_sharded(
             input,
+            1,
             || Scratch::with_backend(self.backend()),
             |scratch, _start, shard| self.infer_shard(shard, depth, scratch),
         )?;
@@ -854,12 +912,7 @@ mod tests {
             })
         };
         assert!(engine
-            .train_step(
-                &Tensor::zeros(&[0, 3, 16, 16]),
-                None,
-                &mut Scratch::new(),
-                no_loss
-            )
+            .train_step(&Tensor::zeros(&[0, 3, 16, 16]), None, no_loss)
             .is_err());
     }
 
@@ -932,19 +985,14 @@ mod tests {
         // Reference: the training step's backward, a fold of every layer's
         // parameter-gradient step, with the same injection.
         let (loss, reference) = engine
-            .train_step(
-                &image,
-                Some(feature_layer),
-                &mut Scratch::new(),
-                |logits, feature| {
-                    assert_eq!(feature.expect("feature collected"), &expected_feature);
-                    Ok(ShardGrad {
-                        d_logits: Tensor::zeros(logits.dims()),
-                        injection: Some(injection.clone()),
-                        loss: 0.25,
-                    })
-                },
-            )
+            .train_step(&image, Some(feature_layer), |logits, feature| {
+                assert_eq!(feature.expect("feature collected"), &expected_feature);
+                Ok(ShardGrad {
+                    d_logits: Tensor::zeros(logits.dims()),
+                    injection: Some(injection.clone()),
+                    loss: 0.25,
+                })
+            })
             .unwrap();
         assert_eq!(loss, 0.25);
         let shapes: Vec<_> = net

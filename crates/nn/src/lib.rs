@@ -67,7 +67,7 @@ pub use activation::Relu;
 pub use conv::Conv2d;
 pub use dense::Dense;
 pub use depthwise::DepthwiseConv2d;
-pub use engine::{BatchEngine, GradBatch, Gradients, ShardGrad};
+pub use engine::{BatchEngine, GradBatch, Gradients, ShardGrad, TRAIN_SHARD_ROWS};
 pub use error::NnError;
 pub use flatten::Flatten;
 pub use layer::{Layer, LayerKind, TapeSlot};

@@ -84,9 +84,9 @@ impl Sequential {
     }
 
     /// Runs the network on a batch through the engine. With `train` the
-    /// pass is recorded (input plus engine recording) for a following
-    /// [`Sequential::backward`]; without it any earlier recording is
-    /// dropped.
+    /// pass is recorded (input plus one engine recording of the whole
+    /// batch) for a following [`Sequential::backward`]; without it any
+    /// earlier recording is dropped.
     ///
     /// This pair exists for the `blurbench` `nn.param_grad_ms` probe, which
     /// times a training forward/backward through this `&mut` interface;
@@ -119,6 +119,10 @@ impl Sequential {
     /// this network's weights, with no engine built. Returns the input
     /// gradient and every parameter gradient; nothing is accumulated in
     /// the network. See [`Sequential::forward`] for why this pair exists.
+    ///
+    /// The pass is one shard holding the whole batch, so above
+    /// [`crate::TRAIN_SHARD_ROWS`] images its parameter gradients differ
+    /// from `train_step`'s block sums by rounding only.
     ///
     /// # Errors
     ///
@@ -209,7 +213,7 @@ mod tests {
     ) -> Result<Gradients> {
         let engine = net.batch_engine()?;
         let feature_layer = injection.as_ref().map(|(i, _)| *i);
-        let (_, grads) = engine.train_step(x, feature_layer, &mut Scratch::new(), |_, _| {
+        let (_, grads) = engine.train_step(x, feature_layer, |_, _| {
             Ok(ShardGrad {
                 d_logits,
                 injection: injection.map(|(_, g)| g),
@@ -356,14 +360,13 @@ mod tests {
         }
         let labels = [0usize, 1usize];
         let mut adam = Adam::new(0.01).unwrap();
-        let mut scratch = Scratch::new();
         let mut first_loss = None;
         let mut last_loss = 0.0;
         for _ in 0..60 {
             let (loss, grads) = net
                 .batch_engine()
                 .unwrap()
-                .train_step(&x, None, &mut scratch, |logits, _| {
+                .train_step(&x, None, |logits, _| {
                     let (loss, d_logits) = softmax_cross_entropy(logits, &labels)?;
                     Ok(ShardGrad {
                         d_logits,

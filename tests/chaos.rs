@@ -22,7 +22,9 @@ use std::time::Duration;
 use blurnet::experiments::grid::{CellKind, CellSpec, ExperimentGrid};
 use blurnet::experiments::Table1Victim;
 use blurnet::fault::{self, sites, FaultKind, FaultSpec, MARKER};
+use blurnet::journal::{read_journal, JournalHeader, JournalWriter};
 use blurnet::queue::{BoundedQueue, PopTimeout};
+use blurnet::report::{CellReport, RESULTS_SCHEMA};
 use blurnet::{CellStatus, ExperimentScheduler, Scale, ScheduledRun};
 
 /// The registry is global; chaos tests serialize around this lock.
@@ -425,6 +427,50 @@ fn a_failed_journal_append_retires_the_journal_but_not_the_run() {
         !journal.exists(),
         "a journal that missed an append must be deleted, not left lying"
     );
+}
+
+#[test]
+fn journal_fault_hits_follow_append_order() {
+    let _guard = serialized();
+    fault::disarm_all();
+    // The journal sites are evaluated under the journal's file lock, so
+    // hit order is append order: a delay at hit 1 holds back every later
+    // append. (Evaluated before the lock, a second worker's append could
+    // land between hit n and an abort there, leaving n cells, not n−1.)
+    let dir = TempDir::new("journal-order");
+    let path = dir.path().join("run.journal");
+    let header = JournalHeader {
+        schema: RESULTS_SCHEMA.to_string(),
+        scale: "smoke".to_string(),
+        seed: 7,
+        cells: 2,
+    };
+    let writer = JournalWriter::create(&path, &header).expect("journal created");
+    let cell = |label: &str| CellReport {
+        experiment: "table2".to_string(),
+        label: label.to_string(),
+        status: CellStatus::Ok,
+        output: None,
+    };
+    fault::arm(
+        sites::JOURNAL_APPEND,
+        FaultSpec::on_hit(FaultKind::Delay(Duration::from_millis(200)), 1),
+    );
+    std::thread::scope(|s| {
+        s.spawn(|| writer.append_cell(&cell("first")));
+        while fault::hits(sites::JOURNAL_APPEND) == 0 {
+            std::thread::yield_now();
+        }
+        writer.append_cell(&cell("second"));
+    });
+    fault::disarm_all();
+    let labels: Vec<String> = read_journal(&path)
+        .expect("journal reads back")
+        .cells
+        .into_iter()
+        .map(|c| c.label)
+        .collect();
+    assert_eq!(labels, ["first", "second"]);
 }
 
 #[test]
