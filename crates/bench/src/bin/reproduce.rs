@@ -24,7 +24,8 @@
 //! artifacts under `DIR` and reuses them on later runs.
 //!
 //! Every run write-ahead journals each completed cell to `run.journal`
-//! beside `--out` (fsynced per cell), so a run killed at *any* point —
+//! beside `--out` (fsynced per cell; the directory is created if it does
+//! not exist), so a run killed at *any* point —
 //! SIGKILL, OOM, power loss — leaves a record of its completed cells.
 //! `--resume DIR` reads only `DIR/run.journal`: it replays every completed
 //! cell and schedules only the delta; a resume of a fully completed run
@@ -129,11 +130,12 @@ fn main() {
     if let Some(dir) = &args.cache_dir {
         scheduler = scheduler.cache_dir(dir.clone());
     }
-    let journal = args
-        .out
-        .parent()
-        .unwrap_or_else(|| Path::new(""))
-        .join(JOURNAL_FILE);
+    // The journal lives beside `--out`, so that directory must exist
+    // before the run opens it.
+    let out_dir = args.out.parent().unwrap_or_else(|| Path::new(""));
+    std::fs::create_dir_all(out_dir)
+        .unwrap_or_else(|e| fail(format!("cannot create {}: {e}", out_dir.display())));
+    let journal = out_dir.join(JOURNAL_FILE);
     let report: RunReport = if let Some(resume_dir) = &args.resume {
         let prior = read_journal(&resume_dir.join(JOURNAL_FILE)).unwrap_or_else(|e| {
             fail(format!(

@@ -109,11 +109,12 @@ fn kill_and_resume(name: &str, fault: &str) {
 #[test]
 fn every_abort_site_recovers_byte_identically() {
     // One abort per registered fault site reachable in a micro-grid run:
-    // before training, during the cache probe, inside a cell, and inside
-    // the journal append itself.
+    // before training, during the cache probe, inside a sweep artifact
+    // node, inside a cell, and inside the journal append itself.
     for (name, fault) in [
         ("abort-train", "core.sched.train:abort@1"),
         ("abort-cache-load", "core.cache.load:abort@1"),
+        ("abort-sweep", "core.sched.artifact:abort@1"),
         ("abort-cell-first", "core.sched.cell:abort@1"),
         ("abort-cell-third", "core.sched.cell:abort@3"),
     ] {

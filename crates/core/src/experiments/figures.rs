@@ -14,7 +14,7 @@
 //! underlying numeric series (spectra, band-energy ratios, scatter
 //! points); `reproduce` prints them as tables.
 
-use blurnet_attacks::{AdaptiveObjective, Rp2Attack, Rp2Result};
+use blurnet_attacks::{Rp2Attack, Rp2Result, TargetSweep};
 use blurnet_defenses::{DefendedModel, DefenseKind};
 use blurnet_signal::{box_kernel, high_frequency_ratio, log_magnitude_spectrum};
 use blurnet_tensor::Tensor;
@@ -293,29 +293,23 @@ pub fn figure3_defense() -> DefenseKind {
     }
 }
 
-/// The per-cell Figure 3 sweep over the given mask dimensions, against an
-/// already-trained 7×7 depthwise model.
+/// The per-cell view of the Figure 3 sweep: one low-frequency DCT sweep
+/// of the 7×7 depthwise model per mask dimension, in `dims` order.
 ///
 /// # Errors
 ///
-/// Rejects an empty dimension list; propagates attack errors.
-pub(crate) fn figure3_for_model(
-    scale: Scale,
-    model: &DefendedModel,
-    images: &[Tensor],
-    dims: &[usize],
-) -> Result<Figure3> {
+/// Rejects an empty dimension list.
+pub(crate) fn figure3_from_sweeps(dims: &[usize], sweeps: &[&TargetSweep]) -> Result<Figure3> {
     if dims.is_empty() {
         return Err(BlurNetError::BadConfig("no DCT dimensions supplied".into()));
     }
-    let targets = scale.attack_targets();
-    let mut points = Vec::with_capacity(dims.len());
-    for &dim in dims {
-        let attack = super::rp2_with_objective(scale, AdaptiveObjective::LowFrequencyDct { dim })?;
-        let sweep = super::sweep_defended(model, &attack, images, &targets)?;
-        points.push((dim, sweep.worst_success_rate()));
-    }
-    Ok(Figure3 { points })
+    Ok(Figure3 {
+        points: dims
+            .iter()
+            .zip(sweeps)
+            .map(|(&dim, sweep)| (dim, sweep.worst_success_rate()))
+            .collect(),
+    })
 }
 
 /// Figure 4 — spectra of second-layer feature maps on a clean stop sign.
@@ -448,29 +442,21 @@ pub(crate) fn figure6_defenses() -> Vec<DefenseKind> {
     ]
 }
 
-/// The per-cell sweep behind one scatter series of Figures 5–6:
-/// the standard white-box RP2 sweep with per-target points kept.
-///
-/// # Errors
-///
-/// Propagates attack errors.
-pub(crate) fn scatter_series_for_model(
-    scale: Scale,
+/// The per-cell view of one scatter series of Figures 5–6: the model's
+/// standard white-box RP2 sweep (its Table II sweep) with per-target
+/// points kept.
+pub(crate) fn scatter_series_from_sweep(
     model: &DefendedModel,
-    images: &[Tensor],
-) -> Result<ScatterSeries> {
-    let targets = scale.attack_targets();
-    let attack = super::rp2_with_objective(scale, AdaptiveObjective::Standard)?;
-    let defense = model.defense().label();
-    let sweep = super::sweep_defended(model, &attack, images, &targets)?;
-    Ok(ScatterSeries {
-        defense,
+    sweep: &TargetSweep,
+) -> ScatterSeries {
+    ScatterSeries {
+        defense: model.defense().label(),
         points: sweep
             .per_target
             .iter()
             .map(|(_, e)| (e.l2_dissimilarity, e.success_rate))
             .collect(),
-    })
+    }
 }
 
 #[cfg(test)]

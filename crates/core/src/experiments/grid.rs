@@ -12,13 +12,13 @@
 //! [`ExperimentGrid::named`] maps a `reproduce --grid` argument to a grid,
 //! so any subset of the paper's experiments runs through the same path.
 
-use blurnet_attacks::{Rp2Result, TransferSet};
+use blurnet_attacks::{Rp2Result, TargetSweep, TransferSet};
 use blurnet_defenses::{DefendedModel, DefenseKind};
 use blurnet_tensor::Tensor;
 
 use crate::experiments::table1::Table1Victim;
 use crate::experiments::table5::Table5Attack;
-use crate::experiments::{figures, table1, table2, table3, table4, table5};
+use crate::experiments::{figures, table1, table2, table3, table4, table5, SweepObjective};
 use crate::report::CellOutput;
 use crate::{BlurNetError, Result, Scale};
 
@@ -86,76 +86,130 @@ impl CellSpec {
         }
     }
 
-    /// Whether the cell consumes the shared Table I transfer artifact.
-    pub(crate) fn needs_transfer_set(&self) -> bool {
-        matches!(self.kind, CellKind::Table1(_))
-    }
-
-    /// Whether the cell consumes the shared single-image sticker artifact.
-    pub(crate) fn needs_sticker_artifact(&self) -> bool {
-        matches!(self.kind, CellKind::Figure1 | CellKind::Figure2 { .. })
+    /// The shared artifacts the cell reads, in the order
+    /// [`execute_cell`] receives them. Every artifact is generated on the
+    /// cell's own model ([`CellSpec::required_defense`]), so equal keys
+    /// from different cells name one scheduler node.
+    pub(crate) fn artifacts(&self, scale: Scale) -> Vec<ArtifactKey> {
+        let sweep = |objective| ArtifactKey::Sweep {
+            defense: self.required_defense(scale).label(),
+            objective,
+        };
+        match &self.kind {
+            CellKind::Table1(_) => vec![ArtifactKey::Transfer],
+            CellKind::Figure1 | CellKind::Figure2 { .. } => vec![ArtifactKey::Sticker],
+            CellKind::Table2(_) | CellKind::Scatter { .. } => vec![sweep(SweepObjective::Standard)],
+            CellKind::Table3(defense) => vec![sweep(SweepObjective::adaptive_for(defense))],
+            CellKind::Table5(attack) => vec![sweep(attack.sweep_objective())],
+            CellKind::Figure3 { dims } => dims
+                .iter()
+                .map(|&dim| sweep(SweepObjective::LowFrequencyDct { dim }))
+                .collect(),
+            CellKind::Table4(_) | CellKind::Figure4 => vec![],
+        }
     }
 }
 
-/// Executes one cell against an already-trained, shared model and
-/// pre-generated artifacts: the scheduler's one way to run a cell.
+/// A shared prerequisite the scheduler generates once per run, however
+/// many cells read it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum ArtifactKey {
+    /// The Table I transfer set (RP2 on the baseline).
+    Transfer,
+    /// The Figure 1/2 single-image sticker (RP2 on the baseline).
+    Sticker,
+    /// A targeted RP2 sweep of one trained variant under one objective.
+    Sweep {
+        /// Label of the swept variant.
+        defense: String,
+        /// The attacker's objective.
+        objective: SweepObjective,
+    },
+}
+
+impl std::fmt::Display for ArtifactKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArtifactKey::Transfer => write!(f, "transfer-set"),
+            ArtifactKey::Sticker => write!(f, "sticker"),
+            ArtifactKey::Sweep { defense, objective } => write!(f, "sweep/{defense}/{objective}"),
+        }
+    }
+}
+
+/// A generated artifact, as the scheduler hands it to its consumers.
+#[derive(Debug)]
+pub(crate) enum Artifact {
+    /// See [`ArtifactKey::Transfer`].
+    Transfer(TransferSet),
+    /// See [`ArtifactKey::Sticker`].
+    Sticker(Rp2Result),
+    /// See [`ArtifactKey::Sweep`].
+    Sweep(TargetSweep),
+}
+
+/// Executes one cell against an already-trained, shared model and the
+/// artifacts [`CellSpec::artifacts`] declares, in declared order: the
+/// scheduler's one way to run a cell.
 ///
 /// # Errors
 ///
-/// Returns [`BlurNetError::BadConfig`] when a required artifact is
-/// missing; propagates evaluation errors.
+/// Returns [`BlurNetError::BadConfig`] when the artifacts do not match
+/// the cell's declaration; propagates evaluation errors.
 pub(crate) fn execute_cell(
     kind: &CellKind,
     scale: Scale,
     images: &[Tensor],
     model: &DefendedModel,
-    transfer: Option<&TransferSet>,
-    sticker: Option<&Rp2Result>,
+    artifacts: &[&Artifact],
 ) -> Result<CellOutput> {
-    let missing = |what: &str| BlurNetError::BadConfig(format!("missing {what} artifact"));
+    let mismatch = || BlurNetError::BadConfig("cell artifacts do not match its declaration".into());
+    let sweep = || match artifacts {
+        [Artifact::Sweep(sweep)] => Ok(sweep),
+        _ => Err(mismatch()),
+    };
+    let sticker = || match artifacts {
+        [Artifact::Sticker(result)] => Ok(result),
+        _ => Err(mismatch()),
+    };
+    let image = || {
+        images
+            .first()
+            .ok_or_else(|| BlurNetError::BadConfig("no stop-sign image available".into()))
+    };
     Ok(match kind {
         CellKind::Table1(victim) => {
-            let set = transfer.ok_or_else(|| missing("transfer-set"))?;
+            let [Artifact::Transfer(set)] = artifacts else {
+                return Err(mismatch());
+            };
             CellOutput::Table1(table1::victim_row(victim, model, set)?)
         }
-        CellKind::Table2(_) => CellOutput::Table2(table2::row_for_model(scale, model, images)?),
-        CellKind::Table3(_) => CellOutput::Table3(table3::row_for_model(scale, model, images)?),
+        CellKind::Table2(_) => CellOutput::Table2(table2::row_from_sweep(model, sweep()?)),
+        CellKind::Table3(_) => CellOutput::Table3(table3::row_from_sweep(model, sweep()?)),
         CellKind::Table4(_) => CellOutput::Table4(table4::row_for_model(scale, model, images)?),
-        CellKind::Table5(attack) => {
-            CellOutput::Table5(table5::row_for_model(scale, model, images, *attack)?)
-        }
+        CellKind::Table5(attack) => CellOutput::Table5(table5::row_from_sweep(*attack, sweep()?)),
         CellKind::Figure1 => {
-            let result = sticker.ok_or_else(|| missing("sticker"))?;
-            let image = images
-                .first()
-                .ok_or_else(|| BlurNetError::BadConfig("no stop-sign image available".into()))?;
-            CellOutput::Figure1(figures::figure1_from_parts(image, result)?)
+            CellOutput::Figure1(figures::figure1_from_parts(image()?, sticker()?)?)
         }
-        CellKind::Figure2 { max_channels } => {
-            let result = sticker.ok_or_else(|| missing("sticker"))?;
-            let image = images
-                .first()
-                .cloned()
-                .ok_or_else(|| BlurNetError::BadConfig("no stop-sign image available".into()))?;
-            CellOutput::Figure2(figures::figure2_from_parts(
-                model,
-                &image,
-                &result.adversarial,
-                *max_channels,
-            )?)
-        }
+        CellKind::Figure2 { max_channels } => CellOutput::Figure2(figures::figure2_from_parts(
+            model,
+            image()?,
+            &sticker()?.adversarial,
+            *max_channels,
+        )?),
         CellKind::Figure3 { dims } => {
-            CellOutput::Figure3(figures::figure3_for_model(scale, model, images, dims)?)
+            let sweeps = artifacts
+                .iter()
+                .map(|artifact| match artifact {
+                    Artifact::Sweep(sweep) => Ok(sweep),
+                    _ => Err(mismatch()),
+                })
+                .collect::<Result<Vec<_>>>()?;
+            CellOutput::Figure3(figures::figure3_from_sweeps(dims, &sweeps)?)
         }
-        CellKind::Figure4 => {
-            let image = images
-                .first()
-                .cloned()
-                .ok_or_else(|| BlurNetError::BadConfig("no stop-sign image available".into()))?;
-            CellOutput::Figure4(figures::figure4_for_model(model, &image)?)
-        }
+        CellKind::Figure4 => CellOutput::Figure4(figures::figure4_for_model(model, image()?)?),
         CellKind::Scatter { .. } => {
-            CellOutput::Scatter(figures::scatter_series_for_model(scale, model, images)?)
+            CellOutput::Scatter(figures::scatter_series_from_sweep(model, sweep()?))
         }
     })
 }
@@ -436,19 +490,19 @@ mod tests {
     #[test]
     fn artifact_needs_are_limited_to_their_consumers() {
         let grid = ExperimentGrid::full(Scale::Smoke);
-        assert_eq!(
+        let consumers = |key: &ArtifactKey| {
             grid.cells()
                 .iter()
-                .filter(|c| c.needs_transfer_set())
-                .count(),
-            5
-        );
-        assert_eq!(
-            grid.cells()
-                .iter()
-                .filter(|c| c.needs_sticker_artifact())
-                .count(),
-            2
-        );
+                .filter(|c| c.artifacts(Scale::Smoke).contains(key))
+                .count()
+        };
+        assert_eq!(consumers(&ArtifactKey::Transfer), 5);
+        assert_eq!(consumers(&ArtifactKey::Sticker), 2);
+        // Figure 3's dim-16 point is Table III's 7x7 sweep.
+        let dct16 = ArtifactKey::Sweep {
+            defense: figures::figure3_defense().label(),
+            objective: SweepObjective::LowFrequencyDct { dim: 16 },
+        };
+        assert_eq!(consumers(&dct16), 2);
     }
 }

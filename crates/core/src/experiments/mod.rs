@@ -1,8 +1,9 @@
 //! Reproductions of every table and figure in the paper's evaluation.
 //!
-//! Each submodule exposes per-cell functions (`row_for_model`,
-//! `victim_row`, `*_from_parts`, `*_for_model`) that evaluate one table
-//! row or figure analysis against an already-trained model, plus the typed
+//! Each submodule exposes per-cell functions (`row_from_sweep`,
+//! `row_for_model`, `victim_row`, `*_from_parts`, `*_for_model`) that
+//! evaluate one table row or figure analysis against an already-trained
+//! model and the shared artifacts it reads, plus the typed
 //! result structs a [`crate::RunReport`] collates and renders as
 //! [`crate::report::Table`]s. [`grid`] declares the cells; the
 //! [`crate::ExperimentScheduler`] runs them (`reproduce --grid` is its
@@ -85,7 +86,9 @@ pub fn paper_reference(experiment: &str) -> Option<Table> {
 
 /// Runs a targeted RP2 sweep against a defended model — the one sweep
 /// path of every sweep experiment (Tables II, III and V, Figures 3, 5 and
-/// 6). The whole `targets × images` grid is generated white-box on the
+/// 6), called only by the scheduler's sweep artifact node, so each
+/// (model, objective) sweep runs once per run whatever number of cells
+/// read it. The whole `targets × images` grid is generated white-box on the
 /// underlying network as one batched optimization
 /// ([`Rp2Attack::generate_sweep`]) and judged with one classification
 /// through the model's *defended* prediction path (input filters and
@@ -96,7 +99,7 @@ pub fn paper_reference(experiment: &str) -> Option<Table> {
 ///
 /// Returns [`BlurNetError::BadConfig`] for empty image or target sets;
 /// propagates attack errors.
-fn sweep_defended(
+pub(crate) fn sweep_defended(
     model: &DefendedModel,
     attack: &Rp2Attack,
     images: &[Tensor],
@@ -135,44 +138,93 @@ fn sweep_defended(
     Ok(TargetSweep { per_target })
 }
 
-/// Builds the adaptive RP2 objective matching a defense (Section V).
-///
-/// Depthwise-filter defenses get the low-frequency DCT attack; the
-/// regularized defenses get their own penalty added to the attacker's
-/// loss. Defenses without a dedicated adaptive attack fall back to the
-/// standard objective.
-fn adaptive_objective_for(
-    defense: &DefenseKind,
-    model: &DefendedModel,
-    dct_dim: usize,
-) -> Result<AdaptiveObjective> {
-    let feature_layer = model.feature_layer_index();
-    let extent = model.feature_map_extent();
-    Ok(match defense {
-        DefenseKind::DepthwiseLinf { .. } | DefenseKind::FeatureFilter { .. } => {
-            AdaptiveObjective::LowFrequencyDct { dim: dct_dim }
+/// The RP2 objective of one sweep, declaratively: the part of a sweep
+/// artifact's key that says which attacker runs. [`SweepObjective::build`]
+/// turns it into the attack's [`AdaptiveObjective`] against a model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum SweepObjective {
+    /// The plain white-box RP2 objective (Table II, Figures 5–6).
+    Standard,
+    /// The low-frequency DCT attack of Eq. 8 at mask dimension `dim`.
+    LowFrequencyDct {
+        /// Side length of the retained low-frequency block.
+        dim: usize,
+    },
+    /// RP2 with the TV feature penalty in the attacker's loss (Eq. 9).
+    TotalVariation,
+    /// RP2 with the high-frequency Tikhonov operator penalty (Eq. 10).
+    TikhonovHf {
+        /// Window of the high-frequency operator.
+        window: usize,
+    },
+    /// RP2 with the pseudo-difference Tikhonov operator penalty (Eq. 11).
+    TikhonovPseudo,
+}
+
+impl SweepObjective {
+    /// The adaptive attack matching a defense (Section V, Table III).
+    ///
+    /// Depthwise-filter defenses get the low-frequency DCT attack; the
+    /// regularized defenses get their own penalty added to the attacker's
+    /// loss. Defenses without a dedicated adaptive attack fall back to the
+    /// standard objective.
+    pub(crate) fn adaptive_for(defense: &DefenseKind) -> Self {
+        match defense {
+            DefenseKind::DepthwiseLinf { .. } | DefenseKind::FeatureFilter { .. } => {
+                SweepObjective::LowFrequencyDct {
+                    dim: DEFAULT_DCT_DIM,
+                }
+            }
+            DefenseKind::TotalVariation { .. } => SweepObjective::TotalVariation,
+            DefenseKind::TikhonovHf { window, .. } => {
+                SweepObjective::TikhonovHf { window: *window }
+            }
+            DefenseKind::TikhonovPseudo { .. } => SweepObjective::TikhonovPseudo,
+            _ => SweepObjective::Standard,
         }
-        DefenseKind::TotalVariation { .. } => AdaptiveObjective::FeaturePenalty {
-            layer_index: feature_layer,
-            kind: FeaturePenaltyKind::TotalVariation,
+    }
+
+    /// Builds the attacker's objective against `model` (feature penalties
+    /// act on its first-layer feature maps).
+    ///
+    /// # Errors
+    ///
+    /// Propagates operator-construction errors.
+    pub(crate) fn build(&self, model: &DefendedModel) -> Result<AdaptiveObjective> {
+        let penalty = |kind| AdaptiveObjective::FeaturePenalty {
+            layer_index: model.feature_layer_index(),
+            kind,
             weight: 1.0,
-        },
-        DefenseKind::TikhonovHf { window, .. } => AdaptiveObjective::FeaturePenalty {
-            layer_index: feature_layer,
-            kind: FeaturePenaltyKind::Operator(OperatorPenalty::high_frequency(extent, *window)?),
-            weight: 1.0,
-        },
-        DefenseKind::TikhonovPseudo { .. } => AdaptiveObjective::FeaturePenalty {
-            layer_index: feature_layer,
-            kind: FeaturePenaltyKind::Operator(OperatorPenalty::pseudo_difference(extent, 1e-3)?),
-            weight: 1.0,
-        },
-        _ => AdaptiveObjective::Standard,
-    })
+        };
+        let extent = model.feature_map_extent();
+        Ok(match *self {
+            SweepObjective::Standard => AdaptiveObjective::Standard,
+            SweepObjective::LowFrequencyDct { dim } => AdaptiveObjective::LowFrequencyDct { dim },
+            SweepObjective::TotalVariation => penalty(FeaturePenaltyKind::TotalVariation),
+            SweepObjective::TikhonovHf { window } => penalty(FeaturePenaltyKind::Operator(
+                OperatorPenalty::high_frequency(extent, window)?,
+            )),
+            SweepObjective::TikhonovPseudo => penalty(FeaturePenaltyKind::Operator(
+                OperatorPenalty::pseudo_difference(extent, 1e-3)?,
+            )),
+        })
+    }
+}
+
+impl std::fmt::Display for SweepObjective {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SweepObjective::Standard => write!(f, "standard"),
+            SweepObjective::LowFrequencyDct { dim } => write!(f, "dct-{dim}"),
+            SweepObjective::TotalVariation => write!(f, "tv"),
+            SweepObjective::TikhonovHf { window } => write!(f, "tik-hf-{window}"),
+            SweepObjective::TikhonovPseudo => write!(f, "tik-pseudo"),
+        }
+    }
 }
 
 /// Builds the RP2 attack for a scale with the given objective.
-fn rp2_with_objective(scale: Scale, objective: AdaptiveObjective) -> Result<Rp2Attack> {
+pub(crate) fn rp2_with_objective(scale: Scale, objective: AdaptiveObjective) -> Result<Rp2Attack> {
     Ok(Rp2Attack::new(Rp2Config {
         objective,
         ..scale.rp2_config()

@@ -5,14 +5,12 @@
 //! reports the legitimate (clean test) accuracy, the success rate averaged
 //! over targets, the worst-case target and the L2 dissimilarity.
 
-use blurnet_attacks::AdaptiveObjective;
+use blurnet_attacks::TargetSweep;
 use blurnet_defenses::DefendedModel;
-use blurnet_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 use crate::report::Table;
 use crate::report::{num3, pct};
-use crate::{Result, Scale};
 
 /// One row of Table II.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -97,27 +95,16 @@ impl Table2 {
     }
 }
 
-/// The per-cell evaluation of a Table II row: a white-box RP2 sweep
-/// against an already-trained model.
-///
-/// # Errors
-///
-/// Propagates attack errors.
-pub(crate) fn row_for_model(
-    scale: Scale,
-    model: &DefendedModel,
-    images: &[Tensor],
-) -> Result<Table2Row> {
-    let targets = scale.attack_targets();
-    let attack = super::rp2_with_objective(scale, AdaptiveObjective::Standard)?;
-    let sweep = super::sweep_defended(model, &attack, images, &targets)?;
-    Ok(Table2Row {
+/// The per-cell view of a Table II row: the model's white-box RP2 sweep
+/// (the standard objective), read off beside its clean accuracy.
+pub(crate) fn row_from_sweep(model: &DefendedModel, sweep: &TargetSweep) -> Table2Row {
+    Table2Row {
         defense: model.defense().label(),
         legitimate_accuracy: model.training_report().test_accuracy,
         average_success_rate: sweep.average_success_rate(),
         worst_success_rate: sweep.worst_success_rate(),
         l2_dissimilarity: sweep.average_l2_dissimilarity(),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -125,7 +112,7 @@ mod tests {
     use super::*;
     use crate::experiments::grid::CellKind;
     use crate::experiments::{only_output, run_smoke_cells};
-    use crate::CellOutput;
+    use crate::{CellOutput, Scale};
     use blurnet_defenses::DefenseKind;
 
     #[test]

@@ -7,13 +7,12 @@
 //! headline: `Tik_hf` loses ~30% of its apparent robustness while TV (1e-4)
 //! degrades by only 2.5%, making TV the truly robust defense.
 
+use blurnet_attacks::TargetSweep;
 use blurnet_defenses::DefendedModel;
-use blurnet_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 use crate::report::Table;
 use crate::report::{num3, pct};
-use crate::{Result, Scale};
 
 /// One row of Table III.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -84,28 +83,15 @@ impl Table3 {
     }
 }
 
-/// The per-cell evaluation of a Table III row: the defense-matched
-/// adaptive attack against an already-trained model.
-///
-/// # Errors
-///
-/// Propagates attack errors.
-pub(crate) fn row_for_model(
-    scale: Scale,
-    model: &DefendedModel,
-    images: &[Tensor],
-) -> Result<Table3Row> {
-    let targets = scale.attack_targets();
-    let defense = model.defense().clone();
-    let objective = super::adaptive_objective_for(&defense, model, super::DEFAULT_DCT_DIM)?;
-    let attack = super::rp2_with_objective(scale, objective)?;
-    let sweep = super::sweep_defended(model, &attack, images, &targets)?;
-    Ok(Table3Row {
-        defense: defense.label(),
+/// The per-cell view of a Table III row: the model's sweep under its
+/// defense-matched adaptive attack ([`super::SweepObjective::adaptive_for`]).
+pub(crate) fn row_from_sweep(model: &DefendedModel, sweep: &TargetSweep) -> Table3Row {
+    Table3Row {
+        defense: model.defense().label(),
         average_success_rate: sweep.average_success_rate(),
         worst_success_rate: sweep.worst_success_rate(),
         l2_dissimilarity: sweep.average_l2_dissimilarity(),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -113,7 +99,7 @@ mod tests {
     use super::*;
     use crate::experiments::grid::CellKind;
     use crate::experiments::{only_output, run_smoke_cells};
-    use crate::CellOutput;
+    use crate::{CellOutput, Scale};
     use blurnet_defenses::DefenseKind;
 
     #[test]

@@ -6,15 +6,14 @@
 //! training beats every BlurNet defense except TV regularization under the
 //! RP2 threat model, reinforcing that no defense is universal.
 
-use blurnet_attacks::{AdaptiveObjective, FeaturePenaltyKind};
-use blurnet_defenses::{DefendedModel, DefenseKind};
-use blurnet_signal::OperatorPenalty;
-use blurnet_tensor::Tensor;
+use blurnet_attacks::TargetSweep;
+use blurnet_defenses::DefenseKind;
 use serde::{Deserialize, Serialize};
 
+use super::SweepObjective;
 use crate::report::Table;
 use crate::report::{num3, pct};
-use crate::{Result, Scale};
+use crate::Scale;
 
 /// The three adaptive adversaries Table V turns against the
 /// adversarially-trained model, as declarative cell parameters.
@@ -47,33 +46,14 @@ impl Table5Attack {
         }
     }
 
-    /// Builds the adaptive objective for this attack against `model`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates operator-construction errors.
-    fn objective(&self, model: &DefendedModel) -> Result<AdaptiveObjective> {
-        let feature_layer = model.feature_layer_index();
-        let extent = model.feature_map_extent();
-        Ok(match self {
-            Table5Attack::TotalVariation => AdaptiveObjective::FeaturePenalty {
-                layer_index: feature_layer,
-                kind: FeaturePenaltyKind::TotalVariation,
-                weight: 1.0,
-            },
-            Table5Attack::TikhonovHf => AdaptiveObjective::FeaturePenalty {
-                layer_index: feature_layer,
-                kind: FeaturePenaltyKind::Operator(OperatorPenalty::high_frequency(extent, 3)?),
-                weight: 1.0,
-            },
-            Table5Attack::TikhonovPseudo => AdaptiveObjective::FeaturePenalty {
-                layer_index: feature_layer,
-                kind: FeaturePenaltyKind::Operator(OperatorPenalty::pseudo_difference(
-                    extent, 1e-3,
-                )?),
-                weight: 1.0,
-            },
-        })
+    /// The sweep objective this attack runs: the Table III attacker of the
+    /// matching regularized defense.
+    pub(crate) fn sweep_objective(&self) -> SweepObjective {
+        match self {
+            Table5Attack::TotalVariation => SweepObjective::TotalVariation,
+            Table5Attack::TikhonovHf => SweepObjective::TikhonovHf { window: 3 },
+            Table5Attack::TikhonovPseudo => SweepObjective::TikhonovPseudo,
+        }
     }
 }
 
@@ -86,28 +66,15 @@ pub(crate) fn defense_for(scale: Scale) -> DefenseKind {
     }
 }
 
-/// The per-cell evaluation of a Table V row: one adaptive adversary
-/// against the trained adversarial-training model.
-///
-/// # Errors
-///
-/// Propagates attack errors.
-pub(crate) fn row_for_model(
-    scale: Scale,
-    model: &DefendedModel,
-    images: &[Tensor],
-    attack_kind: Table5Attack,
-) -> Result<Table5Row> {
-    let targets = scale.attack_targets();
-    let objective = attack_kind.objective(model)?;
-    let attack = super::rp2_with_objective(scale, objective)?;
-    let sweep = super::sweep_defended(model, &attack, images, &targets)?;
-    Ok(Table5Row {
-        attack: attack_kind.label().to_string(),
+/// The per-cell view of a Table V row: the adversarially-trained model's
+/// sweep under one adaptive adversary.
+pub(crate) fn row_from_sweep(attack: Table5Attack, sweep: &TargetSweep) -> Table5Row {
+    Table5Row {
+        attack: attack.label().to_string(),
         average_success_rate: sweep.average_success_rate(),
         worst_success_rate: sweep.worst_success_rate(),
         l2_dissimilarity: sweep.average_l2_dissimilarity(),
-    })
+    }
 }
 
 /// One row of Table V.

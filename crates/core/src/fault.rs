@@ -51,7 +51,7 @@ pub mod sites {
     pub const QUEUE_POP_TIMEOUT: &str = "core.queue.pop_timeout";
     /// A scheduler training node. Error kind: the node fails.
     pub const SCHED_TRAIN: &str = "core.sched.train";
-    /// A scheduler artifact node (transfer set / sticker). Error kind:
+    /// A scheduler artifact node (transfer set, sticker or sweep). Error kind:
     /// the node fails.
     pub const SCHED_ARTIFACT: &str = "core.sched.artifact";
     /// A scheduler evaluation cell. Error kind: the cell fails.

@@ -9,12 +9,18 @@
 //! metric) cells — into a DAG, so independent cells (different defenses,
 //! different attacks) overlap and shared work runs once:
 //!
-//! * **Artifact nodes** produce shared prerequisites exactly once per run:
-//!   one training node per distinct model variant (stored in the shared
-//!   [`VariantCache`]), one node for the Table I transfer set, one node
-//!   for the Figure 1/2 RP2 sticker artifact.
-//! * **Cell nodes** evaluate one row/series each, depending only on the
-//!   artifacts they consume.
+//! * **Train nodes** train each distinct model variant once (stored in
+//!   the shared [`VariantCache`]).
+//! * **Artifact nodes** (`artifact:<key>`) generate each shared attack
+//!   artifact once, on a trained variant, deduplicated by key: the Table I
+//!   transfer set (`artifact:transfer-set`), the Figure 1/2 RP2 sticker
+//!   (`artifact:sticker`), and one targeted RP2 sweep per (variant,
+//!   objective) (`artifact:sweep/<variant>/<objective>`), so a Figure 5/6
+//!   series reads its Table II row's sweep and Figure 3's dim-16 point
+//!   reads Table III's `7x7 conv` sweep. Sweeps are held in memory for
+//!   the run; the transfer set and sticker also ride the disk cache.
+//! * **Cell nodes** evaluate one row/series each, as a view over the
+//!   trained variant and the artifacts they consume.
 //!
 //! Ready nodes stream through a [`BoundedQueue`] (capacity = node count;
 //! it can never grow past the DAG, so pushes never block) — the same
@@ -46,12 +52,12 @@
 //! * cell decomposition and reduction order depend only on the grid, never
 //!   on completion order (results are written into per-cell slots indexed
 //!   by grid position);
-//! * every cell executes through the grid's `execute_cell` on a fresh clone
-//!   of the same trained variant, and every numeric kernel underneath is
+//! * every cell executes through the grid's `execute_cell` on the one
+//!   shared trained variant, and every numeric kernel underneath is
 //!   bit-identical at every thread count (the batch-engine guarantees);
-//! * artifact generation (training, RP2 sets) is seeded and deterministic,
-//!   so generating an artifact once and sharing it equals generating it at
-//!   each consumer.
+//! * artifact generation (training, RP2 sets and sweeps) is seeded and
+//!   deterministic, so generating an artifact once and sharing it equals
+//!   generating it at each consumer.
 //!
 //! Timing is captured **outside** the report (see [`RunProfile`]) so
 //! `results.json` stays byte-stable.
@@ -67,12 +73,12 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use blurnet_attacks::{
     rp2_result_from_bytes, rp2_result_to_bytes, transfer_set_from_bytes, transfer_set_to_bytes,
-    Rp2Result, TransferSet,
+    AttackError,
 };
 use blurnet_data::SignDataset;
 use blurnet_defenses::{
@@ -81,8 +87,8 @@ use blurnet_defenses::{
 use blurnet_tensor::persist::{read_file_verified, write_file_atomic};
 use blurnet_tensor::Tensor;
 
-use crate::experiments::grid::{execute_cell, CellSpec, ExperimentGrid};
-use crate::experiments::{figures, table1};
+use crate::experiments::grid::{execute_cell, Artifact, ArtifactKey, CellSpec, ExperimentGrid};
+use crate::experiments::{figures, rp2_with_objective, sweep_defended, table1};
 use crate::journal::{JournalHeader, JournalWriter};
 use crate::queue::{run_workers, BoundedQueue};
 use crate::report::{CellOutput, CellReport, CellStatus, RunReport, RESULTS_SCHEMA};
@@ -93,10 +99,8 @@ use crate::{BlurNetError, Result, Scale};
 enum NodeKind {
     /// Trains (or fetches from a warm cache) one model variant.
     Train(DefenseKind),
-    /// Generates the shared Table I transfer set (RP2 on the baseline).
-    TransferSet,
-    /// Generates the shared Figure 1/2 single-image sticker artifact.
-    Sticker,
+    /// Generates (or fetches from a warm cache) one shared artifact.
+    Artifact(ArtifactKey),
     /// Evaluates the grid cell at this index.
     Cell(usize),
 }
@@ -245,7 +249,8 @@ impl ExperimentScheduler {
     /// runs: trained variants go through a [`DiskVariantCache`] (keyed by
     /// architecture + defense + trainer config + dataset seed, so a seed
     /// or hyper-parameter change is a clean miss), and the shared
-    /// transfer-set / sticker artifacts are stored per `(scale, seed)`.
+    /// transfer-set / sticker artifacts are stored per `(scale, seed)`
+    /// (sweep artifacts are held in memory for the run only).
     /// Every entry rides the checksummed atomic file container; a
     /// missing, torn or bit-rotted entry falls back to regenerating from
     /// scratch — a warm cache can make a run faster, never different.
@@ -351,7 +356,7 @@ impl ExperimentScheduler {
             .unwrap_or_else(rayon::current_num_threads)
             .clamp(1, nodes.len());
         let disk = match &self.cache_dir {
-            Some(dir) => Some(DiskStore::open(dir, self.scale, self.seed)?),
+            Some(dir) => Some(DiskStore::open(dir, self.seed)?),
             None => None,
         };
 
@@ -389,60 +394,52 @@ impl ExperimentScheduler {
     }
 }
 
-/// Builds the DAG for a grid: deduplicated artifact nodes first, then one
+/// Builds the DAG for a grid: train and artifact nodes first, then one
 /// cell node per grid cell (in grid order — node ids are deterministic).
+/// A cell depends on its variant's train node and then on its artifact
+/// nodes in [`CellSpec::artifacts`] order.
 fn build_dag(grid: &ExperimentGrid, scale: Scale) -> Vec<Node> {
     let mut nodes: Vec<Node> = Vec::new();
-    let mut train_ids: HashMap<String, usize> = HashMap::new();
-    let mut train_node = |nodes: &mut Vec<Node>, defense: DefenseKind| -> usize {
-        let label = defense.label();
-        if let Some(&id) = train_ids.get(&label) {
-            return id;
-        }
-        let id = nodes.len();
-        nodes.push(Node {
-            name: format!("train:{label}"),
-            kind: NodeKind::Train(defense),
-            deps: vec![],
-        });
-        train_ids.insert(label, id);
-        id
+    // Train and artifact nodes are deduplicated by name (one per variant
+    // label, one per artifact key), however many cells consume them.
+    let mut ids: HashMap<String, usize> = HashMap::new();
+    let mut shared = |nodes: &mut Vec<Node>, kind: NodeKind, deps: Vec<usize>| {
+        let name = match &kind {
+            NodeKind::Train(defense) => format!("train:{}", defense.label()),
+            NodeKind::Artifact(key) => format!("artifact:{key}"),
+            NodeKind::Cell(_) => unreachable!("cell nodes are never shared"),
+        };
+        *ids.entry(name).or_insert_with_key(|name| {
+            nodes.push(Node {
+                name: name.clone(),
+                kind,
+                deps,
+            });
+            nodes.len() - 1
+        })
     };
-
-    // Shared attack artifacts depend on the trained baseline.
-    let mut transfer_id: Option<usize> = None;
-    let mut sticker_id: Option<usize> = None;
+    let mut cell_deps = Vec::with_capacity(grid.len());
     for spec in grid.cells() {
-        if spec.needs_transfer_set() && transfer_id.is_none() {
-            let baseline = train_node(&mut nodes, DefenseKind::Baseline);
-            let id = nodes.len();
-            nodes.push(Node {
-                name: "artifact:transfer-set".to_string(),
-                kind: NodeKind::TransferSet,
-                deps: vec![baseline],
-            });
-            transfer_id = Some(id);
+        let model = shared(
+            &mut nodes,
+            NodeKind::Train(spec.required_defense(scale)),
+            vec![],
+        );
+        let mut deps = vec![model];
+        for key in spec.artifacts(scale) {
+            // Sweeps run on the cell's own variant; the transfer set and
+            // sticker are generated on the baseline.
+            let on = match key {
+                ArtifactKey::Sweep { .. } => model,
+                ArtifactKey::Transfer | ArtifactKey::Sticker => {
+                    shared(&mut nodes, NodeKind::Train(DefenseKind::Baseline), vec![])
+                }
+            };
+            deps.push(shared(&mut nodes, NodeKind::Artifact(key), vec![on]));
         }
-        if spec.needs_sticker_artifact() && sticker_id.is_none() {
-            let baseline = train_node(&mut nodes, DefenseKind::Baseline);
-            let id = nodes.len();
-            nodes.push(Node {
-                name: "artifact:sticker".to_string(),
-                kind: NodeKind::Sticker,
-                deps: vec![baseline],
-            });
-            sticker_id = Some(id);
-        }
+        cell_deps.push(deps);
     }
-
-    for (i, spec) in grid.cells().iter().enumerate() {
-        let mut deps = vec![train_node(&mut nodes, spec.required_defense(scale))];
-        if spec.needs_transfer_set() {
-            deps.push(transfer_id.expect("transfer node created above"));
-        }
-        if spec.needs_sticker_artifact() {
-            deps.push(sticker_id.expect("sticker node created above"));
-        }
+    for (i, (spec, deps)) in grid.cells().iter().zip(cell_deps).enumerate() {
         nodes.push(Node {
             name: format!("cell:{}/{}", spec.experiment, spec.label),
             kind: NodeKind::Cell(i),
@@ -456,19 +453,17 @@ fn build_dag(grid: &ExperimentGrid, scale: Scale) -> Vec<Node> {
 /// `(scale, seed)` artifact files, all under one directory.
 struct DiskStore {
     models: DiskVariantCache,
+    dir: PathBuf,
     /// The dataset/zoo seed of this run — part of every model's cache
     /// identity, since it selects the generated training set.
     seed: u64,
-    transfer_path: PathBuf,
-    sticker_path: PathBuf,
 }
 
 impl DiskStore {
-    fn open(dir: &Path, scale: Scale, seed: u64) -> Result<Self> {
+    fn open(dir: &Path, seed: u64) -> Result<Self> {
         let models = DiskVariantCache::open(dir).map_err(BlurNetError::Defense)?;
         Ok(DiskStore {
-            transfer_path: dir.join(format!("transfer-{scale}-{seed}.bnxs")),
-            sticker_path: dir.join(format!("sticker-{scale}-{seed}.bnrp")),
+            dir: dir.to_path_buf(),
             seed,
             models,
         })
@@ -502,8 +497,8 @@ struct Executor {
     images: Vec<Tensor>,
     variants: VariantCache,
     disk: Option<DiskStore>,
-    transfer: Mutex<Option<Arc<TransferSet>>>,
-    sticker: Mutex<Option<Arc<Rp2Result>>>,
+    /// Generated artifacts, by node id (empty for train and cell nodes).
+    artifacts: Vec<OnceLock<Artifact>>,
     cell_slots: Vec<CellSlot>,
     profiles: Mutex<Vec<Option<NodeProfile>>>,
     specs: Vec<CellSpec>,
@@ -573,8 +568,7 @@ impl Executor {
             images,
             variants: VariantCache::new(),
             disk,
-            transfer: Mutex::new(None),
-            sticker: Mutex::new(None),
+            artifacts: nodes.iter().map(|_| OnceLock::new()).collect(),
             cell_slots,
             profiles,
             specs: grid.cells().to_vec(),
@@ -757,19 +751,28 @@ impl Executor {
 
     /// Executes one node's work.
     fn run_node(&self, id: usize) -> Result<()> {
-        match &self.nodes[id].kind {
+        let kind = &self.nodes[id].kind;
+        // Fault sites `core.sched.{train,artifact,cell}`: an `Error` fault
+        // fails the node before it stores anything (variant, artifact or
+        // cell result), so a retry regenerates it deterministically; a
+        // `Panic` fault exercises the catch_unwind isolation.
+        #[cfg(feature = "fault-injection")]
+        {
+            use crate::fault::sites;
+            let site = match kind {
+                NodeKind::Train(_) => sites::SCHED_TRAIN,
+                NodeKind::Artifact(_) => sites::SCHED_ARTIFACT,
+                NodeKind::Cell(_) => sites::SCHED_CELL,
+            };
+            if crate::fault::fire(site) {
+                let marker = crate::fault::MARKER;
+                return Err(BlurNetError::BadConfig(format!(
+                    "{marker}: injected failure at {site}"
+                )));
+            }
+        }
+        match kind {
             NodeKind::Train(defense) => {
-                // Fault site `core.sched.train`: an `Error` fault fails
-                // the node before anything lands in the variant cache, so
-                // a retry re-trains from scratch.
-                #[cfg(feature = "fault-injection")]
-                if crate::fault::fire(crate::fault::sites::SCHED_TRAIN) {
-                    return Err(BlurNetError::BadConfig(format!(
-                        "{}: injected failure at {}",
-                        crate::fault::MARKER,
-                        crate::fault::sites::SCHED_TRAIN
-                    )));
-                }
                 if self.variants.get(&defense.label()).is_none() {
                     let model = match self.load_cached_model(defense) {
                         Some(model) => model,
@@ -787,72 +790,51 @@ impl Executor {
                 }
                 Ok(())
             }
-            NodeKind::TransferSet => {
-                self.artifact_fault_point()?;
-                let set = match self.load_cached_transfer() {
-                    Some(set) => set,
-                    None => {
-                        let baseline = self.variant(&DefenseKind::Baseline)?;
-                        let set = table1::transfer_set(self.scale, &baseline, &self.images)?;
-                        if let Some(disk) = &self.disk {
-                            self.store_artifact(&disk.transfer_path, &transfer_set_to_bytes(&set));
-                        }
-                        set
+            NodeKind::Artifact(key) => {
+                let baseline = || self.variant(&DefenseKind::Baseline.label());
+                let artifact = match key {
+                    ArtifactKey::Transfer => Artifact::Transfer(self.load_or_generate(
+                        "transfer",
+                        "bnxs",
+                        transfer_set_from_bytes,
+                        transfer_set_to_bytes,
+                        || table1::transfer_set(self.scale, &*baseline()?, &self.images),
+                    )?),
+                    ArtifactKey::Sticker => Artifact::Sticker(self.load_or_generate(
+                        "sticker",
+                        "bnrp",
+                        rp2_result_from_bytes,
+                        rp2_result_to_bytes,
+                        || figures::sticker_artifact(self.scale, &*baseline()?, &self.images),
+                    )?),
+                    ArtifactKey::Sweep { defense, objective } => {
+                        let model = self.variant(defense)?;
+                        let attack = rp2_with_objective(self.scale, objective.build(&model)?)?;
+                        let targets = self.scale.attack_targets();
+                        Artifact::Sweep(sweep_defended(&model, &attack, &self.images, &targets)?)
                     }
                 };
-                *self.transfer.lock().expect("transfer slot poisoned") = Some(Arc::new(set));
-                Ok(())
-            }
-            NodeKind::Sticker => {
-                self.artifact_fault_point()?;
-                let result = match self.load_cached_sticker() {
-                    Some(result) => result,
-                    None => {
-                        let baseline = self.variant(&DefenseKind::Baseline)?;
-                        let result =
-                            figures::sticker_artifact(self.scale, &baseline, &self.images)?;
-                        if let Some(disk) = &self.disk {
-                            self.store_artifact(&disk.sticker_path, &rp2_result_to_bytes(&result));
-                        }
-                        result
-                    }
-                };
-                *self.sticker.lock().expect("sticker slot poisoned") = Some(Arc::new(result));
+                // The slot is still empty: a node completes once, and a
+                // retry only follows a failure, which never gets here.
+                let _ = self.artifacts[id].set(artifact);
                 Ok(())
             }
             NodeKind::Cell(cell) => {
                 if self.panic_cell == Some(*cell) {
                     panic!("injected panic (scheduler isolation test)");
                 }
-                // Fault site `core.sched.cell`: panic kind exercises the
-                // catch_unwind isolation, error kind the Failed/Skipped
-                // bookkeeping; both are recoverable via `--retry-failed`.
-                #[cfg(feature = "fault-injection")]
-                if crate::fault::fire(crate::fault::sites::SCHED_CELL) {
-                    return Err(BlurNetError::BadConfig(format!(
-                        "{}: injected failure at {}",
-                        crate::fault::MARKER,
-                        crate::fault::sites::SCHED_CELL
-                    )));
-                }
                 let spec = &self.specs[*cell];
                 // Defended inference is stateless, so every cell reads the
                 // one shared trained model; concurrent cells never copy it.
-                let model = self.variant(&spec.required_defense(self.scale))?;
-                let transfer = self
-                    .transfer
-                    .lock()
-                    .expect("transfer slot poisoned")
-                    .clone();
-                let sticker = self.sticker.lock().expect("sticker slot poisoned").clone();
-                let output = execute_cell(
-                    &spec.kind,
-                    self.scale,
-                    &self.images,
-                    &model,
-                    transfer.as_deref(),
-                    sticker.as_deref(),
-                )?;
+                let model = self.variant(&spec.required_defense(self.scale).label())?;
+                // A cell runs only once every dependency succeeded, so its
+                // artifact nodes (every dep after the train node) are set.
+                let artifacts: Vec<&Artifact> = self.nodes[id].deps[1..]
+                    .iter()
+                    .filter_map(|&dep| self.artifacts[dep].get())
+                    .collect();
+                let output =
+                    execute_cell(&spec.kind, self.scale, &self.images, &model, &artifacts)?;
                 // Write-ahead: the cell's record is durable on disk
                 // before the in-memory slot commits it to the report —
                 // a crash from here on never loses this cell.
@@ -869,28 +851,6 @@ impl Executor {
                 Ok(())
             }
         }
-    }
-
-    /// Fault site `core.sched.artifact`, shared by the transfer-set and
-    /// sticker nodes: an `Error` fault fails the node before the artifact
-    /// slot is written, so a retry regenerates it deterministically.
-    #[cfg(feature = "fault-injection")]
-    fn artifact_fault_point(&self) -> Result<()> {
-        if crate::fault::fire(crate::fault::sites::SCHED_ARTIFACT) {
-            return Err(BlurNetError::BadConfig(format!(
-                "{}: injected failure at {}",
-                crate::fault::MARKER,
-                crate::fault::sites::SCHED_ARTIFACT
-            )));
-        }
-        Ok(())
-    }
-
-    /// No-op without the `fault-injection` feature.
-    #[cfg(not(feature = "fault-injection"))]
-    #[inline(always)]
-    fn artifact_fault_point(&self) -> Result<()> {
-        Ok(())
     }
 
     /// Fault site `core.cache.load`, evaluated once per disk-cache probe:
@@ -959,56 +919,52 @@ impl Executor {
         }
     }
 
-    /// Probes the disk cache for the Table I transfer set (same
-    /// miss/corruption semantics as [`Executor::load_cached_model`]).
-    fn load_cached_transfer(&self) -> Option<TransferSet> {
-        let disk = self.disk.as_ref()?;
-        if !disk.transfer_path.exists() {
-            return None;
+    /// A disk-cached artifact: loaded from `<stem>-<scale>-<seed>.<ext>`
+    /// under the cache directory when a readable entry exists, otherwise
+    /// generated and stored there (best-effort, like
+    /// [`Executor::store_model`]). Misses and damaged entries both
+    /// regenerate, with the same semantics as
+    /// [`Executor::load_cached_model`].
+    fn load_or_generate<T>(
+        &self,
+        stem: &str,
+        ext: &str,
+        decode: fn(&[u8]) -> std::result::Result<T, AttackError>,
+        encode: fn(&T) -> Vec<u8>,
+        generate: impl FnOnce() -> Result<T>,
+    ) -> Result<T> {
+        let Some(disk) = &self.disk else {
+            return generate();
+        };
+        let path = disk
+            .dir
+            .join(format!("{stem}-{}-{}.{ext}", self.scale, disk.seed));
+        if path.exists() {
+            if self.cache_load_poisoned() {
+                eprintln!("[sched] {stem} cache probe poisoned (injected); regenerating");
+            } else {
+                match read_file_verified(&path)
+                    .map_err(|e| e.to_string())
+                    .and_then(|payload| decode(&payload).map_err(|e| e.to_string()))
+                {
+                    Ok(artifact) => return Ok(artifact),
+                    Err(e) => eprintln!("[sched] cached {stem} unreadable ({e}); regenerating"),
+                }
+            }
         }
-        if self.cache_load_poisoned() {
-            eprintln!("[sched] transfer-set cache probe poisoned (injected); regenerating");
-            return None;
-        }
-        read_file_verified(&disk.transfer_path)
-            .map_err(|e| e.to_string())
-            .and_then(|payload| transfer_set_from_bytes(&payload).map_err(|e| e.to_string()))
-            .map_err(|e| eprintln!("[sched] cached transfer set unreadable ({e}); regenerating"))
-            .ok()
-    }
-
-    /// Probes the disk cache for the Figure 1/2 sticker artifact.
-    fn load_cached_sticker(&self) -> Option<Rp2Result> {
-        let disk = self.disk.as_ref()?;
-        if !disk.sticker_path.exists() {
-            return None;
-        }
-        if self.cache_load_poisoned() {
-            eprintln!("[sched] sticker cache probe poisoned (injected); regenerating");
-            return None;
-        }
-        read_file_verified(&disk.sticker_path)
-            .map_err(|e| e.to_string())
-            .and_then(|payload| rp2_result_from_bytes(&payload).map_err(|e| e.to_string()))
-            .map_err(|e| eprintln!("[sched] cached sticker unreadable ({e}); regenerating"))
-            .ok()
-    }
-
-    /// Writes a freshly generated artifact to its cache file
-    /// (best-effort, like [`Executor::store_model`]).
-    fn store_artifact(&self, path: &Path, payload: &[u8]) {
-        if let Err(e) = write_file_atomic(path, payload) {
+        let artifact = generate()?;
+        if let Err(e) = write_file_atomic(&path, &encode(&artifact)) {
             eprintln!("[sched] failed to cache artifact {}: {e}", path.display());
         }
+        Ok(artifact)
     }
 
-    /// The trained variant for a defense (must have been produced by a
+    /// The trained variant with this label (must have been produced by a
     /// completed train node).
-    fn variant(&self, defense: &DefenseKind) -> Result<Arc<DefendedModel>> {
-        self.variants.get(&defense.label()).ok_or_else(|| {
+    fn variant(&self, label: &str) -> Result<Arc<DefendedModel>> {
+        self.variants.get(label).ok_or_else(|| {
             BlurNetError::BadConfig(format!(
-                "variant {} missing from the cache (train node did not run?)",
-                defense.label()
+                "variant {label} missing from the cache (train node did not run?)"
             ))
         })
     }
@@ -1113,6 +1069,48 @@ mod tests {
                 );
             }
         }
+        // One sweep per distinct (variant, objective): 15 Table II + 7
+        // Table III + 3 Table V + 3 Figure 3 dims (dim 16 is Table III's).
+        let sweeps = plan
+            .iter()
+            .filter(|(n, _)| n.starts_with("artifact:sweep/"))
+            .count();
+        assert_eq!(sweeps, 28);
+        let deps_of = |cell: &str| -> Vec<String> {
+            plan.iter()
+                .find(|(n, _)| n == cell)
+                .unwrap_or_else(|| panic!("no node {cell}"))
+                .1
+                .iter()
+                .filter(|d| d.starts_with("artifact:sweep/"))
+                .cloned()
+                .collect()
+        };
+        // Each Figure 5/6 series reads its Table II row's sweep node.
+        let mut series = 0;
+        for (name, _) in &plan {
+            let Some(label) = name
+                .strip_prefix("cell:figure5/")
+                .or_else(|| name.strip_prefix("cell:figure6/"))
+            else {
+                continue;
+            };
+            let row = deps_of(&format!("cell:table2/{label}"));
+            assert_eq!(row.len(), 1, "{name}");
+            assert_eq!(deps_of(name), row, "{name}");
+            series += 1;
+        }
+        assert_eq!(series, 10);
+        // Figure 3 reads four DCT sweeps, the dim-16 one being Table III's
+        // 7x7 conv node.
+        let figure3 = deps_of("cell:figure3/DCT sweep (7x7 depthwise)");
+        assert_eq!(figure3.len(), 4);
+        let table3 = deps_of(&format!(
+            "cell:table3/{}",
+            crate::experiments::figures::figure3_defense().label()
+        ));
+        assert_eq!(table3.len(), 1);
+        assert!(figure3.contains(&table3[0]), "{figure3:?} vs {table3:?}");
     }
 
     #[test]

@@ -61,6 +61,11 @@ const STATUS_DEADLINE: u8 = 3;
 /// payload is drained without ever being buffered whole.
 pub const MAX_FRAME_ELEMENTS: usize = 1 << 20;
 
+/// Hard cap on the client's read of the handshake line (a real one is
+/// about 150 bytes), so a hostile server cannot grow the client's buffer
+/// without bound.
+const MAX_HANDSHAKE_BYTES: u64 = 64 * 1024;
+
 /// The server's opening JSON line, describing the model and batching
 /// profile so clients can size payloads without out-of-band knowledge.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -522,14 +527,21 @@ impl RemoteClient {
     /// # Errors
     ///
     /// Returns [`ServeError::Io`] for socket failures and
-    /// [`ServeError::Protocol`] for a malformed handshake.
+    /// [`ServeError::Protocol`] for a malformed or over-long handshake.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         let mut reader = BufReader::new(stream);
         let mut line = String::new();
-        reader.read_line(&mut line)?;
+        (&mut reader)
+            .take(MAX_HANDSHAKE_BYTES)
+            .read_line(&mut line)?;
+        if !line.ends_with('\n') && line.len() as u64 == MAX_HANDSHAKE_BYTES {
+            return Err(ServeError::Protocol(format!(
+                "handshake line longer than {MAX_HANDSHAKE_BYTES} bytes"
+            )));
+        }
         let handshake = Handshake::from_json(line.trim_end())?;
         Ok(RemoteClient {
             reader,
@@ -639,5 +651,36 @@ mod tests {
         assert!(Handshake::from_json("{}").is_err());
         let wrong_schema = r#"{"schema":"other/9","classes":2,"input_dims":[1,8,8],"defense":"baseline","max_batch":4,"window_us":0}"#;
         assert!(Handshake::from_json(wrong_schema).is_err());
+    }
+
+    #[test]
+    fn deeply_nested_handshakes_are_protocol_errors_on_a_small_stack() {
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let err = Handshake::from_json(&"[".repeat(200_000)).unwrap_err();
+                assert!(matches!(err, ServeError::Protocol(_)), "{err:?}");
+            })
+            .expect("spawn parser thread")
+            .join()
+            .expect("deep nesting is an error, not a crash");
+    }
+
+    #[test]
+    fn an_over_long_handshake_line_is_a_protocol_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a local port");
+        let addr = listener.local_addr().expect("local addr");
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept the client");
+            // One byte past the cap and no newline; the client hangs up
+            // mid-write, so write errors are expected.
+            let _ = stream.write_all(&vec![b'a'; MAX_HANDSHAKE_BYTES as usize + 1]);
+        });
+        let err = RemoteClient::connect(addr).unwrap_err();
+        assert!(
+            matches!(&err, ServeError::Protocol(msg) if msg.contains("longer than")),
+            "{err:?}"
+        );
+        server.join().expect("server thread");
     }
 }

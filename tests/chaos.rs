@@ -286,6 +286,62 @@ fn retry_failed_regenerates_a_faulted_artifact() {
     assert_eq!(report_bytes(&retried), report_bytes(&clean));
 }
 
+#[test]
+fn a_faulted_shared_sweep_skips_every_reader_and_retries_cleanly() {
+    let _guard = serialized();
+    fault::disarm_all();
+    // A Table II row and its Figure 5 series read one sweep node, the
+    // grid's only artifact node.
+    let row = ExperimentGrid::micro().cells()[0].clone();
+    let series = ExperimentGrid::named("figure5", Scale::Smoke)
+        .expect("figure5 grid")
+        .cells()
+        .iter()
+        .find(|c| c.label == row.label)
+        .expect("the row's Figure 5 series")
+        .clone();
+    let grid = ExperimentGrid::custom(vec![row, series]);
+    let clean = ExperimentScheduler::new(Scale::Smoke, 7)
+        .threads(1)
+        .run(&grid)
+        .expect("clean run");
+    assert!(clean.report.all_ok());
+
+    fault::arm(
+        sites::SCHED_ARTIFACT,
+        FaultSpec::on_hit(FaultKind::Error, 1),
+    );
+    let faulty = ExperimentScheduler::new(Scale::Smoke, 7)
+        .threads(1)
+        .run(&grid)
+        .expect("faulty run still reports");
+    assert_eq!(fault::fires(sites::SCHED_ARTIFACT), 1);
+    for cell in &faulty.report.cells {
+        match &cell.status {
+            CellStatus::Skipped { reason } => {
+                assert!(reason.contains(MARKER), "{reason}");
+                assert!(reason.contains("artifact:sweep/"), "{reason}");
+            }
+            other => panic!("expected {} to be skipped, got {other:?}", cell.label),
+        }
+    }
+
+    fault::disarm_all();
+    fault::arm(
+        sites::SCHED_ARTIFACT,
+        FaultSpec::on_hit(FaultKind::Error, 1),
+    );
+    let retried = ExperimentScheduler::new(Scale::Smoke, 7)
+        .threads(1)
+        .retry_failed(1)
+        .run(&grid)
+        .expect("retried run");
+    assert_eq!(fault::fires(sites::SCHED_ARTIFACT), 1);
+    fault::disarm_all();
+    assert!(retried.report.all_ok());
+    assert_eq!(report_bytes(&retried), report_bytes(&clean));
+}
+
 /// A per-test scratch directory under the system temp dir, removed on
 /// drop so chaos runs never leak warm caches into each other.
 struct TempDir(std::path::PathBuf);

@@ -11,6 +11,9 @@
 //!   run's.
 //! * A cached (`--cache-dir`) delta run changes nothing either: the
 //!   disk cache is an accelerator, not a source of truth.
+//! * Sweeps are not journaled: a delta of a Figure 5 series and the
+//!   Table II row it shares a sweep with regenerates that one sweep and
+//!   still merges to the cold bytes.
 
 use std::path::PathBuf;
 
@@ -35,11 +38,16 @@ fn scratch(tag: &str) -> PathBuf {
 /// A journaled cold micro-grid run in `dir`: its `results.json` bytes
 /// and the prior a `--resume dir` run reads back from `dir/run.journal`.
 fn cold_run(dir: &std::path::Path) -> (RecoveredJournal, String) {
+    cold_run_of(dir, &ExperimentGrid::micro())
+}
+
+/// [`cold_run`] of any grid.
+fn cold_run_of(dir: &std::path::Path, grid: &ExperimentGrid) -> (RecoveredJournal, String) {
     let journal = dir.join(JOURNAL_FILE);
     let report = scheduler()
         .journal_path(&journal)
-        .run(&ExperimentGrid::micro())
-        .expect("cold micro grid")
+        .run(grid)
+        .expect("cold grid")
         .report;
     let prior = read_journal(&journal).expect("the cold run's journal reads back");
     assert_eq!(prior.cells.len(), report.cells.len());
@@ -150,5 +158,47 @@ fn a_cached_delta_run_is_still_byte_identical() {
         resume_run(&scheduler().cache_dir(&cache), &grid, &prior, &journal).expect("warm resume");
     assert_eq!(warm.executed, 1);
     assert_eq!(warm.report.to_json(), cold_json);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cells_sharing_a_sweep_resume_byte_identically() {
+    // The micro grid plus the 5x5 depthwise Figure 5 series, which reads
+    // the same standard-objective sweep node as that model's Table II row.
+    let mut cells = ExperimentGrid::micro().cells().to_vec();
+    let series = ExperimentGrid::named("figure5", Scale::Smoke)
+        .expect("figure5 grid")
+        .cells()
+        .iter()
+        .find(|c| c.label == cells[0].label)
+        .expect("the micro grid's first Table II row has a Figure 5 series")
+        .clone();
+    cells.push(series);
+    let grid = ExperimentGrid::custom(cells);
+    let dir = scratch("shared-sweep");
+    let (mut prior, cold_json) = cold_run_of(&dir, &grid);
+    forget(&mut prior, &grid, 0);
+    forget(&mut prior, &grid, grid.len() - 1);
+
+    let resumed =
+        resume_run(&scheduler(), &grid, &prior, &dir.join(JOURNAL_FILE)).expect("resume succeeds");
+    assert_eq!(resumed.executed, 2);
+    let profile = resumed.profile.expect("the delta ran");
+    let sweeps: Vec<&str> = profile
+        .nodes
+        .iter()
+        .map(|n| n.name.as_str())
+        .filter(|n| n.starts_with("artifact:sweep/"))
+        .collect();
+    assert_eq!(
+        sweeps.len(),
+        1,
+        "both pending cells read one sweep: {sweeps:?}"
+    );
+    assert_eq!(
+        resumed.report.to_json(),
+        cold_json,
+        "the shared-sweep delta must reproduce the cold bytes exactly"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -10,7 +10,7 @@ use blurnet::journal::{
     KIND_HEADER,
 };
 use blurnet::report::CellReport;
-use blurnet::{BlurNetError, CellOutput, CellStatus};
+use blurnet::{BlurNetError, CellOutput, CellStatus, RunReport};
 use blurnet_tensor::persist::frame_record;
 use proptest::prelude::*;
 
@@ -192,4 +192,92 @@ fn ordering_violations_stay_typed_through_the_public_reader() {
         JournalError::DuplicateHeader { offset } => assert_eq!(offset, second_offset),
         other => panic!("expected DuplicateHeader, got {other:?}"),
     }
+}
+
+/// Most `[`/`{` open at once in a JSON text, outside string literals.
+fn json_depth(text: &str) -> usize {
+    let (mut depth, mut deepest, mut in_string, mut escaped) = (0usize, 0, false, false);
+    for c in text.chars() {
+        if in_string {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match c {
+            '"' => in_string = true,
+            '[' | '{' => {
+                depth += 1;
+                deepest = deepest.max(depth);
+            }
+            ']' | '}' => depth -= 1,
+            _ => {}
+        }
+    }
+    deepest
+}
+
+/// A journal of the `cells.len() == 0` header plus one raw cell record.
+fn journal_with_cell_payload(payload: &[u8]) -> Vec<u8> {
+    let mut bytes = journal_bytes(0);
+    bytes.extend_from_slice(&frame_record(
+        JOURNAL_MAGIC,
+        JOURNAL_VERSION,
+        KIND_CELL,
+        payload,
+    ));
+    bytes
+}
+
+/// The JSON parser's nesting limit must sit far above anything a run
+/// writes. The deepest record is a figure cell carrying tensors (Figure
+/// 1's spectra); it journals and recovers intact.
+#[test]
+fn the_deepest_real_record_is_far_inside_the_parser_nesting_limit() {
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden")
+        .join("paper_subset.json");
+    let report: RunReport =
+        serde_json::from_str(&std::fs::read_to_string(golden).expect("golden report"))
+            .expect("golden report parses");
+    let records: Vec<String> = report
+        .cells
+        .iter()
+        .map(|cell| serde_json::to_string(cell).expect("cell serializes"))
+        .collect();
+    let figure1 = report
+        .cells
+        .iter()
+        .position(|c| c.experiment == "figure1")
+        .expect("the golden report has a Figure 1 cell");
+    let deepest = records.iter().map(|r| json_depth(r)).max().unwrap();
+    assert_eq!(json_depth(&records[figure1]), deepest);
+    assert!(
+        deepest * 16 <= serde_json::MAX_DEPTH,
+        "records nest {deepest} deep, too close to the {} limit",
+        serde_json::MAX_DEPTH
+    );
+    let recovered = recover_journal(&journal_with_cell_payload(records[figure1].as_bytes()))
+        .expect("the Figure 1 record recovers");
+    assert_eq!(recovered.cells, [report.cells[figure1].clone()]);
+}
+
+/// A checksum-valid cell record of hostile nesting is a typed error, not
+/// a stack overflow, even on a thread with a small stack.
+#[test]
+fn a_deeply_nested_cell_record_is_a_typed_error() {
+    let bytes = journal_with_cell_payload("[".repeat(200_000).as_bytes());
+    std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(move || {
+            let err = journal_err(recover_journal(&bytes).expect_err("hostile nesting"));
+            assert!(matches!(err, JournalError::BadRecord { .. }), "got: {err}");
+        })
+        .expect("spawn reader thread")
+        .join()
+        .expect("deep nesting is an error, not a crash");
 }
