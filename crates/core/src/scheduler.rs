@@ -9,8 +9,8 @@
 //! metric) cells — into a DAG, so independent cells (different defenses,
 //! different attacks) overlap and shared work runs once:
 //!
-//! * **Train nodes** train each distinct model variant once (stored in
-//!   the shared [`VariantCache`]).
+//! * **Train nodes** (`train:<variant>`) train each distinct model variant
+//!   once.
 //! * **Artifact nodes** (`artifact:<key>`) generate each shared attack
 //!   artifact once, on a trained variant, deduplicated by key: the Table I
 //!   transfer set (`artifact:transfer-set`), the Figure 1/2 RP2 sticker
@@ -19,8 +19,15 @@
 //!   series reads its Table II row's sweep and Figure 3's dim-16 point
 //!   reads Table III's `7x7 conv` sweep. Sweeps are held in memory for
 //!   the run; the transfer set and sticker also ride the disk cache.
-//! * **Cell nodes** evaluate one row/series each, as a view over the
-//!   trained variant and the artifacts they consume.
+//! * **Cell nodes** (`cell:<experiment>/<label>`) evaluate one row/series
+//!   each, as a view over the trained variant and the artifacts they
+//!   consume.
+//!
+//! Every node writes what it produced into its own result slot (one
+//! `OnceLock` per node id: a model, an artifact or a cell output), and
+//! every reader reads it from there. An artifact or cell node's first
+//! dependency is the train node whose model it runs on; a cell's further
+//! dependencies are its artifacts, in `CellSpec::artifacts` order.
 //!
 //! Ready nodes stream through a [`BoundedQueue`] (capacity = node count;
 //! it can never grow past the DAG, so pushes never block) — the same
@@ -33,11 +40,11 @@
 //!
 //! # Engine sharing and borrow model
 //!
-//! Trained variants live in the [`VariantCache`] as `Arc<DefendedModel>`
-//! handles shared read-only across workers. Every cell evaluates the one
-//! shared model in place: white-box attacks read its network, and defended
-//! inference ([`DefendedModel::classify`]) is a pure `&self` function —
-//! even randomized smoothing starts a fresh noise stream per call — so a
+//! A trained variant lives in its train node's slot and is shared
+//! read-only across workers. Every cell evaluates the one shared model in
+//! place: white-box attacks read its network, and defended inference
+//! ([`DefendedModel::classify`]) is a pure `&self` function — even
+//! randomized smoothing starts a fresh noise stream per call — so a
 //! cell's result cannot depend on which worker runs it or what ran
 //! before it. The underlying
 //! [`blurnet_nn::BatchEngine`] is `Send + Sync` (asserted at compile time
@@ -50,8 +57,8 @@
 //! run is the reference every other run must match byte for byte:
 //!
 //! * cell decomposition and reduction order depend only on the grid, never
-//!   on completion order (results are written into per-cell slots indexed
-//!   by grid position);
+//!   on completion order (the report is read off the per-node slots in
+//!   node-id order, and cell nodes are numbered in grid order);
 //! * every cell executes through the grid's `execute_cell` on the one
 //!   shared trained variant, and every numeric kernel underneath is
 //!   bit-identical at every thread count (the batch-engine guarantees);
@@ -68,7 +75,9 @@
 //! node runs under `catch_unwind`, failures are recorded as
 //! [`CellStatus::Failed`] in the report, and only the failed node's
 //! *dependents* are marked [`CellStatus::Skipped`]. Every other cell runs
-//! to completion.
+//! to completion. The `core.sched.{train,artifact,cell}` fault sites
+//! inject errors and panics into nodes (`crate::fault`, compiled with the
+//! `fault-injection` feature).
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -82,9 +91,9 @@ use blurnet_attacks::{
 };
 use blurnet_data::SignDataset;
 use blurnet_defenses::{
-    train_defended_model, DefendedModel, DefenseKind, DiskVariantCache, VariantCache,
+    model_to_bytes, train_defended_model, DefendedModel, DefenseKind, DiskVariantCache,
 };
-use blurnet_tensor::persist::{read_file_verified, write_file_atomic};
+use blurnet_tensor::persist::{fnv1a, read_file_verified, write_file_atomic};
 use blurnet_tensor::Tensor;
 
 use crate::experiments::grid::{execute_cell, Artifact, ArtifactKey, CellSpec, ExperimentGrid};
@@ -101,8 +110,8 @@ enum NodeKind {
     Train(DefenseKind),
     /// Generates (or fetches from a warm cache) one shared artifact.
     Artifact(ArtifactKey),
-    /// Evaluates the grid cell at this index.
-    Cell(usize),
+    /// Evaluates one grid cell.
+    Cell(CellSpec),
 }
 
 /// One node of the scheduling DAG.
@@ -249,8 +258,9 @@ impl ExperimentScheduler {
     /// runs: trained variants go through a [`DiskVariantCache`] (keyed by
     /// architecture + defense + trainer config + dataset seed, so a seed
     /// or hyper-parameter change is a clean miss), and the shared
-    /// transfer-set / sticker artifacts are stored per `(scale, seed)`
-    /// (sweep artifacts are held in memory for the run only).
+    /// transfer-set / sticker artifacts are stored per `(scale, seed)` and
+    /// the hash of the baseline they were generated from (sweep artifacts
+    /// are held in memory for the run only).
     /// Every entry rides the checksummed atomic file container; a
     /// missing, torn or bit-rotted entry falls back to regenerating from
     /// scratch — a warm cache can make a run faster, never different.
@@ -279,7 +289,7 @@ impl ExperimentScheduler {
     /// generation). Per-cell failures are isolated into the report as
     /// [`CellStatus::Failed`] / [`CellStatus::Skipped`].
     pub fn run(&self, grid: &ExperimentGrid) -> Result<ScheduledRun> {
-        self.run_inner(grid, None, None)
+        self.run_inner(grid, None)
     }
 
     /// Runs the grid appending completed cells to an already-created
@@ -291,18 +301,7 @@ impl ExperimentScheduler {
         grid: &ExperimentGrid,
         journal: Arc<JournalWriter>,
     ) -> Result<ScheduledRun> {
-        self.run_inner(grid, None, Some(journal))
-    }
-
-    /// Test hook: runs the grid with a panic injected into the cell at
-    /// `panic_cell` (grid order), exercising the failure-isolation path.
-    #[doc(hidden)]
-    pub fn run_with_injected_panic(
-        &self,
-        grid: &ExperimentGrid,
-        panic_cell: usize,
-    ) -> Result<ScheduledRun> {
-        self.run_inner(grid, Some(panic_cell), None)
+        self.run_inner(grid, Some(journal))
     }
 
     /// The DAG the scheduler would execute, as `(name, dep names)` pairs
@@ -325,7 +324,6 @@ impl ExperimentScheduler {
     fn run_inner(
         &self,
         grid: &ExperimentGrid,
-        panic_cell: Option<usize>,
         journal: Option<Arc<JournalWriter>>,
     ) -> Result<ScheduledRun> {
         if grid.is_empty() {
@@ -360,18 +358,7 @@ impl ExperimentScheduler {
             None => None,
         };
 
-        let exec = Executor::new(
-            nodes,
-            grid,
-            self.scale,
-            dataset,
-            images,
-            disk,
-            panic_cell,
-            self.verbose,
-            self.retry_failed,
-            journal,
-        );
+        let exec = Executor::new(self, nodes, dataset, images, disk, journal);
 
         let started = Instant::now();
         // `run_workers` runs a single worker inline (keeping the whole
@@ -381,7 +368,7 @@ impl ExperimentScheduler {
         run_workers(workers, |id| exec.worker_loop(id, pin_intra, &started));
         let wall_ns = started.elapsed().as_nanos() as u64;
 
-        let (report, node_profiles) = exec.into_results(self.scale, self.seed, grid)?;
+        let (report, node_profiles) = exec.into_results(self.scale, self.seed);
         Ok(ScheduledRun {
             report,
             profile: RunProfile {
@@ -396,8 +383,9 @@ impl ExperimentScheduler {
 
 /// Builds the DAG for a grid: train and artifact nodes first, then one
 /// cell node per grid cell (in grid order — node ids are deterministic).
-/// A cell depends on its variant's train node and then on its artifact
-/// nodes in [`CellSpec::artifacts`] order.
+/// An artifact or cell node's first dependency is the train node of the
+/// model it runs on; a cell's further dependencies are its artifact
+/// nodes, in [`CellSpec::artifacts`] order.
 fn build_dag(grid: &ExperimentGrid, scale: Scale) -> Vec<Node> {
     let mut nodes: Vec<Node> = Vec::new();
     // Train and artifact nodes are deduplicated by name (one per variant
@@ -439,18 +427,18 @@ fn build_dag(grid: &ExperimentGrid, scale: Scale) -> Vec<Node> {
         }
         cell_deps.push(deps);
     }
-    for (i, (spec, deps)) in grid.cells().iter().zip(cell_deps).enumerate() {
+    for (spec, deps) in grid.cells().iter().zip(cell_deps) {
         nodes.push(Node {
             name: format!("cell:{}/{}", spec.experiment, spec.label),
-            kind: NodeKind::Cell(i),
+            kind: NodeKind::Cell(spec.clone()),
             deps,
         });
     }
     nodes
 }
 
-/// The on-disk side of a cached run: the model cache plus the per-
-/// `(scale, seed)` artifact files, all under one directory.
+/// The on-disk side of a cached run: the model cache plus the shared
+/// artifact files, all under one directory.
 struct DiskStore {
     models: DiskVariantCache,
     dir: PathBuf,
@@ -468,6 +456,45 @@ impl DiskStore {
             models,
         })
     }
+
+    /// The file of an artifact generated on `model`:
+    /// `<stem>-<scale>-<seed>-<model hash>.<ext>`. The FNV-1a hash of the
+    /// model's bytes keys the file on the exact weights it was generated
+    /// from, so a retrained model never reads an older model's artifact.
+    fn artifact_path(
+        &self,
+        stem: &str,
+        ext: &str,
+        scale: Scale,
+        model: &DefendedModel,
+    ) -> std::result::Result<PathBuf, String> {
+        let hash = fnv1a(&model_to_bytes(model).map_err(|e| e.to_string())?);
+        let file = format!("{stem}-{scale}-{}-{hash:016x}.{ext}", self.seed);
+        Ok(self.dir.join(file))
+    }
+}
+
+/// Reads a cached artifact file: `Ok(None)` when absent, `Err` when the
+/// file is damaged or does not decode.
+fn read_artifact<T>(
+    path: &Path,
+    decode: fn(&[u8]) -> std::result::Result<T, AttackError>,
+) -> std::result::Result<Option<T>, String> {
+    if !path.exists() {
+        return Ok(None);
+    }
+    let payload = read_file_verified(path).map_err(|e| e.to_string())?;
+    decode(&payload).map(Some).map_err(|e| e.to_string())
+}
+
+/// What a completed node produced, kept in its result slot.
+enum NodeResult {
+    /// A train node's trained variant.
+    Model(Box<DefendedModel>),
+    /// An artifact node's artifact.
+    Artifact(Artifact),
+    /// A cell node's output.
+    Cell(CellOutput),
 }
 
 /// Mutable scheduling state guarded by one mutex (map operations only —
@@ -475,14 +502,15 @@ impl DiskStore {
 struct SchedState {
     /// Remaining unfinished dependencies per node.
     pending: Vec<usize>,
-    /// Failure (or skip) reason per node, if any.
-    failed: Vec<Option<String>>,
+    /// Why each node holds no result, if it does not:
+    /// [`CellStatus::Failed`] for its own failure, [`CellStatus::Skipped`]
+    /// when a prerequisite failed.
+    failures: Vec<Option<CellStatus>>,
+    /// Failed attempts consumed per node (`--retry-failed N`).
+    attempts: Vec<usize>,
     /// Completed node count (success, failure or skip).
     completed: usize,
 }
-
-/// One cell's pending result: its status plus the output when it ran.
-type CellSlot = Mutex<Option<(CellStatus, Option<CellOutput>)>>;
 
 /// Shared execution context for one scheduler run.
 struct Executor {
@@ -495,37 +523,25 @@ struct Executor {
     scale: Scale,
     dataset: SignDataset,
     images: Vec<Tensor>,
-    variants: VariantCache,
     disk: Option<DiskStore>,
-    /// Generated artifacts, by node id (empty for train and cell nodes).
-    artifacts: Vec<OnceLock<Artifact>>,
-    cell_slots: Vec<CellSlot>,
+    /// One result slot per node id, set once when the node succeeds.
+    results: Vec<OnceLock<NodeResult>>,
     profiles: Mutex<Vec<Option<NodeProfile>>>,
-    specs: Vec<CellSpec>,
-    panic_cell: Option<usize>,
     verbose: bool,
     /// The run's write-ahead journal, when enabled: completed cells are
     /// appended (and fsynced) as they finish, in completion order.
     journal: Option<Arc<JournalWriter>>,
     /// Extra attempts granted to a failed node (`--retry-failed N`).
     retry_limit: usize,
-    /// Failed attempts consumed per node, guarded by `state`'s lock
-    /// discipline (only the worker holding the node mutates its slot).
-    attempts: Mutex<Vec<usize>>,
 }
 
 impl Executor {
-    #[allow(clippy::too_many_arguments)]
     fn new(
+        sched: &ExperimentScheduler,
         nodes: Vec<Node>,
-        grid: &ExperimentGrid,
-        scale: Scale,
         dataset: SignDataset,
         images: Vec<Tensor>,
         disk: Option<DiskStore>,
-        panic_cell: Option<usize>,
-        verbose: bool,
-        retry_limit: usize,
         journal: Option<Arc<JournalWriter>>,
     ) -> Self {
         let mut dependents = vec![Vec::new(); nodes.len()];
@@ -549,31 +565,24 @@ impl Executor {
                 }
             }
         }
-        let cell_slots = (0..grid.len()).map(|_| Mutex::new(None)).collect();
-        let profiles = Mutex::new(vec![None; nodes.len()]);
-        let attempts = Mutex::new(vec![0usize; nodes.len()]);
         Executor {
-            attempts,
-            retry_limit,
+            retry_limit: sched.retry_failed,
             journal,
             dependents,
             state: Mutex::new(SchedState {
                 pending,
-                failed: vec![None; nodes.len()],
+                failures: vec![None; nodes.len()],
+                attempts: vec![0; nodes.len()],
                 completed: 0,
             }),
             ready,
-            scale,
+            scale: sched.scale,
             dataset,
             images,
-            variants: VariantCache::new(),
             disk,
-            artifacts: nodes.iter().map(|_| OnceLock::new()).collect(),
-            cell_slots,
-            profiles,
-            specs: grid.cells().to_vec(),
-            panic_cell,
-            verbose,
+            results: nodes.iter().map(|_| OnceLock::new()).collect(),
+            profiles: Mutex::new(vec![None; nodes.len()]),
+            verbose: sched.verbose,
             nodes,
         }
     }
@@ -608,7 +617,13 @@ impl Executor {
             let duration_ns = node_start.elapsed().as_nanos() as u64;
 
             let error = match outcome {
-                Ok(Ok(())) => None,
+                Ok(Ok(result)) => {
+                    // The slot is still empty: a node succeeds once, and a
+                    // retry only follows a failure. It is set before
+                    // `complete` releases any dependent that reads it.
+                    let _ = self.results[id].set(result);
+                    None
+                }
                 Ok(Err(e)) => Some(e.to_string()),
                 Err(payload) => Some(panic_message(payload)),
             };
@@ -651,9 +666,9 @@ impl Executor {
 
     /// Consumes one retry attempt for `id` if any are left.
     fn grant_retry(&self, id: usize) -> bool {
-        let mut attempts = self.attempts.lock().expect("attempt slots poisoned");
-        if attempts[id] < self.retry_limit {
-            attempts[id] += 1;
+        let mut st = self.state.lock().expect("scheduler state poisoned");
+        if st.attempts[id] < self.retry_limit {
+            st.attempts[id] += 1;
             true
         } else {
             false
@@ -683,16 +698,8 @@ impl Executor {
         let mut newly_ready = Vec::new();
         let all_done = {
             let mut st = self.state.lock().expect("scheduler state poisoned");
-            if let Some(error) = &error {
-                if let NodeKind::Cell(cell) = self.nodes[id].kind {
-                    *self.cell_slots[cell].lock().expect("cell slot poisoned") = Some((
-                        CellStatus::Failed {
-                            error: error.clone(),
-                        },
-                        None,
-                    ));
-                }
-                st.failed[id] = Some(error.clone());
+            if let Some(error) = error {
+                st.failures[id] = Some(CellStatus::Failed { error });
             }
             st.completed += 1;
             // Walk completions breadth-first: a failed prerequisite marks
@@ -713,21 +720,16 @@ impl Executor {
                     let failed_dep = self.nodes[dep]
                         .deps
                         .iter()
-                        .find(|&&d| st.failed[d].is_some())
-                        .copied();
-                    if let Some(bad) = failed_dep {
-                        let cause = st.failed[bad].clone().expect("checked above");
+                        .find_map(|&d| st.failures[d].as_ref().map(|f| (d, f)));
+                    if let Some((bad, failure)) = failed_dep {
+                        let (CellStatus::Failed { error: cause }
+                        | CellStatus::Skipped { reason: cause }) = failure
+                        else {
+                            unreachable!("a failure record is never Ok")
+                        };
                         let reason =
                             format!("prerequisite {} failed: {cause}", self.nodes[bad].name);
-                        if let NodeKind::Cell(cell) = self.nodes[dep].kind {
-                            *self.cell_slots[cell].lock().expect("cell slot poisoned") = Some((
-                                CellStatus::Skipped {
-                                    reason: reason.clone(),
-                                },
-                                None,
-                            ));
-                        }
-                        st.failed[dep] = Some(reason);
+                        st.failures[dep] = Some(CellStatus::Skipped { reason });
                         st.completed += 1;
                         frontier.push(dep);
                     } else {
@@ -749,17 +751,34 @@ impl Executor {
         }
     }
 
-    /// Executes one node's work.
-    fn run_node(&self, id: usize) -> Result<()> {
-        let kind = &self.nodes[id].kind;
+    /// The trained variant in train node `id`'s slot. A node runs only
+    /// once every dependency succeeded, so a dependency's slot is set.
+    fn model(&self, id: usize) -> &DefendedModel {
+        match self.results[id].get() {
+            Some(NodeResult::Model(model)) => model,
+            _ => unreachable!("{} holds no model", self.nodes[id].name),
+        }
+    }
+
+    /// The artifact in artifact node `id`'s slot (see [`Executor::model`]).
+    fn artifact(&self, id: usize) -> &Artifact {
+        match self.results[id].get() {
+            Some(NodeResult::Artifact(artifact)) => artifact,
+            _ => unreachable!("{} holds no artifact", self.nodes[id].name),
+        }
+    }
+
+    /// Executes one node's work and returns what goes into its slot.
+    fn run_node(&self, id: usize) -> Result<NodeResult> {
+        let node = &self.nodes[id];
         // Fault sites `core.sched.{train,artifact,cell}`: an `Error` fault
-        // fails the node before it stores anything (variant, artifact or
+        // fails the node before it produces anything (variant, artifact or
         // cell result), so a retry regenerates it deterministically; a
         // `Panic` fault exercises the catch_unwind isolation.
         #[cfg(feature = "fault-injection")]
         {
             use crate::fault::sites;
-            let site = match kind {
+            let site = match node.kind {
                 NodeKind::Train(_) => sites::SCHED_TRAIN,
                 NodeKind::Artifact(_) => sites::SCHED_ARTIFACT,
                 NodeKind::Cell(_) => sites::SCHED_CELL,
@@ -771,73 +790,76 @@ impl Executor {
                 )));
             }
         }
-        match kind {
+        Ok(match &node.kind {
             NodeKind::Train(defense) => {
-                if self.variants.get(&defense.label()).is_none() {
-                    let model = match self.load_cached_model(defense) {
-                        Some(model) => model,
-                        None => {
-                            let model = train_defended_model(
-                                defense,
-                                &self.dataset,
-                                &self.scale.train_config(),
-                            )?;
-                            self.store_model(&model);
-                            model
-                        }
-                    };
-                    self.variants.insert(model);
-                }
-                Ok(())
+                let train = self.scale.train_config();
+                let size = self.dataset.image_size();
+                let classes = self.dataset.num_classes();
+                NodeResult::Model(Box::new(self.cached(
+                    id,
+                    |disk| {
+                        let found = disk.models.load(defense, &train, size, classes, disk.seed);
+                        found.map_err(|e| e.to_string())
+                    },
+                    |disk, model| {
+                        let stored = disk.models.store(model, &train, size, classes, disk.seed);
+                        stored.map(drop).map_err(|e| e.to_string())
+                    },
+                    || Ok(train_defended_model(defense, &self.dataset, &train)?),
+                )?))
             }
             NodeKind::Artifact(key) => {
-                let baseline = || self.variant(&DefenseKind::Baseline.label());
-                let artifact = match key {
-                    ArtifactKey::Transfer => Artifact::Transfer(self.load_or_generate(
-                        "transfer",
-                        "bnxs",
-                        transfer_set_from_bytes,
-                        transfer_set_to_bytes,
-                        || table1::transfer_set(self.scale, &*baseline()?, &self.images),
-                    )?),
-                    ArtifactKey::Sticker => Artifact::Sticker(self.load_or_generate(
-                        "sticker",
-                        "bnrp",
-                        rp2_result_from_bytes,
-                        rp2_result_to_bytes,
-                        || figures::sticker_artifact(self.scale, &*baseline()?, &self.images),
-                    )?),
-                    ArtifactKey::Sweep { defense, objective } => {
-                        let model = self.variant(defense)?;
-                        let attack = rp2_with_objective(self.scale, objective.build(&model)?)?;
-                        let targets = self.scale.attack_targets();
-                        Artifact::Sweep(sweep_defended(&model, &attack, &self.images, &targets)?)
-                    }
+                let model = self.model(node.deps[0]);
+                let path =
+                    |disk: &DiskStore, stem, ext| disk.artifact_path(stem, ext, self.scale, model);
+                let write = |path: PathBuf, bytes: Vec<u8>| {
+                    write_file_atomic(&path, &bytes).map_err(|e| e.to_string())
                 };
-                // The slot is still empty: a node completes once, and a
-                // retry only follows a failure, which never gets here.
-                let _ = self.artifacts[id].set(artifact);
-                Ok(())
+                NodeResult::Artifact(match key {
+                    ArtifactKey::Transfer => Artifact::Transfer(self.cached(
+                        id,
+                        |disk| {
+                            read_artifact(&path(disk, "transfer", "bnxs")?, transfer_set_from_bytes)
+                        },
+                        |disk, set| {
+                            write(path(disk, "transfer", "bnxs")?, transfer_set_to_bytes(set))
+                        },
+                        || table1::transfer_set(self.scale, model, &self.images),
+                    )?),
+                    ArtifactKey::Sticker => Artifact::Sticker(self.cached(
+                        id,
+                        |disk| {
+                            read_artifact(&path(disk, "sticker", "bnrp")?, rp2_result_from_bytes)
+                        },
+                        |disk, sticker| {
+                            write(path(disk, "sticker", "bnrp")?, rp2_result_to_bytes(sticker))
+                        },
+                        || figures::sticker_artifact(self.scale, model, &self.images),
+                    )?),
+                    ArtifactKey::Sweep { objective, .. } => {
+                        let attack = rp2_with_objective(self.scale, objective.build(model)?)?;
+                        let targets = self.scale.attack_targets();
+                        Artifact::Sweep(sweep_defended(model, &attack, &self.images, &targets)?)
+                    }
+                })
             }
-            NodeKind::Cell(cell) => {
-                if self.panic_cell == Some(*cell) {
-                    panic!("injected panic (scheduler isolation test)");
-                }
-                let spec = &self.specs[*cell];
+            NodeKind::Cell(spec) => {
                 // Defended inference is stateless, so every cell reads the
                 // one shared trained model; concurrent cells never copy it.
-                let model = self.variant(&spec.required_defense(self.scale).label())?;
-                // A cell runs only once every dependency succeeded, so its
-                // artifact nodes (every dep after the train node) are set.
-                let artifacts: Vec<&Artifact> = self.nodes[id].deps[1..]
+                let artifacts: Vec<&Artifact> = node.deps[1..]
                     .iter()
-                    .filter_map(|&dep| self.artifacts[dep].get())
+                    .map(|&dep| self.artifact(dep))
                     .collect();
-                let output =
-                    execute_cell(&spec.kind, self.scale, &self.images, &model, &artifacts)?;
+                let output = execute_cell(
+                    &spec.kind,
+                    self.scale,
+                    &self.images,
+                    self.model(node.deps[0]),
+                    &artifacts,
+                )?;
                 // Write-ahead: the cell's record is durable on disk
-                // before the in-memory slot commits it to the report —
-                // a crash from here on never loses this cell.
+                // before its slot commits it to the report — a crash from
+                // here on never loses this cell.
                 if let Some(journal) = &self.journal {
                     journal.append_cell(&CellReport {
                         experiment: spec.experiment.to_string(),
@@ -846,165 +868,92 @@ impl Executor {
                         output: Some(output.clone()),
                     });
                 }
-                *self.cell_slots[*cell].lock().expect("cell slot poisoned") =
-                    Some((CellStatus::Ok, Some(output)));
-                Ok(())
+                NodeResult::Cell(output)
             }
-        }
+        })
     }
 
-    /// Fault site `core.cache.load`, evaluated once per disk-cache probe:
-    /// an `Error` fault makes the probe report corruption, forcing the
-    /// regenerate-from-scratch fall-back. Returns `true` when the probe
-    /// should be treated as poisoned.
-    #[cfg(feature = "fault-injection")]
-    fn cache_load_poisoned(&self) -> bool {
-        crate::fault::fire(crate::fault::sites::CACHE_LOAD)
-    }
-
-    /// No-op without the `fault-injection` feature.
-    #[cfg(not(feature = "fault-injection"))]
-    #[inline(always)]
-    fn cache_load_poisoned(&self) -> bool {
-        false
-    }
-
-    /// Probes the disk cache for a trained variant. Misses **and** damaged
-    /// entries both come back `None` — corruption downgrades to a retrain,
-    /// never a failed node — but damage is reported to stderr (a silent
-    /// downgrade would hide bit-rot forever).
-    fn load_cached_model(&self, defense: &DefenseKind) -> Option<DefendedModel> {
-        let disk = self.disk.as_ref()?;
-        if self.cache_load_poisoned() {
-            eprintln!(
-                "[sched] cache probe for {} poisoned (injected); retraining",
-                defense.label()
-            );
-            return None;
-        }
-        match disk.models.load(
-            defense,
-            &self.scale.train_config(),
-            self.dataset.image_size(),
-            self.dataset.num_classes(),
-            disk.seed,
-        ) {
-            Ok(found) => found,
-            Err(e) => {
-                eprintln!(
-                    "[sched] cache entry for {} unreadable ({e}); retraining",
-                    defense.label()
-                );
-                None
-            }
-        }
-    }
-
-    /// Writes a freshly trained variant to the disk cache (best-effort: a
-    /// full disk must not fail the run that just paid for the training).
-    fn store_model(&self, model: &DefendedModel) {
-        if let Some(disk) = &self.disk {
-            if let Err(e) = disk.models.store(
-                model,
-                &self.scale.train_config(),
-                self.dataset.image_size(),
-                self.dataset.num_classes(),
-                disk.seed,
-            ) {
-                eprintln!(
-                    "[sched] failed to cache trained {}: {e}",
-                    model.defense().label()
-                );
-            }
-        }
-    }
-
-    /// A disk-cached artifact: loaded from `<stem>-<scale>-<seed>.<ext>`
-    /// under the cache directory when a readable entry exists, otherwise
-    /// generated and stored there (best-effort, like
-    /// [`Executor::store_model`]). Misses and damaged entries both
-    /// regenerate, with the same semantics as
-    /// [`Executor::load_cached_model`].
-    fn load_or_generate<T>(
+    /// The one disk-cache path of a node's result. Without a cache
+    /// directory the result is generated. Otherwise a readable entry is
+    /// returned as is; a miss generates, and a poisoned probe (fault site
+    /// `core.cache.load`) or an unreadable entry is reported on stderr and
+    /// regenerated — a damaged cache costs a regeneration, never a failed
+    /// node. A generated result is stored best-effort: a full disk must
+    /// not fail the run that just paid for the work.
+    fn cached<T>(
         &self,
-        stem: &str,
-        ext: &str,
-        decode: fn(&[u8]) -> std::result::Result<T, AttackError>,
-        encode: fn(&T) -> Vec<u8>,
+        id: usize,
+        load: impl FnOnce(&DiskStore) -> std::result::Result<Option<T>, String>,
+        store: impl FnOnce(&DiskStore, &T) -> std::result::Result<(), String>,
         generate: impl FnOnce() -> Result<T>,
     ) -> Result<T> {
         let Some(disk) = &self.disk else {
             return generate();
         };
-        let path = disk
-            .dir
-            .join(format!("{stem}-{}-{}.{ext}", self.scale, disk.seed));
-        if path.exists() {
-            if self.cache_load_poisoned() {
-                eprintln!("[sched] {stem} cache probe poisoned (injected); regenerating");
-            } else {
-                match read_file_verified(&path)
-                    .map_err(|e| e.to_string())
-                    .and_then(|payload| decode(&payload).map_err(|e| e.to_string()))
-                {
-                    Ok(artifact) => return Ok(artifact),
-                    Err(e) => eprintln!("[sched] cached {stem} unreadable ({e}); regenerating"),
+        let name = &self.nodes[id].name;
+        #[cfg(feature = "fault-injection")]
+        let poisoned = crate::fault::fire(crate::fault::sites::CACHE_LOAD);
+        #[cfg(not(feature = "fault-injection"))]
+        let poisoned = false;
+        if poisoned {
+            eprintln!("[sched] cache probe for {name} poisoned (injected); regenerating");
+        } else {
+            match load(disk) {
+                Ok(Some(found)) => return Ok(found),
+                Ok(None) => {}
+                Err(e) => {
+                    eprintln!("[sched] cache entry for {name} unreadable ({e}); regenerating")
                 }
             }
         }
-        let artifact = generate()?;
-        if let Err(e) = write_file_atomic(&path, &encode(&artifact)) {
-            eprintln!("[sched] failed to cache artifact {}: {e}", path.display());
+        let generated = generate()?;
+        if let Err(e) = store(disk, &generated) {
+            eprintln!("[sched] failed to cache {name}: {e}");
         }
-        Ok(artifact)
-    }
-
-    /// The trained variant with this label (must have been produced by a
-    /// completed train node).
-    fn variant(&self, label: &str) -> Result<Arc<DefendedModel>> {
-        self.variants.get(label).ok_or_else(|| {
-            BlurNetError::BadConfig(format!(
-                "variant {label} missing from the cache (train node did not run?)"
-            ))
-        })
+        Ok(generated)
     }
 
     /// Collapses the execution state into the deterministic report (cells
-    /// in grid order) and the per-node profiles (node-id order).
-    fn into_results(
-        self,
-        scale: Scale,
-        seed: u64,
-        grid: &ExperimentGrid,
-    ) -> Result<(RunReport, Vec<NodeProfile>)> {
-        let mut cells = Vec::with_capacity(grid.len());
-        for (i, spec) in grid.cells().iter().enumerate() {
-            let (status, output) = self.cell_slots[i]
-                .lock()
-                .expect("cell slot poisoned")
-                .take()
-                .unwrap_or((
-                    CellStatus::Failed {
-                        error: "cell never executed".into(),
-                    },
-                    None,
-                ));
+    /// in grid order) and the per-node profiles (node-id order). Each
+    /// cell's status is its failure record, else `Ok` with its slot's
+    /// output.
+    fn into_results(self, scale: Scale, seed: u64) -> (RunReport, Vec<NodeProfile>) {
+        let failures = self
+            .state
+            .into_inner()
+            .expect("scheduler state poisoned")
+            .failures;
+        let mut cells = Vec::new();
+        for ((node, slot), failure) in self.nodes.into_iter().zip(self.results).zip(failures) {
+            let NodeKind::Cell(spec) = node.kind else {
+                continue;
+            };
+            let output = match slot.into_inner() {
+                Some(NodeResult::Cell(output)) => Some(output),
+                _ => None,
+            };
+            let status = match (failure, &output) {
+                (Some(status), _) => status,
+                (None, Some(_)) => CellStatus::Ok,
+                (None, None) => CellStatus::Failed {
+                    error: "cell never executed".into(),
+                },
+            };
             cells.push(CellReport {
                 experiment: spec.experiment.to_string(),
-                label: spec.label.clone(),
+                label: spec.label,
                 status,
                 output,
             });
         }
         let profiles = self
             .profiles
-            .lock()
+            .into_inner()
             .expect("profile slots poisoned")
-            .iter()
+            .into_iter()
             .flatten()
-            .cloned()
             .collect();
-        Ok((
+        (
             RunReport {
                 schema: RESULTS_SCHEMA.to_string(),
                 scale: scale.to_string(),
@@ -1012,7 +961,7 @@ impl Executor {
                 cells,
             },
             profiles,
-        ))
+        )
     }
 }
 
@@ -1113,6 +1062,56 @@ mod tests {
         assert!(figure3.contains(&table3[0]), "{figure3:?} vs {table3:?}");
     }
 
+    /// The micro grid with a Figure 3 cell that has no DCT dimensions —
+    /// a cell that really fails (`BadConfig`) — inserted at index 1, run
+    /// on `threads` workers: that cell is `Failed` and every sibling's
+    /// report entry is byte-identical to a clean micro-grid run.
+    fn assert_a_failing_cell_is_isolated(threads: usize) {
+        let clean = ExperimentGrid::micro();
+        let mut cells = clean.cells().to_vec();
+        cells.insert(
+            1,
+            CellSpec {
+                experiment: "figure3",
+                label: "no dims".into(),
+                kind: crate::experiments::grid::CellKind::Figure3 { dims: vec![] },
+            },
+        );
+        let scheduler = ExperimentScheduler::new(Scale::Smoke, 7).threads(threads);
+        let clean = scheduler.run(&clean).unwrap().report;
+        let mut faulty = scheduler
+            .run(&ExperimentGrid::custom(cells))
+            .unwrap()
+            .report;
+        let failing = faulty.cells.remove(1);
+        assert!(
+            matches!(&failing.status, CellStatus::Failed { error } if error.contains("no DCT dimensions")),
+            "{:?}",
+            failing.status
+        );
+        assert!(failing.output.is_none());
+        let bytes = |cell: &CellReport| serde_json::to_string(cell).unwrap();
+        assert_eq!(faulty.cells.len(), clean.cells.len());
+        for (cell, clean_cell) in faulty.cells.iter().zip(&clean.cells) {
+            assert_eq!(
+                bytes(cell),
+                bytes(clean_cell),
+                "sibling {} diverged",
+                cell.label
+            );
+        }
+    }
+
+    #[test]
+    fn a_failing_cell_does_not_poison_its_siblings() {
+        assert_a_failing_cell_is_isolated(2);
+    }
+
+    #[test]
+    fn failure_isolation_holds_with_a_single_worker() {
+        assert_a_failing_cell_is_isolated(1);
+    }
+
     #[test]
     fn empty_grids_are_rejected() {
         let scheduler = ExperimentScheduler::new(Scale::Smoke, 7);
@@ -1130,5 +1129,37 @@ mod tests {
         assert_eq!(run.profile.cell_count, 4);
         assert!(run.profile.cells_per_sec() > 0.0);
         assert!(run.profile.utilization() > 0.0 && run.profile.utilization() <= 1.0);
+    }
+
+    #[test]
+    fn the_full_plan_is_pinned_and_readers_start_at_their_train_node() {
+        let scale = Scale::Smoke;
+        let grid = ExperimentGrid::full(scale);
+        let plan = ExperimentScheduler::new(scale, 7).plan(&grid);
+        // Every cell's first dependency is the train node of the variant
+        // it evaluates, so its model is read from that node's slot.
+        let cells: Vec<_> = plan
+            .iter()
+            .filter(|(n, _)| n.starts_with("cell:"))
+            .collect();
+        assert_eq!(cells.len(), grid.len());
+        for ((name, deps), spec) in cells.into_iter().zip(grid.cells()) {
+            assert_eq!(name, &format!("cell:{}/{}", spec.experiment, spec.label));
+            let train = format!("train:{}", spec.required_defense(scale).label());
+            assert_eq!(deps[0], train, "{name}");
+        }
+        // An artifact node's one dependency is the train node it runs on.
+        for (name, deps) in plan.iter().filter(|(n, _)| n.starts_with("artifact:")) {
+            assert!(deps.len() == 1 && deps[0].starts_with("train:"), "{name}");
+        }
+        // Names, dependencies and node order, pinned as one FNV-1a hash
+        // of `name <- dep, dep` lines: a change here is a change to the
+        // DAG, which node names and blurbench's per-prefix timings rely on.
+        let text: String = plan
+            .iter()
+            .map(|(name, deps)| format!("{name} <- {}\n", deps.join(", ")))
+            .collect();
+        assert_eq!(plan.len(), 15 + 2 + 28 + 52);
+        assert_eq!(fnv1a(text.as_bytes()), 0x54bc_41e2_86ef_8d2f, "{text}");
     }
 }

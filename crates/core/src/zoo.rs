@@ -2,12 +2,15 @@
 //!
 //! The zoo trains each [`DefenseKind`] at most once per process and hands
 //! out shared handles. Grid runs do not use it: the experiment
-//! scheduler trains variants as DAG nodes into its own cache.
+//! scheduler trains each variant in a DAG node and keeps it in that
+//! node's result slot.
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use blurnet_data::SignDataset;
-use blurnet_defenses::{train_defended_model, DefendedModel, DefenseKind, VariantCache};
+use blurnet_defenses::{train_defended_model, DefendedModel, DefenseKind};
 
 use crate::{Result, Scale};
 
@@ -18,7 +21,8 @@ use crate::{Result, Scale};
 pub struct ModelZoo {
     scale: Scale,
     dataset: SignDataset,
-    cache: VariantCache,
+    /// Trained models by defense label.
+    models: HashMap<String, Arc<DefendedModel>>,
 }
 
 impl ModelZoo {
@@ -32,7 +36,7 @@ impl ModelZoo {
         Ok(ModelZoo {
             scale,
             dataset,
-            cache: VariantCache::new(),
+            models: HashMap::new(),
         })
     }
 
@@ -48,11 +52,14 @@ impl ModelZoo {
     ///
     /// Propagates training errors.
     pub fn get_or_train_shared(&mut self, defense: &DefenseKind) -> Result<Arc<DefendedModel>> {
-        if let Some(model) = self.cache.get(&defense.label()) {
-            return Ok(model);
-        }
-        let model = train_defended_model(defense, &self.dataset, &self.scale.train_config())?;
-        Ok(self.cache.insert(model))
+        Ok(match self.models.entry(defense.label()) {
+            Entry::Occupied(found) => found.get().clone(),
+            Entry::Vacant(slot) => {
+                let model =
+                    train_defended_model(defense, &self.dataset, &self.scale.train_config())?;
+                slot.insert(Arc::new(model)).clone()
+            }
+        })
     }
 }
 

@@ -1,5 +1,5 @@
-//! A disk-backed complement to the in-memory [`VariantCache`]: trained
-//! [`DefendedModel`]s keyed by everything that determines their weights.
+//! A disk cache of trained [`DefendedModel`]s, keyed by everything that
+//! determines their weights.
 //!
 //! # Cache key
 //!
@@ -32,8 +32,6 @@
 //! against the requested identity: a 64-bit file-name hash collision, a
 //! renamed file or a tampered header all surface as a typed mismatch
 //! instead of silently serving the wrong weights.
-//!
-//! [`VariantCache`]: crate::VariantCache
 
 use std::path::PathBuf;
 

@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 
 mod augment;
-mod cache;
 mod config;
 mod disk;
 mod error;
@@ -35,7 +34,6 @@ mod regularizers;
 mod smoothing;
 mod trainer;
 
-pub use cache::VariantCache;
 pub use config::DefenseKind;
 pub use disk::{model_from_file_bytes, DiskVariantCache};
 pub use error::DefenseError;

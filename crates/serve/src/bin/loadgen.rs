@@ -35,7 +35,7 @@ use blurnet::{ModelZoo, Scale};
 use blurnet_bench::{host_entries, EXPERIMENT_SEED};
 use blurnet_defenses::{DefendedModel, DefenseKind};
 use blurnet_serve::protocol::RemoteClient;
-use blurnet_serve::{classify_single, ClassifyService, ServeConfig, ServeError};
+use blurnet_serve::{classify_single, parse_defense, ClassifyService, ServeConfig, ServeError};
 use blurnet_tensor::Tensor;
 use serde::Value;
 
@@ -85,19 +85,6 @@ struct Args {
     defense: DefenseKind,
     shed: bool,
     deadline: Option<Duration>,
-}
-
-fn parse_defense(spec: &str) -> Option<DefenseKind> {
-    if spec == "baseline" {
-        return Some(DefenseKind::Baseline);
-    }
-    let (name, kernel) = spec.split_once(':')?;
-    let kernel: usize = kernel.parse().ok()?;
-    match name {
-        "input-filter" => Some(DefenseKind::InputFilter { kernel }),
-        "feature-filter" => Some(DefenseKind::FeatureFilter { kernel }),
-        _ => None,
-    }
 }
 
 fn parse_args() -> Args {

@@ -39,7 +39,7 @@ use std::time::Duration;
 use blurnet::{ModelZoo, Scale};
 use blurnet_defenses::{model_from_file_bytes, DefendedModel, DefenseKind, DiskVariantCache};
 use blurnet_serve::protocol::{serve_connections, Handshake, StreamPolicy};
-use blurnet_serve::{ClassifyService, ServeConfig};
+use blurnet_serve::{parse_defense, ClassifyService, ServeConfig};
 use blurnet_tensor::persist::read_file_verified;
 
 /// Seed matching the experiment binaries (`blurnet_bench::EXPERIMENT_SEED`)
@@ -127,19 +127,6 @@ struct Args {
     cache_dir: Option<std::path::PathBuf>,
     drain_timeout: Duration,
     idle_timeout: Option<Duration>,
-}
-
-fn parse_defense(spec: &str) -> Option<DefenseKind> {
-    if spec == "baseline" {
-        return Some(DefenseKind::Baseline);
-    }
-    let (name, kernel) = spec.split_once(':')?;
-    let kernel: usize = kernel.parse().ok()?;
-    match name {
-        "input-filter" => Some(DefenseKind::InputFilter { kernel }),
-        "feature-filter" => Some(DefenseKind::FeatureFilter { kernel }),
-        _ => None,
-    }
 }
 
 fn parse_args() -> Args {

@@ -86,6 +86,8 @@ mod error;
 pub mod protocol;
 mod service;
 
+use blurnet_defenses::DefenseKind;
+
 pub use error::ServeError;
 pub use service::{
     classify_single, Classification, ClassifyService, DefenseVerdict, ServeClient, ServeConfig,
@@ -94,3 +96,49 @@ pub use service::{
 
 /// Convenient result alias used across the crate.
 pub type Result<T> = std::result::Result<T, ServeError>;
+
+/// Parses the `--defense` spec of the `serve` and `loadgen` binaries:
+/// `baseline`, `input-filter:<kernel>` or `feature-filter:<kernel>`.
+/// Any other spec is `None`.
+pub fn parse_defense(spec: &str) -> Option<DefenseKind> {
+    if spec == "baseline" {
+        return Some(DefenseKind::Baseline);
+    }
+    let (name, kernel) = spec.split_once(':')?;
+    let kernel: usize = kernel.parse().ok()?;
+    match name {
+        "input-filter" => Some(DefenseKind::InputFilter { kernel }),
+        "feature-filter" => Some(DefenseKind::FeatureFilter { kernel }),
+        _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn defense_specs_parse() {
+        assert_eq!(parse_defense("baseline"), Some(DefenseKind::Baseline));
+        assert_eq!(
+            parse_defense("input-filter:3"),
+            Some(DefenseKind::InputFilter { kernel: 3 })
+        );
+        assert_eq!(
+            parse_defense("feature-filter:5"),
+            Some(DefenseKind::FeatureFilter { kernel: 5 })
+        );
+        for bad in [
+            "",
+            "Baseline",
+            "input-filter",
+            "input-filter:",
+            "input-filter:x",
+            "feature-filter:-1",
+            "tv:3",
+            "baseline:3",
+        ] {
+            assert_eq!(parse_defense(bad), None, "{bad:?}");
+        }
+    }
+}

@@ -14,7 +14,8 @@
 //! server → client   response: u8 status
 //!                     0 (ok):    u32 LE label, u32 LE confidence f32 bits,
 //!                                u8 verdict (0 = clean, 1 = flagged)
-//!                     1 (error): u32 LE byte length, UTF-8 message
+//!                     1 (error): u32 LE byte length (at most
+//!                                64 KiB), UTF-8 message
 //!                     2 (queue_full):        no body — admission shed the
 //!                                            request; retry with backoff
 //!                     3 (deadline_exceeded): no body — the request went
@@ -65,6 +66,12 @@ pub const MAX_FRAME_ELEMENTS: usize = 1 << 20;
 /// about 150 bytes), so a hostile server cannot grow the client's buffer
 /// without bound.
 const MAX_HANDSHAKE_BYTES: u64 = 64 * 1024;
+
+/// Hard cap on an error response's message: the server truncates longer
+/// messages (at a UTF-8 boundary) and the client rejects a longer length
+/// prefix before allocating, so a hostile server cannot make the client
+/// allocate up to 4 GiB.
+const MAX_ERROR_BYTES: usize = 64 * 1024;
 
 /// The server's opening JSON line, describing the model and batching
 /// profile so clients can size payloads without out-of-band knowledge.
@@ -328,6 +335,11 @@ fn write_response(writer: &mut impl Write, result: &Result<Classification>) -> s
         Err(ServeError::DeadlineExceeded) => writer.write_all(&[STATUS_DEADLINE])?,
         Err(e) => {
             let msg = e.to_string();
+            let mut end = msg.len().min(MAX_ERROR_BYTES);
+            while !msg.is_char_boundary(end) {
+                end -= 1;
+            }
+            let msg = &msg[..end];
             writer.write_all(&[STATUS_ERR])?;
             writer.write_all(&(msg.len() as u32).to_le_bytes())?;
             writer.write_all(msg.as_bytes())?;
@@ -600,6 +612,11 @@ impl RemoteClient {
             }
             STATUS_ERR => {
                 let len = read_u32(&mut self.reader)? as usize;
+                if len > MAX_ERROR_BYTES {
+                    return Err(ServeError::Protocol(format!(
+                        "error message of {len} bytes exceeds the {MAX_ERROR_BYTES}-byte cap"
+                    )));
+                }
                 let mut msg = vec![0u8; len];
                 self.reader.read_exact(&mut msg)?;
                 Err(ServeError::Worker(
@@ -679,6 +696,54 @@ mod tests {
         let err = RemoteClient::connect(addr).unwrap_err();
         assert!(
             matches!(&err, ServeError::Protocol(msg) if msg.contains("longer than")),
+            "{err:?}"
+        );
+        server.join().expect("server thread");
+    }
+
+    #[test]
+    fn error_messages_are_truncated_at_a_char_boundary() {
+        // 'é' is two bytes, so the cap falls inside a character.
+        let long = "é".repeat(MAX_ERROR_BYTES);
+        let mut wire = Vec::new();
+        write_response(&mut wire, &Err(ServeError::Worker(long))).expect("write to a Vec");
+        assert_eq!(wire[0], STATUS_ERR);
+        let len = u32::from_le_bytes(wire[1..5].try_into().unwrap()) as usize;
+        assert!(len <= MAX_ERROR_BYTES && len > MAX_ERROR_BYTES - 2, "{len}");
+        assert_eq!(wire.len(), 5 + len);
+        let msg = std::str::from_utf8(&wire[5..]).expect("truncated message is UTF-8");
+        assert!(msg.starts_with("batch worker failed: é"));
+    }
+
+    #[test]
+    fn an_over_long_error_length_is_a_protocol_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a local port");
+        let addr = listener.local_addr().expect("local addr");
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept the client");
+            let handshake = Handshake {
+                schema: SCHEMA.to_string(),
+                classes: 2,
+                input_dims: [1, 2, 2],
+                defense: "baseline".to_string(),
+                max_batch: 1,
+                window_us: 0,
+            };
+            stream
+                .write_all(format!("{}\n", handshake.to_json()).as_bytes())
+                .expect("send the handshake");
+            // Read the client's frame (count + 4 f32s), then answer with
+            // an error whose declared length is 4 GiB − 1.
+            let mut frame = [0u8; 4 + 4 * 4];
+            stream.read_exact(&mut frame).expect("read the request");
+            let mut response = vec![STATUS_ERR];
+            response.extend_from_slice(&u32::MAX.to_le_bytes());
+            stream.write_all(&response).expect("send the response");
+        });
+        let mut client = RemoteClient::connect(addr).expect("valid handshake");
+        let err = client.classify(&[0.0; 4]).unwrap_err();
+        assert!(
+            matches!(&err, ServeError::Protocol(msg) if msg.contains("byte cap")),
             "{err:?}"
         );
         server.join().expect("server thread");

@@ -237,6 +237,60 @@ fn an_unretried_cell_fault_fails_only_that_cell() {
     }
 }
 
+/// Arms one panic at `core.sched.cell`, with no retry, on a
+/// `threads`-worker run of the micro grid: the cell that takes it is
+/// `Failed` with the panic text, and every sibling equals the clean run.
+fn assert_a_cell_panic_is_isolated(threads: usize) {
+    let _guard = serialized();
+    fault::disarm_all();
+    let grid = ExperimentGrid::micro();
+    let scheduler = ExperimentScheduler::new(Scale::Smoke, 7).threads(threads);
+    let clean = scheduler.run(&grid).expect("clean run");
+    assert!(clean.report.all_ok());
+
+    fault::arm(sites::SCHED_CELL, FaultSpec::on_hit(FaultKind::Panic, 1));
+    let faulty = scheduler.run(&grid).expect("faulty run still reports");
+    assert_eq!(fault::fires(sites::SCHED_CELL), 1);
+    fault::disarm_all();
+
+    let failed: Vec<usize> = (0..grid.len())
+        .filter(|&i| faulty.report.cells[i].status != CellStatus::Ok)
+        .collect();
+    assert_eq!(failed.len(), 1, "exactly one cell takes the panic");
+    let hit = &faulty.report.cells[failed[0]];
+    match &hit.status {
+        CellStatus::Failed { error } => assert!(
+            error.contains("injected panic") && error.contains(MARKER),
+            "failure should carry the panic message, got: {error}"
+        ),
+        other => panic!("expected the panicking cell to fail, got {other:?}"),
+    }
+    assert!(hit.output.is_none());
+    for (i, (cell, clean_cell)) in faulty
+        .report
+        .cells
+        .iter()
+        .zip(&clean.report.cells)
+        .enumerate()
+    {
+        if i != failed[0] {
+            assert_eq!(cell, clean_cell, "sibling cell {i} diverged");
+        }
+    }
+}
+
+#[test]
+fn a_panicking_cell_does_not_poison_its_siblings() {
+    assert_a_cell_panic_is_isolated(2);
+}
+
+#[test]
+fn panic_isolation_holds_with_a_single_worker() {
+    // The 1-worker scheduler runs nodes inline on the caller thread; the
+    // catch_unwind isolation must hold there too.
+    assert_a_cell_panic_is_isolated(1);
+}
+
 #[test]
 fn retry_failed_regenerates_a_faulted_artifact() {
     let _guard = serialized();

@@ -5,7 +5,7 @@ use blurnet::experiments::grid::{CellKind, CellSpec, ExperimentGrid};
 use blurnet::{CellOutput, ExperimentScheduler, RunReport, Scale};
 use blurnet_attacks::{PgdAttack, PgdConfig, Rp2Attack, Rp2Config};
 use blurnet_data::{DatasetConfig, SignDataset, STOP_CLASS_ID};
-use blurnet_defenses::{train_defended_model, DefenseKind};
+use blurnet_defenses::{train_defended_model, DefenseKind, DiskVariantCache};
 use blurnet_nn::persist::{sequential_from_bytes, sequential_to_bytes};
 use blurnet_tensor::Tensor;
 use blurnet_test_support::smoke_train_config;
@@ -160,4 +160,56 @@ fn trained_models_serialize_and_keep_their_predictions() {
     let restored = sequential_from_bytes(&bytes).unwrap();
     let after = restored.batch_engine().unwrap().predict(&image).unwrap()[0];
     assert_eq!(before, after);
+}
+
+/// A retrained baseline (here: one trained on another seed's dataset,
+/// stored under the same cache key) must never read the transfer set or
+/// sticker an older baseline left in the cache: the rerun over the warm
+/// cache equals a cold run that only ever saw the new baseline.
+#[test]
+fn a_replaced_baseline_never_reads_an_older_baselines_artifacts() {
+    let scale = Scale::Smoke;
+    let grid = ExperimentGrid::named("table1,figure1", scale).unwrap();
+    let run = |dir: &std::path::Path| {
+        let run = ExperimentScheduler::new(scale, 7)
+            .threads(1)
+            .cache_dir(dir)
+            .run(&grid)
+            .unwrap();
+        assert!(run.report.all_ok());
+        run.report.to_json()
+    };
+    let dataset = SignDataset::generate(&scale.dataset_config(), 7).unwrap();
+    let other = SignDataset::generate(&scale.dataset_config(), 8).unwrap();
+    let replacement =
+        train_defended_model(&DefenseKind::Baseline, &other, &scale.train_config()).unwrap();
+    let install = |dir: &std::path::Path| {
+        DiskVariantCache::open(dir)
+            .unwrap()
+            .store(
+                &replacement,
+                &scale.train_config(),
+                dataset.image_size(),
+                dataset.num_classes(),
+                7,
+            )
+            .unwrap();
+    };
+    let scratch = |tag: &str| {
+        let dir = std::env::temp_dir().join(format!("blurnet-e2e-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+
+    let warm = scratch("warm");
+    let first = run(&warm);
+    install(&warm);
+    let rerun = run(&warm);
+    let cold = scratch("cold");
+    install(&cold);
+    let expected = run(&cold);
+    assert_ne!(first, expected, "the replacement baseline changes Table I");
+    assert_eq!(rerun, expected);
+    let _ = std::fs::remove_dir_all(&warm);
+    let _ = std::fs::remove_dir_all(&cold);
 }
