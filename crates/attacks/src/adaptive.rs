@@ -11,21 +11,117 @@
 //!
 //! Both are expressed as an [`AdaptiveObjective`] plugged into the shared
 //! [`crate::Rp2Attack`] optimizer loop.
+//!
+//! A regularized defense's training step (Eq. 4, 6–7) and its adaptive
+//! attack step are one computation, so this module holds it once for
+//! both: [`FeaturePenaltyKind`] is the penalty (built by one constructor
+//! each, evaluated by [`FeaturePenaltyKind::value_and_grad`]) and
+//! [`penalized_loss`] is the loss every engine closure returns —
+//! cross-entropy plus the weighted penalty, whose gradient the engine
+//! injects at the feature layer. The trainer in `blurnet-defenses` calls
+//! it with the defense's α, RP2 with weight 1.
 
-use blurnet_signal::OperatorPenalty;
+use blurnet_nn::{softmax_cross_entropy, NnError, ShardGrad};
+use blurnet_signal::{total_variation_batch, tv_gradient_batch, OperatorPenalty};
+use blurnet_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 use crate::rp2::{Rp2Attack, Rp2Config};
 use crate::Result;
 
-/// The feature-map penalty an adaptive attacker adds to its loss.
+/// A feature-map penalty: what a regularized defense trains with and its
+/// adaptive attacker adds to its loss.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum FeaturePenaltyKind {
-    /// Anisotropic total variation of the feature maps (Eq. 9).
+    /// Anisotropic total variation of the feature maps (Eq. 4, 9).
     TotalVariation,
     /// A quadratic operator penalty `‖L·F‖²` — `Tik_hf` or `Tik_pseudo`
-    /// depending on the wrapped operator (Eq. 10–11).
+    /// depending on the wrapped operator (Eq. 6–7, 10–11).
     Operator(OperatorPenalty),
+}
+
+impl FeaturePenaltyKind {
+    /// `Tik_hf` on `extent × extent` feature maps: the high-frequency
+    /// operator with a `window`-wide low-pass (Eq. 6).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for a window wider than the feature maps.
+    pub fn tikhonov_hf(extent: usize, window: usize) -> Result<Self> {
+        Ok(FeaturePenaltyKind::Operator(
+            OperatorPenalty::high_frequency(extent, window)?,
+        ))
+    }
+
+    /// `Tik_pseudo` on `extent × extent` feature maps: the regularized
+    /// pseudoinverse of the difference operator, ε = 1e-3 (Eq. 7).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for an empty extent.
+    pub fn tikhonov_pseudo(extent: usize) -> Result<Self> {
+        Ok(FeaturePenaltyKind::Operator(
+            OperatorPenalty::pseudo_difference(extent, 1e-3)?,
+        ))
+    }
+
+    /// The penalty's value on an `[N, K, H, W]` feature batch and its
+    /// gradient with respect to that batch.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for a feature batch the penalty does not fit.
+    pub fn value_and_grad(&self, feature: &Tensor) -> Result<(f32, Tensor)> {
+        Ok(match self {
+            FeaturePenaltyKind::TotalVariation => {
+                (total_variation_batch(feature)?, tv_gradient_batch(feature)?)
+            }
+            FeaturePenaltyKind::Operator(penalty) => {
+                (penalty.value_batch(feature)?, penalty.grad_batch(feature)?)
+            }
+        })
+    }
+}
+
+/// The one loss of a training step and of an RP2 step: softmax
+/// cross-entropy of `logits` against `labels`, plus `weight ·` the
+/// feature-map penalty on `feature` when `penalty` is `Some((weight,
+/// kind))`. Returns the logit gradient, the penalty gradient to inject at
+/// the feature layer, and the loss `ce + weight · value` (`ce + 0.0`
+/// without a penalty).
+///
+/// # Errors
+///
+/// Returns an error for labels that do not fit the logits, a penalty
+/// without its `feature` activation, or a feature batch the penalty does
+/// not fit.
+pub fn penalized_loss(
+    logits: &Tensor,
+    labels: &[usize],
+    penalty: Option<(f32, &FeaturePenaltyKind)>,
+    feature: Option<&Tensor>,
+) -> std::result::Result<ShardGrad, NnError> {
+    let (ce, d_logits) = softmax_cross_entropy(logits, labels)?;
+    let (injection, value) = match (penalty, feature) {
+        (None, _) => (None, 0.0),
+        (Some(_), None) => {
+            return Err(NnError::BadConfig(
+                "a feature-map penalty needs its feature activation".into(),
+            ))
+        }
+        (Some((weight, kind)), Some(feature)) => {
+            let (value, mut grad) = kind
+                .value_and_grad(feature)
+                .map_err(|e| NnError::BadConfig(e.to_string()))?;
+            grad.map_inplace(|v| v * weight);
+            (Some(grad), weight * value)
+        }
+    };
+    Ok(ShardGrad {
+        d_logits,
+        injection,
+        loss: ce + value,
+    })
 }
 
 /// Modification of the RP2 objective used by adaptive attacks.
@@ -41,15 +137,13 @@ pub enum AdaptiveObjective {
         dim: usize,
     },
     /// Add a feature-map penalty on a chosen activation to the attacker's
-    /// loss (Eq. 9–11).
+    /// loss, unweighted: the paper found weight 1 the strongest attacker
+    /// (Eq. 9–11).
     FeaturePenalty {
         /// Index of the activation (layer output) the penalty applies to.
         layer_index: usize,
         /// Which penalty to add.
         kind: FeaturePenaltyKind,
-        /// Weight of the penalty in the attacker's loss. The paper found an
-        /// unweighted term (1.0) to be the strongest attacker.
-        weight: f32,
     },
 }
 
@@ -101,11 +195,7 @@ mod tests {
     /// at `layer_index`, unweighted.
     fn penalty_attack(layer_index: usize, kind: FeaturePenaltyKind) -> Rp2Attack {
         Rp2Attack::new(Rp2Config {
-            objective: AdaptiveObjective::FeaturePenalty {
-                layer_index,
-                kind,
-                weight: 1.0,
-            },
+            objective: AdaptiveObjective::FeaturePenalty { layer_index, kind },
             ..fast_config()
         })
         .unwrap()
@@ -146,8 +236,8 @@ mod tests {
         let (net, feature_layer) = tiny_net();
         let image = tiny_image();
         // Feature maps are 8x8 for a 16x16 input with stride-2 conv1.
-        let penalty = OperatorPenalty::high_frequency(8, 3).unwrap();
-        let attack = penalty_attack(feature_layer, FeaturePenaltyKind::Operator(penalty));
+        let penalty = FeaturePenaltyKind::tikhonov_hf(8, 3).unwrap();
+        let attack = penalty_attack(feature_layer, penalty);
         let result = attack.generate(&net, &image, 7).unwrap();
         assert!(result.loss_trace.iter().all(|l| l.is_finite()));
     }

@@ -28,10 +28,10 @@ mod pgd;
 mod rp2;
 mod transfer;
 
-pub use adaptive::{AdaptiveObjective, FeaturePenaltyKind};
+pub use adaptive::{penalized_loss, AdaptiveObjective, FeaturePenaltyKind};
 pub use error::AttackError;
 pub use metrics::{
-    batch_l2_dissimilarity, l2_dissimilarity, targeted_success_from_logits, targeted_success_rate,
+    batch_l2_dissimilarity, l2_dissimilarity, targeted_success_rate,
     untargeted_success_from_logits, untargeted_success_rate, AttackEvaluation,
 };
 pub use persist::{

@@ -123,27 +123,6 @@ pub fn untargeted_success_from_logits(clean_logits: &Tensor, adv_logits: &Tensor
     Ok(changed as f32 / n as f32)
 }
 
-/// Targeted success rate straight from a batched `[N, classes]` logits
-/// tensor: the fraction of rows whose argmax equals `target`.
-///
-/// # Errors
-///
-/// Returns [`AttackError::BadInput`] for an empty logit set.
-pub fn targeted_success_from_logits(adv_logits: &Tensor, target: usize) -> Result<f32> {
-    if adv_logits.shape().rank() != 2 || adv_logits.dims()[0] == 0 {
-        return Err(AttackError::BadInput(format!(
-            "expected non-empty [N, classes] logits, got {}",
-            adv_logits.shape()
-        )));
-    }
-    let (n, classes) = (adv_logits.dims()[0], adv_logits.dims()[1]);
-    let a = adv_logits.data();
-    let hits = (0..n)
-        .filter(|&i| argmax_row(&a[i * classes..(i + 1) * classes]) == target)
-        .count();
-    Ok(hits as f32 / n as f32)
-}
-
 /// Untargeted attack success rate: the fraction of predictions that the
 /// attack changed, `1/N Σ 1[F(x) ≠ F(x_adv)]`.
 ///
@@ -269,13 +248,10 @@ mod tests {
             untargeted_success_rate(&[0, 2, 1], &[0, 1, 1]).unwrap(),
             from_logits
         );
-        let targeted = targeted_success_from_logits(&adv, 1).unwrap();
-        assert!((targeted - 2.0 / 3.0).abs() < 1e-6);
-        assert_eq!(targeted_success_rate(&[0, 1, 1], 1).unwrap(), targeted);
         // Ties go to the first maximum, like loss::predictions.
         let tied = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]).unwrap();
-        assert_eq!(targeted_success_from_logits(&tied, 0).unwrap(), 1.0);
+        let first = Tensor::from_vec(vec![1.0, 0.0], &[1, 2]).unwrap();
+        assert_eq!(untargeted_success_from_logits(&first, &tied).unwrap(), 0.0);
         assert!(untargeted_success_from_logits(&clean, &tied).is_err());
-        assert!(targeted_success_from_logits(&Tensor::zeros(&[3]), 0).is_err());
     }
 }

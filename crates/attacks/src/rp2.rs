@@ -17,8 +17,11 @@
 //! tensor, one Adam state (Adam is elementwise, so the batched update is
 //! identical to per-image updates), and per iteration one recorded forward
 //! plus one tape-driven backward through the immutable
-//! [`blurnet_nn::BatchEngine`], with the adaptive feature penalties riding
-//! the engine's per-shard gradient-injection hook.
+//! [`blurnet_nn::BatchEngine`]. Each one-image shard's loss is
+//! [`crate::adaptive::penalized_loss`], the one a regularized defense
+//! trains with: cross-entropy towards the target, plus the adaptive
+//! feature penalty (weight 1) whose gradient the engine injects at the
+//! feature layer.
 //! [`Rp2Attack::generate_sweep`] runs a whole targeted sweep as one such
 //! batch, one target per row. The objective is
 //! equivalent to the historical per-image optimizer loop — every image sees
@@ -28,15 +31,15 @@
 //! and results are bit-identical at every rayon thread count.
 
 use blurnet_data::{sample_transforms, StickerLayout, Transform};
-use blurnet_nn::{softmax_cross_entropy, Adam, NnError, Sequential, ShardGrad};
+use blurnet_nn::{Adam, Sequential};
 use blurnet_signal::low_frequency_project_planes;
 use blurnet_tensor::Tensor;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::adaptive::{AdaptiveObjective, FeaturePenaltyKind};
-use crate::metrics::{batch_l2_dissimilarity, targeted_success_from_logits, AttackEvaluation};
+use crate::adaptive::{penalized_loss, AdaptiveObjective};
+use crate::metrics::AttackEvaluation;
 use crate::{AttackError, Result};
 
 /// A small palette of printable colours used by the non-printability score
@@ -187,8 +190,7 @@ impl Rp2Attack {
     /// [`Rp2Attack::generate_sweep`]: row `i` of the `[N, C, H, W]` batch
     /// `clean` is attacked towards `targets[i]`. Returns the whole
     /// adversarial batch, the perturbation batch and the per-image loss
-    /// traces without splitting into per-image tensors, so
-    /// [`Rp2Attack::evaluate`] can judge the batch without re-stacking it.
+    /// traces without splitting into per-image tensors.
     ///
     /// A sweep's batch holds every (target, image) row, so the loop keeps
     /// few batch-sized buffers alive: the sticker mask is applied per
@@ -226,17 +228,13 @@ impl Rp2Attack {
         // feature penalties, and per-image shard losses.
         let engine = net.batch_engine()?;
         let (feature_layer, penalty) = match &self.config.objective {
-            AdaptiveObjective::FeaturePenalty {
-                layer_index,
-                kind,
-                weight,
-            } => {
+            AdaptiveObjective::FeaturePenalty { layer_index, kind } => {
                 if *layer_index >= net.len() {
                     return Err(AttackError::BadConfig(format!(
                         "feature layer index {layer_index} out of range"
                     )));
                 }
-                (Some(*layer_index), Some((kind, *weight)))
+                (Some(*layer_index), Some((1.0, kind)))
             }
             _ => (None, None),
         };
@@ -268,21 +266,7 @@ impl Rp2Attack {
             let step =
                 engine.forward_backward_with(&x_adv, feature_layer, |start, logits, feature| {
                     let count = logits.dims()[0];
-                    let (ce_loss, d_logits) =
-                        softmax_cross_entropy(logits, &targets[start..start + count])?;
-                    let (injection, penalty_value) = match (&penalty, feature) {
-                        (Some((kind, weight)), Some(feature)) => {
-                            let (value, grad) = feature_penalty(kind, feature)
-                                .map_err(|e| NnError::BadConfig(e.to_string()))?;
-                            (Some(grad.scale(*weight)), value * weight)
-                        }
-                        _ => (None, 0.0),
-                    };
-                    Ok(ShardGrad {
-                        d_logits,
-                        injection,
-                        loss: ce_loss + penalty_value,
-                    })
+                    penalized_loss(logits, &targets[start..start + count], penalty, feature)
                 })?;
             if step.shard_losses.len() != n {
                 return Err(AttackError::BadConfig(format!(
@@ -362,35 +346,6 @@ impl Rp2Attack {
     pub fn generate(&self, net: &Sequential, image: &Tensor, target: usize) -> Result<Rp2Result> {
         let mut results = self.generate_batch(net, std::slice::from_ref(image), target)?;
         Ok(results.remove(0))
-    }
-
-    /// Generates adversarial examples for a set of images against one target
-    /// class and summarizes the targeted success rate and dissimilarity on
-    /// the victim network itself (white-box evaluation).
-    ///
-    /// Generation optimizes the whole set at once
-    /// ([`Rp2Attack::generate_batch`]) and the set is judged with one
-    /// batch-parallel pass, with metrics computed straight from the batched
-    /// logits and image buffers.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `images` is empty or generation fails.
-    pub fn evaluate(
-        &self,
-        net: &Sequential,
-        images: &[Tensor],
-        target: usize,
-    ) -> Result<AttackEvaluation> {
-        let clean = stack_images(images, 1)?;
-        let (adv, _, _) = self.generate_batch_tensors(net, &clean, &vec![target; images.len()])?;
-        let adv_logits = net.batch_engine()?.forward(&adv)?;
-        let dissims = batch_l2_dissimilarity(&clean, &adv)?;
-        Ok(AttackEvaluation {
-            success_rate: targeted_success_from_logits(&adv_logits, target)?,
-            l2_dissimilarity: dissims.iter().sum::<f32>() / dissims.len() as f32,
-            count: images.len(),
-        })
     }
 
     /// Generates the adversarial examples of a whole targeted sweep — every
@@ -474,20 +429,6 @@ impl TargetSweep {
             .map(|(_, e)| e.l2_dissimilarity)
             .sum::<f32>()
             / self.per_target.len() as f32
-    }
-}
-
-/// Computes the value and activation-gradient of an adaptive feature
-/// penalty.
-fn feature_penalty(kind: &FeaturePenaltyKind, feature: &Tensor) -> Result<(f32, Tensor)> {
-    match kind {
-        FeaturePenaltyKind::TotalVariation => Ok((
-            blurnet_signal::total_variation_batch(feature)?,
-            blurnet_signal::tv_gradient_batch(feature)?,
-        )),
-        FeaturePenaltyKind::Operator(penalty) => {
-            Ok((penalty.value_batch(feature)?, penalty.grad_batch(feature)?))
-        }
     }
 }
 
@@ -634,7 +575,8 @@ fn nps_gradient_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blurnet_data::{DatasetConfig, SignDataset, STOP_CLASS_ID};
+    use crate::FeaturePenaltyKind;
+    use blurnet_data::{DatasetConfig, SignDataset};
     use blurnet_nn::LisaCnn;
 
     fn tiny_net_and_data() -> (Sequential, SignDataset) {
@@ -728,24 +670,25 @@ mod tests {
 
     #[test]
     fn evaluate_and_sweep_produce_bounded_rates() {
-        let (net, data) = tiny_net_and_data();
-        let attack = Rp2Attack::new(Rp2Config {
-            iterations: 3,
-            ..Rp2Config::default()
-        })
-        .unwrap();
-        let images: Vec<Tensor> = data.stop_eval_images()[..2].to_vec();
-        let eval = attack.evaluate(&net, &images, 1).unwrap();
-        assert!((0.0..=1.0).contains(&eval.success_rate));
-        assert!(eval.l2_dissimilarity >= 0.0);
-        assert_eq!(eval.count, 2);
-
-        let sweep = TargetSweep {
-            per_target: vec![(0, attack.evaluate(&net, &images, 0).unwrap()), (1, eval)],
+        let eval = |success_rate, l2_dissimilarity| AttackEvaluation {
+            success_rate,
+            l2_dissimilarity,
+            count: 4,
         };
-        assert!(sweep.worst_success_rate() >= sweep.average_success_rate());
-        assert!(sweep.average_l2_dissimilarity() >= 0.0);
-        assert!(attack.evaluate(&net, &[], STOP_CLASS_ID).is_err());
+        let sweep = TargetSweep {
+            per_target: vec![
+                (0, eval(0.25, 0.1)),
+                (1, eval(0.75, 0.3)),
+                (2, eval(0.5, 0.2)),
+            ],
+        };
+        assert_eq!(sweep.average_success_rate(), 0.5);
+        assert_eq!(sweep.worst_success_rate(), 0.75);
+        assert!((sweep.average_l2_dissimilarity() - 0.2).abs() < 1e-6);
+        let empty = TargetSweep { per_target: vec![] };
+        assert_eq!(empty.average_success_rate(), 0.0);
+        assert_eq!(empty.worst_success_rate(), 0.0);
+        assert_eq!(empty.average_l2_dissimilarity(), 0.0);
     }
 
     #[test]
@@ -759,7 +702,6 @@ mod tests {
             AdaptiveObjective::FeaturePenalty {
                 layer_index: 0,
                 kind: FeaturePenaltyKind::TotalVariation,
-                weight: 1.0,
             },
         ] {
             let attack = Rp2Attack::new(Rp2Config {

@@ -12,10 +12,15 @@
 //! by construction; see README § Performance). The run also *asserts* that
 //! outputs are bit-identical across thread counts, so a determinism
 //! regression fails the bench loudly.
+//!
+//! Every probe takes its samples in rounds, one sample per thread count
+//! per round, rotating which count goes first, so a slow stretch of a
+//! shared host lands on every thread count alike instead of on whichever
+//! count was being timed in one block.
 
-use std::time::Duration;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
-use blurnet_bench::measure_median_ns;
 use blurnet_nn::{
     softmax_cross_entropy, BatchEngine, Conv2d, Dense, DepthwiseConv2d, Flatten, LisaCnn,
     MaxPool2d, Relu, Sequential, ShardGrad,
@@ -35,17 +40,58 @@ const MIN_BATCH: Duration = Duration::from_millis(4);
 /// workspace's benches so `BENCH_*.json` timings are comparable).
 const THREAD_COUNTS: [usize; 3] = blurnet_bench::BENCH_THREAD_COUNTS;
 
-fn median_ns<O>(mut f: impl FnMut() -> O) -> f64 {
-    measure_median_ns(&mut f, JSON_SAMPLES, MIN_BATCH)
-}
-
-/// Runs `f` under a fixed-size rayon pool.
-fn with_threads<O>(threads: usize, mut f: impl FnMut() -> O) -> f64 {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool");
-    pool.install(|| median_ns(&mut f))
+/// Median ns/iter of `f` at each of [`THREAD_COUNTS`], in that order.
+/// Each count first sizes its batch (iterations per sample) until one
+/// batch takes [`MIN_BATCH`]; then [`JSON_SAMPLES`] rounds each time one
+/// batch per count, round `r` starting at count `r mod 3`.
+fn interleaved_ns<O>(f: impl Fn() -> O) -> Vec<f64> {
+    let pools: Vec<rayon::ThreadPool> = THREAD_COUNTS
+        .iter()
+        .map(|&threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("thread pool")
+        })
+        .collect();
+    let time_batch = |pool: &rayon::ThreadPool, batch: usize| {
+        pool.install(|| {
+            let start = Instant::now();
+            for _ in 0..batch {
+                black_box(f());
+            }
+            start.elapsed()
+        })
+    };
+    let batches: Vec<usize> = pools
+        .iter()
+        .map(|pool| {
+            let mut batch = 1usize;
+            loop {
+                let elapsed = time_batch(pool, batch);
+                if elapsed >= MIN_BATCH {
+                    return batch;
+                }
+                let grow = (MIN_BATCH.as_secs_f64() / elapsed.as_secs_f64().max(1e-9)).ceil();
+                batch *= (grow as usize).clamp(2, 64);
+            }
+        })
+        .collect();
+    let mut samples = vec![Vec::with_capacity(JSON_SAMPLES); pools.len()];
+    for round in 0..JSON_SAMPLES {
+        for k in 0..pools.len() {
+            let i = (round + k) % pools.len();
+            let elapsed = time_batch(&pools[i], batches[i]);
+            samples[i].push(elapsed.as_secs_f64() * 1e9 / batches[i] as f64);
+        }
+    }
+    samples
+        .into_iter()
+        .map(|mut per_iter| {
+            per_iter.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+            per_iter[per_iter.len() / 2]
+        })
+        .collect()
 }
 
 /// A convolution stack whose input is the acceptance-criteria
@@ -164,19 +210,16 @@ fn write_batch_json() {
     ));
 
     // Thread-count scaling of the sharded forward.
-    let mut ns_at: Vec<(usize, f64)> = Vec::new();
-    for &threads in &THREAD_COUNTS {
-        let ns = with_threads(threads, || engine.forward(&batch).unwrap());
+    let ns_at = interleaved_ns(|| engine.forward(&batch).unwrap());
+    for (&threads, &ns) in THREAD_COUNTS.iter().zip(&ns_at) {
         record.push_ns(&format!("forward_batch_8x16x32x32_t{threads}"), ns);
         record.entries.push((
             format!("images_per_sec_8x16x32x32_t{threads}"),
             Value::Float((8.0 * 1e9 / ns * 10.0).round() / 10.0),
         ));
-        ns_at.push((threads, ns));
     }
-    let ns1 = ns_at[0].1;
-    for &(threads, ns) in &ns_at[1..] {
-        record.push_ratio(&format!("scaling_{threads}t_vs_1t"), ns1 / ns);
+    for (&threads, &ns) in THREAD_COUNTS.iter().zip(&ns_at).skip(1) {
+        record.push_ratio(&format!("scaling_{threads}t_vs_1t"), ns_at[0] / ns);
     }
 
     // LisaCnn end-to-end probes: the batch-8 inference forward and the
@@ -185,17 +228,15 @@ fn write_batch_json() {
     let lisa = LisaCnn::new(18).build(&mut rng).expect("default LisaCnn");
     let lisa_batch = Tensor::rand_uniform(&[8, 3, 32, 32], 0.0, 1.0, &mut rng);
     let lisa_engine = lisa.batch_engine().expect("non-empty network");
-    for &threads in &THREAD_COUNTS {
-        let ns = with_threads(threads, || lisa_engine.forward(&lisa_batch).unwrap());
+    let ns_at = interleaved_ns(|| lisa_engine.forward(&lisa_batch).unwrap());
+    for (&threads, &ns) in THREAD_COUNTS.iter().zip(&ns_at) {
         record.push_ns(&format!("lisacnn_forward_batch8_engine_t{threads}"), ns);
     }
     for n in [32usize, 16] {
         let (train_batch, labels) = lisa_train_batch(n, &mut rng);
-        let mut ns_at = Vec::new();
-        for &threads in &THREAD_COUNTS {
-            let ns = with_threads(threads, || train_step(&lisa_engine, &train_batch, &labels));
+        let ns_at = interleaved_ns(|| train_step(&lisa_engine, &train_batch, &labels));
+        for (&threads, &ns) in THREAD_COUNTS.iter().zip(&ns_at) {
             record.push_ns(&format!("lisacnn_train_step_batch{n}_t{threads}"), ns);
-            ns_at.push(ns);
         }
         record.push_ratio(
             &format!("train_step_batch{n}_scaling_2t_vs_1t"),

@@ -26,7 +26,6 @@ use blurnet_attacks::{
     FeaturePenaltyKind, Rp2Attack, Rp2Config, TargetSweep,
 };
 use blurnet_defenses::{DefendedModel, DefenseKind};
-use blurnet_signal::OperatorPenalty;
 use blurnet_tensor::Tensor;
 
 use crate::report::Table;
@@ -184,29 +183,30 @@ impl SweepObjective {
         }
     }
 
-    /// Builds the attacker's objective against `model` (feature penalties
-    /// act on its first-layer feature maps).
+    /// Builds the attacker's objective against `model`. Feature penalties
+    /// act on its first-layer feature maps and come from the constructors
+    /// the trainer builds a regularized defense's penalty with
+    /// ([`DefenseKind::feature_penalty`]).
     ///
     /// # Errors
     ///
     /// Propagates operator-construction errors.
     pub(crate) fn build(&self, model: &DefendedModel) -> Result<AdaptiveObjective> {
-        let penalty = |kind| AdaptiveObjective::FeaturePenalty {
+        let extent = model.feature_map_extent();
+        let kind = match *self {
+            SweepObjective::Standard => return Ok(AdaptiveObjective::Standard),
+            SweepObjective::LowFrequencyDct { dim } => {
+                return Ok(AdaptiveObjective::LowFrequencyDct { dim })
+            }
+            SweepObjective::TotalVariation => FeaturePenaltyKind::TotalVariation,
+            SweepObjective::TikhonovHf { window } => {
+                FeaturePenaltyKind::tikhonov_hf(extent, window)?
+            }
+            SweepObjective::TikhonovPseudo => FeaturePenaltyKind::tikhonov_pseudo(extent)?,
+        };
+        Ok(AdaptiveObjective::FeaturePenalty {
             layer_index: model.feature_layer_index(),
             kind,
-            weight: 1.0,
-        };
-        let extent = model.feature_map_extent();
-        Ok(match *self {
-            SweepObjective::Standard => AdaptiveObjective::Standard,
-            SweepObjective::LowFrequencyDct { dim } => AdaptiveObjective::LowFrequencyDct { dim },
-            SweepObjective::TotalVariation => penalty(FeaturePenaltyKind::TotalVariation),
-            SweepObjective::TikhonovHf { window } => penalty(FeaturePenaltyKind::Operator(
-                OperatorPenalty::high_frequency(extent, window)?,
-            )),
-            SweepObjective::TikhonovPseudo => penalty(FeaturePenaltyKind::Operator(
-                OperatorPenalty::pseudo_difference(extent, 1e-3)?,
-            )),
         })
     }
 }
@@ -384,5 +384,75 @@ mod tests {
             ));
         }
         assert_eq!(sweep.per_target, reference);
+    }
+
+    /// A regularized defense's Table III attacker adds the trainer's own
+    /// penalty at the trainer's own layer, and the three Table V attackers
+    /// are the TV, `Tik_hf` (window 3) and `Tik_pseudo` penalties, on the
+    /// smoke architecture: values and gradients agree bit for bit on a
+    /// seeded feature batch.
+    #[test]
+    fn adaptive_attackers_add_the_defenders_penalties() {
+        use blurnet_defenses::TrainingReport;
+        use blurnet_nn::LisaCnn;
+        use blurnet_test_support::{seeded_rng, uniform_batch};
+
+        let size = Scale::Smoke.dataset_config().image_size;
+        let builder = LisaCnn::new(blurnet_data::NUM_CLASSES).input_size(size);
+        let arch = builder.config().clone();
+        let net = builder.build(&mut seeded_rng(3)).unwrap();
+        let feature = net
+            .batch_engine()
+            .unwrap()
+            .activation(
+                &uniform_batch(&[2, 3, size, size], 0.0, 1.0, 5),
+                arch.feature_layer_index(),
+            )
+            .unwrap();
+        let bits = |penalty: &FeaturePenaltyKind| {
+            let (value, grad) = penalty.value_and_grad(&feature).unwrap();
+            let grad: Vec<u32> = grad.data().iter().map(|v| v.to_bits()).collect();
+            (value.to_bits(), grad)
+        };
+        let model = |defense: DefenseKind| {
+            let report = TrainingReport {
+                epoch_losses: vec![],
+                test_accuracy: 0.0,
+            };
+            DefendedModel::new(net.clone(), defense, arch.clone(), report)
+        };
+        let assert_same =
+            |objective: SweepObjective, victim: DefenseKind, trained: &DefenseKind| {
+                let (_, layer, penalty) = trained.feature_penalty(&arch).unwrap().unwrap();
+                let AdaptiveObjective::FeaturePenalty { layer_index, kind } =
+                    objective.build(&model(victim)).unwrap()
+                else {
+                    panic!("{objective} adds no feature penalty");
+                };
+                assert_eq!(layer_index, layer, "{objective} vs {trained:?}");
+                assert!(bits(&kind) == bits(&penalty), "{objective} vs {trained:?}");
+            };
+
+        let regularized = [
+            DefenseKind::TotalVariation { alpha: 1e-4 },
+            DefenseKind::TotalVariation { alpha: 1e-5 },
+            DefenseKind::TikhonovHf {
+                alpha: 1e-4,
+                window: 3,
+            },
+            DefenseKind::TikhonovPseudo { alpha: 1e-6 },
+        ];
+        for defense in &regularized {
+            let objective = SweepObjective::adaptive_for(defense);
+            assert_same(objective, defense.clone(), defense);
+        }
+        let adv_train = table5::defense_for(Scale::Smoke);
+        for (attack, defense) in table5::Table5Attack::roster().into_iter().zip([
+            &regularized[0],
+            &regularized[2],
+            &regularized[3],
+        ]) {
+            assert_same(attack.sweep_objective(), adv_train.clone(), defense);
+        }
     }
 }

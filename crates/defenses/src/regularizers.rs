@@ -10,15 +10,55 @@
 //!   spikes in the first-layer activations directly;
 //! * **generalized Tikhonov** (Eq. 6–7) — quadratic penalties `‖L·F‖²`
 //!   with a high-frequency-extracting or pseudoinverse-difference operator.
+//!
+//! The last two are one feature-map penalty, a
+//! [`blurnet_attacks::FeaturePenaltyKind`] on the first-layer activations
+//! ([`DefenseKind::feature_penalty`]). The training step adds it through
+//! [`blurnet_attacks::penalized_loss`], the loss the matching adaptive
+//! attacker (Eq. 9–11) optimizes too, so the defender and the attacker
+//! share one penalty and one gradient path. The L∞ penalty acts on a
+//! weight, not on an activation: it does not depend on the batch and is
+//! added to the kernel's gradient after the step
+//! ([`FeatureRegularizer::add_kernel_penalty`]).
 
-use blurnet_nn::{LayerKind, LisaCnnConfig, Sequential};
-use blurnet_signal::{total_variation_batch, tv_gradient_batch, OperatorPenalty};
-use blurnet_tensor::Tensor;
+use blurnet_attacks::FeaturePenaltyKind;
+use blurnet_nn::{Gradients, Layer, LayerKind, LisaCnnConfig, Sequential};
 use serde::{Deserialize, Serialize};
 
 use crate::{DefenseError, DefenseKind, Result};
 
-/// A regularizer evaluated (and differentiated) every training step.
+impl DefenseKind {
+    /// The feature-map penalty this defense trains with (Eq. 4, 6–7) on a
+    /// network of architecture `arch`: its strength α, the penalized
+    /// activation's layer index and the penalty, or `None` for a defense
+    /// without one. The Table III adaptive attacker of the defense adds the
+    /// same penalty, built by the same [`FeaturePenaltyKind`] constructor,
+    /// to its RP2 loss.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the penalty does not fit the architecture's
+    /// feature maps (e.g. a Tikhonov window wider than them).
+    pub fn feature_penalty(
+        &self,
+        arch: &LisaCnnConfig,
+    ) -> Result<Option<(f32, usize, FeaturePenaltyKind)>> {
+        let extent = arch.feature_map_extent();
+        let (alpha, penalty) = match self {
+            DefenseKind::TotalVariation { alpha } => (*alpha, FeaturePenaltyKind::TotalVariation),
+            DefenseKind::TikhonovHf { alpha, window } => {
+                (*alpha, FeaturePenaltyKind::tikhonov_hf(extent, *window)?)
+            }
+            DefenseKind::TikhonovPseudo { alpha } => {
+                (*alpha, FeaturePenaltyKind::tikhonov_pseudo(extent)?)
+            }
+            _ => return Ok(None),
+        };
+        Ok(Some((alpha, arch.feature_layer_index(), penalty)))
+    }
+}
+
+/// The regularizer of one defense's training loss.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) enum FeatureRegularizer {
     /// No extra loss term.
@@ -30,130 +70,106 @@ pub(crate) enum FeatureRegularizer {
         /// Index of the depthwise layer in the network.
         layer_index: usize,
     },
-    /// `α_TV / (N·K) Σ TV(F)` on the feature maps at `layer_index`.
-    TotalVariation {
+    /// `α ·` a TV or Tikhonov penalty on the feature maps at
+    /// `layer_index`, normalized per feature map.
+    FeatureMap {
         /// Regularization strength.
         alpha: f32,
         /// Index of the activation the penalty applies to.
         layer_index: usize,
-    },
-    /// `α / (N·K) Σ ‖L·F‖²` on the feature maps at `layer_index`.
-    Operator {
-        /// Regularization strength.
-        alpha: f32,
-        /// Index of the activation the penalty applies to.
-        layer_index: usize,
-        /// The operator penalty (`L_hf` or `L_diff⁺`).
-        penalty: OperatorPenalty,
+        /// The penalty (TV, `L_hf` or `L_diff⁺`).
+        penalty: FeaturePenaltyKind,
     },
 }
 
 impl FeatureRegularizer {
     /// Builds the regularizer matching a [`DefenseKind`] for a network with
-    /// the given architecture. Defenses without a training-time feature
+    /// the given architecture. Defenses without a training-time
     /// regularizer map to [`FeatureRegularizer::None`].
     ///
     /// # Errors
     ///
     /// Returns an error if the defense parameters are invalid for the
-    /// architecture (e.g. a Tikhonov window wider than the feature maps).
+    /// architecture (a missing depthwise layer, or a penalty that does not
+    /// fit the feature maps).
     pub(crate) fn from_defense(defense: &DefenseKind, arch: &LisaCnnConfig) -> Result<Self> {
-        let feature_index = arch.feature_layer_index();
-        let extent = arch.feature_map_extent();
-        match defense {
-            DefenseKind::DepthwiseLinf { alpha, .. } => {
-                let layer_index = arch.filter_layer_index().ok_or_else(|| {
-                    DefenseError::BadConfig(
-                        "DepthwiseLinf defense requires a depthwise filter layer".into(),
-                    )
-                })?;
-                Ok(FeatureRegularizer::LinfDepthwise {
-                    alpha: *alpha,
-                    layer_index,
-                })
-            }
-            DefenseKind::TotalVariation { alpha } => Ok(FeatureRegularizer::TotalVariation {
+        if let DefenseKind::DepthwiseLinf { alpha, .. } = defense {
+            let layer_index = arch.filter_layer_index().ok_or_else(|| {
+                DefenseError::BadConfig(
+                    "DepthwiseLinf defense requires a depthwise filter layer".into(),
+                )
+            })?;
+            return Ok(FeatureRegularizer::LinfDepthwise {
                 alpha: *alpha,
-                layer_index: feature_index,
-            }),
-            DefenseKind::TikhonovHf { alpha, window } => Ok(FeatureRegularizer::Operator {
-                alpha: *alpha,
-                layer_index: feature_index,
-                penalty: OperatorPenalty::high_frequency(extent, *window)?,
-            }),
-            DefenseKind::TikhonovPseudo { alpha } => Ok(FeatureRegularizer::Operator {
-                alpha: *alpha,
-                layer_index: feature_index,
-                penalty: OperatorPenalty::pseudo_difference(extent, 1e-3)?,
-            }),
-            _ => Ok(FeatureRegularizer::None),
+                layer_index,
+            });
         }
+        Ok(match defense.feature_penalty(arch)? {
+            Some((alpha, layer_index, penalty)) => FeatureRegularizer::FeatureMap {
+                alpha,
+                layer_index,
+                penalty,
+            },
+            None => FeatureRegularizer::None,
+        })
     }
 
     /// The layer whose output activation the training step must collect
     /// for this regularizer (the TV and Tikhonov feature maps).
     pub(crate) fn feature_layer(&self) -> Option<usize> {
         match self {
-            FeatureRegularizer::TotalVariation { layer_index, .. }
-            | FeatureRegularizer::Operator { layer_index, .. } => Some(*layer_index),
+            FeatureRegularizer::FeatureMap { layer_index, .. } => Some(*layer_index),
             _ => None,
         }
     }
 
-    /// Evaluates the regularizer for the current training step, given the
-    /// activation at [`FeatureRegularizer::feature_layer`] when it has one.
-    ///
-    /// Returns the penalty value and its gradient, both already scaled by
-    /// α. The gradient is taken with respect to the penalized tensor: the
-    /// feature maps for TV and Tikhonov (the training step injects it at
-    /// the feature layer's output), the depthwise kernels for L∞ (the
-    /// trainer adds it to the kernel's gradient).
+    /// The weighted feature-map penalty the training step's
+    /// [`blurnet_attacks::penalized_loss`] adds, if any.
+    pub(crate) fn feature_penalty(&self) -> Option<(f32, &FeaturePenaltyKind)> {
+        match self {
+            FeatureRegularizer::FeatureMap { alpha, penalty, .. } => Some((*alpha, penalty)),
+            _ => None,
+        }
+    }
+
+    /// Adds the L∞ kernel penalty to a finished training step: `α·‖W‖∞` to
+    /// its `loss` and `α·∇‖W‖∞` to the kernel's gradient in `grads`. Every
+    /// other regularizer leaves the step as it is.
     ///
     /// # Errors
     ///
-    /// Returns an error if the layer index does not name a depthwise layer
-    /// (L∞), the feature activation is missing, or its shape does not fit
-    /// the penalty.
-    pub(crate) fn apply(
+    /// Returns an error if the layer index does not name a depthwise layer.
+    pub(crate) fn add_kernel_penalty(
         &self,
         net: &Sequential,
-        feature: Option<&Tensor>,
-    ) -> Result<(f32, Option<Tensor>)> {
-        match self {
-            FeatureRegularizer::None => Ok((0.0, None)),
-            FeatureRegularizer::LinfDepthwise { alpha, layer_index } => {
-                let Some(LayerKind::Depthwise(depthwise)) = net.layer(*layer_index) else {
-                    return Err(DefenseError::BadConfig(format!(
-                        "layer {layer_index} is not a depthwise layer"
-                    )));
-                };
-                let grad = depthwise.linf_penalty_grad().scale(*alpha);
-                Ok((alpha * depthwise.linf_penalty(), Some(grad)))
-            }
-            FeatureRegularizer::TotalVariation { alpha, .. } => {
-                let feature = require_feature(feature)?;
-                let grad = tv_gradient_batch(feature)?.scale(*alpha);
-                Ok((alpha * total_variation_batch(feature)?, Some(grad)))
-            }
-            FeatureRegularizer::Operator { alpha, penalty, .. } => {
-                let feature = require_feature(feature)?;
-                let grad = penalty.grad_batch(feature)?.scale(*alpha);
-                Ok((alpha * penalty.value_batch(feature)?, Some(grad)))
-            }
-        }
+        loss: &mut f32,
+        grads: &mut Gradients,
+    ) -> Result<()> {
+        let FeatureRegularizer::LinfDepthwise { alpha, layer_index } = self else {
+            return Ok(());
+        };
+        let Some(LayerKind::Depthwise(depthwise)) = net.layer(*layer_index) else {
+            return Err(DefenseError::BadConfig(format!(
+                "layer {layer_index} is not a depthwise layer"
+            )));
+        };
+        // The kernel is its layer's first parameter.
+        let kernel: usize = net
+            .iter()
+            .take(*layer_index)
+            .map(|l| l.params().len())
+            .sum();
+        grads.params[kernel].add_scaled(&depthwise.linf_penalty_grad().scale(*alpha), 1.0)?;
+        *loss += alpha * depthwise.linf_penalty();
+        Ok(())
     }
-}
-
-fn require_feature(feature: Option<&Tensor>) -> Result<&Tensor> {
-    feature.ok_or_else(|| {
-        DefenseError::BadConfig("feature-map regularizer needs its feature activation".into())
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use blurnet_nn::LisaCnn;
+    use blurnet_tensor::Tensor;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -162,6 +178,18 @@ mod tests {
         match defense {
             DefenseKind::DepthwiseLinf { kernel, .. } => base.with_trainable_depthwise(*kernel),
             _ => base,
+        }
+    }
+
+    /// Zero gradients for every parameter of `net`, in step order.
+    fn zero_grads(net: &Sequential) -> Gradients {
+        Gradients {
+            input: Tensor::zeros(&[1]),
+            params: net
+                .iter()
+                .flat_map(|l| l.params())
+                .map(|p| Tensor::zeros(p.dims()))
+                .collect(),
         }
     }
 
@@ -178,7 +206,10 @@ mod tests {
                 &arch_plain
             )
             .unwrap(),
-            FeatureRegularizer::TotalVariation { .. }
+            FeatureRegularizer::FeatureMap {
+                penalty: FeaturePenaltyKind::TotalVariation,
+                ..
+            }
         ));
         assert!(matches!(
             FeatureRegularizer::from_defense(
@@ -189,7 +220,10 @@ mod tests {
                 &arch_plain
             )
             .unwrap(),
-            FeatureRegularizer::Operator { .. }
+            FeatureRegularizer::FeatureMap {
+                penalty: FeaturePenaltyKind::Operator(_),
+                ..
+            }
         ));
         // DepthwiseLinf needs the filter layer to exist.
         assert!(FeatureRegularizer::from_defense(
@@ -224,9 +258,11 @@ mod tests {
         assert_eq!(reg.feature_layer(), Some(0));
         let x = Tensor::rand_uniform(&[2, 3, 16, 16], 0.0, 1.0, &mut rng);
         let feature = net.batch_engine().unwrap().activation(&x, 0).unwrap();
-        let (value, grad) = reg.apply(&net, Some(&feature)).unwrap();
+        let (alpha, penalty) = reg.feature_penalty().unwrap();
+        assert_eq!(alpha, 1e-2);
+        let (value, grad) = penalty.value_and_grad(&feature).unwrap();
         assert!(value > 0.0);
-        assert_eq!(grad.unwrap().dims(), feature.dims());
+        assert_eq!(grad.dims(), feature.dims());
     }
 
     #[test]
@@ -240,16 +276,24 @@ mod tests {
         let net = builder.build(&mut rng).unwrap();
         let reg = FeatureRegularizer::from_defense(&defense, builder.config()).unwrap();
         assert_eq!(reg.feature_layer(), None);
-        let (value, grad) = reg.apply(&net, None).unwrap();
-        assert!(value > 0.0);
-        // The sub-gradient is the depthwise kernel's.
-        let grad = grad.expect("L∞ penalises the kernel");
+        assert!(reg.feature_penalty().is_none());
+        let mut grads = zero_grads(&net);
+        let mut loss = 1.0;
+        reg.add_kernel_penalty(&net, &mut loss, &mut grads).unwrap();
+        assert!(loss > 1.0);
+        // The sub-gradient lands on the depthwise kernel, and only there.
         let layer_index = builder.config().filter_layer_index().unwrap();
         let LayerKind::Depthwise(dw) = net.layer(layer_index).unwrap() else {
             panic!("expected depthwise layer");
         };
-        assert_eq!(grad.dims(), dw.weight().dims());
-        assert!(grad.l1_norm() > 0.0);
+        let kernel = net.layer(0).unwrap().params().len();
+        assert_eq!(grads.params[kernel].dims(), dw.weight().dims());
+        assert_eq!(grads.params[kernel], dw.linf_penalty_grad().scale(0.5));
+        let others: f32 = (0..grads.params.len())
+            .filter(|&i| i != kernel)
+            .map(|i| grads.params[i].l1_norm())
+            .sum();
+        assert_eq!(others, 0.0);
     }
 
     #[test]
@@ -264,9 +308,10 @@ mod tests {
         .unwrap();
         let x = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, &mut rng);
         let feature = net.batch_engine().unwrap().activation(&x, 0).unwrap();
-        let (value, grad) = reg.apply(&net, Some(&feature)).unwrap();
+        let (_, penalty) = reg.feature_penalty().unwrap();
+        let (value, grad) = penalty.value_and_grad(&feature).unwrap();
         assert!(value >= 0.0);
-        assert_eq!(grad.unwrap().dims(), &[1, 4, 8, 8]);
+        assert_eq!(grad.dims(), &[1, 4, 8, 8]);
     }
 
     #[test]
@@ -277,23 +322,24 @@ mod tests {
             .conv1_filters(4)
             .build(&mut rng)
             .unwrap();
-        let reg = FeatureRegularizer::TotalVariation {
-            alpha: 1.0,
-            layer_index: 42,
-        };
-        // The engine rejects the index; without an activation the
-        // regularizer refuses to run.
+        // The engine rejects an out-of-range feature layer.
         assert!(net
             .batch_engine()
             .unwrap()
             .activation(&Tensor::zeros(&[1, 3, 16, 16]), 42)
             .is_err());
-        assert!(reg.apply(&net, None).is_err());
         let reg = FeatureRegularizer::LinfDepthwise {
             alpha: 1.0,
             layer_index: 0,
         };
+        // Without its activation a feature-map penalty refuses to run.
+        let logits = Tensor::zeros(&[1, 4]);
+        let tv = (1.0, &FeaturePenaltyKind::TotalVariation);
+        assert!(blurnet_attacks::penalized_loss(&logits, &[0], Some(tv), None).is_err());
         // Layer 0 is a Conv2d, not a depthwise layer.
-        assert!(reg.apply(&net, None).is_err());
+        let mut loss = 0.0;
+        assert!(reg
+            .add_kernel_penalty(&net, &mut loss, &mut zero_grads(&net))
+            .is_err());
     }
 }

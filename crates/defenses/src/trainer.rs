@@ -8,11 +8,9 @@
 //!   for adversarial training), and
 //! * extra loss terms (L∞ / TV / Tikhonov regularizers).
 
-use blurnet_attacks::{PgdAttack, PgdConfig};
+use blurnet_attacks::{penalized_loss, PgdAttack, PgdConfig};
 use blurnet_data::SignDataset;
-use blurnet_nn::{
-    softmax_cross_entropy, Adam, Layer, LisaCnn, LisaCnnConfig, NnError, Sequential, ShardGrad,
-};
+use blurnet_nn::{Adam, LisaCnn, LisaCnnConfig, Sequential};
 use blurnet_signal::box_kernel;
 use blurnet_tensor::Tensor;
 use rand::SeedableRng;
@@ -155,43 +153,17 @@ pub fn train_defended_model(
                 &mut rng,
             )?;
 
-            // One engine step: recorded forward, cross-entropy plus the
-            // feature-map penalty (injected at its layer), parameter
-            // gradients. The L∞ penalty's kernel gradient comes back from
-            // the closure instead, and the backward term is added to it.
-            let feature_layer = regularizer.feature_layer();
-            let mut kernel_grad = None;
+            // One engine step: recorded forward, the penalized loss (the
+            // feature-map penalty's gradient injected at its layer),
+            // parameter gradients; then the batch-independent L∞ kernel
+            // penalty.
+            let penalty = regularizer.feature_penalty();
             let engine = net.batch_engine()?;
-            let (loss_value, mut grads) =
-                engine.train_step(&images, feature_layer, |logits, feature| {
-                    let (ce, d_logits) = softmax_cross_entropy(logits, &batch.labels)?;
-                    let (penalty, grad) = regularizer
-                        .apply(&net, feature)
-                        .map_err(|e| NnError::BadConfig(e.to_string()))?;
-                    let injection = if feature_layer.is_some() {
-                        grad
-                    } else {
-                        kernel_grad = grad;
-                        None
-                    };
-                    Ok(ShardGrad {
-                        d_logits,
-                        injection,
-                        loss: ce + penalty,
-                    })
+            let (mut loss_value, mut grads) =
+                engine.train_step(&images, regularizer.feature_layer(), |logits, feature| {
+                    penalized_loss(logits, &batch.labels, penalty, feature)
                 })?;
-            if let (Some(mut total), FeatureRegularizer::LinfDepthwise { layer_index, .. }) =
-                (kernel_grad, &regularizer)
-            {
-                // The kernel is its layer's first parameter.
-                let index: usize = net
-                    .iter()
-                    .take(*layer_index)
-                    .map(|l| l.params().len())
-                    .sum();
-                total.add_scaled(&grads.params[index], 1.0)?;
-                grads.params[index] = total;
-            }
+            regularizer.add_kernel_penalty(&net, &mut loss_value, &mut grads)?;
             let mut pairs: Vec<_> = net.params_mut().into_iter().zip(&grads.params).collect();
             optimizer.step(&mut pairs)?;
 

@@ -10,23 +10,30 @@
 //! each worker owning a private [`Scratch`] pool that is reused across
 //! every layer of every shard it processes.
 //!
-//! The gradient path works the same way: a recorded forward pass writes
-//! what backward needs into a caller-owned tape (one [`TapeSlot`] per
-//! layer, owned by the worker, never by the network), then the backward
-//! walks the tape in reverse. It has two steps per layer:
+//! The gradient path works the same way, through one recorded forward for
+//! every job: each shard is recorded layer by layer into a `Recording` —
+//! every layer's [`TapeSlot`] and output, owned by the worker running the
+//! shard, never by the network — and a backward walks it in reverse. The
+//! backward has two steps per layer:
 //!
 //! * **input gradient** ([`crate::Layer::input_grad`]) — what PGD/RP2/
 //!   adaptive attack generation needs through
+//!   [`BatchEngine::forward_backward_with`] /
 //!   [`BatchEngine::forward_backward_batch`] / [`BatchEngine::input_grad`].
-//!   The weight-gradient GEMMs are skipped and no layer input is kept, and
-//!   all `steps × images` gradient iterations of an attack run as `steps`
+//!   It reads only the tapes and the packs, and skips the weight-gradient
+//!   GEMMs. Each one-image shard's outputs live until its loss closure
+//!   returns (about 80 KB for a 32×32 LISA-CNN image), and all
+//!   `steps × images` gradient iterations of an attack run as `steps`
 //!   batched passes;
 //! * **parameter gradient** ([`crate::Layer::param_grad`]) — training,
-//!   through [`BatchEngine::train_step`]. The recorded pass additionally
-//!   keeps every layer's (owned) output, which is the next layer's forward
-//!   input, and the step returns every trainable parameter's gradient for
-//!   [`crate::Adam`]. This backward reads the network's own weights, not
-//!   the packs.
+//!   through [`BatchEngine::train_step`]. Layer `i`'s forward input is the
+//!   recording's output `i − 1`, and the step returns every trainable
+//!   parameter's gradient for [`crate::Adam`]. This backward reads the
+//!   network's own weights, not the packs.
+//!
+//! A feature-map gradient (the regularizers of Eq. 4, 6–7 in training,
+//! the adaptive penalties of Eq. 9–11 in attacks) is handed to either
+//! backward as a [`ShardGrad`] injection, added at its layer's output.
 //!
 //! # Determinism
 //!
@@ -337,35 +344,9 @@ impl<'n> BatchEngine<'n> {
         }
     }
 
-    /// Runs every layer over one shard while recording each layer's
-    /// backward needs into `tapes` (resized to the network depth), and
-    /// optionally cloning out the activation after layer `feature_layer`.
-    fn infer_shard_recorded(
-        &self,
-        shard: &Tensor,
-        feature_layer: Option<usize>,
-        tapes: &mut Vec<TapeSlot>,
-        scratch: &mut Scratch,
-    ) -> Result<(Tensor, Option<Tensor>)> {
-        tapes.clear();
-        tapes.resize_with(self.layers.len(), TapeSlot::default);
-        let mut feature = None;
-        let mut x: Option<Tensor> = None;
-        for (i, engine_layer) in self.layers.iter().enumerate() {
-            let input = x.as_ref().unwrap_or(shard);
-            let out = self.record_layer(engine_layer, input, &mut tapes[i], scratch)?;
-            if feature_layer == Some(i) {
-                feature = Some(out.clone());
-            }
-            x = Some(out);
-        }
-        let logits = x.expect("non-empty network produced an output");
-        Ok((logits, feature))
-    }
-
-    /// Walks one shard's tape backwards through every layer's immutable
-    /// input-gradient path, adding `injection` at `feature_layer`'s output
-    /// on the way.
+    /// Walks one shard's recorded tapes backwards through every layer's
+    /// immutable input-gradient path, adding `injection` at its layer's
+    /// output on the way.
     fn input_grad_shard(
         &self,
         tapes: &[TapeSlot],
@@ -404,39 +385,20 @@ impl<'n> BatchEngine<'n> {
         Ok(grad)
     }
 
-    /// Forward + backward for one shard: recorded forward, caller's loss
-    /// closure, then the tape-driven input gradient.
-    fn run_shard_backward<F>(
-        &self,
-        shard: &Tensor,
-        start: usize,
-        feature_layer: Option<usize>,
-        grad_fn: &F,
-        tapes: &mut Vec<TapeSlot>,
-        scratch: &mut Scratch,
-    ) -> Result<(Tensor, f32)>
-    where
-        F: Fn(usize, &Tensor, Option<&Tensor>) -> Result<ShardGrad> + Sync,
-    {
-        let (logits, feature) = self.infer_shard_recorded(shard, feature_layer, tapes, scratch)?;
-        let shard_grad = grad_fn(start, &logits, feature.as_ref())?;
-        check_logit_grad(&shard_grad.d_logits, &logits)?;
-        let injection = feature_layer.zip(shard_grad.injection.as_ref());
-        let d_input = self.input_grad_shard(tapes, shard_grad.d_logits, injection, scratch)?;
-        Ok((d_input, shard_grad.loss))
-    }
-
     /// Runs a recorded forward pass and a tape-driven backward pass over an
     /// `[N, ...]` batch, sharding the batch dimension across rayon workers
     /// exactly like [`BatchEngine::forward`] (same shard boundaries, same
-    /// per-worker [`Scratch`] pools and tape vectors, bit-identical results
-    /// at every thread count).
+    /// per-worker [`Scratch`] pools, bit-identical results at every thread
+    /// count). Each shard is recorded like a training shard (every layer's
+    /// tape and output; the outputs are dropped once `grad_fn` returns),
+    /// and its backward is the input-gradient walk over the recording's
+    /// tapes.
     ///
     /// For every shard, `grad_fn(start, logits, feature)` receives the
     /// index of the shard's first image, the shard logits, and (when
-    /// `feature_layer` is `Some(i)`) the activation after layer `i`; it
-    /// returns the shard's loss gradient, an optional gradient to inject at
-    /// that activation, and a diagnostic loss value. Every shard is one
+    /// `feature_layer` is `Some(i)`) the recorded activation after layer
+    /// `i`; it returns the shard's loss gradient, an optional gradient to
+    /// inject at that activation, and a diagnostic loss value. Every shard is one
     /// image, so the closure sees exactly what a per-image attack loop
     /// would — per-image logits and per-image losses.
     ///
@@ -458,10 +420,21 @@ impl<'n> BatchEngine<'n> {
         let results = self.run_sharded(
             input,
             1,
-            || (Scratch::with_backend(self.backend()), Vec::new()),
-            |state, start, shard| {
-                let (scratch, tapes) = state;
-                self.run_shard_backward(shard, start, feature_layer, &grad_fn, tapes, scratch)
+            || Scratch::with_backend(self.backend()),
+            |scratch, start, shard| {
+                let recording = self.record(shard, scratch)?;
+                let logits = recording.logits();
+                let feature = feature_layer.map(|i| &recording.outputs[i]);
+                let shard_grad = grad_fn(start, logits, feature)?;
+                check_logit_grad(&shard_grad.d_logits, logits)?;
+                // The input-gradient walk reads only the tapes; freeing the
+                // outputs first lets its buffers reuse their memory.
+                let Recording { tapes, outputs } = recording;
+                drop(outputs);
+                let injection = feature_layer.zip(shard_grad.injection.as_ref());
+                let d_input =
+                    self.input_grad_shard(&tapes, shard_grad.d_logits, injection, scratch)?;
+                Ok((d_input, shard_grad.loss))
             },
         )?;
         let (grads, losses): (Vec<Tensor>, Vec<f32>) = results.into_iter().unzip();
@@ -565,8 +538,10 @@ impl<'n> BatchEngine<'n> {
         Ok((loss, Gradients { input, params }))
     }
 
-    /// The recorded forward of one training shard, every layer output
-    /// kept. [`Sequential::forward`] records a whole batch through it.
+    /// The recorded forward of one shard: every layer's tape slot and
+    /// output. Both backwards read it — a training shard's
+    /// ([`Recording::backward`]) and an attack image's input-gradient walk
+    /// — and [`Sequential::forward`] records a whole batch through it.
     pub(crate) fn record(&self, input: &Tensor, scratch: &mut Scratch) -> Result<Recording> {
         self.check_gradient_call(input, None)?;
         let mut tapes = vec![TapeSlot::default(); self.layers.len()];

@@ -6,8 +6,11 @@
 //! ```
 
 use blurnet::{ModelZoo, Scale};
-use blurnet_attacks::{Rp2Attack, Rp2Config};
+use blurnet_attacks::{
+    batch_l2_dissimilarity, targeted_success_rate, AttackEvaluation, Rp2Attack, Rp2Config,
+};
 use blurnet_defenses::DefenseKind;
+use blurnet_nn::Sequential;
 use blurnet_tensor::Tensor;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,8 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     })?;
     let stop_signs: Vec<Tensor> = zoo.dataset().stop_eval_images().to_vec();
     let target = 12; // speedLimit25
-    let baseline_eval = attack.evaluate(baseline.network(), &stop_signs, target)?;
-    let defended_eval = attack.evaluate(defended.network(), &stop_signs, target)?;
+    let baseline_eval = white_box(&attack, baseline.network(), &stop_signs, target)?;
+    let defended_eval = white_box(&attack, defended.network(), &stop_signs, target)?;
 
     println!(
         "RP2 targeted success rate — baseline: {:.1}%, TV-regularized: {:.1}%",
@@ -51,4 +54,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("(the paper's Table II shows the same qualitative gap at full scale)");
     Ok(())
+}
+
+/// Attacks `images` towards `target` on `net` and judges the stickers on
+/// the same network: the targeted success rate and the mean relative L2
+/// dissimilarity.
+fn white_box(
+    attack: &Rp2Attack,
+    net: &Sequential,
+    images: &[Tensor],
+    target: usize,
+) -> Result<AttackEvaluation, Box<dyn std::error::Error>> {
+    let adversarial: Vec<Tensor> = attack
+        .generate_batch(net, images, target)?
+        .into_iter()
+        .map(|result| result.adversarial)
+        .collect();
+    let adversarial = Tensor::stack(&adversarial)?;
+    let predictions = net.batch_engine()?.predict(&adversarial)?;
+    let dissims = batch_l2_dissimilarity(&Tensor::stack(images)?, &adversarial)?;
+    Ok(AttackEvaluation {
+        success_rate: targeted_success_rate(&predictions, target)?,
+        l2_dissimilarity: dissims.iter().sum::<f32>() / dissims.len() as f32,
+        count: images.len(),
+    })
 }

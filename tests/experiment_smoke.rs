@@ -2,7 +2,9 @@
 //! 1-worker scheduler run of a "paper subset" grid — all five Table I
 //! victims, the σ=0.2 randomized-smoothing Table II row (a sweep judged
 //! through smoothing's seeded votes), the 5×5 depthwise Table III row (the
-//! low-frequency DCT attack), the three Table V attacks, Figures 1, 2 and
+//! low-frequency DCT attack), the `Tik_hf (1e-4)` and `Tik_pseudo (1e-6)`
+//! Table III rows (Tikhonov-trained models under their own penalty), the
+//! three Table V attacks, Figures 1, 2 and
 //! 4, Figure 3 at DCT dims {8, 16}, and the 5×5 depthwise Figure 5 point
 //! series — whose `results.json` must match
 //! `tests/golden/paper_subset.json` byte for byte. The remaining tests
@@ -43,7 +45,12 @@ fn paper_subset() -> ExperimentGrid {
         .iter()
         .filter_map(|cell| match &cell.kind {
             CellKind::Table2(_) => (cell.label == "Rand. sm (sigma=0.2)").then(|| cell.clone()),
-            CellKind::Table3(defense) => (*defense == depthwise5).then(|| cell.clone()),
+            CellKind::Table3(defense) => (*defense == depthwise5
+                || matches!(
+                    defense,
+                    DefenseKind::TikhonovHf { .. } | DefenseKind::TikhonovPseudo { .. }
+                ))
+            .then(|| cell.clone()),
             CellKind::Scatter { defense } if cell.experiment == "figure5" => {
                 (*defense == depthwise5).then(|| cell.clone())
             }
@@ -98,7 +105,7 @@ fn paper_subset_matches_the_checked_in_golden_report() {
             path.display()
         )
     });
-    assert_eq!(report().cells.len(), 15);
+    assert_eq!(report().cells.len(), 17);
     assert!(
         json == golden,
         "paper-subset results drifted from {}",
@@ -164,8 +171,12 @@ fn table3_and_table4_share_trained_models() {
         ]
     );
 
-    let [CellOutput::Table3(row)] = outputs("table3")[..] else {
-        panic!("expected one Table III row");
+    let cell = report()
+        .cell("table3", &label)
+        .expect("the 5x5 depthwise row");
+    assert_eq!(cell.status, CellStatus::Ok);
+    let Some(CellOutput::Table3(row)) = &cell.output else {
+        panic!("expected a Table III row");
     };
     assert!((0.0..=1.0).contains(&row.average_success_rate));
     assert!(row.worst_success_rate >= row.average_success_rate);
