@@ -325,14 +325,15 @@ mod tests {
 
     /// The one batched sweep equals a per-target loop — generate each
     /// target's set, then judge it — whose votes come from the independent
-    /// randomized-smoothing reference: per-image noise drawn in target-major
-    /// order from one `SMOOTHING_SEED` stream, each copy judged by
-    /// `reference_forward`.
+    /// randomized-smoothing reference: each adversarial image's noise drawn
+    /// from its own stream, seeded by `SMOOTHING_SEED` and the image's
+    /// bytes, each copy judged by `reference_forward`.
     #[test]
     fn sweep_defended_matches_the_per_target_loop_under_smoothing() {
         // One noisy vote at σ = 1 makes this untrained net's answer depend
         // on the noise draw, and the targets are the classes it drifts
-        // between, so drawing the noise in another order shows in the rates.
+        // between, so seeding any image's noise differently shows in the
+        // rates.
         let model = tiny_defended_model(
             DefenseKind::RandomizedSmoothing {
                 sigma: 1.0,

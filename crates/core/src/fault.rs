@@ -230,19 +230,6 @@ fn splitmix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Content hash for tagging a poisoned request: FNV over the f32 bit
-/// patterns, stable across clones and batch positions.
-pub fn tag_f32s(values: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in values {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// Arms `site` with `spec`, replacing any previous arming (and resetting
 /// its counters). `site` must be one of [`all_sites`].
 ///
@@ -409,7 +396,7 @@ mod tests {
     fn tagged_faults_ignore_other_tags() {
         let _guard = LOCK.lock().unwrap();
         disarm_all();
-        let poison = tag_f32s(&[1.0, 2.0, 3.0]);
+        let poison = blurnet_tensor::persist::fnv1a_f32s(&[1.0, 2.0, 3.0]);
         arm(
             sites::SERVE_WORKER_REQUEST,
             FaultSpec::always(FaultKind::Error).tagged(poison),

@@ -43,10 +43,10 @@
 //! A trained variant lives in its train node's slot and is shared
 //! read-only across workers. Every cell evaluates the one shared model in
 //! place: white-box attacks read its network, and defended inference
-//! ([`DefendedModel::classify`]) is a pure `&self` function — even
-//! randomized smoothing starts a fresh noise stream per call — so a
-//! cell's result cannot depend on which worker runs it or what ran
-//! before it. The underlying
+//! ([`DefendedModel::classify`]) is a pure `&self` function of each
+//! image — even randomized smoothing seeds each image's noise from the
+//! image itself — so a cell's result cannot depend on which worker runs
+//! it or what ran before it. The underlying
 //! [`blurnet_nn::BatchEngine`] is `Send + Sync` (asserted at compile time
 //! in `blurnet_nn::engine`), so the engines cells build over those shared
 //! weights are safe to drive from any worker.

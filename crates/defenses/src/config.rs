@@ -4,6 +4,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::{DefenseError, Result};
 
+/// Most Monte-Carlo samples a smoothing defense may ask for: 100× the
+/// paper's 100. One vote holds all of an image's noisy copies at once, so
+/// a larger count read from a model file could exhaust memory.
+pub(crate) const MAX_SMOOTHING_SAMPLES: usize = 10_000;
+
 /// Every defense configuration appearing in Tables I–V of the paper.
 ///
 /// The variants that change the architecture (filter layers) and the ones
@@ -65,7 +70,8 @@ pub enum DefenseKind {
     RandomizedSmoothing {
         /// Noise standard deviation σ.
         sigma: f32,
-        /// Monte-Carlo samples per prediction (the paper uses 100).
+        /// Monte-Carlo samples per prediction (the paper uses 100; at most
+        /// 10 000).
         samples: usize,
     },
     /// PGD adversarial training, 50% clean / 50% adversarial per batch
@@ -110,7 +116,8 @@ impl DefenseKind {
     /// # Errors
     ///
     /// Returns [`DefenseError::BadConfig`] for out-of-range parameters
-    /// (even kernels, non-positive strengths, zero sample counts, …).
+    /// (even kernels, non-positive strengths, zero or excessive sample
+    /// counts, …).
     pub(crate) fn validate(&self) -> Result<()> {
         let fail = |msg: String| Err(DefenseError::BadConfig(msg));
         match self {
@@ -157,10 +164,14 @@ impl DefenseKind {
                 }
             }
             DefenseKind::RandomizedSmoothing { sigma, samples } => {
-                if *sigma <= 0.0 {
-                    fail(format!("sigma must be positive, got {sigma}"))
-                } else if *samples == 0 {
-                    fail("smoothing needs at least one sample".to_string())
+                if !sigma.is_finite() || *sigma <= 0.0 {
+                    fail(format!(
+                        "smoothing sigma must be positive and finite, got {sigma}"
+                    ))
+                } else if *samples == 0 || *samples > MAX_SMOOTHING_SAMPLES {
+                    fail(format!(
+                        "smoothing samples must be 1..={MAX_SMOOTHING_SAMPLES}, got {samples}"
+                    ))
                 } else {
                     Ok(())
                 }
@@ -258,6 +269,14 @@ mod tests {
         }
         .validate()
         .is_err());
+        let max = MAX_SMOOTHING_SAMPLES;
+        for (samples, ok) in [(max, true), (max + 1, false)] {
+            let smoothing = DefenseKind::RandomizedSmoothing {
+                sigma: 0.1,
+                samples,
+            };
+            assert_eq!(smoothing.validate().is_ok(), ok, "samples={samples}");
+        }
         assert!(DefenseKind::AdversarialTraining {
             epsilon: 0.0,
             step_size: 0.1,

@@ -5,15 +5,15 @@
 //!
 //! A variant's identity is the tuple **(trainer revision, architecture,
 //! defense config, trainer config, dataset seed, dims)** — the revision
-//! marks the training arithmetic that produced the weights
-//! ([`TRAINER_REVISION`]), `TrainConfig` carries the
-//! optimizer seed, the dataset seed pins the generated training set (two
-//! runs with different `--seed`s train different weights), and
-//! [`build_architecture`] derives the architecture deterministically from
-//! the defense, dims and seed, so the key is computable *before* training
-//! (the whole point: a scheduler can probe the cache instead of paying for
-//! the train). The tuple is serialized to canonical JSON and FNV-1a-hashed
-//! into the file name, alongside a human-readable defense slug:
+//! marks the code that produced the stored bytes ([`TRAINER_REVISION`]),
+//! `TrainConfig` carries the optimizer seed, the dataset seed pins the
+//! generated training set (two runs with different `--seed`s train
+//! different weights), and [`build_architecture`] derives the
+//! architecture from the defense and dims without initializing a weight,
+//! so the key is computable *before* training (the whole point: a
+//! scheduler can probe the cache instead of paying for the train). The
+//! tuple is serialized to canonical JSON and FNV-1a-hashed into the file
+//! name, alongside a human-readable defense slug:
 //!
 //! ```text
 //! <cache-dir>/baseline-93ab…f2.bndm
@@ -51,15 +51,19 @@ const ENTRY_MAGIC: [u8; 4] = *b"BNCE";
 /// Newest cache-entry format version this build reads and writes.
 const ENTRY_VERSION: u16 = 1;
 
-/// Revision of the training arithmetic, part of every cache key. Bump it
-/// whenever training bits change (a new reduction order, a kernel that
-/// rounds differently): a cache directory filled by an older build then
-/// misses instead of serving weights this build would not train.
+/// Revision of the code behind every stored byte, part of every cache key.
+/// It covers the whole entry, not only the training arithmetic: bump it
+/// whenever a stored byte changes (a new reduction order in training, or
+/// a new defended inference path behind the report's accuracy). A cache
+/// filled by an older build then misses instead of serving stale bytes.
 ///
 /// Revision 1: training steps shard the batch into fixed
 /// `blurnet_nn::TRAIN_SHARD_ROWS` blocks and sum their gradients in block
 /// order. Keys without a revision came from whole-batch training steps.
-const TRAINER_REVISION: u32 = 1;
+///
+/// Revision 2: smoothing seeds each image's noise from the image, which
+/// changes smoothing models' stored accuracy.
+const TRAINER_REVISION: u32 = 2;
 
 /// The serialized form of a cache key; hashing its JSON gives the file
 /// name, and the JSON itself is embedded in the entry so a load can
@@ -109,10 +113,10 @@ impl DiskVariantCache {
         num_classes: usize,
         dataset_seed: u64,
     ) -> Result<KeyRecord> {
-        // The architecture is deterministic in (defense, dims, seed), so
-        // deriving it here keeps it part of the key without the caller
-        // having trained anything.
-        let (_, arch) = build_architecture(defense, image_size, num_classes, train.seed)?;
+        // The architecture is deterministic in (defense, dims), so deriving
+        // it here keeps it part of the key without the caller having
+        // trained (or initialized) anything.
+        let builder = build_architecture(defense, image_size, num_classes)?;
         Ok(KeyRecord {
             trainer_revision: TRAINER_REVISION,
             defense: defense.clone(),
@@ -120,7 +124,7 @@ impl DiskVariantCache {
             dataset_seed,
             image_size,
             num_classes,
-            arch,
+            arch: builder.config().clone(),
         })
     }
 
@@ -278,6 +282,7 @@ fn slugify(label: &str) -> String {
 mod tests {
     use super::*;
     use blurnet_tensor::{Tensor, TensorError};
+    use rand::SeedableRng;
 
     const SEED: u64 = 7;
 
@@ -304,11 +309,14 @@ mod tests {
     }
 
     fn tiny_model(defense: DefenseKind, train: &TrainConfig) -> DefendedModel {
-        let (net, arch) = build_architecture(&defense, 16, 18, train.seed).unwrap();
+        let builder = build_architecture(&defense, 16, 18).unwrap();
+        let net = builder
+            .build(&mut rand_chacha::ChaCha8Rng::seed_from_u64(train.seed))
+            .unwrap();
         DefendedModel::new(
             net,
             defense,
-            arch,
+            builder.config().clone(),
             crate::TrainingReport {
                 epoch_losses: vec![1.0],
                 test_accuracy: 0.5,
@@ -476,6 +484,57 @@ mod tests {
         let from_bare = model_from_file_bytes(&bare).unwrap();
         assert_eq!(from_bare.defense(), &defense);
         std::fs::remove_dir_all(&cache.dir).unwrap();
+    }
+
+    #[test]
+    fn hostile_smoothing_headers_are_typed_errors() {
+        let model = tiny_model(DefenseKind::Baseline, &TrainConfig::tiny());
+        // A bare `BNDM` record whose smoothing fields are written by hand,
+        // and the same record inside a `BNCE` entry.
+        let records = |sigma: &str, samples: &str| {
+            let header = format!(
+                "{{\"defense\":{{\"RandomizedSmoothing\":{{\"sigma\":{sigma},\"samples\":{samples}}}}},\
+                 \"arch\":{},\"report\":{}}}",
+                serde_json::to_string(model.arch()).unwrap(),
+                serde_json::to_string(model.training_report()).unwrap()
+            );
+            let mut bare = Vec::new();
+            bare.extend_from_slice(b"BNDM");
+            bare.extend_from_slice(&2u16.to_le_bytes());
+            put_u64(&mut bare, header.len() as u64);
+            bare.extend_from_slice(header.as_bytes());
+            blurnet_nn::persist::write_sequential(&mut bare, model.network());
+            let key = b"{}";
+            let mut entry = Vec::new();
+            entry.extend_from_slice(b"BNCE");
+            entry.extend_from_slice(&1u16.to_le_bytes());
+            put_u64(&mut entry, key.len() as u64);
+            entry.extend_from_slice(key);
+            entry.extend_from_slice(&bare);
+            [bare, entry]
+        };
+        // The hand encoding itself is sound: in-range values decode.
+        for bytes in records("0.1", "8") {
+            let decoded = model_from_file_bytes(&bytes).unwrap();
+            assert_eq!(
+                decoded.defense(),
+                &DefenseKind::RandomizedSmoothing {
+                    sigma: 0.1,
+                    samples: 8
+                }
+            );
+        }
+        let huge = (1u64 << 40).to_string();
+        for (sigma, samples) in [("0.1", "0"), ("-1.0", "8"), ("0.1", huge.as_str())] {
+            for bytes in records(sigma, samples) {
+                // Refused by the range check, not by the JSON decoder.
+                let err = model_from_file_bytes(&bytes).unwrap_err();
+                assert!(
+                    matches!(&err, DefenseError::BadConfig(m) if m.starts_with("smoothing")),
+                    "sigma={sigma}, samples={samples}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -38,8 +38,9 @@ pub use config::DefenseKind;
 pub use disk::{model_from_file_bytes, DiskVariantCache};
 pub use error::DefenseError;
 pub use filtering::filter_image;
-pub use model::{DefendedModel, TrainingReport, SMOOTHING_SEED};
+pub use model::{DefendedModel, TrainingReport};
 pub use persist::{model_from_bytes, model_to_bytes};
+pub use smoothing::SMOOTHING_SEED;
 pub use trainer::{train_defended_model, TrainConfig};
 
 /// Convenient result alias used across the crate.

@@ -3,8 +3,6 @@
 use blurnet_data::Batch;
 use blurnet_nn::{BatchEngine, LisaCnnConfig, Sequential};
 use blurnet_tensor::Tensor;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::filtering::filter_images;
@@ -37,12 +35,6 @@ pub struct DefendedModel {
     arch: LisaCnnConfig,
     pub(crate) report: TrainingReport,
 }
-
-/// Seed of the Monte-Carlo smoothing RNG: every
-/// [`DefendedModel::classify`] call of a randomized-smoothing model draws
-/// its noise from a fresh stream at this seed, so the evaluation is
-/// reproducible.
-pub const SMOOTHING_SEED: u64 = 0xB1A2;
 
 impl DefendedModel {
     /// Wraps a trained network.
@@ -113,18 +105,6 @@ impl DefendedModel {
         matches!(self.defense, DefenseKind::InputFilter { .. })
     }
 
-    /// Whether the defended inference path is a pure function of each
-    /// input image. Every defense qualifies except
-    /// [`DefenseKind::RandomizedSmoothing`]: its vote is a pure function of
-    /// the whole batch, but each row draws its noise from the position it
-    /// holds in the batch's one noise stream, so an image's prediction
-    /// depends on which images precede it. It therefore cannot honor the
-    /// serving subsystem's "micro-batched ≡ single-request" bit-identity
-    /// guarantee.
-    pub fn deterministic_inference(&self) -> bool {
-        !matches!(self.defense, DefenseKind::RandomizedSmoothing { .. })
-    }
-
     /// Classifies every image of an `[N, C, H, W]` batch through the
     /// defended inference path, returning each predicted class with its
     /// confidence. `engine` must be built over [`DefendedModel::network`];
@@ -133,13 +113,16 @@ impl DefendedModel {
     /// - [`DefenseKind::InputFilter`] filters the batch, then runs
     ///   [`BatchEngine::classify_with_confidence`] (softmax confidence).
     /// - [`DefenseKind::RandomizedSmoothing`] votes row by row over noisy
-    ///   copies drawn from one fresh stream at [`SMOOTHING_SEED`], in row
-    ///   order; the confidence is the winning class's vote share.
+    ///   copies drawn from each row's own stream, seeded by the row's bytes
+    ///   (see [`SMOOTHING_SEED`](crate::SMOOTHING_SEED)); the confidence is
+    ///   the winning class's vote share.
     /// - Every other defense runs [`BatchEngine::classify_with_confidence`]
     ///   on the batch as given.
     ///
-    /// The result depends only on the model and the batch, never on
-    /// earlier calls.
+    /// For every defense, row `i` of the result depends only on the model
+    /// and image `i`: never on the other rows, the batch size or earlier
+    /// calls. That is the contract batched evaluation and the serving
+    /// path's micro-batching rely on.
     ///
     /// # Errors
     ///
@@ -151,8 +134,7 @@ impl DefendedModel {
                 engine.classify_with_confidence(&filter_images(images, *kernel)?)?
             }
             DefenseKind::RandomizedSmoothing { sigma, samples } => {
-                let mut rng = ChaCha8Rng::seed_from_u64(SMOOTHING_SEED);
-                smoothed_votes(engine, images, *sigma, *samples, &mut rng)?
+                smoothed_votes(engine, images, *sigma, *samples)?
             }
             _ => engine.classify_with_confidence(images)?,
         })
@@ -188,6 +170,8 @@ impl DefendedModel {
 mod tests {
     use super::*;
     use blurnet_nn::LisaCnn;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     fn untrained(defense: DefenseKind) -> DefendedModel {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
@@ -304,6 +288,7 @@ mod tests {
             DefenseKind::Baseline,
             DefenseKind::InputFilter { kernel: 3 },
             DefenseKind::FeatureFilter { kernel: 5 },
+            smoothing(),
         ] {
             let model = untrained(defense.clone());
             let engine = model.network().batch_engine().unwrap();
@@ -348,14 +333,9 @@ mod tests {
 
     #[test]
     fn serving_capability_predicates() {
-        assert!(untrained(DefenseKind::Baseline).deterministic_inference());
         assert!(!untrained(DefenseKind::Baseline).has_input_preprocessing());
-        let filtered = untrained(DefenseKind::InputFilter { kernel: 3 });
-        assert!(filtered.deterministic_inference());
-        assert!(filtered.has_input_preprocessing());
-        let smoothed = untrained(smoothing());
-        assert!(!smoothed.deterministic_inference());
-        assert!(!smoothed.has_input_preprocessing());
+        assert!(untrained(DefenseKind::InputFilter { kernel: 3 }).has_input_preprocessing());
+        assert!(!untrained(smoothing()).has_input_preprocessing());
     }
 
     #[test]

@@ -17,11 +17,12 @@
 //! stays binary via the `BNSQ`/`BNTR` records.
 //!
 //! Version 1 headers also carried a draw count, the position of a
-//! per-model smoothing RNG. Inference carries no state (every
-//! [`DefendedModel::classify`] call starts a fresh stream), so version 2
-//! drops the field. Version 1 files still load: the JSON decoder skips the
-//! unknown field, and every version 1 file this program wrote holds 0
-//! there.
+//! per-model smoothing RNG. Inference carries no state (each image's
+//! smoothing noise is seeded by the image itself), so version 2 drops the
+//! field. Version 1 files still load: the JSON decoder skips the unknown
+//! field, and every version 1 file this program wrote holds 0 there.
+//! A decoded defense must pass `DefenseKind::validate`, so a hostile
+//! header cannot ask for, say, billions of smoothing samples.
 
 use blurnet_nn::persist::{read_sequential, write_sequential};
 use blurnet_nn::LisaCnnConfig;
@@ -78,8 +79,8 @@ pub fn model_to_bytes(model: &DefendedModel) -> Result<Vec<u8>> {
 ///
 /// Returns [`DefenseError::Tensor`] for the typed persist errors (wrong
 /// magic, future version, truncation), [`DefenseError::BadConfig`] for a
-/// malformed header and [`DefenseError::Network`] for a malformed weight
-/// section.
+/// malformed header or out-of-range defense parameters and
+/// [`DefenseError::Network`] for a malformed weight section.
 pub fn model_from_bytes(bytes: &[u8]) -> Result<DefendedModel> {
     let mut reader = ByteReader::new(bytes);
     reader.expect_magic(MODEL_MAGIC).map_err(tensor_fail)?;
@@ -88,6 +89,7 @@ pub fn model_from_bytes(bytes: &[u8]) -> Result<DefendedModel> {
     let header_json = reader.take(header_len).map_err(tensor_fail)?;
     let header: ModelHeader = serde_json::from_slice(header_json)
         .map_err(|e| DefenseError::BadConfig(format!("decoding model header: {e}")))?;
+    header.defense.validate()?;
     let net = read_sequential(&mut reader)?;
     reader.finish().map_err(tensor_fail)?;
     Ok(DefendedModel::new(

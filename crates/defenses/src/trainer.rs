@@ -10,7 +10,7 @@
 
 use blurnet_attacks::{penalized_loss, PgdAttack, PgdConfig};
 use blurnet_data::SignDataset;
-use blurnet_nn::{Adam, LisaCnn, LisaCnnConfig, Sequential};
+use blurnet_nn::{Adam, LisaCnn, Sequential};
 use blurnet_signal::box_kernel;
 use blurnet_tensor::Tensor;
 use rand::SeedableRng;
@@ -78,7 +78,9 @@ impl Default for TrainConfig {
     }
 }
 
-/// Builds the architecture a defense requires, without training it.
+/// The builder of the architecture a defense requires, after validating
+/// the defense. Its [`LisaCnn::config`] is the model's architecture, known
+/// without initializing a weight; [`LisaCnn::build`] makes the network.
 ///
 /// # Errors
 ///
@@ -87,19 +89,14 @@ pub(crate) fn build_architecture(
     defense: &DefenseKind,
     image_size: usize,
     num_classes: usize,
-    seed: u64,
-) -> Result<(Sequential, LisaCnnConfig)> {
+) -> Result<LisaCnn> {
     defense.validate()?;
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let base = LisaCnn::new(num_classes).input_size(image_size);
-    let builder = match defense {
+    Ok(match defense {
         DefenseKind::FeatureFilter { kernel } => base.with_fixed_blur(box_kernel(*kernel)),
         DefenseKind::DepthwiseLinf { kernel, .. } => base.with_trainable_depthwise(*kernel),
         _ => base,
-    };
-    let net = builder.build(&mut rng)?;
-    let arch = builder.config().clone();
-    Ok((net, arch))
+    })
 }
 
 /// Trains a defended model on the dataset with the given configuration.
@@ -114,12 +111,9 @@ pub fn train_defended_model(
     config: &TrainConfig,
 ) -> Result<DefendedModel> {
     config.validate()?;
-    let (mut net, arch) = build_architecture(
-        defense,
-        dataset.image_size(),
-        dataset.num_classes(),
-        config.seed,
-    )?;
+    let builder = build_architecture(defense, dataset.image_size(), dataset.num_classes())?;
+    let mut net = builder.build(&mut ChaCha8Rng::seed_from_u64(config.seed))?;
+    let arch = builder.config().clone();
     let regularizer = FeatureRegularizer::from_defense(defense, &arch)?;
     let mut optimizer = Adam::new(config.learning_rate)?;
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(1));
@@ -370,9 +364,10 @@ mod tests {
 
     #[test]
     fn build_architecture_without_training() {
-        let (net, arch) = build_architecture(&DefenseKind::Baseline, 16, 18, 0).unwrap();
-        assert_eq!(arch.input_size, 16);
+        let builder = build_architecture(&DefenseKind::Baseline, 16, 18).unwrap();
+        assert_eq!(builder.config().input_size, 16);
+        let net = builder.build(&mut ChaCha8Rng::seed_from_u64(0)).unwrap();
         assert!(net.parameter_count() > 0);
-        assert!(build_architecture(&DefenseKind::InputFilter { kernel: 2 }, 16, 18, 0).is_err());
+        assert!(build_architecture(&DefenseKind::InputFilter { kernel: 2 }, 16, 18).is_err());
     }
 }

@@ -7,8 +7,8 @@ use std::fmt;
 pub enum ServeError {
     /// The request payload is malformed (wrong shape, wrong byte count).
     BadInput(String),
-    /// The service configuration is unusable (e.g. a non-deterministic
-    /// defense that cannot honor the bit-identity guarantee).
+    /// The service configuration is unusable (e.g. a model whose engine
+    /// cannot be built, or a thread that cannot be spawned).
     BadConfig(String),
     /// The service is shutting down (or has shut down); the request was
     /// not processed.

@@ -40,17 +40,13 @@
 //! # Determinism
 //!
 //! Responses are **bit-identical to single-request execution**: shard
-//! boundaries, the defense's per-image preprocessing, and the row-local
-//! softmax confidence all treat each image independently, so which
-//! requests happen to share a batch — and how many workers or rayon
-//! threads drain it — can never change any response. The
-//! `tests/determinism.rs` suite pins this at batch sizes {1, 4, 32} and
-//! worker counts {1, 4}; [`classify_single`] is the reference path.
-//!
-//! Randomized smoothing is the one defense that cannot honor this
-//! contract: its vote is a pure function of the whole batch, but each
-//! image's noise comes from the position it holds in the batch's one noise
-//! stream, so [`ClassifyService::new`] refuses it up front.
+//! boundaries, the defense's per-image preprocessing, the row-local
+//! softmax confidence and randomized smoothing's per-image noise streams
+//! all treat each image independently, so which requests happen to share
+//! a batch — and how many workers or rayon threads drain it — can never
+//! change any response. The `tests/determinism.rs` suite pins this for
+//! every kind of defended inference at batch sizes {1, 4, 32} and worker
+//! counts {1, 4}; [`classify_single`] is the reference path.
 //!
 //! # Shutdown
 //!

@@ -394,19 +394,9 @@ impl ClassifyService {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::BadConfig`] if the model's inference path is
-    /// not a pure per-image function (randomized smoothing), which would
-    /// break the micro-batched ≡ single-request bit-identity guarantee,
-    /// or if the network is empty.
+    /// Returns [`ServeError::BadConfig`] if the network is empty or a
+    /// thread cannot be spawned.
     pub fn new(model: Arc<DefendedModel>, config: ServeConfig) -> Result<Self> {
-        if !model.deterministic_inference() {
-            return Err(ServeError::BadConfig(format!(
-                "defense {} draws each image's noise from one RNG stream per batch; its \
-                 responses would depend on which requests share a batch, so it cannot be \
-                 served through the micro-batching path",
-                model.defense().label()
-            )));
-        }
         // Fail fast on an unbuildable engine instead of inside a worker.
         BatchEngine::new(model.network()).map_err(|e| ServeError::BadConfig(e.to_string()))?;
 
@@ -794,7 +784,7 @@ fn classify_batch(
     for pending in batch {
         blurnet::fault_point!(
             blurnet::fault::sites::SERVE_WORKER_REQUEST,
-            tag = blurnet::fault::tag_f32s(pending.image.data())
+            tag = blurnet_tensor::persist::fnv1a_f32s(pending.image.data())
         );
     }
     let images: Vec<Tensor> = batch.iter().map(|p| p.image.clone()).collect();
@@ -835,15 +825,8 @@ fn classify_batch(
 ///
 /// # Errors
 ///
-/// Returns [`ServeError::BadConfig`] for a non-deterministic defense and
-/// propagates model/engine failures.
+/// Propagates model/engine failures.
 pub fn classify_single(model: &DefendedModel, image: &Tensor) -> Result<Classification> {
-    if !model.deterministic_inference() {
-        return Err(ServeError::BadConfig(format!(
-            "defense {} cannot be served deterministically",
-            model.defense().label()
-        )));
-    }
     let engine =
         BatchEngine::new(model.network()).map_err(|e| ServeError::Worker(e.to_string()))?;
     let batch = [Pending {

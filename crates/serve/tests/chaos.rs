@@ -89,7 +89,7 @@ fn classify_all(
 fn a_poison_request_is_bisected_out_of_its_batch() {
     let _guard = serialized();
     let (model, images, reference) = fixture(11, 8);
-    let poison_tag = fault::tag_f32s(images[3].data());
+    let poison_tag = blurnet_tensor::persist::fnv1a_f32s(images[3].data());
     fault::arm(
         sites::SERVE_WORKER_REQUEST,
         FaultSpec::always(FaultKind::Panic).tagged(poison_tag),

@@ -56,10 +56,25 @@ const FILE_MAGIC: [u8; 4] = *b"BNPF";
 /// Newest file-container version this build reads and writes.
 const FILE_VERSION: u16 = 1;
 
+/// The FNV-1a offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a over a byte slice — the checksum the file container stores and
 /// the hash persisted cache keys are derived from.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_from(FNV_OFFSET, bytes)
+}
+
+/// [`fnv1a`] over the little-endian bytes of `values`, without copying
+/// them: an image's content hash, whatever batch it sits in.
+pub fn fnv1a_f32s(values: &[f32]) -> u64 {
+    values
+        .iter()
+        .fold(FNV_OFFSET, |h, v| fnv1a_from(h, &v.to_le_bytes()))
+}
+
+/// Continues an FNV-1a hash from state `h` over `bytes`.
+fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -487,6 +502,16 @@ mod tests {
     fn tensor(dims: &[usize]) -> Tensor {
         let volume: usize = dims.iter().product();
         Tensor::from_vec((0..volume).map(|v| v as f32 * 0.25 - 3.0).collect(), dims).unwrap()
+    }
+
+    #[test]
+    fn f32_hash_is_fnv1a_over_the_little_endian_bytes() {
+        let values = [1.0f32, -0.0, 0.0, f32::NAN, 3.5e-20];
+        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert_eq!(fnv1a_f32s(&values), fnv1a(&bytes));
+        assert_eq!(fnv1a_f32s(&[]), fnv1a(&[]));
+        // Bit patterns, not values: the two zeros hash apart.
+        assert_ne!(fnv1a_f32s(&[0.0]), fnv1a_f32s(&[-0.0]));
     }
 
     #[test]

@@ -15,6 +15,7 @@
 use blurnet_data::{sticker_mask, StickerLayout};
 use blurnet_defenses::{DefendedModel, DefenseKind, TrainConfig, TrainingReport, SMOOTHING_SEED};
 use blurnet_nn::{Layer, LisaCnn, Sequential, TapeSlot};
+use blurnet_tensor::persist::fnv1a;
 use blurnet_tensor::{default_backend, ConvSpec, Scratch, Tensor};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -70,11 +71,12 @@ pub fn reference_forward(net: &Sequential, input: &Tensor) -> Tensor {
         .expect("reference forward")
 }
 
-/// Independent randomized-smoothing reference: for each image in order,
-/// `samples` Gaussian-noised copies (σ = `sigma`, clamped to `[0, 1]`)
-/// drawn from one ChaCha8 stream seeded with [`SMOOTHING_SEED`], each
-/// judged alone by [`reference_forward`]. Returns the majority class (ties
-/// go to the lowest class) and its vote share per image.
+/// Independent randomized-smoothing reference: for each image, `samples`
+/// Gaussian-noised copies (σ = `sigma`, clamped to `[0, 1]`) drawn from
+/// the image's own ChaCha8 stream, seeded with [`SMOOTHING_SEED`] XOR the
+/// FNV-1a hash of the image's little-endian f32 bytes, each judged alone
+/// by [`reference_forward`]. Returns the majority class (ties go to the
+/// lowest class) and its vote share per image.
 ///
 /// # Panics
 ///
@@ -85,10 +87,11 @@ pub fn reference_smoothed_votes(
     sigma: f32,
     samples: usize,
 ) -> Vec<(usize, f32)> {
-    let mut rng = seeded_rng(SMOOTHING_SEED);
     images
         .iter()
         .map(|image| {
+            let bytes: Vec<u8> = image.data().iter().flat_map(|v| v.to_le_bytes()).collect();
+            let mut rng = seeded_rng(SMOOTHING_SEED ^ fnv1a(&bytes));
             let mut noise_dims = vec![samples];
             noise_dims.extend_from_slice(image.dims());
             let noise = Tensor::rand_normal(&noise_dims, 0.0, sigma, &mut rng);

@@ -114,9 +114,11 @@ proptest! {
 }
 
 /// Randomized smoothing through `DefendedModel::classify` equals the
-/// independent reference vote (one `SMOOTHING_SEED` stream, rows in order,
-/// each noisy copy judged alone by `reference_forward`), and a second call
-/// answers the same: inference carries no state.
+/// independent reference vote (each image's own stream, seeded by
+/// `SMOOTHING_SEED` and the image's bytes, each noisy copy judged alone by
+/// `reference_forward`); a second call answers the same, since inference
+/// carries no state; and the reversed batch returns the reversed votes,
+/// since an image's vote does not depend on its place in the batch.
 #[test]
 fn smoothing_classify_matches_the_reference_vote() {
     let (sigma, samples) = (1.0, 7);
@@ -134,4 +136,10 @@ fn smoothing_classify_matches_the_reference_vote() {
         "the noise must split some votes: {votes:?}"
     );
     assert_eq!(model.classify(&engine, &batch).unwrap(), votes);
+    let reversed: Vec<Tensor> = images.iter().rev().cloned().collect();
+    let mut reversed_votes = model
+        .classify(&engine, &Tensor::stack(&reversed).unwrap())
+        .unwrap();
+    reversed_votes.reverse();
+    assert_eq!(reversed_votes, votes);
 }

@@ -3,7 +3,9 @@
 //! save → load → infer **bit-identically** — the restored model's test
 //! accuracy equals the original's with exact `f32` equality — and the
 //! accuracies themselves are pinned to a checked-in golden file, so a
-//! format change that silently perturbs restored weights cannot hide.
+//! format change that silently perturbs restored weights cannot hide. A
+//! randomized-smoothing variant's accuracy must also equal the independent
+//! reference vote's (`blurnet_test_support::reference_smoothed_votes`).
 //!
 //! Regenerate after an *intentional* numeric or format change with:
 //!
@@ -15,7 +17,9 @@ use std::path::PathBuf;
 
 use blurnet::experiments::grid::ExperimentGrid;
 use blurnet::{ModelZoo, Scale};
-use blurnet_defenses::{model_from_bytes, model_to_bytes};
+use blurnet_defenses::{model_from_bytes, model_to_bytes, DefenseKind};
+use blurnet_tensor::Tensor;
+use blurnet_test_support::reference_smoothed_votes;
 use serde::{Deserialize, Serialize};
 
 const SEED: u64 = 7;
@@ -69,8 +73,8 @@ fn every_full_grid_variant_roundtrips_bit_identically() {
 
         // Exact equality, not a tolerance: the restored network must
         // classify the whole test set identically to the in-memory
-        // original (randomized smoothing included: every call draws its
-        // noise from a fresh stream).
+        // original (randomized smoothing included: each image's noise is
+        // seeded by the image itself).
         let a = original.accuracy(&batch).expect("original accuracy");
         let b = restored.accuracy(&batch).expect("restored accuracy");
         assert_eq!(
@@ -79,6 +83,26 @@ fn every_full_grid_variant_roundtrips_bit_identically() {
             "{}: save→load→infer diverged ({a} vs {b})",
             defense.label()
         );
+        // A smoothing variant's accuracy is also the independent reference
+        // vote's, so its pin follows the oracle and not only the code.
+        if let DefenseKind::RandomizedSmoothing { sigma, samples } = *defense {
+            let images: Vec<Tensor> = (0..batch.labels.len())
+                .map(|i| batch.images.batch_item(i).expect("test image"))
+                .collect();
+            let votes = reference_smoothed_votes(original.network(), &images, sigma, samples);
+            let correct = votes
+                .iter()
+                .zip(&batch.labels)
+                .filter(|((label, _), truth)| label == *truth)
+                .count();
+            let reference = correct as f32 / batch.labels.len() as f32;
+            assert_eq!(
+                a.to_bits(),
+                reference.to_bits(),
+                "{}: accuracy differs from the reference vote's ({a} vs {reference})",
+                defense.label()
+            );
+        }
         pins.push(VariantPin {
             label: defense.label(),
             accuracy: a,
