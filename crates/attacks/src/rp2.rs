@@ -286,8 +286,8 @@ impl Rp2Attack {
             }
             // Adjoint of the alignment transform.
             grad = transform_perturbation_adjoint(&grad, transform)?;
-            // Adjoint of the DCT projection (it is an orthogonal projector,
-            // hence self-adjoint).
+            // Adjoint of the DCT projection: `P X P` with an exactly
+            // symmetric `P`, so the projection is its own adjoint.
             grad = self.project_perturbation(grad)?;
             // Restrict to the mask.
             let mut total_grad = masked(grad, &mask);
@@ -550,16 +550,11 @@ fn nps_gradient_into(
                 image[2 * h * w + y * w + x],
             ];
             // distances to every printable colour
-            let dists: Vec<f32> = PRINTABLE_PALETTE
-                .iter()
-                .map(|p| {
-                    ((pixel[0] - p[0]).powi(2)
-                        + (pixel[1] - p[1]).powi(2)
-                        + (pixel[2] - p[2]).powi(2))
+            let dists = PRINTABLE_PALETTE.map(|p| {
+                ((pixel[0] - p[0]).powi(2) + (pixel[1] - p[1]).powi(2) + (pixel[2] - p[2]).powi(2))
                     .sqrt()
                     .max(1e-4)
-                })
-                .collect();
+            });
             let product: f32 = dists.iter().product();
             for (j, p) in PRINTABLE_PALETTE.iter().enumerate() {
                 let coeff = product / dists[j] / dists[j];
@@ -729,10 +724,11 @@ mod tests {
     }
 
     /// The in-place batch projection equals `low_frequency_project` on
-    /// every `[H, W]` plane of an `[N, C, H, W]` perturbation, bit for bit.
+    /// every `[H, W]` plane of an `[N, C, H, W]` perturbation, bit for bit,
+    /// across the projector's plane blocks.
     #[test]
     fn batch_projection_matches_per_plane_projection_bitwise() {
-        let (n, c, h, w) = (2, 3, 12, 10);
+        let (n, c, h, w) = (5, 3, 12, 10);
         let perturbation = blurnet_test_support::uniform_batch(&[n, c, h, w], -0.5, 0.5, 17);
         for dim in [1, 4, 10] {
             let attack = Rp2Attack::new(Rp2Config {

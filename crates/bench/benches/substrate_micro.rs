@@ -5,7 +5,7 @@
 //!
 //! The run writes
 //! `BENCH_substrate.json` at the repository root: a machine-readable record
-//! (schema `blurnet-substrate-bench/v3`) of median ns/iter for every probe
+//! (schema `blurnet-substrate-bench/v4`) of median ns/iter for every probe
 //! and the fast-vs-seed speedups, so future PRs can track the perf
 //! trajectory. The `simd_tier` entry records which kernel tier the backend
 //! dispatched to (`avx2_fma` or `scalar`), so numbers from different hosts
@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use blurnet_bench::{host_entries, measure_median_ns, BENCH_THREAD_COUNTS};
 use blurnet_nn::LisaCnn;
-use blurnet_signal::box_kernel;
+use blurnet_signal::{box_kernel, low_frequency_project_planes};
 use blurnet_tensor::{default_backend, reference, ConvSpec, Scratch, SimdTier, Tensor};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -98,7 +98,7 @@ impl Record {
         );
         let mut root = vec![(
             "schema".to_string(),
-            Value::Str("blurnet-substrate-bench/v3".to_string()),
+            Value::Str("blurnet-substrate-bench/v4".to_string()),
         )];
         root.extend(host_entries("substrate_micro"));
         root.push((
@@ -161,6 +161,82 @@ fn write_bench_json() {
         record.push(&format!("depthwise_{k}x{k}_8x16x32x32_fast_st"), fast_st);
         record.push(&format!("depthwise_{k}x{k}_8x16x32x32_fast_mt"), fast_mt);
         record.speedup(&format!("depthwise_{k}x{k}_st"), seed_ns, fast_st);
+    }
+
+    // The BlurNet filter layer at the shape the grid's sweeps run
+    // ([n, 8, 16, 16], ReLU-sparse output gradients): forward, input
+    // gradient and full backward of the seed gather/scatter loops against
+    // the halo-padded kernels, one thread.
+    for &n in &[1usize, 4] {
+        let maps = Tensor::rand_uniform(&[n, 8, 16, 16], -1.0, 1.0, &mut rng);
+        let mut grad = Tensor::rand_uniform(maps.dims(), -1.0, 1.0, &mut rng);
+        grad.map_inplace(|v| v.max(0.0));
+        for &k in &[3usize, 5, 7] {
+            let weight = Tensor::rand_uniform(&[8, k, k], -0.5, 0.5, &mut rng);
+            let bias = Tensor::rand_uniform(&[8], -0.5, 0.5, &mut rng);
+            let spec = ConvSpec::same(k).expect("odd kernel");
+            let shape = format!("{k}x{k}_{n}x8x16x16");
+            let seed_ns = single_thread_ns(|| {
+                reference::depthwise_conv2d_naive(&maps, &weight, Some(&bias), spec).unwrap()
+            });
+            let fast_ns = single_thread_ns(|| {
+                backend
+                    .depthwise_conv2d(&maps, &weight, Some(&bias), spec)
+                    .unwrap()
+            });
+            record.push(&format!("depthwise_fwd_{shape}_seed"), seed_ns);
+            record.push(&format!("depthwise_fwd_{shape}_fast"), fast_ns);
+            record.speedup(&format!("depthwise_fwd_{shape}"), seed_ns, fast_ns);
+            let seed_ns = single_thread_ns(|| {
+                reference::depthwise_input_grad_naive(&weight, &grad, maps.dims(), spec).unwrap()
+            });
+            let fast_ns = single_thread_ns(|| {
+                backend
+                    .depthwise_input_grad(&weight, &grad, maps.dims(), spec)
+                    .unwrap()
+            });
+            record.push(&format!("depthwise_input_grad_{shape}_seed"), seed_ns);
+            record.push(&format!("depthwise_input_grad_{shape}_fast"), fast_ns);
+            record.speedup(&format!("depthwise_input_grad_{shape}"), seed_ns, fast_ns);
+            let seed_ns = single_thread_ns(|| {
+                let d_input =
+                    reference::depthwise_input_grad_naive(&weight, &grad, maps.dims(), spec);
+                let d_params = reference::depthwise_weight_grad_naive(&maps, &weight, &grad, spec);
+                (d_input.unwrap(), d_params.unwrap())
+            });
+            let fast_ns = single_thread_ns(|| {
+                backend
+                    .depthwise_conv2d_backward(&maps, &weight, &grad, spec)
+                    .unwrap()
+            });
+            record.push(&format!("depthwise_backward_{shape}_seed"), seed_ns);
+            record.push(&format!("depthwise_backward_{shape}_fast"), fast_ns);
+            record.speedup(&format!("depthwise_backward_{shape}"), seed_ns, fast_ns);
+        }
+    }
+
+    // The Eq. 8 low-frequency projection per 32×32 plane, over the 27
+    // planes of a 9-row RP2 batch: the seed cosine-table transform against
+    // the two-GEMM projector, one thread.
+    let planes = Tensor::rand_uniform(&[27, 32, 32], -1.0, 1.0, &mut rng);
+    for &d in &[4usize, 16] {
+        let mut data = planes.data().to_vec();
+        let seed_ns = single_thread_ns(|| {
+            data.copy_from_slice(planes.data());
+            blurnet_signal::reference::low_frequency_project_planes_naive(&mut data, 32, 32, d)
+                .unwrap()
+        }) / 27.0;
+        let fast_ns = single_thread_ns(|| {
+            data.copy_from_slice(planes.data());
+            low_frequency_project_planes(&mut data, 32, 32, d).unwrap()
+        }) / 27.0;
+        record.push(&format!("lowfreq_project_d{d}_per_plane_27_seed"), seed_ns);
+        record.push(&format!("lowfreq_project_d{d}_per_plane_27_fast"), fast_ns);
+        record.speedup(
+            &format!("lowfreq_project_d{d}_per_plane_27"),
+            seed_ns,
+            fast_ns,
+        );
     }
 
     // Blur on the acceptance-criteria batch shape ([8, 16, 32, 32]):

@@ -319,20 +319,23 @@ fn read_u8(reader: &mut impl Read) -> std::io::Result<u8> {
     Ok(buf[0])
 }
 
-/// Writes one response message (any status) to `writer`.
+/// Writes one response message (any status) to `writer` as one buffer,
+/// so a socket sends it in one segment instead of waiting on the peer's
+/// delayed ACK between its fields.
 fn write_response(writer: &mut impl Write, result: &Result<Classification>) -> std::io::Result<()> {
+    let mut message = Vec::with_capacity(10);
     match result {
         Ok(c) => {
-            writer.write_all(&[STATUS_OK])?;
-            writer.write_all(&(c.label as u32).to_le_bytes())?;
-            writer.write_all(&c.confidence.to_bits().to_le_bytes())?;
-            writer.write_all(&[match c.verdict {
+            message.push(STATUS_OK);
+            message.extend_from_slice(&(c.label as u32).to_le_bytes());
+            message.extend_from_slice(&c.confidence.to_bits().to_le_bytes());
+            message.push(match c.verdict {
                 DefenseVerdict::Clean => 0u8,
                 DefenseVerdict::Flagged => 1u8,
-            }])?;
+            });
         }
-        Err(ServeError::QueueFull) => writer.write_all(&[STATUS_QUEUE_FULL])?,
-        Err(ServeError::DeadlineExceeded) => writer.write_all(&[STATUS_DEADLINE])?,
+        Err(ServeError::QueueFull) => message.push(STATUS_QUEUE_FULL),
+        Err(ServeError::DeadlineExceeded) => message.push(STATUS_DEADLINE),
         Err(e) => {
             let msg = e.to_string();
             let mut end = msg.len().min(MAX_ERROR_BYTES);
@@ -340,11 +343,12 @@ fn write_response(writer: &mut impl Write, result: &Result<Classification>) -> s
                 end -= 1;
             }
             let msg = &msg[..end];
-            writer.write_all(&[STATUS_ERR])?;
-            writer.write_all(&(msg.len() as u32).to_le_bytes())?;
-            writer.write_all(msg.as_bytes())?;
+            message.push(STATUS_ERR);
+            message.extend_from_slice(&(msg.len() as u32).to_le_bytes());
+            message.extend_from_slice(msg.as_bytes());
         }
     }
+    writer.write_all(&message)?;
     writer.flush()
 }
 
@@ -374,8 +378,7 @@ pub fn serve_stream(
     handshake: &Handshake,
     policy: &StreamPolicy,
 ) -> Result<()> {
-    writer.write_all(handshake.to_json().as_bytes())?;
-    writer.write_all(b"\n")?;
+    writer.write_all(format!("{}\n", handshake.to_json()).as_bytes())?;
     writer.flush()?;
 
     let expected = handshake.elements();
@@ -430,8 +433,9 @@ pub fn serve_stream(
     }
 }
 
-/// Serves one accepted TCP connection via [`serve_stream`]. An active
-/// policy puts a short read timeout on the socket so stalled reads
+/// Serves one accepted TCP connection via [`serve_stream`]. Nagle's
+/// algorithm is off, so each response leaves as soon as it is written. An
+/// active policy puts a short read timeout on the socket so stalled reads
 /// surface as `WouldBlock`/`TimedOut` for [`fill_frame`] to pace.
 fn serve_connection(
     stream: TcpStream,
@@ -439,6 +443,7 @@ fn serve_connection(
     handshake: &Handshake,
     policy: &StreamPolicy,
 ) -> Result<()> {
+    stream.set_nodelay(true)?;
     if policy.is_active() {
         stream.set_read_timeout(Some(Duration::from_millis(50)))?;
     }

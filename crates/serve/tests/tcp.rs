@@ -3,7 +3,7 @@
 
 use std::net::TcpListener;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use blurnet_defenses::DefenseKind;
 use blurnet_serve::protocol::{serve_connections, Handshake, RemoteClient, StreamPolicy, SCHEMA};
@@ -113,4 +113,39 @@ fn tcp_reports_bad_sizes_and_keeps_the_connection() {
 
     server.join().expect("server thread");
     service.shutdown().expect("clean shutdown");
+}
+
+/// Sequential requests on one connection are not paced by the client's
+/// delayed ACK (about 40 ms per request on Linux): the server writes each
+/// response as one packet on a no-delay socket.
+#[test]
+fn sequential_requests_do_not_wait_for_delayed_acks() {
+    const REQUESTS: u32 = 20;
+    let model = Arc::new(tiny_defended_model(DefenseKind::Baseline, 5));
+    let config = ServeConfig {
+        max_batch: 1,
+        flush_window: Duration::ZERO,
+        ..ServeConfig::default()
+    };
+    let service = ClassifyService::new(Arc::clone(&model), config.clone()).expect("service");
+    let (addr, server) = spawn_server(&service, &config, 1);
+    let image = &uniform_images(1, TINY_IMAGE_SIZE, 3)[0];
+
+    let mut conn = RemoteClient::connect(&addr).expect("connect");
+    // One untimed request warms the service's worker.
+    conn.classify(image.data()).expect("warm-up request");
+    let start = Instant::now();
+    for _ in 0..REQUESTS {
+        conn.classify(image.data()).expect("remote classify");
+    }
+    let elapsed = start.elapsed();
+    conn.goodbye().expect("goodbye");
+    server.join().expect("server thread");
+    service.shutdown().expect("clean shutdown");
+
+    let delayed_ack = Duration::from_millis(40) * REQUESTS;
+    assert!(
+        elapsed < delayed_ack / 2,
+        "{REQUESTS} sequential requests took {elapsed:?}; delayed-ACK pacing would take about {delayed_ack:?}"
+    );
 }

@@ -49,5 +49,12 @@ pub use spectrum::high_frequency_ratio;
 pub use tikhonov::OperatorPenalty;
 pub use tv::{total_variation, total_variation_batch, tv_gradient_batch};
 
+/// Seed (pre-optimisation) implementations, kept so tests and
+/// `substrate_micro` can pin the fast paths against them. Never use these
+/// on hot paths.
+pub mod reference {
+    pub use crate::dct::reference::low_frequency_project_planes_naive;
+}
+
 /// Convenient result alias used across the crate.
 pub(crate) type Result<T> = std::result::Result<T, SignalError>;

@@ -1016,49 +1016,127 @@ pub struct DepthwiseGrads {
     pub d_bias: Tensor,
 }
 
-/// Computes one stride-1 depthwise output plane as `KH·KW` shifted-row
-/// axpy passes — no im2col, no per-pixel bounds checks, and the same
-/// per-output-element accumulation order as the gather loop (so results are
-/// bit-identical to it).
-#[allow(clippy::too_many_arguments)]
-fn depthwise_plane_stride1(
-    out_plane: &mut [f32],
-    in_plane: &[f32],
-    kernel: &[f32],
-    bias: f32,
-    h: usize,
-    w: usize,
-    oh: usize,
-    ow: usize,
-    kh: usize,
-    kw: usize,
-    pad: isize,
+/// Output columns (forward, input gradient) or kernel columns (weight
+/// gradient) that one register accumulator covers. Wider rows run in
+/// several blocks; a ragged last block computes into halo columns that are
+/// never stored.
+const LANES: usize = 8;
+
+/// Writes a `[_, pw]` plane into a zeroed halo buffer of row pitch `pitch`:
+/// element `(y, x)` lands at row `y·step + top`, column `x·step + left`.
+/// Elements that land outside the buffer are dropped; no output reads them.
+/// Every plane of one shape writes the same positions, so a buffer can be
+/// refilled without zeroing it again.
+fn fill_halo(
+    halo: &mut [f32],
+    pitch: usize,
+    plane: &[f32],
+    pw: usize,
+    step: usize,
+    top: isize,
+    left: isize,
 ) {
-    out_plane.fill(bias);
-    for ky in 0..kh {
-        let dy = ky as isize - pad;
-        let oy_lo = (-dy).max(0) as usize;
-        let oy_hi = ((h as isize - dy).min(oh as isize)).max(0) as usize;
-        for kx in 0..kw {
-            let weight = kernel[ky * kw + kx];
-            let dx = kx as isize - pad;
-            let ox_lo = (-dx).max(0) as usize;
-            let ox_hi = ((w as isize - dx).min(ow as isize)).max(0) as usize;
-            if ox_lo >= ox_hi {
-                continue;
-            }
-            for oy in oy_lo..oy_hi {
-                let in_row = ((oy as isize + dy) as usize) * w;
-                // dx + ox_lo >= 0 by construction of ox_lo.
-                let src_start = in_row + (dx + ox_lo as isize) as usize;
-                let src = &in_plane[src_start..src_start + (ox_hi - ox_lo)];
-                let dst = &mut out_plane[oy * ow + ox_lo..oy * ow + ox_hi];
-                for (o, &s) in dst.iter_mut().zip(src.iter()) {
-                    *o += weight * s;
-                }
+    // The columns x with 0 ≤ x·step + left < pitch.
+    let x_lo = if left < 0 {
+        left.unsigned_abs().div_ceil(step)
+    } else {
+        0
+    };
+    let x_hi = pw.min(((pitch as isize - left).max(0) as usize).div_ceil(step));
+    if x_lo >= x_hi {
+        return;
+    }
+    let q0 = ((x_lo * step) as isize + left) as usize;
+    let rows = halo.len() / pitch;
+    for (y, src) in plane.chunks_exact(pw).enumerate() {
+        let r = (y * step) as isize + top;
+        if r < 0 {
+            continue;
+        }
+        if r as usize >= rows {
+            break;
+        }
+        let dst = &mut halo[r as usize * pitch + q0..(r as usize + 1) * pitch];
+        if step == 1 {
+            dst[..x_hi - x_lo].copy_from_slice(&src[x_lo..x_hi]);
+        } else {
+            for (d, &v) in dst.iter_mut().step_by(step).zip(&src[x_lo..x_hi]) {
+                *d = v;
             }
         }
     }
+}
+
+/// Runs `f(index, chunk, halo)` on every `chunk_len` chunk of `out`,
+/// rayon-parallel when `parallel`, with a `halo_len` buffer that starts
+/// zeroed and that one thread reuses across its chunks (see [`fill_halo`]).
+fn for_each_chunk_with_halo<F>(
+    out: &mut [f32],
+    chunk_len: usize,
+    halo_len: usize,
+    parallel: bool,
+    f: F,
+) where
+    F: Fn(usize, &mut [f32], &mut [f32]) + Sync + Send,
+{
+    if parallel {
+        out.par_chunks_mut(chunk_len)
+            .enumerate()
+            .for_each(|(i, chunk)| f(i, chunk, &mut vec![0.0f32; halo_len]));
+    } else {
+        let mut halo = vec![0.0f32; halo_len];
+        for (i, chunk) in out.chunks_mut(chunk_len).enumerate() {
+            f(i, chunk, &mut halo);
+        }
+    }
+}
+
+/// `out[y][x] = init + Σ_{ky, kx} src[y + ky][x + kx] · taps[ky][kx]` for
+/// every `[_, ow]` output row, each sum in ascending `(ky, kx)` order.
+///
+/// `src` is a zero-padded halo plane of row pitch at least
+/// `ow.next_multiple_of(LANES) + KW − 1`, so no tap is bounds-checked
+/// against the image: a `LANES`-wide block of one output row accumulates in
+/// registers across all taps, then is stored once.
+///
+/// A halo zero adds `t·0 = ±0` where a bounds-checked loop skips the tap,
+/// which keeps every bit for a finite tap `t`. Adding `±0` leaves a nonzero
+/// running sum unchanged and keeps a `+0` sum at `+0` (`+0 + −0 = +0` when
+/// rounding to nearest); only a `−0` sum would change (`−0 + +0 = +0`). A
+/// sum that starts at `+0` or at a nonzero value never reaches `−0`,
+/// because an exact zero sum of nonzero terms rounds to `+0`. So the
+/// result equals the skipping loop's whenever `init` is not `−0.0`.
+fn correlate_halo(
+    out: &mut [f32],
+    ow: usize,
+    src: &[f32],
+    pitch: usize,
+    taps: &[f32],
+    kw: usize,
+    init: f32,
+) {
+    for (oy, out_row) in out.chunks_exact_mut(ow).enumerate() {
+        for x0 in (0..ow).step_by(LANES) {
+            let mut acc = [init; LANES];
+            for (ky, k_row) in taps.chunks_exact(kw).enumerate() {
+                let start = (oy + ky) * pitch + x0;
+                let row = &src[start..start + LANES + kw - 1];
+                for (window, &t) in row.windows(LANES).zip(k_row) {
+                    acc = axpy_lanes(acc, window, t);
+                }
+            }
+            let n = LANES.min(ow - x0);
+            out_row[x0..x0 + n].copy_from_slice(&acc[..n]);
+        }
+    }
+}
+
+/// `acc + v·t`, lane by lane; `v` holds exactly `LANES` values. Written as
+/// a whole-array map so the compiler keeps `acc` in vector registers.
+#[inline(always)]
+fn axpy_lanes(acc: [f32; LANES], v: &[f32], t: f32) -> [f32; LANES] {
+    let v: [f32; LANES] = v.try_into().expect("LANES values");
+    std::array::from_fn(|l| acc[l] + v[l] * t)
 }
 
 /// General (any stride) depthwise output plane via the gather loop.
@@ -1121,9 +1199,14 @@ fn depthwise_kernel(weight: &Tensor, c: usize) -> Result<(usize, usize)> {
 /// * `bias`:   optional `[C]`
 ///
 /// Returns `[N, C, OH, OW]`. This is the filtering layer BlurNet inserts
-/// after the first convolution; it runs im2col-free — stride-1 calls (the
-/// only configuration BlurNet uses) take a vectorised shifted-row fast path,
-/// and planes are processed rayon-parallel.
+/// after the first convolution; it runs im2col-free and rayon-parallel over
+/// planes. Stride-1 calls (the only configuration BlurNet uses) run
+/// [`correlate_halo`] over a zero-padded copy of each input plane, summing
+/// `bias` and then every tap in ascending `(ky, kx)` order, as the gather
+/// loop ([`reference::depthwise_conv2d_naive`]) does, so the bits are the
+/// gather loop's for finite weights. Other strides, and a channel whose bias
+/// is `−0.0` (the one start value a halo zero can change), run the gather
+/// loop itself.
 ///
 /// # Errors
 ///
@@ -1150,28 +1233,32 @@ pub(crate) fn depthwise_conv2d(
     let data = input.data();
     let wdata = weight.data();
     let pad = spec.padding as isize;
-
-    let plane = |pi: usize, out_plane: &mut [f32]| {
-        let ci = pi % c;
-        let in_plane = &data[pi * h * w..(pi + 1) * h * w];
-        let kernel = &wdata[ci * kh * kw..(ci + 1) * kh * kw];
-        let b = bias.map_or(0.0, |b| b.data()[ci]);
-        if spec.stride == 1 {
-            depthwise_plane_stride1(out_plane, in_plane, kernel, b, h, w, oh, ow, kh, kw, pad);
-        } else {
-            depthwise_plane_general(out_plane, in_plane, kernel, b, h, w, oh, ow, kh, kw, spec);
-        }
+    let parallel = n * c * oh * ow * kh * kw >= PAR_WORK && rayon::current_num_threads() > 1;
+    let pitch = ow.next_multiple_of(LANES) + kw - 1;
+    let halo_len = if spec.stride == 1 {
+        (oh + kh - 1) * pitch
+    } else {
+        0
     };
 
-    if n * c * oh * ow * kh * kw < PAR_WORK || rayon::current_num_threads() <= 1 {
-        for (pi, out_plane) in out.chunks_mut(oh * ow).enumerate() {
-            plane(pi, out_plane);
-        }
-    } else {
-        out.par_chunks_mut(oh * ow)
-            .enumerate()
-            .for_each(|(pi, p)| plane(pi, p));
-    }
+    for_each_chunk_with_halo(
+        &mut out,
+        oh * ow,
+        halo_len,
+        parallel,
+        |pi, out_plane, halo| {
+            let ci = pi % c;
+            let in_plane = &data[pi * h * w..(pi + 1) * h * w];
+            let kernel = &wdata[ci * kh * kw..(ci + 1) * kh * kw];
+            let b = bias.map_or(0.0, |b| b.data()[ci]);
+            if spec.stride == 1 && b.to_bits() != (-0.0f32).to_bits() {
+                fill_halo(halo, pitch, in_plane, w, 1, pad, pad);
+                correlate_halo(out_plane, ow, halo, pitch, kernel, kw, b);
+            } else {
+                depthwise_plane_general(out_plane, in_plane, kernel, b, h, w, oh, ow, kh, kw, spec);
+            }
+        },
+    );
     Tensor::from_vec(out, &[n, c, oh, ow])
 }
 
@@ -1180,9 +1267,15 @@ pub(crate) fn depthwise_conv2d(
 /// the forward input (only its recorded `input_dims`), so a frozen layer
 /// can serve many batch shards concurrently.
 ///
-/// Produces exactly the `d_input` that [`depthwise_conv2d_backward`]
-/// returns on the same operands (same scatter loop, same accumulation
-/// order).
+/// Runs in gather form. Each input element sums its taps' output gradients
+/// in the order the scatter loop ([`reference::depthwise_input_grad_naive`])
+/// adds them: `oy` ascending (`ky` descending), then `ox` ascending (`kx`
+/// descending). That is [`correlate_halo`] with the flipped kernel over the
+/// gradient plane, zero-upsampled by the stride and zero-padded. An
+/// upsampling or halo zero, or a zero gradient the scatter skips, adds
+/// `0·w = ±0` to a sum that starts at `+0`, which keeps every bit for
+/// finite weights. [`depthwise_conv2d_backward`] returns this same
+/// `d_input`.
 ///
 /// # Errors
 ///
@@ -1210,55 +1303,34 @@ pub(crate) fn depthwise_input_grad(
             right: vec![n, c, oh, ow],
         });
     }
-    let wd = weight.data();
     let g = grad_output.data();
     let pad = spec.padding as isize;
     let parallel = n * c * oh * ow * kh * kw >= PAR_WORK && rayon::current_num_threads() > 1;
 
-    // Every (image, channel) plane scatters only into itself. The caller
+    // Every (image, channel) plane gathers only into itself. The caller
     // supplies `input_dims`, so its volume is overflow-checked before the
     // allocation.
     let mut d_input = vec![0.0f32; checked_volume(input_dims)?];
-    let input_plane = |pi: usize, d_in: &mut [f32]| {
-        let ci = pi % c;
-        let kernel = &wd[ci * kh * kw..(ci + 1) * kh * kw];
-        let g_plane = &g[pi * oh * ow..(pi + 1) * oh * ow];
-        for oy in 0..oh {
-            let y0 = (oy * spec.stride) as isize - pad;
-            for ox in 0..ow {
-                let go = g_plane[oy * ow + ox];
-                if go == 0.0 {
-                    continue;
-                }
-                let x0 = (ox * spec.stride) as isize - pad;
-                for ky in 0..kh {
-                    let y = y0 + ky as isize;
-                    if y < 0 || y >= h as isize {
-                        continue;
-                    }
-                    let d_row = y as usize * w;
-                    let k_row = ky * kw;
-                    for kx in 0..kw {
-                        let xp = x0 + kx as isize;
-                        if xp < 0 || xp >= w as isize {
-                            continue;
-                        }
-                        d_in[d_row + xp as usize] += go * kernel[k_row + kx];
-                    }
-                }
-            }
-        }
-    };
-    if parallel {
-        d_input
-            .par_chunks_mut(h * w)
-            .enumerate()
-            .for_each(|(pi, p)| input_plane(pi, p));
-    } else {
-        for (pi, p) in d_input.chunks_mut(h * w).enumerate() {
-            input_plane(pi, p);
-        }
+    if d_input.is_empty() {
+        return Tensor::from_vec(d_input, input_dims);
     }
+    let flipped: Vec<f32> = weight
+        .data()
+        .chunks_exact(kh * kw)
+        .flat_map(|k| k.iter().rev())
+        .copied()
+        .collect();
+    // Halo `(y + j, x + i)` holds the output gradient whose window puts tap
+    // `(KH−1−j, KW−1−i)` on input `(y, x)`, or zero.
+    let pitch = w.next_multiple_of(LANES) + kw - 1;
+    let (top, left) = ((kh - 1) as isize - pad, (kw - 1) as isize - pad);
+    let halo_len = (h + kh - 1) * pitch;
+    for_each_chunk_with_halo(&mut d_input, h * w, halo_len, parallel, |pi, d_in, halo| {
+        let g_plane = &g[pi * oh * ow..(pi + 1) * oh * ow];
+        fill_halo(halo, pitch, g_plane, ow, spec.stride, top, left);
+        let taps = &flipped[(pi % c) * kh * kw..(pi % c + 1) * kh * kw];
+        correlate_halo(d_in, w, halo, pitch, taps, kw, 0.0);
+    });
     Tensor::from_vec(d_input, input_dims)
 }
 
@@ -1266,7 +1338,15 @@ pub(crate) fn depthwise_input_grad(
 ///
 /// Runs as two parallel passes with disjoint writes: input gradients per
 /// `(image, channel)` plane (shared with [`depthwise_input_grad`]), then
-/// weight/bias gradients per channel.
+/// weight gradients per channel. Each tap's weight gradient sums `g·x` over
+/// `(image, oy, ox)` ascending, the scatter loop's order
+/// ([`reference::depthwise_weight_grad_naive`]), reading `x` from a
+/// zero-padded copy of every image's plane: `LANES` adjacent taps of one
+/// kernel row accumulate in registers and no tap is bounds-checked. A
+/// padding tap, or a zero gradient the scatter skips, adds `±0` to a sum
+/// that starts at `+0`, which keeps every bit for finite operands (see
+/// [`correlate_halo`]); so does summing the bias gradient over every
+/// output gradient, zeros included.
 ///
 /// # Errors
 ///
@@ -1287,58 +1367,50 @@ pub(crate) fn depthwise_conv2d_backward(
     let g = grad_output.data();
     let pad = spec.padding as isize;
     let parallel = n * c * oh * ow * kh * kw >= PAR_WORK && rayon::current_num_threads() > 1;
+    let g_plane = |ni: usize, ci: usize| &g[(ni * c + ci) * oh * ow..(ni * c + ci + 1) * oh * ow];
 
-    // Pass 2 — d_weight/d_bias: each channel accumulates over the batch,
-    // with exclusive ownership of its kernel and bias slots.
+    // Pass 2 — d_weight: each channel owns its kernel slots and reads every
+    // image's halo plane, `rows × pitch` covering the windows of all outputs.
+    let pitch = (ow - 1) * spec.stride + kw.next_multiple_of(LANES);
+    let rows = (oh - 1) * spec.stride + kh;
     let mut d_weight = vec![0.0f32; c * kh * kw];
-    let mut d_bias = vec![0.0f32; c];
-    let weight_channel = |ci: usize, (d_w, d_b): (&mut [f32], &mut [f32])| {
-        for ni in 0..n {
-            let base = (ni * c + ci) * h * w;
-            let g_plane = &g[(ni * c + ci) * oh * ow..(ni * c + ci + 1) * oh * ow];
-            for oy in 0..oh {
-                let y0 = (oy * spec.stride) as isize - pad;
-                for ox in 0..ow {
-                    let go = g_plane[oy * ow + ox];
-                    if go == 0.0 {
-                        continue;
-                    }
-                    d_b[0] += go;
-                    let x0 = (ox * spec.stride) as isize - pad;
-                    for ky in 0..kh {
-                        let y = y0 + ky as isize;
-                        if y < 0 || y >= h as isize {
-                            continue;
-                        }
-                        let in_row = base + y as usize * w;
-                        let k_row = ky * kw;
-                        for kx in 0..kw {
-                            let xp = x0 + kx as isize;
-                            if xp < 0 || xp >= w as isize {
-                                continue;
+    let halo_len = n * rows * pitch;
+    for_each_chunk_with_halo(
+        &mut d_weight,
+        kh * kw,
+        halo_len,
+        parallel,
+        |ci, d_w, halos| {
+            for (ni, halo) in halos.chunks_exact_mut(rows * pitch).enumerate() {
+                let x_plane = &x[(ni * c + ci) * h * w..(ni * c + ci + 1) * h * w];
+                fill_halo(halo, pitch, x_plane, w, 1, pad, pad);
+            }
+            for (ky, d_w_row) in d_w.chunks_exact_mut(kw).enumerate() {
+                for kx0 in (0..kw).step_by(LANES) {
+                    let mut acc = [0.0f32; LANES];
+                    for (ni, halo) in halos.chunks_exact(rows * pitch).enumerate() {
+                        for (oy, g_row) in g_plane(ni, ci).chunks_exact(ow).enumerate() {
+                            let start = (oy * spec.stride + ky) * pitch + kx0;
+                            let row = &halo[start..start + (ow - 1) * spec.stride + LANES];
+                            for (ox, &go) in g_row.iter().enumerate() {
+                                let at = ox * spec.stride;
+                                acc = axpy_lanes(acc, &row[at..at + LANES], go);
                             }
-                            d_w[k_row + kx] += go * x[in_row + xp as usize];
                         }
                     }
+                    let taps = LANES.min(kw - kx0);
+                    d_w_row[kx0..kx0 + taps].copy_from_slice(&acc[..taps]);
                 }
             }
-        }
-    };
-    if parallel {
-        d_weight
-            .par_chunks_mut(kh * kw)
-            .zip(d_bias.par_chunks_mut(1))
-            .enumerate()
-            .for_each(|(ci, pair)| weight_channel(ci, pair));
-    } else {
-        for (ci, pair) in d_weight
-            .chunks_mut(kh * kw)
-            .zip(d_bias.chunks_mut(1))
-            .enumerate()
-        {
-            weight_channel(ci, pair);
-        }
-    }
+        },
+    );
+    let d_bias: Vec<f32> = (0..c)
+        .map(|ci| {
+            (0..n)
+                .flat_map(|ni| g_plane(ni, ci))
+                .fold(0.0, |acc, &go| acc + go)
+        })
+        .collect();
 
     Ok(DepthwiseGrads {
         d_input,
@@ -1351,7 +1423,131 @@ pub(crate) fn depthwise_conv2d_backward(
 /// benchmark baselines; see [`crate::reference`].
 pub(crate) mod reference {
     use super::{depthwise_kernel, dims4, ConvSpec};
-    use crate::{Result, Tensor};
+    use crate::{Result, Tensor, TensorError};
+
+    /// The seed depthwise input gradient: every nonzero output gradient
+    /// scatters into its window, `(oy, ox)` ascending, then `(ky, kx)`
+    /// ascending, with bounds checks on every tap.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on rank/shape mismatches between `weight`,
+    /// `grad_output` and `input_dims`.
+    pub fn depthwise_input_grad_naive(
+        weight: &Tensor,
+        grad_output: &Tensor,
+        input_dims: &[usize],
+        spec: ConvSpec,
+    ) -> Result<Tensor> {
+        let &[n, c, h, w] = input_dims else {
+            return Err(TensorError::RankMismatch {
+                expected: 4,
+                actual: input_dims.len(),
+            });
+        };
+        let (kh, kw) = depthwise_kernel(weight, c)?;
+        let (oh, ow) = (spec.output_extent(h, kh)?, spec.output_extent(w, kw)?);
+        if grad_output.dims() != [n, c, oh, ow] {
+            return Err(TensorError::ShapeMismatch {
+                left: grad_output.dims().to_vec(),
+                right: vec![n, c, oh, ow],
+            });
+        }
+        let (wd, g) = (weight.data(), grad_output.data());
+        let pad = spec.padding as isize;
+        let mut d_input = vec![0.0f32; n * c * h * w];
+        for pi in 0..n * c {
+            let kernel = &wd[(pi % c) * kh * kw..(pi % c + 1) * kh * kw];
+            for oy in 0..oh {
+                let y0 = (oy * spec.stride) as isize - pad;
+                for ox in 0..ow {
+                    let go = g[(pi * oh + oy) * ow + ox];
+                    if go == 0.0 {
+                        continue;
+                    }
+                    let x0 = (ox * spec.stride) as isize - pad;
+                    for ky in 0..kh {
+                        let y = y0 + ky as isize;
+                        if y < 0 || y >= h as isize {
+                            continue;
+                        }
+                        for kx in 0..kw {
+                            let xp = x0 + kx as isize;
+                            if xp < 0 || xp >= w as isize {
+                                continue;
+                            }
+                            d_input[(pi * h + y as usize) * w + xp as usize] +=
+                                go * kernel[ky * kw + kx];
+                        }
+                    }
+                }
+            }
+        }
+        Tensor::from_vec(d_input, input_dims)
+    }
+
+    /// The seed depthwise weight and bias gradients, `([C, KH, KW], [C])`:
+    /// every nonzero output gradient adds itself to its channel's bias and
+    /// `g·x` to every in-bounds tap, `(image, oy, ox)` ascending, then
+    /// `(ky, kx)` ascending.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on rank/shape mismatches.
+    pub fn depthwise_weight_grad_naive(
+        input: &Tensor,
+        weight: &Tensor,
+        grad_output: &Tensor,
+        spec: ConvSpec,
+    ) -> Result<(Tensor, Tensor)> {
+        let (n, c, h, w) = dims4(input)?;
+        let (kh, kw) = depthwise_kernel(weight, c)?;
+        let (oh, ow) = (spec.output_extent(h, kh)?, spec.output_extent(w, kw)?);
+        if grad_output.dims() != [n, c, oh, ow] {
+            return Err(TensorError::ShapeMismatch {
+                left: grad_output.dims().to_vec(),
+                right: vec![n, c, oh, ow],
+            });
+        }
+        let (x, g) = (input.data(), grad_output.data());
+        let pad = spec.padding as isize;
+        let mut d_weight = vec![0.0f32; c * kh * kw];
+        let mut d_bias = vec![0.0f32; c];
+        for ci in 0..c {
+            for ni in 0..n {
+                let base = (ni * c + ci) * h * w;
+                for oy in 0..oh {
+                    let y0 = (oy * spec.stride) as isize - pad;
+                    for ox in 0..ow {
+                        let go = g[(((ni * c + ci) * oh) + oy) * ow + ox];
+                        if go == 0.0 {
+                            continue;
+                        }
+                        d_bias[ci] += go;
+                        let x0 = (ox * spec.stride) as isize - pad;
+                        for ky in 0..kh {
+                            let y = y0 + ky as isize;
+                            if y < 0 || y >= h as isize {
+                                continue;
+                            }
+                            for kx in 0..kw {
+                                let xp = x0 + kx as isize;
+                                if xp < 0 || xp >= w as isize {
+                                    continue;
+                                }
+                                d_weight[(ci * kh + ky) * kw + kx] +=
+                                    go * x[base + y as usize * w + xp as usize];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Ok((
+            Tensor::from_vec(d_weight, &[c, kh, kw])?,
+            Tensor::from_vec(d_bias, &[c])?,
+        ))
+    }
 
     /// The seed `depthwise_conv2d`: per-pixel gather loop with bounds checks
     /// in the innermost loops.

@@ -42,7 +42,9 @@ pub use init::Initializer;
 /// tests and `substrate_micro` can pin the fast paths against them. Never
 /// use these on hot paths.
 pub mod reference {
-    pub use crate::conv::reference::depthwise_conv2d_naive;
+    pub use crate::conv::reference::{
+        depthwise_conv2d_naive, depthwise_input_grad_naive, depthwise_weight_grad_naive,
+    };
     pub use crate::matmul::reference::matmul_naive;
 }
 pub use pool::{MaxPoolOutput, PoolSpec};

@@ -220,3 +220,92 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The halo-padded depthwise kernels (stride-1 forward, input gradient,
+    /// weight and bias gradients) equal the seed scatter and gather loops
+    /// bit for bit: kernels 1..=7 on either axis, widths around the
+    /// register block, stride 1 to 3, padding 0 to 3 (wider than the
+    /// kernel overhang too), operands with `+0.0` and `−0.0` entries,
+    /// ReLU-sparse gradients and `±0.0` biases.
+    #[test]
+    fn depthwise_kernels_match_scatter_references_bitwise(
+        seed in 0u64..1_000_000,
+        n in 1usize..3,
+        c in 1usize..4,
+        kh in 1usize..8,
+        kw in 1usize..8,
+        stride in 1usize..4,
+        padding in 0usize..4,
+        h in 1usize..20,
+        w in 1usize..20,
+        sparse_pick in 0u32..2,
+    ) {
+        let relu_sparse = sparse_pick == 1;
+        let spec = ConvSpec { stride, padding };
+        let (Ok(oh), Ok(ow)) = (spec.output_extent(h, kh), spec.output_extent(w, kw)) else {
+            return Ok(());
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let input = signed_zero_tensor(&mut rng, &[n, c, h, w], 0.0);
+        let weight = signed_zero_tensor(&mut rng, &[c, kh, kw], 0.0);
+        let mut bias = signed_zero_tensor(&mut rng, &[c], 0.0);
+        bias.data_mut()[0] = if seed % 2 == 0 { -0.0 } else { 0.0 };
+        let grad = signed_zero_tensor(&mut rng, &[n, c, oh, ow], if relu_sparse { 0.5 } else { 0.0 });
+        let backend = default_backend();
+
+        let fwd = backend.depthwise_conv2d(&input, &weight, Some(&bias), spec).unwrap();
+        let naive = reference::depthwise_conv2d_naive(&input, &weight, Some(&bias), spec).unwrap();
+        assert_bits(&fwd, &naive, "depthwise_conv2d")?;
+
+        let d_input = backend.depthwise_input_grad(&weight, &grad, input.dims(), spec).unwrap();
+        let naive = reference::depthwise_input_grad_naive(&weight, &grad, input.dims(), spec).unwrap();
+        assert_bits(&d_input, &naive, "depthwise_input_grad")?;
+
+        let grads = backend.depthwise_conv2d_backward(&input, &weight, &grad, spec).unwrap();
+        let (d_weight, d_bias) =
+            reference::depthwise_weight_grad_naive(&input, &weight, &grad, spec).unwrap();
+        assert_bits(&grads.d_input, &naive, "backward d_input")?;
+        assert_bits(&grads.d_weight, &d_weight, "backward d_weight")?;
+        assert_bits(&grads.d_bias, &d_bias, "backward d_bias")?;
+    }
+}
+
+/// Uniform values in `[-1, 1)`, about one in eight an exact `+0.0` and one
+/// in eight `-0.0`; with `sparsity` > 0 that share of the values is
+/// instead zeroed as a ReLU backward would (`±0.0`).
+fn signed_zero_tensor(rng: &mut ChaCha8Rng, dims: &[usize], sparsity: f64) -> Tensor {
+    use rand::Rng;
+    let len = dims.iter().product();
+    let data = (0..len)
+        .map(|_| {
+            if rng.gen_bool(sparsity) {
+                return if rng.gen_bool(0.5) { 0.0 } else { -0.0 };
+            }
+            match rng.gen_range(0u32..8) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-1.0f32..1.0),
+            }
+        })
+        .collect();
+    Tensor::from_vec(data, dims).unwrap()
+}
+
+fn assert_bits(actual: &Tensor, expected: &Tensor, what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(actual.dims(), expected.dims(), "{} dims", what);
+    for (i, (a, e)) in actual.data().iter().zip(expected.data()).enumerate() {
+        prop_assert_eq!(
+            a.to_bits(),
+            e.to_bits(),
+            "{}: {} != reference {} at {}",
+            what,
+            a,
+            e,
+            i
+        );
+    }
+    Ok(())
+}
